@@ -15,11 +15,7 @@ import sys
 
 from . import __version__
 from .builder import DEFAULT_MAX_ORDER, build_prime_plane
-from .collineation import (
-    DEFAULT_MAX_POINTS,
-    enumerate_dilations,
-    enumerate_translations,
-)
+from .collineation import enumerate_dilations, enumerate_translations
 from .endo import (
     DEFAULT_MAX_GROUP,
     check_ring_axioms,

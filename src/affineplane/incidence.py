@@ -9,7 +9,7 @@ external point, existence of a triangle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (

@@ -57,6 +57,7 @@ class TranslationGroup:
 
     def __post_init__(self):
         self._lookup = {f.image: i for i, f in enumerate(self.elements)}
+        self._generators: Optional[tuple[int, ...]] = None
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -178,14 +179,19 @@ def subgroup_closure(g: TranslationGroup, seeds: list[int]) -> set[int]:
 
 
 def generators(g: TranslationGroup) -> list[int]:
-    """Greedy generating set: lowest-index element outside the span, repeated."""
-    gens: list[int] = []
-    span = {0}
-    for i in range(1, g.order):
-        if i in span:
-            continue
-        gens.append(i)
-        span = subgroup_closure(g, gens)
-        if len(span) == g.order:
-            break
-    return gens
+    """Greedy generating set: lowest-index element outside the span, repeated.
+
+    Computed once per group and kept on it.
+    """
+    if g._generators is None:
+        gens: list[int] = []
+        span = {0}
+        for i in range(1, g.order):
+            if i in span:
+                continue
+            gens.append(i)
+            span = subgroup_closure(g, gens)
+            if len(span) == g.order:
+                break
+        g._generators = tuple(gens)
+    return list(g._generators)

@@ -16,7 +16,14 @@ from affineplane import (
     parallel_partition,
     trace,
 )
-from affineplane.errors import NotTranslation, OrderTooLarge, SizeMismatch
+from affineplane import collineation
+from affineplane.collineation import ClassifiedMap
+from affineplane.errors import (
+    NotCollineation,
+    NotTranslation,
+    OrderTooLarge,
+    SizeMismatch,
+)
 from affineplane.transgroup import compose_images
 
 KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
@@ -140,6 +147,14 @@ class TestEnumerateCollineations:
     def test_bound_enforced(self, p5):
         with pytest.raises(OrderTooLarge):
             enumerate_collineations(p5)
+
+    def test_non_collineation_from_search_rejected(self, p2, monkeypatch):
+        def misclassify(plane, image):
+            return ClassifiedMap(tuple(image), "general", fixed_points(image))
+
+        monkeypatch.setattr(collineation, "classify", misclassify)
+        with pytest.raises(NotCollineation):
+            enumerate_collineations(p2)
 
     def test_closed_under_composition_and_inverse(self, p2):
         images = {f.image for f in enumerate_collineations(p2)}

@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import affineplane
 from affineplane import (
     GroupSelfMap,
     add,
@@ -145,6 +149,29 @@ class TestEnumeration:
         with pytest.raises(OrderTooLarge):
             enumerate_endomorphisms(groups[5], max_group=9)
 
+    def test_non_spanning_generators_rejected_under_optimize(self):
+        # element 1 of AG(2,3) spans a subgroup of order 3: six elements lack a
+        # word, and the check must survive `python -O`
+        script = (
+            "from affineplane import build_prime_plane, build_group, enumerate_translations\n"
+            "from affineplane.endo import _element_words\n"
+            "from affineplane.errors import NotSpanning\n"
+            "p = build_prime_plane(3)\n"
+            "g = build_group(p, enumerate_translations(p))\n"
+            "try:\n"
+            "    _element_words(g, [1])\n"
+            "except NotSpanning:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(affineplane.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "raised\n"
+
 
 class TestTracePreservation:
     def test_zero_and_unit_are_trace_preserving(self, planes, groups):
@@ -219,3 +246,23 @@ class TestRingReport:
         assert not passed
         assert witness is not None
         assert not report.all_pass
+
+    def test_non_endomorphism_is_reported_not_raised(
+        self, planes, groups, tp_endomorphisms
+    ):
+        g = groups[2]
+        report = check_ring_axioms(
+            planes[2], g, tp_endomorphisms[2] + [GroupSelfMap((0, 0, 2, 3))]
+        )
+        assert not report.all_pass
+        assert report.axioms["add_closure"] == (False, (1, 2))
+        # every Klein-group element is its own inverse, so the map negates itself
+        assert report.axioms["add_inverses"] == (True, None)
+
+    def test_missing_additive_inverse_has_witness(
+        self, planes, groups, tp_endomorphisms
+    ):
+        g = groups[3]
+        collapse = GroupSelfMap((0,) + (1,) * 8)
+        report = check_ring_axioms(planes[3], g, tp_endomorphisms[3] + [collapse])
+        assert report.axioms["add_inverses"] == (False, (3,))
