@@ -55,6 +55,7 @@ from .transgroup import (
     build_group,
     check_abelian,
     check_composition_direction,
+    check_conjugation,
     check_conjugation_direction,
     check_normal_in_dilations,
     generators,

@@ -50,12 +50,11 @@ def build_prime_plane(p: int, max_order: int = DEFAULT_MAX_ORDER) -> IncidencePl
 
 
 def intersect(plane: IncidencePlane, l: int, m: int) -> Optional[int]:
-    """Common point of two distinct lines, or None when they are parallel."""
-    plane.require_verified()
+    """Common point of two distinct lines, or None when they are parallel.
+
+    One lookup in plane.meet_table().
+    """
+    meet = plane.meet_table()
     if l == m:
         raise SameLine(f"intersect requires distinct lines, got {l} twice")
-    common = plane.lines[l] & plane.lines[m]
-    if not common:
-        return None
-    (point,) = common
-    return point
+    return meet[l][m]

@@ -18,9 +18,11 @@ from .builder import DEFAULT_MAX_ORDER, build_prime_plane
 from .collineation import enumerate_dilations, enumerate_translations
 from .endo import (
     DEFAULT_MAX_GROUP,
+    add as endo_add,
     check_ring_axioms,
+    compose as endo_compose,
     enumerate_endomorphisms,
-    enumerate_tp_endomorphisms,
+    is_endomorphism,
     is_trace_preserving,
 )
 from .errors import AffinePlaneError, MalformedDocument
@@ -29,8 +31,7 @@ from .transgroup import (
     build_group,
     check_abelian,
     check_composition_direction,
-    check_conjugation_direction,
-    check_normal_in_dilations,
+    check_conjugation,
 )
 
 EXIT_PASS = 0
@@ -68,7 +69,7 @@ def emit(text: str, out_path: str | None) -> None:
 
 
 def _load_verified_summary(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         document = json.load(fh)
     plane = load_plane(document)
     report = verify_axioms(plane)
@@ -125,11 +126,13 @@ def cmd_groups(args) -> int:
     checks = []
     if args.check_abelian:
         checks.append(check_abelian(group))
-    if args.check_normal:
-        checks.append(check_normal_in_dilations(group, dilations))
-    if args.check_directions:
-        checks.append(check_conjugation_direction(group, dilations))
-        checks.append(check_composition_direction(group))
+    if args.check_normal or args.check_directions:
+        normal, conjugation = check_conjugation(group, dilations)
+        if args.check_normal:
+            checks.append(normal)
+        if args.check_directions:
+            checks.append(conjugation)
+            checks.append(check_composition_direction(group))
     results["checks"] = [c.to_dict() for c in checks]
 
     all_pass = all(c.passed for c in checks)
@@ -194,19 +197,14 @@ def cmd_verify_all(args) -> int:
     group = build_group(plane, translations)
     results["num_dilations"] = len(dilations)
     results["num_translations"] = len(translations)
+    normal, conjugation = check_conjugation(group, dilations)
 
     theorems = [
         ("affine_plane_axioms", report.all_pass),
         ("translations_form_group", True),  # build_group raises otherwise
         ("translation_group_abelian", check_abelian(group).passed),
-        (
-            "translations_normal_in_dilations",
-            check_normal_in_dilations(group, dilations).passed,
-        ),
-        (
-            "conjugation_preserves_direction",
-            check_conjugation_direction(group, dilations).passed,
-        ),
+        ("translations_normal_in_dilations", normal.passed),
+        ("conjugation_preserves_direction", conjugation.passed),
         (
             "composition_preserves_shared_direction",
             check_composition_direction(group).passed,
@@ -217,8 +215,6 @@ def cmd_verify_all(args) -> int:
     tp = [a for a in endomorphisms if is_trace_preserving(plane, group, a)]
     results["num_endomorphisms"] = len(endomorphisms)
     results["num_tp_endomorphisms"] = len(tp)
-
-    from .endo import add as endo_add, compose as endo_compose, is_endomorphism
 
     sums_endo = all(
         is_endomorphism(group, endo_add(group, a, b))
@@ -328,10 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedDocument, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (MalformedDocument, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except AffinePlaneError as exc:

@@ -14,9 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotEndomorphism, NotSpanning, OrderTooLarge, SizeMismatch
+from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
 from .incidence import IncidencePlane
-from .transgroup import TranslationGroup, generators
+from .transgroup import (
+    TranslationGroup,
+    _element_words,  # re-exported: callers import it from endo
+    extend_along_words,
+    generators,
+)
 
 DEFAULT_MAX_GROUP = 49
 
@@ -135,23 +140,6 @@ def is_trace_preserving(
     return alpha.is_trace_preserving
 
 
-def _element_words(g: TranslationGroup, gens: list[int]) -> list[tuple[int, ...]]:
-    """One word over the generators per element, found during saturation."""
-    words: list[Optional[tuple[int, ...]]] = [None] * g.order
-    words[0] = ()
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for gi, s in enumerate(gens):
-            y = g.cayley[s][x]
-            if words[y] is None:
-                words[y] = words[x] + (gi,)
-                frontier.append(y)
-    if None in words:
-        raise NotSpanning(f"elements {gens} do not generate the group")
-    return words  # type: ignore[return-value]
-
-
 def enumerate_endomorphisms(
     g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
 ) -> list[GroupSelfMap]:
@@ -170,17 +158,10 @@ def enumerate_endomorphisms(
     gens = generators(g)
     if not gens:
         return [GroupSelfMap((0,), is_endomorphism=True)]
-    words = _element_words(g, gens)
 
     out = []
     for images in itertools.product(range(g.order), repeat=len(gens)):
-        table = []
-        for w in words:
-            acc = 0
-            for gi in w:
-                acc = g.cayley[images[gi]][acc]
-            table.append(acc)
-        alpha = GroupSelfMap(tuple(table))
+        alpha = GroupSelfMap(extend_along_words(g, images))
         if is_endomorphism(g, alpha):
             out.append(alpha)
     out.sort(key=lambda a: a.table)

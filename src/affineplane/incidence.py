@@ -100,6 +100,8 @@ class IncidencePlane:
         self.axiom_report: Optional[AxiomReport] = None
         self._partition: Optional[DirectionPartition] = None
         self._join: Optional[list[list[int]]] = None
+        self._parallel: Optional[list[list[int]]] = None
+        self._meet: Optional[list[list[Optional[int]]]] = None
 
     @property
     def num_lines(self) -> int:
@@ -130,6 +132,41 @@ class IncidencePlane:
                         table[q][p] = lid
             self._join = table
         return self._join
+
+    def parallel_table(self) -> list[list[int]]:
+        """parallel-line lookup: parallel[c][p] = line of parallel class c through p.
+
+        Each class covers every point exactly once on a verified plane;
+        parallel_through_point gives the proof.
+        """
+        self.require_verified()
+        if self._parallel is None:
+            partition = parallel_partition(self)
+            table = [[-1] * self.num_points for _ in partition.classes]
+            for lid, pts in enumerate(self.lines):
+                row = table[partition.class_of[lid]]
+                for p in pts:
+                    row[p] = lid
+            self._parallel = table
+        return self._parallel
+
+    def meet_table(self) -> list[list[Optional[int]]]:
+        """line-meet lookup: meet[l][m] = common point of l != m, None if parallel.
+
+        Two distinct lines of a verified plane share at most one point,
+        because two shared points would be joined by both lines.
+        """
+        self.require_verified()
+        if self._meet is None:
+            table: list[list[Optional[int]]] = [[None] * self.num_lines for _ in self.lines]
+            for p, through in enumerate(self.lines_through):
+                for l in through:
+                    row = table[l]
+                    for m in through:
+                        if m != l:
+                            row[m] = p
+            self._meet = table
+        return self._meet
 
     def to_document(self) -> dict:
         return {
@@ -247,14 +284,18 @@ def parallel(plane: IncidencePlane, l: int, m: int) -> bool:
 
 
 def parallel_through_point(plane: IncidencePlane, l: int, p: int) -> int:
-    """The unique line through p parallel to l; l itself when p lies on it."""
-    plane.require_verified()
-    if p in plane.lines[l]:
-        return l
-    for m in plane.lines_through[p]:
-        if plane.lines[m].isdisjoint(plane.lines[l]):
-            return m
-    raise NoJoin(f"no parallel to line {l} through point {p}")  # unreachable when verified
+    """The unique line through p parallel to l; l itself when p lies on it.
+
+    Answered by one lookup in plane.parallel_table(), in the row of l's
+    parallel class.  That row holds the line sought: lines of one class
+    are pairwise parallel (parallel_partition audits this), so at most
+    one line of the class passes through p.  If p lies on l, that line is
+    l.  Otherwise the unique-parallel axiom gives exactly one line m
+    through p disjoint from l, and parallel_partition joined m to l's
+    class, so the class line through p is m.
+    """
+    table = plane.parallel_table()  # builds plane._partition on first use
+    return table[plane._partition.class_of[l]][p]
 
 
 def parallel_partition(plane: IncidencePlane) -> DirectionPartition:

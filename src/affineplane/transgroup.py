@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .collineation import ClassifiedMap
-from .errors import MissingIdentity, NotClosed
+from .errors import MissingIdentity, NotClosed, NotSpanning
 from .incidence import IncidencePlane
 
 
@@ -58,6 +58,7 @@ class TranslationGroup:
     def __post_init__(self):
         self._lookup = {f.image: i for i, f in enumerate(self.elements)}
         self._generators: Optional[tuple[int, ...]] = None
+        self._words: Optional[tuple[tuple[int, ...], ...]] = None
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -117,39 +118,87 @@ def check_abelian(g: TranslationGroup) -> CheckResult:
     return CheckResult("abelian", True)
 
 
-def check_normal_in_dilations(
+def check_conjugation(
     g: TranslationGroup, dilations: list[ClassifiedMap]
-) -> CheckResult:
-    """Every conjugate of a translation by a dilation is again a translation."""
+) -> tuple[CheckResult, CheckResult]:
+    """Conjugate every translation by every dilation, once, for two checks.
+
+    Returns (normal_in_dilations, conjugation_direction).  The first
+    passes iff every conjugate d^-1.t.d (d applied first) is a
+    translation, and fails with the first witness (di, si) in scan order
+    whose conjugate is not.  The second passes iff moreover every
+    non-identity translation and its conjugate share a direction, and
+    fails with the first (di, si), si >= 1, that breaks either condition.
+
+    Per dilation d, only the generators are conjugated point by point.
+    If each of their conjugates is a translation, phi(x) = d^-1.x.d is
+    computed for every x by Cayley lookups along the generator words
+    (extend_along_words), and every direction is compared.  This is the
+    conjugate itself: conjugation by a permutation is a homomorphism of
+    the symmetric group, x is a product of generators along its word, and
+    the Cayley table records composition of permutations within the
+    translation set, which build_group checked to be closed.  So the
+    conjugate of x is the product of the generators' conjugates along the
+    same word, a translation whose index the lookups give, and normality
+    holds for d.  If some generator's conjugate is not a translation, the
+    translations of d are conjugated point by point, as the definition
+    reads, which yields the same witnesses.  Cost per dilation: rank
+    point-wise conjugates plus one word walk per element, instead of |G|
+    point-wise conjugates for each check.
+    """
+    normal: Optional[CheckResult] = None
+    direction: Optional[CheckResult] = None
+    gens = generators(g)
     for di, delta in enumerate(dilations):
         inv = [0] * len(delta.image)
         for p, q in enumerate(delta.image):
             inv[q] = p
         inv_t = tuple(inv)
-        for si in range(g.order):
-            conj = compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
-            if g.index_of(conj) is None:
-                return CheckResult("normal_in_dilations", False, (di, si))
-    return CheckResult("normal_in_dilations", True)
+
+        def conjugate(si: int) -> Optional[int]:
+            return g.index_of(
+                compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
+            )
+
+        images = [conjugate(s) for s in gens]
+        if None not in images:
+            if direction is None:
+                phi = extend_along_words(g, images)
+                for si in range(1, g.order):
+                    if g.direction_of[phi[si]] != g.direction_of[si]:
+                        direction = CheckResult("conjugation_direction", False, (di, si))
+                        break
+        else:
+            for si in range(1, g.order):
+                ci = conjugate(si)
+                if ci is None:
+                    normal = CheckResult("normal_in_dilations", False, (di, si))
+                    direction = direction or CheckResult(
+                        "conjugation_direction", False, (di, si)
+                    )
+                    break
+                if direction is None and ci != 0 and g.direction_of[ci] != g.direction_of[si]:
+                    direction = CheckResult("conjugation_direction", False, (di, si))
+        if normal is not None:
+            break
+    return (
+        normal or CheckResult("normal_in_dilations", True),
+        direction or CheckResult("conjugation_direction", True),
+    )
+
+
+def check_normal_in_dilations(
+    g: TranslationGroup, dilations: list[ClassifiedMap]
+) -> CheckResult:
+    """Every conjugate of a translation by a dilation is again a translation."""
+    return check_conjugation(g, dilations)[0]
 
 
 def check_conjugation_direction(
     g: TranslationGroup, dilations: list[ClassifiedMap]
 ) -> CheckResult:
     """Conjugation by a dilation preserves the direction of a translation."""
-    for di, delta in enumerate(dilations):
-        inv = [0] * len(delta.image)
-        for p, q in enumerate(delta.image):
-            inv[q] = p
-        inv_t = tuple(inv)
-        for si in range(1, g.order):
-            conj = compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
-            ci = g.index_of(conj)
-            if ci is None:
-                return CheckResult("conjugation_direction", False, (di, si))
-            if ci != 0 and g.direction_of[ci] != g.direction_of[si]:
-                return CheckResult("conjugation_direction", False, (di, si))
-    return CheckResult("conjugation_direction", True)
+    return check_conjugation(g, dilations)[1]
 
 
 def check_composition_direction(g: TranslationGroup) -> CheckResult:
@@ -195,3 +244,44 @@ def generators(g: TranslationGroup) -> list[int]:
                 break
         g._generators = tuple(gens)
     return list(g._generators)
+
+
+def _element_words(g: TranslationGroup, gens: list[int]) -> list[tuple[int, ...]]:
+    """One word over the generators per element, found during saturation."""
+    words: list[Optional[tuple[int, ...]]] = [None] * g.order
+    words[0] = ()
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for gi, s in enumerate(gens):
+            y = g.cayley[s][x]
+            if words[y] is None:
+                words[y] = words[x] + (gi,)
+                frontier.append(y)
+    if None in words:
+        raise NotSpanning(f"elements {gens} do not generate the group")
+    return words  # type: ignore[return-value]
+
+
+def generator_words(g: TranslationGroup) -> tuple[tuple[int, ...], ...]:
+    """_element_words over generators(g), computed once per group and kept on it."""
+    if g._words is None:
+        g._words = tuple(_element_words(g, generators(g)))
+    return g._words
+
+
+def extend_along_words(g: TranslationGroup, images) -> tuple[int, ...]:
+    """Element table of the assignment generators(g)[k] -> images[k].
+
+    The element with word (k1, ..., km) goes to images[km] o ... o
+    images[k1].  The table is the homomorphism with those generator
+    images when one exists; callers that search assignments must test it.
+    """
+    cayley = g.cayley
+    table = []
+    for w in generator_words(g):
+        acc = 0
+        for k in w:
+            acc = cayley[images[k]][acc]
+        table.append(acc)
+    return tuple(table)

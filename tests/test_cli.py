@@ -4,9 +4,22 @@ import sys
 
 import pytest
 
+from affineplane import cli
 from affineplane.cli import main
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
+
+
+def count_conjugation_passes(monkeypatch):
+    calls = []
+    real = cli.check_conjugation
+
+    def counted(g, dilations):
+        calls.append(len(dilations))
+        return real(g, dilations)
+
+    monkeypatch.setattr(cli, "check_conjugation", counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -75,6 +88,20 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         assert run(capsys, "check", "/nonexistent.json")[0] == 2
 
+    @pytest.mark.parametrize("command", ["check", "groups", "endo", "verify-all"])
+    def test_directory_exits_2(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("command", ["check", "groups", "endo", "verify-all"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"points": 4, "lines": [], "name": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+
 
 class TestGroups:
     def test_translations_and_abelian(self, p3_file, capsys):
@@ -99,6 +126,15 @@ class TestGroups:
         assert code == 0
         names = [c["name"] for c in json.loads(out)["results"]["checks"]]
         assert names == ["conjugation_direction", "composition_direction"]
+
+    @pytest.mark.parametrize(
+        "flags,passes",
+        [([], 0), (["--check-normal"], 1), (["--check-normal", "--check-directions"], 1)],
+    )
+    def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch, flags, passes):
+        calls = count_conjugation_passes(monkeypatch)
+        assert run(capsys, "groups", p3_file, *flags)[0] == 0
+        assert len(calls) == passes
 
 
 class TestEndo:
@@ -139,6 +175,11 @@ class TestVerifyAll:
         report = json.loads(out)
         assert report["status"] == "pass"
         assert all(t["passed"] for t in report["results"]["theorems"])
+
+    def test_one_conjugation_pass(self, p2_file, capsys, monkeypatch):
+        calls = count_conjugation_passes(monkeypatch)
+        assert run(capsys, "verify-all", p2_file)[0] == 0
+        assert calls == [4]
 
     def test_broken_plane_fails_at_axiom_stage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,9 +1,11 @@
-"""The local membership tests agree with the definitions they replace.
+"""The local tests and lookups agree with the definitions they replace.
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
-only, and ``is_dilation`` / ``classify`` check one line at a time.  The
-all-pairs definitions live here, as oracles, and every test below asks
-both for a verdict on the same maps.
+only, ``is_dilation`` / ``classify`` check one line at a time,
+``check_conjugation`` conjugates only the generators point by point, and
+``parallel_through_point`` / ``intersect`` answer from lookup tables.
+The all-pairs and scanning definitions live here, as oracles, and every
+test below asks both for a verdict on the same inputs.
 """
 
 import itertools
@@ -14,16 +16,25 @@ import pytest
 from affineplane import (
     GroupSelfMap,
     add,
+    build_group,
+    build_prime_plane,
+    check_conjugation,
+    check_conjugation_direction,
+    check_normal_in_dilations,
     classify,
     compose,
     enumerate_collineations,
+    enumerate_dilations,
+    intersect,
     is_collineation,
     is_dilation,
     is_endomorphism,
     parallel_partition,
+    parallel_through_point,
 )
 from affineplane.endo import _element_words
-from affineplane.transgroup import generators
+from affineplane.errors import SameLine
+from affineplane.transgroup import CheckResult, compose_images, generators
 
 
 def endomorphism_oracle(g, table):
@@ -65,6 +76,61 @@ def kind_oracle(plane, image):
     return "dilation"
 
 
+def normal_oracle(g, dilations):
+    """The definition: every conjugate d^-1.t.d, built point by point, is listed."""
+    for di, delta in enumerate(dilations):
+        inv = [0] * len(delta.image)
+        for p, q in enumerate(delta.image):
+            inv[q] = p
+        inv_t = tuple(inv)
+        for si in range(g.order):
+            conj = compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
+            if g.index_of(conj) is None:
+                return CheckResult("normal_in_dilations", False, (di, si))
+    return CheckResult("normal_in_dilations", True)
+
+
+def direction_oracle(g, dilations):
+    """The definition: every conjugate is listed and keeps its direction."""
+    for di, delta in enumerate(dilations):
+        inv = [0] * len(delta.image)
+        for p, q in enumerate(delta.image):
+            inv[q] = p
+        inv_t = tuple(inv)
+        for si in range(1, g.order):
+            conj = compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
+            ci = g.index_of(conj)
+            if ci is None:
+                return CheckResult("conjugation_direction", False, (di, si))
+            if ci != 0 and g.direction_of[ci] != g.direction_of[si]:
+                return CheckResult("conjugation_direction", False, (di, si))
+    return CheckResult("conjugation_direction", True)
+
+
+def parallel_through_oracle(plane, l, p):
+    """The definition: l when p lies on it, else the line through p missing l."""
+    if p in plane.lines[l]:
+        return l
+    (m,) = [m for m in plane.lines_through[p] if plane.lines[m].isdisjoint(plane.lines[l])]
+    return m
+
+
+def meet_oracle(plane, l, m):
+    common = plane.lines[l] & plane.lines[m]
+    if not common:
+        return None
+    (point,) = common
+    return point
+
+
+def assert_conjugation_verdicts_agree(g, dilations):
+    results = check_conjugation(g, dilations)
+    assert results == (normal_oracle(g, dilations), direction_oracle(g, dilations))
+    assert check_normal_in_dilations(g, dilations) == results[0]
+    assert check_conjugation_direction(g, dilations) == results[1]
+    return results
+
+
 def assert_endomorphism_verdicts_agree(g, tables):
     """Fresh maps each time, so no memoized verdict is reused."""
     verdicts = []
@@ -87,16 +153,20 @@ def assert_dilation_verdicts_agree(plane, images):
     return kinds
 
 
-def affine_map(p, matrix, shift):
-    """Point map of AG(2,p) for (x, y) -> matrix.(x, y) + shift."""
-    (a, b), (c, d) = matrix
+def point_map(p, fn):
+    """Point map of AG(2,p) for (x, y) -> fn(x, y), coordinates taken mod p."""
     image = [0] * (p * p)
     for x in range(p):
         for y in range(p):
-            x2 = (a * x + b * y + shift[0]) % p
-            y2 = (c * x + d * y + shift[1]) % p
-            image[x * p + y] = x2 * p + y2
+            u, w = fn(x, y)
+            image[x * p + y] = (u % p) * p + w % p
     return tuple(image)
+
+
+def affine_map(p, matrix, shift):
+    """Point map of AG(2,p) for (x, y) -> matrix.(x, y) + shift."""
+    (a, b), (c, d) = matrix
+    return point_map(p, lambda x, y: (a * x + b * y + shift[0], c * x + d * y + shift[1]))
 
 
 class TestEndomorphismOracle:
@@ -209,3 +279,84 @@ class TestDilationOracle:
     def test_every_dilation_of_ag25(self, p5, dilations):
         images = [f.image for f in dilations[5]]
         assert set(assert_dilation_verdicts_agree(p5, images)) == {"dilation"}
+
+
+class TestConjugationOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_dilations_of_ag2p(self, groups, dilations, p):
+        if p == 7:
+            plane = build_prime_plane(7)
+            dils = enumerate_dilations(plane)
+            g = build_group(plane, [f for f in dils if f.kind == "translation"])
+        else:
+            g, dils = groups[p], dilations[p]
+        normal, direction = assert_conjugation_verdicts_agree(g, dils)
+        assert normal.passed and direction.passed
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_corrupted_dilation_lists(self, planes, groups, dilations, p):
+        # Element i of the group is the shift by the vector with id i, so
+        # 1 is (0,1), p is (1,0) and p + 1 is (1,1).  The swap and the
+        # stretch are collineations that normalize the translations but
+        # move directions; the other maps are no collineations, and each
+        # conjugates some translation off the list, which sends the
+        # fused pass to its point-by-point rescan.
+        plane, g, dils = planes[p], groups[p], dilations[p]
+        rng = random.Random(20200320)
+        shuffled = list(range(p * p))
+        rng.shuffle(shuffled)
+        maps = {
+            # name: (map, kind, normal witness si, direction witness si)
+            "swap": (point_map(p, lambda x, y: (y, x)), "collineation", None, 1),
+            "stretch": (point_map(p, lambda x, y: (x, 2 * y)), "collineation", None, p + 1),
+            "shear_sq": (point_map(p, lambda x, y: (x, y + x * x)), "general", p, p),
+            "flip_sq": (point_map(p, lambda x, y: (y, x + y * y)), "general", p, 1),
+            "transposition": ((1, 0) + tuple(range(2, p * p)), "general", 1, 1),
+            "shuffled": (tuple(shuffled), "general", 1, 1),
+        }
+        classified = {name: classify(plane, m[0]) for name, m in maps.items()}
+        assert {name: f.kind for name, f in classified.items()} == {
+            name: m[1] for name, m in maps.items()
+        }
+
+        def insert(names, at):
+            return list(dils[:at]) + [classified[n] for n in names] + list(dils[at:])
+
+        for name, (_, _, normal_si, direction_si) in maps.items():
+            for at in (0, len(dils) // 2, len(dils)):
+                normal, direction = assert_conjugation_verdicts_agree(g, insert([name], at))
+                assert normal.witness == (None if normal_si is None else (at, normal_si))
+                assert direction.witness == (at, direction_si)
+        at = len(dils) // 2
+        for first, second in [("stretch", "flip_sq"), ("flip_sq", "stretch"),
+                              ("swap", "shear_sq"), ("shear_sq", "swap")]:
+            normal, direction = assert_conjugation_verdicts_agree(g, insert([first, second], at))
+            assert direction.witness == (at, maps[first][3])
+            assert normal.witness[0] == at + (maps[first][2] is None)
+
+
+class TestLookupTableOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_parallel_through_every_line_and_point(self, planes, p):
+        plane = planes[p]
+        for l in range(plane.num_lines):
+            for q in range(plane.num_points):
+                m = parallel_through_point(plane, l, q)
+                assert m == parallel_through_oracle(plane, l, q)
+                if q in plane.lines[l]:
+                    assert m == l
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_intersect_every_pair_of_lines(self, planes, p):
+        plane = planes[p]
+        parallel_pairs = 0
+        for l in range(plane.num_lines):
+            with pytest.raises(SameLine):
+                intersect(plane, l, l)
+            for m in range(plane.num_lines):
+                if l != m:
+                    point = intersect(plane, l, m)
+                    assert point == meet_oracle(plane, l, m)
+                    parallel_pairs += point is None
+        # each of the p + 1 classes has p lines, pairwise parallel
+        assert parallel_pairs == (p + 1) * p * (p - 1)
