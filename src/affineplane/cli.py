@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .builder import DEFAULT_MAX_ORDER, build_prime_plane
-from .collineation import enumerate_dilations, enumerate_translations
+from .collineation import enumerate_dilations
 from .endo import (
     DEFAULT_MAX_GROUP,
     add as endo_add,
@@ -39,14 +40,22 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def _bound(text: str) -> int:
+    """argparse type of --max-order and --max-group: a non-negative integer."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return default
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+# flag -> (environment variable, default, help)
+BOUNDS = {
+    "--max-order": ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER, "largest plane order to enumerate"),
+    "--max-group": ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP, "largest group order for End"),
+}
 
 
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
@@ -79,6 +88,26 @@ def _load_verified_summary(path: str):
     return plane, report, summary
 
 
+def _translation_group(plane, max_order: int):
+    """The stage shared by groups, endo and verify-all: dilations, then Tr."""
+    dilations = enumerate_dilations(plane, max_order=max_order)
+    group = build_group(plane, [f for f in dilations if f.kind == "translation"])
+    return dilations, group
+
+
+def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
+    """Emit the report, then the stderr note with {status} filled in."""
+    status = "pass" if passed else "fail"
+    emit(render_report(args.command, summary, results, status), args.out)
+    print(note.format(status=status), file=sys.stderr)
+    return EXIT_PASS if passed else EXIT_FAIL
+
+
+def _closed(maps, op, predicate) -> bool:
+    """predicate(op(a, b)) for every ordered pair of maps."""
+    return all(predicate(op(a, b)) for a in maps for b in maps)
+
+
 def cmd_build(args) -> int:
     try:
         plane = build_prime_plane(args.order, max_order=args.max_order)
@@ -95,12 +124,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    plane, report, summary = _load_verified_summary(args.plane)
-    status = "pass" if report.all_pass else "fail"
+    _, report, summary = _load_verified_summary(args.plane)
     results = {"axioms": report.to_dict()}
-    emit(render_report("check", summary, results, status), args.out)
-    print(f"axioms: {status}", file=sys.stderr)
-    return EXIT_PASS if report.all_pass else EXIT_FAIL
+    return _finish(args, summary, results, report.all_pass, "axioms: {status}")
 
 
 def cmd_groups(args) -> int:
@@ -109,13 +135,10 @@ def cmd_groups(args) -> int:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    dilations = enumerate_dilations(plane, max_order=args.max_order)
-    translations = [f for f in dilations if f.kind == "translation"]
-    group = build_group(plane, translations)
-
+    dilations, group = _translation_group(plane, args.max_order)
     results: dict = {
         "num_dilations": len(dilations),
-        "num_translations": len(translations),
+        "num_translations": group.order,
     }
     if args.dilations:
         results["dilations"] = [list(f.image) for f in dilations]
@@ -135,15 +158,8 @@ def cmd_groups(args) -> int:
             checks.append(check_composition_direction(group))
     results["checks"] = [c.to_dict() for c in checks]
 
-    all_pass = all(c.passed for c in checks)
-    status = "pass" if all_pass else "fail"
-    emit(render_report("groups", summary, results, status), args.out)
-    print(
-        f"{len(dilations)} dilations, {len(translations)} translations; "
-        f"checks: {status}",
-        file=sys.stderr,
-    )
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    note = f"{len(dilations)} dilations, {group.order} translations; checks: {{status}}"
+    return _finish(args, summary, results, all(c.passed for c in checks), note)
 
 
 def cmd_endo(args) -> int:
@@ -152,18 +168,19 @@ def cmd_endo(args) -> int:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    translations = enumerate_translations(plane, max_order=args.max_order)
-    group = build_group(plane, translations)
+    group = _translation_group(plane, args.max_order)[1]  # dilations freed before the End search
     endomorphisms = enumerate_endomorphisms(group, max_group=args.max_group)
 
     results: dict = {
         "group_order": group.order,
         "num_endomorphisms": len(endomorphisms),
     }
+    note = f"|End| = {len(endomorphisms)}"
     all_pass = True
     if args.trace_preserving or args.check_ring:
         tp = [a for a in endomorphisms if is_trace_preserving(plane, group, a)]
         results["num_tp_endomorphisms"] = len(tp)
+        note += f", |End^TP| = {len(tp)}"
         if args.dump:
             results["tp_endomorphisms"] = [list(a.table) for a in tp]
         if args.check_ring:
@@ -173,30 +190,18 @@ def cmd_endo(args) -> int:
     if args.dump:
         results["endomorphisms"] = [list(a.table) for a in endomorphisms]
 
-    status = "pass" if all_pass else "fail"
-    emit(render_report("endo", summary, results, status), args.out)
-    print(
-        f"|End| = {len(endomorphisms)}"
-        + (f", |End^TP| = {results['num_tp_endomorphisms']}" if "num_tp_endomorphisms" in results else "")
-        + f"; {status}",
-        file=sys.stderr,
-    )
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    return _finish(args, summary, results, all_pass, note + "; {status}")
 
 
 def cmd_verify_all(args) -> int:
     plane, report, summary = _load_verified_summary(args.plane)
     results: dict = {"axioms": report.to_dict()}
     if not report.all_pass:
-        emit(render_report("verify-all", summary, results, "fail"), args.out)
-        print("axiom verification failed", file=sys.stderr)
-        return EXIT_FAIL
+        return _finish(args, summary, results, False, "axiom verification failed")
 
-    dilations = enumerate_dilations(plane, max_order=args.max_order)
-    translations = [f for f in dilations if f.kind == "translation"]
-    group = build_group(plane, translations)
+    dilations, group = _translation_group(plane, args.max_order)
     results["num_dilations"] = len(dilations)
-    results["num_translations"] = len(translations)
+    results["num_translations"] = group.order
     normal, conjugation = check_conjugation(group, dilations)
 
     theorems = [
@@ -216,32 +221,18 @@ def cmd_verify_all(args) -> int:
     results["num_endomorphisms"] = len(endomorphisms)
     results["num_tp_endomorphisms"] = len(tp)
 
-    sums_endo = all(
-        is_endomorphism(group, endo_add(group, a, b))
-        for a in endomorphisms
-        for b in endomorphisms
-    )
-    comps_endo = all(
-        is_endomorphism(group, endo_compose(group, a, b))
-        for a in endomorphisms
-        for b in endomorphisms
-    )
-    sums_tp = all(
-        is_trace_preserving(plane, group, endo_add(group, a, b)) for a in tp for b in tp
-    )
-    comps_tp = all(
-        is_trace_preserving(plane, group, endo_compose(group, a, b))
-        for a in tp
-        for b in tp
-    )
+    add, compose = partial(endo_add, group), partial(endo_compose, group)
+    is_endo = partial(is_endomorphism, group)
+    is_tp = partial(is_trace_preserving, plane, group)
+    theorems += [
+        ("endomorphism_sums_are_endomorphisms", _closed(endomorphisms, add, is_endo)),
+        ("endomorphism_composites_are_endomorphisms", _closed(endomorphisms, compose, is_endo)),
+        ("tp_sums_are_trace_preserving", _closed(tp, add, is_tp)),
+        ("tp_composites_are_trace_preserving", _closed(tp, compose, is_tp)),
+    ]
     ring = check_ring_axioms(plane, group, tp, len(endomorphisms))
     results["ring"] = ring.to_dict()
-
     theorems += [
-        ("endomorphism_sums_are_endomorphisms", sums_endo),
-        ("endomorphism_composites_are_endomorphisms", comps_endo),
-        ("tp_sums_are_trace_preserving", sums_tp),
-        ("tp_composites_are_trace_preserving", comps_tp),
         ("tp_additive_abelian_group", all(
             ring.axioms[n][0]
             for n in ("add_closure", "add_associative", "add_identity",
@@ -251,12 +242,8 @@ def cmd_verify_all(args) -> int:
     ]
     results["theorems"] = [{"name": n, "passed": p} for n, p in theorems]
 
-    all_pass = all(p for _, p in theorems)
-    status = "pass" if all_pass else "fail"
-    emit(render_report("verify-all", summary, results, status), args.out)
-    for name, passed in theorems:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}", file=sys.stderr)
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    note = "\n".join(f"{'PASS' if p else 'FAIL'}  {n}" for n, p in theorems)
+    return _finish(args, summary, results, all(p for _, p in theorems), note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,53 +255,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, *bounds):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument(
-            "--max-order",
-            type=int,
-            default=_env_int("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER),
-            help="largest plane order accepted for enumeration",
-        )
-        p.add_argument(
-            "--max-group",
-            type=int,
-            default=_env_int("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP),
-            help="largest translation-group order accepted for endomorphism search",
-        )
+        for flag in bounds:
+            env, default, text = BOUNDS[flag]
+            # argparse parses a string default with the flag's type: a bad env value exits 2
+            p.add_argument(flag, type=_bound, default=os.environ.get(env, str(default)),
+                           help=f"{text} (default: ${env}, else {default})")
+        return p
 
-    p = sub.add_parser("build", help="write the incidence document for AG(2,p)")
+    p = command("build", cmd_build, "write the incidence document for AG(2,p)", "--max-order")
     p.add_argument("--order", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("check", help="verify the affine plane axioms")
+    p = command("check", cmd_check, "verify the affine plane axioms")
     p.add_argument("plane")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("groups", help="enumerate dilations/translations and check group theorems")
+    p = command("groups", cmd_groups, "enumerate dilations and check group theorems", "--max-order")
     p.add_argument("plane")
     p.add_argument("--dilations", action="store_true", help="include dilation maps in the report")
     p.add_argument("--translations", action="store_true", help="include translations and Cayley table")
     p.add_argument("--check-abelian", action="store_true")
     p.add_argument("--check-normal", action="store_true")
     p.add_argument("--check-directions", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_groups)
 
-    p = sub.add_parser("endo", help="enumerate endomorphisms of the translation group")
+    both = ("--max-order", "--max-group")
+    p = command("endo", cmd_endo, "enumerate endomorphisms of the translation group", *both)
     p.add_argument("plane")
     p.add_argument("--trace-preserving", action="store_true", dest="trace_preserving")
     p.add_argument("--check-ring", action="store_true", dest="check_ring")
     p.add_argument("--dump", action="store_true", help="include serialized tables")
-    common(p)
-    p.set_defaults(func=cmd_endo)
 
-    p = sub.add_parser("verify-all", help="run every check in dependency order")
+    p = command("verify-all", cmd_verify_all, "run every check in dependency order", *both)
     p.add_argument("plane")
-    common(p)
-    p.set_defaults(func=cmd_verify_all)
 
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .builder import DEFAULT_MAX_ORDER, intersect
+from .builder import DEFAULT_MAX_ORDER
 from .errors import (
     NotCollineation,
     NotDilation,
@@ -24,7 +24,6 @@ from .incidence import (
     IncidencePlane,
     line_through,
     parallel_partition,
-    parallel_through_point,
 )
 
 DEFAULT_MAX_POINTS = 9  # collineation backtracking bound
@@ -229,53 +228,43 @@ def enumerate_dilations(
         )
     n = plane.num_points
     join = plane.join_table()
+    par, meet = plane.parallel_table(), plane.meet_table()
     partition = parallel_partition(plane)
+    class_of = partition.class_of
     a, b = 0, 1
     line_ab = join[a][b]
     on_ab = plane.lines[line_ab]
     off_ab = [c for c in range(n) if c not in on_ab]
-
-    def extend_pair(base1: int, base2: int, img1: int, img2: int, c: int) -> Optional[int]:
-        l1 = parallel_through_point(plane, join[base1][c], img1)
-        l2 = parallel_through_point(plane, join[base2][c], img2)
-        if l1 == l2:
-            return None
-        return intersect(plane, l1, l2)
+    # One step per point c, in order: f(c) is where the parallel to AC
+    # through f(A) meets the parallel to (base)C through f(base), with base
+    # B off AB and the first point off AB on it.  Equal parallels meet in
+    # None (meet[l][l]), which rejects the candidate.
+    steps = [
+        (c, base, par[class_of[join[a][c]]], par[class_of[join[base][c]]])
+        for c, base in [(c, b) for c in off_ab]
+        + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
+    ]
 
     found: dict[tuple[int, ...], ClassifiedMap] = {}
-    for m in partition.classes[partition.class_of[line_ab]]:
+    for m in partition.classes[class_of[line_ab]]:
         for a2 in plane.lines[m]:
             for b2 in plane.lines[m]:
                 if a2 == b2:
                     continue
                 image = [-1] * n
                 image[a], image[b] = a2, b2
-                ok = True
-                for c in off_ab:
-                    c2 = extend_pair(a, b, a2, b2, c)
+                for c, base, row_a, row_base in steps:
+                    c2 = meet[row_a[a2]][row_base[image[base]]]
                     if c2 is None:
-                        ok = False
                         break
                     image[c] = c2
-                if not ok:
-                    continue
-                d = off_ab[0]
-                for c in on_ab:
-                    if c in (a, b):
+                else:
+                    img = tuple(image)
+                    if img in found or sorted(img) != list(range(n)):
                         continue
-                    c2 = extend_pair(a, d, a2, image[d], c)
-                    if c2 is None:
-                        ok = False
-                        break
-                    image[c] = c2
-                if not ok:
-                    continue
-                img = tuple(image)
-                if img in found or sorted(img) != list(range(n)):
-                    continue
-                f = classify(plane, img)
-                if f.kind in ("dilation", "translation"):
-                    found[img] = f
+                    f = classify(plane, img)
+                    if f.kind in ("dilation", "translation"):
+                        found[img] = f
     return [found[img] for img in sorted(found)]
 
 

@@ -6,9 +6,22 @@ from affineplane import (
     enumerate_dilations,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
+    load_plane,
+    verify_axioms,
 )
 
 AG22_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]]}
+
+# GF(4) = {0, 1, t, t + 1} coded as 0..3 by the bits of c0 + c1*t, with
+# t^2 = t + 1: addition is XOR, multiplication this table.
+GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+
+
+def ag24_document() -> dict:
+    """AG(2,4): point (x, y) is 4*x + y; lines y = m*x + b, then x = c."""
+    lines = [[4 * x + (GF4_MUL[m][x] ^ b) for x in range(4)] for m in range(4) for b in range(4)]
+    lines += [[4 * c + y for y in range(4)] for c in range(4)]
+    return {"points": 16, "lines": lines}
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +37,13 @@ def p3():
 @pytest.fixture(scope="session")
 def p5():
     return build_prime_plane(5)
+
+
+@pytest.fixture(scope="session")
+def ag24():
+    plane = load_plane(ag24_document())
+    assert verify_axioms(plane).all_pass
+    return plane
 
 
 @pytest.fixture(scope="session")

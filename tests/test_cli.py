@@ -10,15 +10,16 @@ from affineplane.cli import main
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 
 
-def count_conjugation_passes(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the positional arguments of every call to cli.<name>."""
     calls = []
-    real = cli.check_conjugation
+    real = getattr(cli, name)
 
-    def counted(g, dilations):
-        calls.append(len(dilations))
-        return real(g, dilations)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "check_conjugation", counted)
+    monkeypatch.setattr(cli, name, counted)
     return calls
 
 
@@ -26,6 +27,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
 
 
 @pytest.fixture
@@ -132,7 +142,7 @@ class TestGroups:
         [([], 0), (["--check-normal"], 1), (["--check-normal", "--check-directions"], 1)],
     )
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch, flags, passes):
-        calls = count_conjugation_passes(monkeypatch)
+        calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "groups", p3_file, *flags)[0] == 0
         assert len(calls) == passes
 
@@ -177,9 +187,9 @@ class TestVerifyAll:
         assert all(t["passed"] for t in report["results"]["theorems"])
 
     def test_one_conjugation_pass(self, p2_file, capsys, monkeypatch):
-        calls = count_conjugation_passes(monkeypatch)
+        calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "verify-all", p2_file)[0] == 0
-        assert calls == [4]
+        assert [len(dilations) for _, dilations in calls] == [4]
 
     def test_broken_plane_fails_at_axiom_stage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -212,3 +222,69 @@ class TestVerifyAll:
         monkeypatch.setenv("AFFINEPLANE_MAX_GROUP", "4")
         assert run(capsys, "endo", p3_file)[0] == 2
         assert run(capsys, "endo", p3_file, "--max-group", "9")[0] == 0
+        for name, flag, valid in (("AFFINEPLANE_MAX_GROUP", "--max-group", "9"),
+                                  ("AFFINEPLANE_MAX_ORDER", "--max-order", "3")):
+            for bad in ("many", "4.5", "-1"):
+                monkeypatch.setenv(name, bad)
+                assert_usage_error(capsys, "endo", p3_file)
+                assert_usage_error(capsys, "verify-all", p3_file)
+            # a valid flag still wins over an invalid env value
+            assert run(capsys, "endo", p3_file, flag, valid)[0] == 0
+            monkeypatch.delenv(name)
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["endo", "PLANE", "--max-order", "-1"],
+            ["endo", "PLANE", "--max-group", "-1"],
+            ["verify-all", "PLANE", "--max-group", "-9"],
+            ["groups", "PLANE", "--max-order", "three"],
+            ["build", "--order", "3", "--max-order", "-3"],
+            # flags a command does not read are not accepted
+            ["check", "PLANE", "--max-order", "3"],
+            ["check", "PLANE", "--max-group", "9"],
+            ["build", "--order", "3", "--max-group", "9"],
+            ["groups", "PLANE", "--max-group", "9"],
+        ],
+    )
+    def test_rejected_with_usage_error(self, p2_file, capsys, argv):
+        assert_usage_error(capsys, *(p2_file if a == "PLANE" else a for a in argv))
+
+    def test_zero_is_a_bound(self, p2_file, capsys):
+        code, _, err = run(capsys, "groups", p2_file, "--max-order", "0")
+        assert code == 2
+        assert "bounded to order 0" in err
+
+    def test_unread_env_bound_is_ignored(self, p2_file, capsys, monkeypatch):
+        monkeypatch.setenv("AFFINEPLANE_MAX_GROUP", "many")
+        assert run(capsys, "groups", p2_file)[0] == 0
+        assert run(capsys, "check", p2_file)[0] == 0
+
+
+class TestStages:
+    @pytest.mark.parametrize(
+        "command,flags,dilation_searches,endomorphism_searches",
+        [
+            ("check", [], 0, 0),
+            ("groups", ["--check-abelian", "--check-normal", "--check-directions"], 1, 0),
+            ("endo", ["--trace-preserving", "--check-ring"], 1, 1),
+            ("verify-all", [], 1, 1),
+        ],
+    )
+    def test_each_stage_at_most_once(
+        self, p2_file, capsys, monkeypatch, command, flags,
+        dilation_searches, endomorphism_searches,
+    ):
+        dilations = count_calls(monkeypatch, "enumerate_dilations")
+        endomorphisms = count_calls(monkeypatch, "enumerate_endomorphisms")
+        assert run(capsys, command, p2_file, *flags)[0] == 0
+        assert (len(dilations), len(endomorphisms)) == (
+            dilation_searches, endomorphism_searches,
+        )
+
+    def test_plain_endo_skips_the_tp_filter(self, p2_file, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "is_trace_preserving")
+        assert run(capsys, "endo", p2_file)[0] == 0
+        assert calls == []

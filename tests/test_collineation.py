@@ -24,7 +24,7 @@ from affineplane.errors import (
     OrderTooLarge,
     SizeMismatch,
 )
-from affineplane.transgroup import compose_images
+from affineplane.transgroup import build_group, check_abelian, compose_images
 
 KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
 
@@ -198,6 +198,16 @@ class TestEnumerateDilations:
             for f in dil:
                 if len(f.fixed_points) >= 2:
                     assert f.image == identity
+
+    def test_ag24_non_prime_plane(self, ag24):
+        dil = enumerate_dilations(ag24)
+        tr = [f for f in dil if f.kind == "translation"]
+        assert (len(dil), len(tr)) == (48, 16)
+        assert all(is_dilation(ag24, f.image) for f in dil)
+        group = build_group(ag24, tr)
+        assert check_abelian(group).passed
+        # exponent 2: every translation is its own inverse (Z_2^4)
+        assert all(group.cayley[i][i] == 0 for i in range(group.order))
 
 
 class TestEnumerateTranslations:
