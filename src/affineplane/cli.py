@@ -9,6 +9,7 @@ failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -75,6 +76,19 @@ def emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Raise, before any work, the OSError open(path, "w") gives for a
+    directory path or a missing parent directory."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _load_verified_summary(path: str):
@@ -297,6 +311,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (MalformedDocument, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -19,14 +19,13 @@ from .incidence import IncidencePlane
 from .transgroup import (
     TranslationGroup,
     _element_words,  # re-exported: callers import it from endo
-    extend_along_words,
     generators,
 )
 
 DEFAULT_MAX_GROUP = 49
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupSelfMap:
     """A total map on the translation group, as an element-index table.
 
@@ -140,15 +139,72 @@ def is_trace_preserving(
     return alpha.is_trace_preserving
 
 
+def _generator_chain(g: TranslationGroup, gens: list[int]) -> list[tuple[list, list]]:
+    """levels[k] = (steps, pairs) that extend H = <gens[:k]> to H' = <gens[:k+1]>.
+
+    H' is saturated from H by BFS over gens[:k+1].  Each new element
+    y = gens[j].x gets one tree step (y, j, x), listed in BFS order, so x
+    is filled before y.  pairs lists (j, x, gens[j].x) for every j <= k
+    and x in H' that is not a tree step and was not listed at an earlier
+    level, i.e. j = k or x outside H.
+    """
+    cayley = g.cayley
+    in_chain = [False] * g.order
+    in_chain[0] = True
+    members = [0]
+    levels = []
+    for k in range(len(gens)):
+        old = len(members)
+        steps, pairs = [], []
+        for i, x in enumerate(members):  # grows while it is walked: a BFS from H
+            for j in range(k + 1):
+                y = cayley[gens[j]][x]
+                if not in_chain[y]:
+                    in_chain[y] = True
+                    members.append(y)
+                    steps.append((y, j, x))
+                elif j == k or i >= old:
+                    pairs.append((j, x, y))
+        levels.append((steps, pairs))
+    return levels
+
+
 def enumerate_endomorphisms(
     g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
 ) -> list[GroupSelfMap]:
-    """All endomorphisms, by choosing images for a generating set.
+    """All endomorphisms, by a depth-first search along the generator chain.
 
-    Each element is written once as a word in the generators; a candidate
-    generator assignment extends along those words and is kept only if
-    the full table passes is_endomorphism, so non-extending assignments
-    reject themselves.
+    With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
+    H_0 = {0} < H_1 < ... < H_r = G is saturated once (_generator_chain).
+    The search picks an image y_k for s_k at level k, fills the entries of
+    the new elements of H_k by the tree steps t[s_j.x] := y_j.t[x], tests
+    that level's pairs t[s_j.x] = y_j.t[x], and descends only if they
+    hold; every table that survives level r is emitted.  The old route,
+    extend_along_words over each of the |G|^r assignments, then
+    is_endomorphism on the full table, emits the same list:
+
+    1. A leaf passes iff its table passes is_endomorphism.  Over all
+       levels, the tree steps and the tested pairs are every (s_j, x) with
+       x in G, each once, which are is_endomorphism's pairs, and t[0] = 0
+       because 0 is in H_0 and never filled.  The tree steps hold by
+       construction, the pairs were tested, and the pair or tree step
+       (s_j, 0) gives t[s_j] = y_j.0 = y_j, so the tested identity is
+       is_endomorphism's t[s_j.x] = t[s_j].t[x].
+    2. Pruning is sound.  Level k's test reads only entries of H_k, and
+       deeper levels fill only entries outside H_k, so the leaf table of
+       a passing leaf agrees there with its level-k node, and that node
+       passed.  (Equivalently: a homomorphism restricts to one on H_k.)
+    3. The lists are equal.  By 1, every emitted table is an
+       endomorphism.  Each endomorphism phi is emitted at the leaf
+       y_k = phi(s_k): the fills there give phi(s_j.x) = phi(s_j).phi(x),
+       and every test holds.  Every other leaf has some t[s_k] = y_k
+       different from phi(s_k), so phi is emitted once.  The old route
+       accepts the same set, one assignment each, since a homomorphism is
+       fixed by its generator images.  Both lists are sorted by table.
+
+    Nothing here uses commutativity.  Cost per node at level k: the new
+    entries of H_k and that level's pairs, instead of a full table and
+    |G|.r pairs per assignment.
     """
     if g.order > max_group:
         raise OrderTooLarge(
@@ -159,11 +215,29 @@ def enumerate_endomorphisms(
     if not gens:
         return [GroupSelfMap((0,), is_endomorphism=True)]
 
+    cayley = g.cayley
+    levels = _generator_chain(g, gens)
+    last = len(levels) - 1
+    t = [0] * g.order
+    rows: list = [None] * len(gens)  # rows[j] = cayley[y_j]
     out = []
-    for images in itertools.product(range(g.order), repeat=len(gens)):
-        alpha = GroupSelfMap(extend_along_words(g, images))
-        if is_endomorphism(g, alpha):
-            out.append(alpha)
+
+    def search(k: int) -> None:
+        steps, pairs = levels[k]
+        for y in range(g.order):
+            rows[k] = cayley[y]
+            for z, j, x in steps:
+                t[z] = rows[j][t[x]]
+            for j, x, sx in pairs:
+                if t[sx] != rows[j][t[x]]:
+                    break
+            else:
+                if k == last:
+                    out.append(GroupSelfMap(tuple(t), is_endomorphism=True))
+                else:
+                    search(k + 1)
+
+    search(0)
     out.sort(key=lambda a: a.table)
     return out
 

@@ -1,6 +1,8 @@
 import pytest
 
 from affineplane import (
+    ClassifiedMap,
+    TranslationGroup,
     build_group,
     build_prime_plane,
     enumerate_dilations,
@@ -22,6 +24,27 @@ def ag24_document() -> dict:
     lines = [[4 * x + (GF4_MUL[m][x] ^ b) for x in range(4)] for m in range(4) for b in range(4)]
     lines += [[4 * c + y for y in range(4)] for c in range(4)]
     return {"points": 16, "lines": lines}
+
+
+def table_group(elements, mul) -> TranslationGroup:
+    """A finite group as a TranslationGroup, from its elements and product.
+
+    elements[0] must be the identity.  Element i acts by left
+    multiplication, so its image is row i of the multiplication table, and
+    the Cayley table of those images is the table itself.  There is no
+    plane: plane=None and no element has a direction.
+    """
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    cayley = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    assert cayley[0] == tuple(range(len(elements))), "elements[0] is not the identity"
+    return TranslationGroup(
+        plane=None,
+        elements=tuple(ClassifiedMap(row, "translation", frozenset()) for row in cayley),
+        cayley=cayley,
+        inverse=tuple(row.index(0) for row in cayley),
+        direction_of=(None,) * len(elements),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from affineplane import cli
 from affineplane.cli import main
+from conftest import ag24_document
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 
@@ -174,6 +176,27 @@ class TestEndo:
     def test_group_bound_exits_2(self, p3_file, capsys):
         assert run(capsys, "endo", p3_file, "--max-group", "4")[0] == 2
 
+    @pytest.mark.parametrize(
+        "plane,flags,digest",
+        [
+            ("2", ["--dump"], "c7dab69375185f2e4af8a79e456c2a4113060f9f3d612b5aac7ef9e788999ec9"),
+            ("3", ["--dump"], "320616817a6fddbf6108eb6c1d9a6f6932920ac57894702506279f27b67808bd"),
+            ("ag24", [], "681c315c9a173bb28d0da9b0779ad6651a8ca1fa2f3be178e72bc37aa0883009"),
+        ],
+    )
+    def test_ring_report_is_pinned(self, tmp_path, capsys, plane, flags, digest):
+        """sha256 of the stdout of the product-and-test End search, kept byte for byte."""
+        path = tmp_path / "plane.json"
+        if plane == "ag24":
+            path.write_text(json.dumps(ag24_document()))
+        else:
+            assert run(capsys, "build", "--order", plane, "--out", str(path))[0] == 0
+        code, out, _ = run(
+            capsys, "endo", str(path), "--trace-preserving", "--check-ring", *flags
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyAll:
     @pytest.mark.parametrize("order", [2, 3])
@@ -261,6 +284,32 @@ class TestBounds:
         monkeypatch.setenv("AFFINEPLANE_MAX_GROUP", "many")
         assert run(capsys, "groups", p2_file)[0] == 0
         assert run(capsys, "check", p2_file)[0] == 0
+
+
+class TestOut:
+    @pytest.mark.parametrize("command", ["groups", "endo", "verify-all"])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_bad_out_fails_before_the_dilation_search(
+        self, p2_file, tmp_path, capsys, monkeypatch, command, target
+    ):
+        searches = count_calls(monkeypatch, "enumerate_dilations")
+        out_path = tmp_path / target
+        code, out, err = run(capsys, command, p2_file, "--out", str(out_path))
+        assert (code, out, searches) == (2, "", [])
+        assert err.startswith("input error:")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["groups", "--translations"], ["endo", "--dump"], ["verify-all"]]
+    )
+    def test_good_out_receives_the_report(self, p2_file, tmp_path, capsys, argv):
+        command, *flags = argv
+        code, stdout_report, err = run(capsys, command, p2_file, *flags)
+        out_path = tmp_path / "report.json"
+        assert run(capsys, command, p2_file, *flags, "--out", str(out_path)) == (
+            code, "", err,
+        )
+        assert out_path.read_text() == stdout_report
 
 
 class TestStages:

@@ -1,11 +1,13 @@
 """The local tests and lookups agree with the definitions they replace.
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
-only, ``is_dilation`` / ``classify`` check one line at a time,
-``check_conjugation`` conjugates only the generators point by point, and
-``parallel_through_point`` / ``intersect`` answer from lookup tables.
-The all-pairs and scanning definitions live here, as oracles, and every
-test below asks both for a verdict on the same inputs.
+only, ``enumerate_endomorphisms`` searches along the generator chain and
+tests each level's pairs once per subgroup, ``is_dilation`` /
+``classify`` check one line at a time, ``check_conjugation`` conjugates
+only the generators point by point, and ``parallel_through_point`` /
+``intersect`` answer from lookup tables.  The all-pairs, product-and-test
+and scanning definitions live here, as oracles, and every test below asks
+both for a verdict on the same inputs.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from affineplane import (
     compose,
     enumerate_collineations,
     enumerate_dilations,
+    enumerate_endomorphisms,
     intersect,
     is_collineation,
     is_dilation,
@@ -34,7 +37,14 @@ from affineplane import (
 )
 from affineplane.endo import _element_words
 from affineplane.errors import SameLine
-from affineplane.transgroup import CheckResult, compose_images, generators
+from affineplane.transgroup import (
+    CheckResult,
+    compose_images,
+    extend_along_words,
+    generators,
+)
+from conftest import table_group
+from test_endo import brute_force_endomorphisms
 
 
 def endomorphism_oracle(g, table):
@@ -45,6 +55,18 @@ def endomorphism_oracle(g, table):
         for i in range(n)
         for j in range(n)
     )
+
+
+def endomorphisms_oracle(g):
+    """The product-and-test search: every assignment of generator images,
+    extended along the words, kept iff the full table is an endomorphism."""
+    out = []
+    for images in itertools.product(range(g.order), repeat=len(generators(g))):
+        alpha = GroupSelfMap(extend_along_words(g, images))
+        if is_endomorphism(g, alpha):
+            out.append(alpha)
+    out.sort(key=lambda a: a.table)
+    return out
 
 
 def collineation_oracle(plane, image):
@@ -242,6 +264,93 @@ class TestEndomorphismOracle:
             for beta in maps
         ]
         assert all(assert_endomorphism_verdicts_agree(g, tables))
+
+
+def hamilton(u, v):
+    """Product of two quaternions given as (1, i, j, k) coefficients."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def cyclic(n):
+    return table_group(range(n), lambda a, b: (a + b) % n)
+
+
+# name -> (group, |End|); the plane groups are elementary abelian, where
+# every assignment extends, so only these reach the search's reject branch
+SMALL_GROUPS = {
+    "Z4": (cyclic(4), 4),
+    "Z6": (cyclic(6), 6),
+    "Z8": (cyclic(8), 8),
+    "Z2xZ4": (
+        table_group(
+            [(a, b) for a in range(2) for b in range(4)],
+            lambda u, v: ((u[0] + v[0]) % 2, (u[1] + v[1]) % 4),
+        ),
+        32,
+    ),
+    "S3": (
+        table_group(itertools.permutations(range(3)), compose_images),
+        10,
+    ),
+    "Q8": (
+        table_group(
+            [tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1, -1)],
+            hamilton,
+        ),
+        28,
+    ),
+}
+
+
+def assert_same_endomorphism_lists(g):
+    chain = enumerate_endomorphisms(g)
+    assert [a.table for a in chain] == [a.table for a in endomorphisms_oracle(g)]
+    assert all(a.is_endomorphism for a in chain)
+    return chain
+
+
+class TestEndomorphismSearchOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ag2p(self, p):
+        plane = build_prime_plane(p)
+        translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
+        chain = assert_same_endomorphism_lists(build_group(plane, translations))
+        assert len(chain) == p**4
+
+    def test_ag24(self, ag24):
+        translations = [f for f in enumerate_dilations(ag24) if f.kind == "translation"]
+        assert len(assert_same_endomorphism_lists(build_group(ag24, translations))) == 2**16
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups(self, name):
+        g, count = SMALL_GROUPS[name]
+        assert len(assert_same_endomorphism_lists(g)) == count
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_cyclic_groups_with_one_generator_per_level(self, n):
+        # listed by descending 2-adic valuation, so generators() picks
+        # n/2, n/4, ..., 1: a chain of log2(n) levels, each of index 2, and
+        # every level's pairs reject images; End(Z_n) is x -> a.x
+        elements = sorted(range(n), key=lambda x: (-(x & -x) if x else -2 * n, x))
+        g = table_group(elements, lambda a, b: (a + b) % n)
+        assert len(generators(g)) == n.bit_length() - 1
+        index = {e: i for i, e in enumerate(elements)}
+        expected = sorted(tuple(index[a * e % n] for e in elements) for a in range(n))
+        assert [a.table for a in enumerate_endomorphisms(g)] == expected
+
+    @pytest.mark.parametrize("name", ["Z4", "S3"])
+    def test_small_groups_against_every_table(self, name):
+        g, _ = SMALL_GROUPS[name]
+        tables = [a.table for a in enumerate_endomorphisms(g)]
+        assert set(tables) == brute_force_endomorphisms(g)
+        assert len(set(tables)) == len(tables)
 
 
 class TestDilationOracle:
