@@ -20,14 +20,16 @@ from .builder import DEFAULT_MAX_ORDER, build_prime_plane
 from .collineation import enumerate_dilations
 from .endo import (
     DEFAULT_MAX_GROUP,
-    add as endo_add,
+    GroupSelfMap,
+    _check_size,
+    _composite_table,
+    _sum_table,
     check_ring_axioms,
-    compose as endo_compose,
     enumerate_endomorphisms,
     is_endomorphism,
     is_trace_preserving,
 )
-from .errors import AffinePlaneError, MalformedDocument
+from .errors import AffinePlaneError, IncompleteList, MalformedDocument
 from .incidence import load_plane, parallel_partition, verify_axioms
 from .transgroup import (
     build_group,
@@ -117,9 +119,72 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _closed(maps, op, predicate) -> bool:
-    """predicate(op(a, b)) for every ordered pair of maps."""
-    return all(predicate(op(a, b)) for a in maps for b in maps)
+def _closed(g, maps, op, predicate) -> bool:
+    """predicate(op(a, b)) for every ordered pair of maps, from a generating set.
+
+    op maps two tables to the table of their product and must be
+    associative: + is, because the group is, and o is.  Let S be the set
+    of tables.  Candidates are tried in order of image size, largest
+    first (a stable sort); one not yet reached joins the generating set
+    T.  S is saturated by a BFS under right multiplication by T, which
+    computes every product x op t, x reached and t in T, once: a new
+    generator multiplies every element reached before it, and a newly
+    reached element is multiplied by all of T.  A product in S passes
+    only if predicate holds on its map in the list, asked once per table;
+    a product outside S that fails predicate returns False at once.
+
+    Proof that the verdict is exact.  Every reached element is a positive
+    word t_1 op ... op t_m over T (m >= 1): the BFS starts from the
+    generators and multiplies by them on the right.  Every element of S
+    is reached, since a candidate not yet reached becomes a generator.
+    False is returned at a product x op t, with x and t in S, that fails
+    predicate: a failing pair.  Otherwise every x op t with x in S and t
+    in T lies in S and passes predicate.  Take a, b in S and write
+    b = t_1 op ... op t_m.  By associativity a op b is
+    (...(a op t_1) op ...) op t_m, and by induction on m each partial
+    product lies in S, so a op b = x op t_m for some x in S, on which
+    predicate holds.  So True means predicate holds on every a op b.
+    The induction needs S op T inside S: a product outside S that passes
+    predicate shows the list is not the whole predicate set, and raises
+    IncompleteList rather than guess.  The CLI's lists never raise: End
+    is the whole set of endomorphisms (claim 3 of
+    enumerate_endomorphisms), and the TP list is End filtered by
+    is_trace_preserving.
+
+    Cost: |S|.|T| products instead of |S|^2; sizes are checked once per
+    list, not twice per product.
+    """
+    for a in maps:
+        _check_size(g, a)
+    by_table = {a.table: a for a in maps}
+    gens, members = [], []
+    reached = {}  # table -> whether it was met as a product, so predicate held
+    for c in sorted(by_table, key=lambda t: len(set(t)), reverse=True):
+        if c in reached:
+            continue
+        old = len(members)
+        gens.append(c)
+        members.append(c)
+        reached[c] = False
+        for i, x in enumerate(members):  # grows while it is walked: the BFS
+            for t in gens if i >= old else (c,):
+                y = op(x, t)
+                if reached.get(y):
+                    continue
+                a = by_table.get(y)
+                if a is None:
+                    if predicate(GroupSelfMap(y)):
+                        raise IncompleteList(
+                            f"a product of two of the {len(by_table)} maps lies "
+                            "outside the list and passes the predicate"
+                        )
+                    return False
+                if not predicate(a):
+                    return False
+                if a.table not in reached:
+                    members.append(a.table)
+                reached[a.table] = True
+    return True
 
 
 def cmd_build(args) -> int:
@@ -235,14 +300,15 @@ def cmd_verify_all(args) -> int:
     results["num_endomorphisms"] = len(endomorphisms)
     results["num_tp_endomorphisms"] = len(tp)
 
-    add, compose = partial(endo_add, group), partial(endo_compose, group)
+    add = partial(_sum_table, group.cayley)
     is_endo = partial(is_endomorphism, group)
     is_tp = partial(is_trace_preserving, plane, group)
     theorems += [
-        ("endomorphism_sums_are_endomorphisms", _closed(endomorphisms, add, is_endo)),
-        ("endomorphism_composites_are_endomorphisms", _closed(endomorphisms, compose, is_endo)),
-        ("tp_sums_are_trace_preserving", _closed(tp, add, is_tp)),
-        ("tp_composites_are_trace_preserving", _closed(tp, compose, is_tp)),
+        ("endomorphism_sums_are_endomorphisms", _closed(group, endomorphisms, add, is_endo)),
+        ("endomorphism_composites_are_endomorphisms",
+         _closed(group, endomorphisms, _composite_table, is_endo)),
+        ("tp_sums_are_trace_preserving", _closed(group, tp, add, is_tp)),
+        ("tp_composites_are_trace_preserving", _closed(group, tp, _composite_table, is_tp)),
     ]
     ring = check_ring_axioms(plane, group, tp, len(endomorphisms))
     results["ring"] = ring.to_dict()

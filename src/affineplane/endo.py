@@ -51,20 +51,28 @@ def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
         )
 
 
+def _sum_table(cayley, a: tuple, b: tuple) -> tuple:
+    """The table of alpha + beta from the tables a, b of equal size."""
+    return tuple([cayley[x][y] for x, y in zip(a, b)])
+
+
+def _composite_table(a: tuple, b: tuple) -> tuple:
+    """The table of alpha o beta from the tables a, b of equal size."""
+    return tuple([a[y] for y in b])
+
+
 def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
     """(alpha + beta)(s) = alpha(s) o beta(s)."""
     _check_size(g, alpha)
     _check_size(g, beta)
-    return GroupSelfMap(
-        tuple(g.cayley[a][b] for a, b in zip(alpha.table, beta.table))
-    )
+    return GroupSelfMap(_sum_table(g.cayley, alpha.table, beta.table))
 
 
 def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
     """(alpha o beta)(s) = alpha(beta(s))."""
     _check_size(g, alpha)
     _check_size(g, beta)
-    return GroupSelfMap(tuple(alpha.table[b] for b in beta.table))
+    return GroupSelfMap(_composite_table(alpha.table, beta.table))
 
 
 def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:

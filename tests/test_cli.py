@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -208,6 +209,25 @@ class TestVerifyAll:
         report = json.loads(out)
         assert report["status"] == "pass"
         assert all(t["passed"] for t in report["results"]["theorems"])
+
+    @pytest.mark.parametrize(
+        "order,digest",
+        [
+            (2, "8f4a2cfefb8b895d486124dbd0db9831739878ef6711237e66c78b88a88931b0"),
+            (3, "1f124c60eff2c76c0cf28d919a24fcd103749ddd5f0eda3f1bbeff59a04be66f"),
+            (5, "c072c681ebae77a1a1d5aa7ff7cf2a76e5a9eb65ed903bc28ef12fdae839b6fe"),
+        ],
+    )
+    def test_report_is_pinned(self, tmp_path, capsys, order, digest):
+        """sha256 of the stdout of the all-pairs closure scans, kept byte for
+        byte; those took about 10 s on AG(2,5)."""
+        path = tmp_path / "plane.json"
+        assert run(capsys, "build", "--order", str(order), "--out", str(path))[0] == 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-all", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_one_conjugation_pass(self, p2_file, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "check_conjugation")

@@ -2,7 +2,8 @@
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
 only, ``enumerate_endomorphisms`` searches along the generator chain and
-tests each level's pairs once per subgroup, ``is_dilation`` /
+tests each level's pairs once per subgroup, ``cli._closed`` settles a
+closure theorem from a generating set, ``is_dilation`` /
 ``classify`` check one line at a time, ``check_conjugation`` conjugates
 only the generators point by point, and ``parallel_through_point`` /
 ``intersect`` answer from lookup tables.  The all-pairs, product-and-test
@@ -12,6 +13,7 @@ both for a verdict on the same inputs.
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -32,11 +34,19 @@ from affineplane import (
     is_collineation,
     is_dilation,
     is_endomorphism,
+    is_trace_preserving,
     parallel_partition,
     parallel_through_point,
 )
-from affineplane.endo import _element_words
-from affineplane.errors import SameLine
+from affineplane.cli import _closed
+from affineplane.endo import _composite_table, _element_words, _sum_table
+from affineplane.errors import (
+    AffinePlaneError,
+    IncompleteList,
+    NotEndomorphism,
+    SameLine,
+    SizeMismatch,
+)
 from affineplane.transgroup import (
     CheckResult,
     compose_images,
@@ -351,6 +361,158 @@ class TestEndomorphismSearchOracle:
         tables = [a.table for a in enumerate_endomorphisms(g)]
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
+
+
+def closed_oracle(maps, op, predicate):
+    """The all-pairs scan: predicate(op(a, b)) for every ordered pair."""
+    return all(predicate(op(a, b)) for a in maps for b in maps)
+
+
+def closure_ops(g, name):
+    """(table op for _closed, map op for the oracle) of + or o."""
+    if name == "+":
+        return partial(_sum_table, g.cayley), partial(add, g)
+    return _composite_table, partial(compose, g)
+
+
+def closure_cases(g, plane, endos):
+    """(maps, op name, predicate) of the four closure theorems."""
+    tp = [a for a in endos if is_trace_preserving(plane, g, a)]
+    is_endo = partial(is_endomorphism, g)
+    is_tp = partial(is_trace_preserving, plane, g)
+    return [(endos, "+", is_endo), (endos, "o", is_endo), (tp, "+", is_tp), (tp, "o", is_tp)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the package error it raised."""
+    try:
+        return fn(*args)
+    except AffinePlaneError as exc:
+        return type(exc)
+
+
+def assert_closure_verdicts_agree(g, maps, name, predicate):
+    """_closed's verdict, or error, is the oracle's.  It multiplies each
+    pair once; True takes every x in the list times every generator, and
+    False stops at its last pair, two maps of the list whose product the
+    oracle rejects."""
+    table_op, map_op = closure_ops(g, name)
+    pairs = []
+
+    def op(x, t):
+        pairs.append((x, t))
+        return table_op(x, t)
+
+    verdict = outcome(_closed, g, maps, op, predicate)
+    assert verdict == outcome(closed_oracle, maps, map_op, predicate)
+    assert len(pairs) == len(set(pairs))
+    by_table = {a.table: a for a in maps}
+    if verdict is True:
+        assert len(pairs) == len(by_table) * len({t for _, t in pairs})
+    if verdict is False:
+        x, t = pairs[-1]
+        assert not predicate(map_op(by_table[x], by_table[t]))
+    return verdict
+
+
+# tables on AG(2,3)'s group of order 9 that are no endomorphisms
+NON_ENDOMORPHISMS_AG23 = [
+    (0, 2, 1, 3, 4, 5, 6, 7, 8),
+    (0,) + (1,) * 8,
+    (0, 1, 2, 3, 4, 5, 6, 8, 7),
+    (0, 0, 0, 0, 0, 0, 0, 0, 5),
+]
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_end_and_tp_of_ag2p(self, planes, groups, endomorphisms, p):
+        g = groups[p]
+        for case in closure_cases(g, planes[p], endomorphisms[p]):
+            assert assert_closure_verdicts_agree(g, *case) is True
+
+    def test_generating_sets_of_end_ag23(self, groups, endomorphisms):
+        g, endos = groups[3], endomorphisms[3]
+        is_endo = partial(is_endomorphism, g)
+        for name, rank in (("+", 4), ("o", 6)):
+            table_op = closure_ops(g, name)[0]
+            gens = set()
+
+            def op(x, t):
+                gens.add(t)
+                return table_op(x, t)
+
+            assert _closed(g, endos, op, is_endo)
+            assert len(gens) == rank
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups(self, name):
+        g, _ = SMALL_GROUPS[name]
+        verdicts = [
+            assert_closure_verdicts_agree(g, *case)
+            for case in closure_cases(g, None, enumerate_endomorphisms(g))
+        ]
+        # no plane, so every endomorphism counts as trace-preserving; in
+        # the non-abelian groups a pointwise sum can leave End
+        if name in ("S3", "Q8"):
+            assert verdicts == [False, True, NotEndomorphism, True]
+        else:
+            assert verdicts == [True] * 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_lists(self, planes, groups, endomorphisms, seed):
+        rng = random.Random(seed)
+        cases = [(groups[p], case)
+                 for p in (2, 3)
+                 for case in closure_cases(groups[p], planes[p], endomorphisms[p])]
+        cases += [(g, case)
+                  for g, _ in SMALL_GROUPS.values()
+                  for case in closure_cases(g, None, enumerate_endomorphisms(g))]
+        for g, (maps, name, predicate) in cases:
+            maps = list(maps)
+            rng.shuffle(maps)
+            verdict = assert_closure_verdicts_agree(g, maps, name, predicate)
+            assert verdict in (True, False, NotEndomorphism)
+
+    def test_empty_and_one_element_lists(self, groups, endomorphisms):
+        g = groups[3]
+        is_endo = partial(is_endomorphism, g)
+        for name in "+o":
+            assert assert_closure_verdicts_agree(g, [], name, is_endo) is True
+            table_op, map_op = closure_ops(g, name)
+            for a in endomorphisms[3] + [GroupSelfMap(t) for t in NON_ENDOMORPHISMS_AG23]:
+                square = map_op(a, a)
+                if square.table != a.table and is_endo(square):
+                    # the list is not all of End: the generating set decides nothing
+                    with pytest.raises(IncompleteList):
+                        _closed(g, [a], table_op, is_endo)
+                else:
+                    assert_closure_verdicts_agree(g, [a], name, is_endo)
+
+    def test_non_endomorphism_inserted(self, groups, endomorphisms):
+        g, endos = groups[3], endomorphisms[3]
+        is_endo = partial(is_endomorphism, g)
+        for table in NON_ENDOMORPHISMS_AG23:
+            assert not endomorphism_oracle(g, table)
+            for at in (0, len(endos) // 2, len(endos)):
+                maps = endos[:at] + [GroupSelfMap(table)] + endos[at:]
+                for name in "+o":
+                    assert assert_closure_verdicts_agree(g, maps, name, is_endo) is False
+
+    def test_wrong_size_table_inserted(self, groups, endomorphisms):
+        g, endos = groups[3], endomorphisms[3]
+        maps = endos + [GroupSelfMap((0,) * 4)]
+        for name in "+o":
+            verdict = assert_closure_verdicts_agree(g, maps, name, partial(is_endomorphism, g))
+            assert verdict is SizeMismatch
+
+    def test_endomorphism_dropped(self, groups, endomorphisms):
+        g, endos = groups[3], endomorphisms[3]
+        for at in (0, len(endos) // 2, len(endos) - 1):
+            maps = endos[:at] + endos[at + 1:]
+            for name in "+o":
+                with pytest.raises(IncompleteList):
+                    _closed(g, maps, closure_ops(g, name)[0], partial(is_endomorphism, g))
 
 
 class TestDilationOracle:
