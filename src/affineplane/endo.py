@@ -214,17 +214,68 @@ def enumerate_endomorphisms(
     entries of H_k and that level's pairs, instead of a full table and
     |G|.r pairs per assignment.
     """
+    return _chain_search(g, max_group)
+
+
+def enumerate_tp_endomorphisms(
+    plane: IncidencePlane, g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
+) -> list[GroupSelfMap]:
+    """The trace-preserving endomorphisms, by the same chain search, pruned.
+
+    The search of enumerate_endomorphisms also requires, at each level,
+    allowed[z][t[z]] for every entry t[z] the level fills, where
+    allowed[z][y] = (y == 0 or direction_of[y] == direction_of[z]), and
+    prunes at once when that fails.  The list equals End filtered by
+    is_trace_preserving, in the same order:
+
+    1. A leaf passes iff its table passes is_endomorphism and
+       is_trace_preserving.  The new elements of the levels are the
+       nonzero elements, each filled once, by its tree step, and tested
+       when it is filled; is_trace_preserving asks allowed[z][t[z]] of
+       exactly these z.  The pair tests are those of claim 1 of
+       enumerate_endomorphisms.
+    2. Pruning is sound.  Deeper levels never rewrite an entry of H_k, so
+       every leaf below a pruned level-k node keeps the entry that failed
+       there, and its table fails is_trace_preserving.
+    3. The leaves are the endomorphisms that pass is_trace_preserving,
+       each once (claim 3 of enumerate_endomorphisms), sorted by table as
+       End is, so filtering End keeps them in the same order.
+
+    Cost: a node survives level k only if y_1, ..., y_k lie in the
+    direction subgroups of s_1, ..., s_k, so at most q^k nodes do on a
+    plane of order q, each tried against |G| images at the next level;
+    filtering End tested all of End, 65,536 maps on AG(2,4).
+    """
+    return _chain_search(g, max_group, g.direction_of)
+
+
+def _chain_search(
+    g: TranslationGroup, max_group: int, directions: Optional[tuple] = None
+) -> list[GroupSelfMap]:
+    """The one search body of enumerate_endomorphisms and, given
+    directions, of enumerate_tp_endomorphisms: checks[k] lists
+    (z, allowed[z]) for the entries z that level k fills, and is empty
+    without directions.  allowed is built after the group bound holds."""
     if g.order > max_group:
         raise OrderTooLarge(
             f"endomorphism enumeration bounded to group order {max_group}, "
             f"got {g.order}"
         )
+    tp = None if directions is None else True  # the leaves' is_trace_preserving
     gens = generators(g)
     if not gens:
-        return [GroupSelfMap((0,), is_endomorphism=True)]
+        return [GroupSelfMap((0,), is_endomorphism=True, is_trace_preserving=tp)]
 
     cayley = g.cayley
     levels = _generator_chain(g, gens)
+    if directions is None:
+        checks = [[] for _ in levels]
+    else:
+        allowed = {
+            d: tuple(y == 0 or directions[y] == d for y in range(g.order))
+            for d in set(directions)
+        }
+        checks = [[(z, allowed[directions[z]]) for z, _, _ in steps] for steps, _ in levels]
     last = len(levels) - 1
     t = [0] * g.order
     rows: list = [None] * len(gens)  # rows[j] = cayley[y_j]
@@ -232,32 +283,27 @@ def enumerate_endomorphisms(
 
     def search(k: int) -> None:
         steps, pairs = levels[k]
+        tests = checks[k]
         for y in range(g.order):
             rows[k] = cayley[y]
             for z, j, x in steps:
                 t[z] = rows[j][t[x]]
-            for j, x, sx in pairs:
-                if t[sx] != rows[j][t[x]]:
+            for z, keep in tests:
+                if not keep[t[z]]:
                     break
             else:
-                if k == last:
-                    out.append(GroupSelfMap(tuple(t), is_endomorphism=True))
+                for j, x, sx in pairs:
+                    if t[sx] != rows[j][t[x]]:
+                        break
                 else:
-                    search(k + 1)
+                    if k == last:
+                        out.append(GroupSelfMap(tuple(t), True, tp))
+                    else:
+                        search(k + 1)
 
     search(0)
     out.sort(key=lambda a: a.table)
     return out
-
-
-def enumerate_tp_endomorphisms(
-    plane: IncidencePlane, g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
-) -> list[GroupSelfMap]:
-    return [
-        a
-        for a in enumerate_endomorphisms(g, max_group)
-        if is_trace_preserving(plane, g, a)
-    ]
 
 
 @dataclass
@@ -320,13 +366,25 @@ def check_ring_axioms(
     """Exhaustive ring-axiom scan over a list of trace-preserving maps.
 
     Failures are report content with a minimal witness, never exceptions,
-    so deliberately broken fixtures can be inspected.
+    so deliberately broken fixtures can be inspected.  Sizes are checked
+    once, for the whole list; the scan then works on the tables, and
+    forms each pairwise sum and product once.
     """
-    index = {a.table: i for i, a in enumerate(tp)}
-    k = len(tp)
-    zero = zero_endo(g)
-    unit = unit_endo(g)
-    inversion = inversion_endo(g)
+    for a in tp:
+        _check_size(g, a)
+    tables = [a.table for a in tp]
+    index = {a: i for i, a in enumerate(tables)}
+    k = len(tables)
+
+    def plus(a, b):
+        return _sum_table(g.cayley, a, b)
+
+    times = _composite_table
+    sums = [[plus(a, b) for b in tables] for a in tables]
+    products = [[times(a, b) for b in tables] for a in tables]
+    # the pointwise inverses, not negate(): that raises on a non-endomorphism
+    negatives = [times(g.inverse, a) for a in tables]
+    zero = (0,) * g.order
     axioms: dict = {}
 
     def first_failure(pairs_or_triples, predicate):
@@ -338,63 +396,46 @@ def check_ring_axioms(
     pairs = list(itertools.product(range(k), repeat=2))
     triples = list(itertools.product(range(k), repeat=3))
 
-    axioms["add_closure"] = first_failure(
-        pairs, lambda i, j: add(g, tp[i], tp[j]).table in index
-    )
+    axioms["add_closure"] = first_failure(pairs, lambda i, j: sums[i][j] in index)
     axioms["add_associative"] = first_failure(
-        triples,
-        lambda i, j, l: add(g, add(g, tp[i], tp[j]), tp[l]).table
-        == add(g, tp[i], add(g, tp[j], tp[l])).table,
+        triples, lambda i, j, l: plus(sums[i][j], tables[l]) == plus(tables[i], sums[j][l])
     )
-    zi = index.get(zero.table)
+    zi = index.get(zero)
     if zi is None:
         axioms["add_identity"] = (False, ("zero endomorphism missing",))
     else:
         axioms["add_identity"] = first_failure(
             [(i,) for i in range(k)],
-            lambda i: add(g, tp[i], tp[zi]).table == tp[i].table
-            and add(g, tp[zi], tp[i]).table == tp[i].table,
+            lambda i: sums[i][zi] == tables[i] and sums[zi][i] == tables[i],
         )
-    # the pointwise inverse, not negate(): that raises on a non-endomorphism
     axioms["add_inverses"] = first_failure(
         [(i,) for i in range(k)],
-        lambda i: compose(g, inversion, tp[i]).table in index
-        and add(g, tp[i], compose(g, inversion, tp[i])).table == zero.table,
+        lambda i: negatives[i] in index and plus(tables[i], negatives[i]) == zero,
     )
-    axioms["add_commutative"] = first_failure(
-        pairs, lambda i, j: add(g, tp[i], tp[j]).table == add(g, tp[j], tp[i]).table
-    )
-    axioms["mul_closure"] = first_failure(
-        pairs, lambda i, j: compose(g, tp[i], tp[j]).table in index
-    )
+    axioms["add_commutative"] = first_failure(pairs, lambda i, j: sums[i][j] == sums[j][i])
+    axioms["mul_closure"] = first_failure(pairs, lambda i, j: products[i][j] in index)
     axioms["mul_associative"] = first_failure(
         triples,
-        lambda i, j, l: compose(g, compose(g, tp[i], tp[j]), tp[l]).table
-        == compose(g, tp[i], compose(g, tp[j], tp[l])).table,
+        lambda i, j, l: times(products[i][j], tables[l]) == times(tables[i], products[j][l]),
     )
     axioms["left_distributive"] = first_failure(
         triples,
-        lambda i, j, l: compose(g, tp[i], add(g, tp[j], tp[l])).table
-        == add(g, compose(g, tp[i], tp[j]), compose(g, tp[i], tp[l])).table,
+        lambda i, j, l: times(tables[i], sums[j][l]) == plus(products[i][j], products[i][l]),
     )
     axioms["right_distributive"] = first_failure(
         triples,
-        lambda i, j, l: compose(g, add(g, tp[i], tp[j]), tp[l]).table
-        == add(g, compose(g, tp[i], tp[l]), compose(g, tp[j], tp[l])).table,
+        lambda i, j, l: times(sums[i][j], tables[l]) == plus(products[i][l], products[j][l]),
     )
-    ui = index.get(unit.table)
+    ui = index.get(tuple(range(g.order)))
     if ui is None:
         axioms["mul_identity"] = (False, ("unit endomorphism missing",))
     else:
         axioms["mul_identity"] = first_failure(
             [(i,) for i in range(k)],
-            lambda i: compose(g, tp[i], tp[ui]).table == tp[i].table
-            and compose(g, tp[ui], tp[i]).table == tp[i].table,
+            lambda i: products[i][ui] == tables[i] and products[ui][i] == tables[i],
         )
 
-    mul_commutative, _ = first_failure(
-        pairs, lambda i, j: compose(g, tp[i], tp[j]).table == compose(g, tp[j], tp[i]).table
-    )
+    mul_commutative, _ = first_failure(pairs, lambda i, j: products[i][j] == products[j][i])
 
     return RingReport(
         axioms=axioms,

@@ -26,6 +26,58 @@ def ag24_document() -> dict:
     return {"points": 16, "lines": lines}
 
 
+# GF(9) = GF(3)[i]/(i^2 + 1): a + b*i is the pair (a, b).
+GF9 = [(a, b) for a in range(3) for b in range(3)]
+
+
+def gf9_mul(u, v):
+    (a, b), (c, d) = u, v
+    return ((a * c - b * d) % 3, (a * d + b * c) % 3)
+
+
+def spread_document(spread) -> dict:
+    """The translation plane of a spread of GF(9)^2 = GF(3)^4.
+
+    spread lists 10 components, each the 9 vectors (x, y) of a
+    2-dimensional GF(3)-subspace, meeting pairwise in 0; the lines are
+    their translates.  Point ((x0, x1), (y0, y1)) is 27*x0 + 9*x1 + 3*y0 + y1.
+    """
+
+    def code(x, y):
+        return 27 * x[0] + 9 * x[1] + 3 * y[0] + y[1]
+
+    def plus(u, v):
+        return ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3)
+
+    lines = set()
+    for component in spread:
+        for x in GF9:
+            for y in GF9:
+                lines.add(tuple(sorted(code(plus(x, wx), plus(y, wy)) for wx, wy in component)))
+    return {"points": 81, "lines": [list(line) for line in sorted(lines)]}
+
+
+def slope_components(slopes):
+    """The components y = m*x of the Desarguesian spread, m in slopes."""
+    return [[(x, gf9_mul(m, x)) for x in GF9] for m in slopes]
+
+
+def ag29_document() -> dict:
+    """AG(2,9), from the Desarguesian spread: x = 0 and y = m*x, m in GF(9)."""
+    return spread_document([[((0, 0), y) for y in GF9]] + slope_components(GF9))
+
+
+def hall9_document() -> dict:
+    """The Hall plane of order 9: the Desarguesian spread with its
+    GF(3)-regulus (x = 0 and y = m*x for m in GF(3)) swapped for the
+    opposite regulus, the subspaces GF(3)w x GF(3)w, w in GF(9)*/GF(3)*."""
+    gf3 = [m for m in GF9 if m[1] == 0]
+    spread = slope_components([m for m in GF9 if m[1] != 0])
+    for w in [(1, 0), (0, 1), (1, 1), (1, 2)]:
+        spread.append([(gf9_mul(a, w), gf9_mul(b, w)) for a in gf3 for b in gf3])
+    return spread_document(spread)
+
+
 def table_group(elements, mul) -> TranslationGroup:
     """A finite group as a TranslationGroup, from its elements and product.
 

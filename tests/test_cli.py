@@ -6,23 +6,24 @@ import time
 
 import pytest
 
-from affineplane import cli
+from affineplane import cli, endo
 from affineplane.cli import main
 from conftest import ag24_document
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 
 
-def count_calls(monkeypatch, name):
-    """Record the positional arguments of every call to cli.<name>."""
+def count_calls(monkeypatch, name, modules=(cli,)):
+    """Record the positional arguments of every call to <module>.<name>."""
     calls = []
-    real = getattr(cli, name)
+    for module in modules:
+        real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -183,6 +184,8 @@ class TestEndo:
             ("2", ["--dump"], "c7dab69375185f2e4af8a79e456c2a4113060f9f3d612b5aac7ef9e788999ec9"),
             ("3", ["--dump"], "320616817a6fddbf6108eb6c1d9a6f6932920ac57894702506279f27b67808bd"),
             ("ag24", [], "681c315c9a173bb28d0da9b0779ad6651a8ca1fa2f3be178e72bc37aa0883009"),
+            ("5", ["--dump"], "853fbbcdad9082d5a83758ddf0295fa28f47d0ffe14e031c1eb67b809f4b1302"),
+            ("7", ["--dump"], "cb9ec5b21960c2af90e3990bbc63e8fe4127fa477e5db9ce8d4bfaed99b17e7d"),
         ],
     )
     def test_ring_report_is_pinned(self, tmp_path, capsys, plane, flags, digest):
@@ -216,6 +219,7 @@ class TestVerifyAll:
             (2, "8f4a2cfefb8b895d486124dbd0db9831739878ef6711237e66c78b88a88931b0"),
             (3, "1f124c60eff2c76c0cf28d919a24fcd103749ddd5f0eda3f1bbeff59a04be66f"),
             (5, "c072c681ebae77a1a1d5aa7ff7cf2a76e5a9eb65ed903bc28ef12fdae839b6fe"),
+            (7, "8b24d9b857ebcd14c8b31515a2fa1bb16e3829fe178d381333fbff250028792a"),
         ],
     )
     def test_report_is_pinned(self, tmp_path, capsys, order, digest):
@@ -357,3 +361,27 @@ class TestStages:
         calls = count_calls(monkeypatch, "is_trace_preserving")
         assert run(capsys, "endo", p2_file)[0] == 0
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "command,flags,tp_searches",
+        [
+            ("check", [], 0),
+            ("groups", ["--check-abelian", "--check-normal", "--check-directions"], 0),
+            ("endo", [], 0),
+            ("endo", ["--trace-preserving", "--check-ring"], 1),
+            ("verify-all", [], 1),
+        ],
+    )
+    def test_tp_search_at_most_once(self, p2_file, capsys, monkeypatch, command, flags,
+                                    tp_searches):
+        calls = count_calls(monkeypatch, "enumerate_tp_endomorphisms")
+        assert run(capsys, command, p2_file, *flags)[0] == 0
+        assert len(calls) == tp_searches
+
+    def test_tp_maps_are_not_filtered_from_end(self, p3_file, capsys, monkeypatch):
+        # a filter over End would ask is_trace_preserving of all 81 maps
+        calls = count_calls(monkeypatch, "is_trace_preserving", (cli, endo))
+        code, out, _ = run(capsys, "endo", p3_file, "--trace-preserving")
+        assert code == 0
+        assert json.loads(out)["results"]["num_tp_endomorphisms"] == 3
+        assert len(calls) <= 3

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,18 +13,22 @@ from affineplane import (
     build_group,
     check_ring_axioms,
     compose,
+    enumerate_dilations,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
     identity_map,
     inversion_endo,
     is_endomorphism,
     is_trace_preserving,
+    load_plane,
     negate,
     scalar_labeling,
     unit_endo,
+    verify_axioms,
     zero_endo,
 )
-from affineplane.errors import NotEndomorphism, OrderTooLarge
+from affineplane.errors import NotEndomorphism, OrderTooLarge, SizeMismatch
+from conftest import ag29_document, hall9_document
 
 
 def brute_force_endomorphisms(g):
@@ -266,3 +271,50 @@ class TestRingReport:
         collapse = GroupSelfMap((0,) + (1,) * 8)
         report = check_ring_axioms(planes[3], g, tp_endomorphisms[3] + [collapse])
         assert report.axioms["add_inverses"] == (False, (3,))
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_wrong_size_table_raises(self, planes, groups, tp_endomorphisms, at):
+        g, tp = groups[3], list(tp_endomorphisms[3])
+        tp.insert(at, GroupSelfMap((0,) * 4))
+        with pytest.raises(SizeMismatch):
+            check_ring_axioms(planes[3], g, tp)
+
+
+@pytest.fixture(scope="module", params=["AG(2,9)", "Hall(9)"])
+def order_nine(request):
+    """(name, plane, Tr, |Dil|) of an order-9 plane from its spread."""
+    document = {"AG(2,9)": ag29_document, "Hall(9)": hall9_document}[request.param]()
+    plane = load_plane(document)
+    assert verify_axioms(plane).all_pass
+    dilations = enumerate_dilations(plane)
+    g = build_group(plane, [f for f in dilations if f.kind == "translation"])
+    return request.param, plane, g, len(dilations)
+
+
+class TestOrderNine:
+    """The first exhaustive ring check on a non-Desarguesian plane.
+
+    |End(Tr)| = 3^16 rules out filtering End; the TP search tries 8,100
+    generator images on AG(2,9) and 1,782 on the Hall plane.
+    """
+
+    EXPECTED = {"AG(2,9)": (648, 9), "Hall(9)": (162, 3)}
+
+    def test_translation_group(self, order_nine):
+        name, _, g, num_dilations = order_nine
+        assert (g.order, num_dilations) == (81, self.EXPECTED[name][0])
+
+    def test_tp_endomorphisms_form_the_ring(self, order_nine):
+        name, plane, g, _ = order_nine
+        start = time.perf_counter()
+        tp = enumerate_tp_endomorphisms(plane, g, max_group=81)
+        report = check_ring_axioms(plane, g, tp)
+        assert time.perf_counter() - start < 2
+        assert len(tp) == self.EXPECTED[name][1]
+        for axiom in report.AXIOM_NAMES:
+            assert report.axioms[axiom] == (True, None)
+
+    def test_group_bound_holds(self, order_nine):
+        _, plane, g, _ = order_nine
+        with pytest.raises(OrderTooLarge):
+            enumerate_tp_endomorphisms(plane, g)

@@ -2,14 +2,15 @@
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
 only, ``enumerate_endomorphisms`` searches along the generator chain and
-tests each level's pairs once per subgroup, ``cli._closed`` settles a
-closure theorem from a generating set, ``is_dilation`` /
-``classify`` check one line at a time, ``check_conjugation`` conjugates
-only the generators point by point, and ``parallel_through_point`` /
-``intersect`` answer from lookup tables.  The all-pairs, product-and-test
-and scanning definitions live here, as oracles, and every test below asks
-both for a verdict on the same inputs.
-"""
+tests each level's pairs once per subgroup,
+``enumerate_tp_endomorphisms`` prunes that search by direction instead
+of filtering End, ``cli._closed`` settles a closure theorem from a
+generating set, ``is_dilation`` / ``classify`` check one line at a
+time, ``check_conjugation`` conjugates only the generators point by
+point, and ``parallel_through_point`` / ``intersect`` answer from lookup
+tables.  The all-pairs, product-and-test, filtering and scanning
+definitions live here, as oracles, and every test below asks both for a
+verdict on the same inputs."""
 
 import itertools
 import random
@@ -30,6 +31,7 @@ from affineplane import (
     enumerate_collineations,
     enumerate_dilations,
     enumerate_endomorphisms,
+    enumerate_tp_endomorphisms,
     intersect,
     is_collineation,
     is_dilation,
@@ -77,6 +79,11 @@ def endomorphisms_oracle(g):
             out.append(alpha)
     out.sort(key=lambda a: a.table)
     return out
+
+
+def tp_endomorphisms_oracle(plane, g):
+    """The filter: End, kept iff is_trace_preserving."""
+    return [a for a in enumerate_endomorphisms(g) if is_trace_preserving(plane, g, a)]
 
 
 def collineation_oracle(plane, image):
@@ -361,6 +368,31 @@ class TestEndomorphismSearchOracle:
         tables = [a.table for a in enumerate_endomorphisms(g)]
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
+
+
+def assert_same_tp_lists(plane, g):
+    tp = enumerate_tp_endomorphisms(plane, g)
+    assert [a.table for a in tp] == [a.table for a in tp_endomorphisms_oracle(plane, g)]
+    assert all(a.is_endomorphism is True and a.is_trace_preserving is True for a in tp)
+    return tp
+
+
+class TestTracePreservingSearchOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ag2p(self, p):
+        plane = build_prime_plane(p)
+        translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
+        assert len(assert_same_tp_lists(plane, build_group(plane, translations))) == p
+
+    def test_ag24(self, ag24):
+        translations = [f for f in enumerate_dilations(ag24) if f.kind == "translation"]
+        assert len(assert_same_tp_lists(ag24, build_group(ag24, translations))) == 4
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups_without_directions(self, name):
+        # no element has a direction, so every endomorphism preserves them
+        g, count = SMALL_GROUPS[name]
+        assert len(assert_same_tp_lists(None, g)) == count
 
 
 def closed_oracle(maps, op, predicate):
