@@ -16,11 +16,7 @@ from typing import Optional
 
 from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
 from .incidence import IncidencePlane
-from .transgroup import (
-    TranslationGroup,
-    _element_words,  # re-exported: callers import it from endo
-    generators,
-)
+from .transgroup import TranslationGroup, generator_chain, generators
 
 DEFAULT_MAX_GROUP = 49
 
@@ -147,49 +143,19 @@ def is_trace_preserving(
     return alpha.is_trace_preserving
 
 
-def _generator_chain(g: TranslationGroup, gens: list[int]) -> list[tuple[list, list]]:
-    """levels[k] = (steps, pairs) that extend H = <gens[:k]> to H' = <gens[:k+1]>.
-
-    H' is saturated from H by BFS over gens[:k+1].  Each new element
-    y = gens[j].x gets one tree step (y, j, x), listed in BFS order, so x
-    is filled before y.  pairs lists (j, x, gens[j].x) for every j <= k
-    and x in H' that is not a tree step and was not listed at an earlier
-    level, i.e. j = k or x outside H.
-    """
-    cayley = g.cayley
-    in_chain = [False] * g.order
-    in_chain[0] = True
-    members = [0]
-    levels = []
-    for k in range(len(gens)):
-        old = len(members)
-        steps, pairs = [], []
-        for i, x in enumerate(members):  # grows while it is walked: a BFS from H
-            for j in range(k + 1):
-                y = cayley[gens[j]][x]
-                if not in_chain[y]:
-                    in_chain[y] = True
-                    members.append(y)
-                    steps.append((y, j, x))
-                elif j == k or i >= old:
-                    pairs.append((j, x, y))
-        levels.append((steps, pairs))
-    return levels
-
-
 def enumerate_endomorphisms(
     g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
 ) -> list[GroupSelfMap]:
     """All endomorphisms, by a depth-first search along the generator chain.
 
     With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
-    H_0 = {0} < H_1 < ... < H_r = G is saturated once (_generator_chain).
+    H_0 = {0} < H_1 < ... < H_r = G is saturated once (generator_chain).
     The search picks an image y_k for s_k at level k, fills the entries of
     the new elements of H_k by the tree steps t[s_j.x] := y_j.t[x], tests
     that level's pairs t[s_j.x] = y_j.t[x], and descends only if they
     hold; every table that survives level r is emitted.  The old route,
-    extend_along_words over each of the |G|^r assignments, then
-    is_endomorphism on the full table, emits the same list:
+    each of the |G|^r assignments extended to a full table along one word
+    per element, then is_endomorphism on that table, emits the same list:
 
     1. A leaf passes iff its table passes is_endomorphism.  Over all
        levels, the tree steps and the tested pairs are every (s_j, x) with
@@ -262,12 +228,11 @@ def _chain_search(
             f"got {g.order}"
         )
     tp = None if directions is None else True  # the leaves' is_trace_preserving
-    gens = generators(g)
+    gens, levels = generator_chain(g)
     if not gens:
         return [GroupSelfMap((0,), is_endomorphism=True, is_trace_preserving=tp)]
 
     cayley = g.cayley
-    levels = _generator_chain(g, gens)
     if directions is None:
         checks = [[] for _ in levels]
     else:

@@ -61,10 +61,6 @@ class NotCollineation(AffinePlaneError):
     """A collineation search produced a map that is not a collineation."""
 
 
-class NotSpanning(AffinePlaneError):
-    """A list of group elements does not generate the whole group."""
-
-
 class NotClosed(AffinePlaneError):
     """A composite escaped the element list during group construction."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .collineation import ClassifiedMap
-from .errors import MissingIdentity, NotClosed, NotSpanning
+from .errors import MissingIdentity, NotClosed
 from .incidence import IncidencePlane
 
 
@@ -57,8 +57,7 @@ class TranslationGroup:
 
     def __post_init__(self):
         self._lookup = {f.image: i for i, f in enumerate(self.elements)}
-        self._generators: Optional[tuple[int, ...]] = None
-        self._words: Optional[tuple[tuple[int, ...], ...]] = None
+        self._chain: Optional[tuple] = None  # generator_chain(self), once computed
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -132,23 +131,23 @@ def check_conjugation(
 
     Per dilation d, only the generators are conjugated point by point.
     If each of their conjugates is a translation, phi(x) = d^-1.x.d is
-    computed for every x by Cayley lookups along the generator words
-    (extend_along_words), and every direction is compared.  This is the
-    conjugate itself: conjugation by a permutation is a homomorphism of
-    the symmetric group, x is a product of generators along its word, and
-    the Cayley table records composition of permutations within the
-    translation set, which build_group checked to be closed.  So the
-    conjugate of x is the product of the generators' conjugates along the
-    same word, a translation whose index the lookups give, and normality
-    holds for d.  If some generator's conjugate is not a translation, the
-    translations of d are conjugated point by point, as the definition
-    reads, which yields the same witnesses.  Cost per dilation: rank
-    point-wise conjugates plus one word walk per element, instead of |G|
-    point-wise conjugates for each check.
+    computed for every x by one Cayley lookup per tree step of the
+    generator chain, phi(gens[j].x) := phi(gens[j]).phi(x), and every
+    direction is compared.  This is the conjugate itself: conjugation by
+    a permutation is a homomorphism of the symmetric group, the Cayley
+    table records composition of permutations within the translation
+    set, which build_group checked to be closed, and the BFS order of the
+    tree steps fills x before gens[j].x, starting from phi(0) = 0.  So
+    the conjugate of every x is a translation whose index the lookups
+    give, and normality holds for d.  If some generator's conjugate is
+    not a translation, the translations of d are conjugated point by
+    point, as the definition reads, which yields the same witnesses.
+    Cost per dilation: rank point-wise conjugates plus one lookup per
+    element, instead of |G| point-wise conjugates for each check.
     """
     normal: Optional[CheckResult] = None
     direction: Optional[CheckResult] = None
-    gens = generators(g)
+    gens, levels = generator_chain(g)
     for di, delta in enumerate(dilations):
         inv = [0] * len(delta.image)
         for p, q in enumerate(delta.image):
@@ -163,7 +162,10 @@ def check_conjugation(
         images = [conjugate(s) for s in gens]
         if None not in images:
             if direction is None:
-                phi = extend_along_words(g, images)
+                phi = [0] * g.order
+                for steps, _ in levels:
+                    for y, j, x in steps:
+                        phi[y] = g.cayley[images[j]][phi[x]]
                 for si in range(1, g.order):
                     if g.direction_of[phi[si]] != g.direction_of[si]:
                         direction = CheckResult("conjugation_direction", False, (di, si))
@@ -213,75 +215,52 @@ def check_composition_direction(g: TranslationGroup) -> CheckResult:
     return CheckResult("composition_direction", True)
 
 
-def subgroup_closure(g: TranslationGroup, seeds: list[int]) -> set[int]:
-    """Saturate a set of element indices under the Cayley table."""
-    closed = {0} | set(seeds)
-    frontier = list(closed)
-    while frontier:
-        x = frontier.pop()
-        for s in seeds:
-            y = g.cayley[s][x]
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    return closed
+def generator_chain(
+    g: TranslationGroup,
+) -> tuple[tuple[int, ...], tuple[tuple[list, list], ...]]:
+    """(gens, levels): greedy generators and the chain they saturate.
 
-
-def generators(g: TranslationGroup) -> list[int]:
-    """Greedy generating set: lowest-index element outside the span, repeated.
+    gens[k] is the lowest-index element outside H_k = <gens[:k]>, and
+    H_0 = {0} < H_1 < ... < H_r = G.  levels[k] = (steps, pairs) extend
+    H_k to H_{k+1}, which one BFS saturates from H_k over gens[:k+1]
+    (positive words suffice: every element has finite order).  Each new
+    element y = gens[j].x gets one tree step (y, j, x), listed in BFS
+    order, so x is filled before y.  pairs lists (j, x, gens[j].x) for
+    every j <= k and x in H_{k+1} outside H_k that is not a tree step.
+    For x in H_k, (j, x) with j < k was listed at an earlier level, and
+    (k, x) is a tree step: the BFS walks H_k first, and the gens[k].x,
+    x in H_k, are distinct and outside H_k, so each is new.  So over all
+    levels, the tree steps and the pairs list every (j, x) once, and the
+    tree steps fill every nonzero element once.
 
     Computed once per group and kept on it.
     """
-    if g._generators is None:
+    if g._chain is None:
+        cayley = g.cayley
+        in_chain = [False] * g.order
+        in_chain[0] = True
+        members = [0]
         gens: list[int] = []
-        span = {0}
-        for i in range(1, g.order):
-            if i in span:
-                continue
-            gens.append(i)
-            span = subgroup_closure(g, gens)
-            if len(span) == g.order:
-                break
-        g._generators = tuple(gens)
-    return list(g._generators)
+        levels = []
+        while len(members) < g.order:
+            k = len(gens)
+            gens.append(in_chain.index(False))
+            old = len(members)
+            steps, pairs = [], []
+            for i, x in enumerate(members):  # grows while it is walked: a BFS from H_k
+                for j in range(k + 1):
+                    y = cayley[gens[j]][x]
+                    if not in_chain[y]:
+                        in_chain[y] = True
+                        members.append(y)
+                        steps.append((y, j, x))
+                    elif i >= old:
+                        pairs.append((j, x, y))
+            levels.append((steps, pairs))
+        g._chain = (tuple(gens), tuple(levels))
+    return g._chain
 
 
-def _element_words(g: TranslationGroup, gens: list[int]) -> list[tuple[int, ...]]:
-    """One word over the generators per element, found during saturation."""
-    words: list[Optional[tuple[int, ...]]] = [None] * g.order
-    words[0] = ()
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for gi, s in enumerate(gens):
-            y = g.cayley[s][x]
-            if words[y] is None:
-                words[y] = words[x] + (gi,)
-                frontier.append(y)
-    if None in words:
-        raise NotSpanning(f"elements {gens} do not generate the group")
-    return words  # type: ignore[return-value]
-
-
-def generator_words(g: TranslationGroup) -> tuple[tuple[int, ...], ...]:
-    """_element_words over generators(g), computed once per group and kept on it."""
-    if g._words is None:
-        g._words = tuple(_element_words(g, generators(g)))
-    return g._words
-
-
-def extend_along_words(g: TranslationGroup, images) -> tuple[int, ...]:
-    """Element table of the assignment generators(g)[k] -> images[k].
-
-    The element with word (k1, ..., km) goes to images[km] o ... o
-    images[k1].  The table is the homomorphism with those generator
-    images when one exists; callers that search assignments must test it.
-    """
-    cayley = g.cayley
-    table = []
-    for w in generator_words(g):
-        acc = 0
-        for k in w:
-            acc = cayley[images[k]][acc]
-        table.append(acc)
-    return tuple(table)
+def generators(g: TranslationGroup) -> list[int]:
+    """Greedy generating set: lowest-index element outside the span, repeated."""
+    return list(generator_chain(g)[0])

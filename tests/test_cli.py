@@ -358,7 +358,7 @@ class TestStages:
         )
 
     def test_plain_endo_skips_the_tp_filter(self, p2_file, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "is_trace_preserving")
+        calls = count_calls(monkeypatch, "is_trace_preserving", (endo,))
         assert run(capsys, "endo", p2_file)[0] == 0
         assert calls == []
 
@@ -380,7 +380,7 @@ class TestStages:
 
     def test_tp_maps_are_not_filtered_from_end(self, p3_file, capsys, monkeypatch):
         # a filter over End would ask is_trace_preserving of all 81 maps
-        calls = count_calls(monkeypatch, "is_trace_preserving", (cli, endo))
+        calls = count_calls(monkeypatch, "is_trace_preserving", (endo,))
         code, out, _ = run(capsys, "endo", p3_file, "--trace-preserving")
         assert code == 0
         assert json.loads(out)["results"]["num_tp_endomorphisms"] == 3

@@ -1,12 +1,8 @@
 import itertools
-import os
-import subprocess
-import sys
 import time
 
 import pytest
 
-import affineplane
 from affineplane import (
     GroupSelfMap,
     add,
@@ -153,29 +149,6 @@ class TestEnumeration:
     def test_group_order_bound(self, groups):
         with pytest.raises(OrderTooLarge):
             enumerate_endomorphisms(groups[5], max_group=9)
-
-    def test_non_spanning_generators_rejected_under_optimize(self):
-        # element 1 of AG(2,3) spans a subgroup of order 3: six elements lack a
-        # word, and the check must survive `python -O`
-        script = (
-            "from affineplane import build_prime_plane, build_group, enumerate_translations\n"
-            "from affineplane.endo import _element_words\n"
-            "from affineplane.errors import NotSpanning\n"
-            "p = build_prime_plane(3)\n"
-            "g = build_group(p, enumerate_translations(p))\n"
-            "try:\n"
-            "    _element_words(g, [1])\n"
-            "except NotSpanning:\n"
-            "    print('raised')\n"
-        )
-        src = os.path.dirname(os.path.dirname(affineplane.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "raised\n"
 
 
 class TestTracePreservation:

@@ -1,7 +1,8 @@
 """The local tests and lookups agree with the definitions they replace.
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
-only, ``enumerate_endomorphisms`` searches along the generator chain and
+only, ``generator_chain`` saturates the group once for every reader of
+the generators, ``enumerate_endomorphisms`` searches along that chain and
 tests each level's pairs once per subgroup,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
@@ -32,16 +33,19 @@ from affineplane import (
     enumerate_dilations,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
+    identity_map,
     intersect,
     is_collineation,
     is_dilation,
     is_endomorphism,
     is_trace_preserving,
+    load_plane,
     parallel_partition,
     parallel_through_point,
+    verify_axioms,
 )
 from affineplane.cli import _closed
-from affineplane.endo import _composite_table, _element_words, _sum_table
+from affineplane.endo import _composite_table, _sum_table
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
@@ -52,11 +56,12 @@ from affineplane.errors import (
 from affineplane.transgroup import (
     CheckResult,
     compose_images,
-    extend_along_words,
+    generator_chain,
     generators,
 )
-from conftest import table_group
+from conftest import ag29_document, hall9_document, table_group
 from test_endo import brute_force_endomorphisms
+from test_transgroup import span
 
 
 def endomorphism_oracle(g, table):
@@ -69,12 +74,43 @@ def endomorphism_oracle(g, table):
     )
 
 
+def element_words(g):
+    """One word over generators(g) per element, from a BFS that starts at 0."""
+    gens = generators(g)
+    words = [None] * g.order
+    words[0] = ()
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for gi, s in enumerate(gens):
+            y = g.cayley[s][x]
+            if words[y] is None:
+                words[y] = words[x] + (gi,)
+                frontier.append(y)
+    assert None not in words, "generators(g) do not span the group"
+    return words
+
+
+def extend_along_words(g, words, images):
+    """The table of generators(g)[k] -> images[k]: the element with word
+    (k1, ..., km) goes to images[km] o ... o images[k1].  It is the
+    homomorphism with those images when one exists."""
+    table = []
+    for w in words:
+        acc = 0
+        for k in w:
+            acc = g.cayley[images[k]][acc]
+        table.append(acc)
+    return tuple(table)
+
+
 def endomorphisms_oracle(g):
     """The product-and-test search: every assignment of generator images,
     extended along the words, kept iff the full table is an endomorphism."""
     out = []
+    words = element_words(g)
     for images in itertools.product(range(g.order), repeat=len(generators(g))):
-        alpha = GroupSelfMap(extend_along_words(g, images))
+        alpha = GroupSelfMap(extend_along_words(g, words, images))
         if is_endomorphism(g, alpha):
             out.append(alpha)
     out.sort(key=lambda a: a.table)
@@ -219,17 +255,11 @@ class TestEndomorphismOracle:
 
     def test_every_generator_image_candidate_on_ag23(self, groups):
         g = groups[3]
-        gens = generators(g)
-        words = _element_words(g, gens)
-        tables = []
-        for images in itertools.product(range(g.order), repeat=len(gens)):
-            table = []
-            for w in words:
-                acc = 0
-                for gi in w:
-                    acc = g.cayley[images[gi]][acc]
-                table.append(acc)
-            tables.append(table)
+        words = element_words(g)
+        tables = [
+            extend_along_words(g, words, images)
+            for images in itertools.product(range(g.order), repeat=len(generators(g)))
+        ]
         assert len(tables) == 81
         assert_endomorphism_verdicts_agree(g, tables)
 
@@ -326,6 +356,82 @@ SMALL_GROUPS = {
 }
 
 
+def two_adic_cyclic(n):
+    """(elements, Z_n) with elements listed by descending 2-adic valuation."""
+    elements = sorted(range(n), key=lambda x: (-(x & -x) if x else -2 * n, x))
+    return elements, table_group(elements, lambda a, b: (a + b) % n)
+
+
+def plane_group(plane):
+    """The translation group of a plane."""
+    return build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
+
+
+def greedy_generators_oracle(g):
+    """The definition: the lowest index outside the saturated span, repeated."""
+    gens, spanned = [], {0}
+    for i in range(1, g.order):
+        if i not in spanned:
+            gens.append(i)
+            spanned = span(g, gens)
+    return gens
+
+
+def assert_chain_agrees(g):
+    """generator_chain's generators are the greedy ones, and its levels are
+    what claims 1 and 3 of enumerate_endomorphisms rest on: over all
+    levels, the tree steps and the pairs list every (j, x) once, the tree
+    steps fill every nonzero element once, each x before gens[j].x, and
+    level k reads only elements of H_{k+1} through gens[:k+1]."""
+    gens, levels = generator_chain(g)
+    assert list(gens) == generators(g) == greedy_generators_oracle(g)
+    assert len(levels) == len(gens)
+    filled, seen = {0}, []
+    for k, (steps, pairs) in enumerate(levels):
+        for y, j, x in steps:
+            assert j <= k and x in filled and y not in filled
+            assert y == g.cayley[gens[j]][x]
+            filled.add(y)
+            seen.append((j, x))
+        assert filled == span(g, gens[: k + 1])
+        for j, x, y in pairs:
+            assert j <= k and x in filled and y == g.cayley[gens[j]][x]
+            seen.append((j, x))
+    assert sorted(seen) == [(j, x) for j in range(len(gens)) for x in range(g.order)]
+    assert sorted(y for steps, _ in levels for y, _, _ in steps) == list(range(1, g.order))
+
+
+class TestGeneratorChainOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ag2p(self, p):
+        assert_chain_agrees(plane_group(build_prime_plane(p)))
+
+    def test_ag24(self, ag24):
+        assert_chain_agrees(plane_group(ag24))
+
+    @pytest.mark.parametrize("document", [ag29_document, hall9_document])
+    def test_order_nine(self, document):
+        plane = load_plane(document())
+        assert verify_axioms(plane).all_pass
+        assert_chain_agrees(plane_group(plane))
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_small_groups(self, name):
+        assert_chain_agrees(SMALL_GROUPS[name][0])
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_two_adic_cyclic_orderings(self, n):
+        assert_chain_agrees(two_adic_cyclic(n)[1])
+
+    def test_trivial_group(self, p2):
+        g = build_group(p2, [identity_map(p2)])
+        assert generator_chain(g) == ((), ())
+
+    def test_computed_once(self, groups):
+        g = groups[3]
+        assert generator_chain(g) is generator_chain(g)
+
+
 def assert_same_endomorphism_lists(g):
     chain = enumerate_endomorphisms(g)
     assert [a.table for a in chain] == [a.table for a in endomorphisms_oracle(g)]
@@ -352,11 +458,10 @@ class TestEndomorphismSearchOracle:
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_cyclic_groups_with_one_generator_per_level(self, n):
-        # listed by descending 2-adic valuation, so generators() picks
-        # n/2, n/4, ..., 1: a chain of log2(n) levels, each of index 2, and
-        # every level's pairs reject images; End(Z_n) is x -> a.x
-        elements = sorted(range(n), key=lambda x: (-(x & -x) if x else -2 * n, x))
-        g = table_group(elements, lambda a, b: (a + b) % n)
+        # generators() picks n/2, n/4, ..., 1: a chain of log2(n) levels,
+        # each of index 2, and every level's pairs reject images; End(Z_n)
+        # is x -> a.x
+        elements, g = two_adic_cyclic(n)
         assert len(generators(g)) == n.bit_length() - 1
         index = {e: i for i, e in enumerate(elements)}
         expected = sorted(tuple(index[a * e % n] for e in elements) for a in range(n))
