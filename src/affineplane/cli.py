@@ -22,7 +22,6 @@ from .endo import (
     DEFAULT_MAX_GROUP,
     GroupSelfMap,
     _check_size,
-    _composite_table,
     _sum_table,
     check_ring_axioms,
     enumerate_endomorphisms,
@@ -36,6 +35,7 @@ from .transgroup import (
     check_abelian,
     check_composition_direction,
     check_conjugation,
+    compose_images,
 )
 
 EXIT_PASS = 0
@@ -308,7 +308,7 @@ def cmd_verify_all(args) -> int:
     theorems += [
         ("endomorphism_sums_are_endomorphisms", _closed(group, endomorphisms, add, is_endo)),
         ("endomorphism_composites_are_endomorphisms",
-         _closed(group, endomorphisms, _composite_table, is_endo)),
+         _closed(group, endomorphisms, compose_images, is_endo)),
         ("tp_sums_are_trace_preserving", ring.axioms["add_closure"][0]),
         ("tp_composites_are_trace_preserving", ring.axioms["mul_closure"][0]),
         ("tp_additive_abelian_group", all(

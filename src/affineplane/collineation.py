@@ -54,45 +54,19 @@ def fixed_points(image) -> frozenset[int]:
     return frozenset(p for p, q in enumerate(image) if p == q)
 
 
-def _line_verdicts(plane: IncidencePlane, image) -> tuple[bool, bool]:
-    """(collineation, dilation) verdicts from one pass over the lines."""
-    plane.require_verified()
-    _check_size(plane, image)
-    class_of = parallel_partition(plane).class_of
-    dilation = True
-    for lid, pts in enumerate(plane.lines):
-        m = plane.line_index.get(frozenset(image[p] for p in pts))
-        if m is None:
-            return False, False
-        dilation = dilation and class_of[m] == class_of[lid]
-    return True, dilation
-
-
 def is_collineation(plane: IncidencePlane, image) -> bool:
     """Every line's image point set is a line."""
-    return _line_verdicts(plane, image)[0]
+    return classify(plane, image).kind != "general"
 
 
 def is_dilation(plane: IncidencePlane, image) -> bool:
-    """A collineation sending every joining line to a parallel one.
-
-    By definition: f is a collineation and join(f(p), f(q)) is parallel
-    to join(p, q) for every pair of distinct points.  Tested instead, on
-    a verified plane: every line's image point set is a line of the same
-    parallel class.  Equivalent, because a collineation maps the line
-    join(p, q) onto a line through f(p) and f(q), which is therefore
-    join(f(p), f(q)); and every line is join(p, q) for any two of its
-    (at least two) points.  Cost: one pass over the lines, O(q^3),
-    instead of O(q^4) point pairs.
-    """
-    return _line_verdicts(plane, image)[1]
+    """A collineation sending every joining line to a parallel one."""
+    return classify(plane, image).kind in ("dilation", "translation")
 
 
 def is_translation(plane: IncidencePlane, image) -> bool:
-    _check_size(plane, image)
-    if all(i == p for p, i in enumerate(image)):
-        return True
-    return not fixed_points(image) and is_dilation(plane, image)
+    """A dilation with no fixed point, or the identity."""
+    return classify(plane, image).kind == "translation"
 
 
 def trace(plane: IncidencePlane, f: ClassifiedMap, p: int) -> Optional[int]:
@@ -126,26 +100,49 @@ def direction(plane: IncidencePlane, f: ClassifiedMap) -> Optional[int]:
 
 
 def classify(plane: IncidencePlane, image) -> ClassifiedMap:
-    """Classify a bijection as strongly as its properties allow.
+    """Classify a point map as strongly as its properties allow.
 
-    One pass over the lines settles both the collineation and the
-    dilation verdict; is_dilation gives the proof that the per-line
-    test is the definition.
+    The one validation of a map: a single pass looks up the index m of
+    each line l's image point set.
+    - Collineation: every m exists.  A map with f(p) = f(q), p != q, fails
+      at l = join(p, q), whose image has fewer points than any line (all
+      lines of an affine plane have the same size), so it is "general".
+    - Dilation: moreover class_of[m] == class_of[l] for every l, which is
+      the definition: a collineation maps join(p, q) onto a line through
+      f(p) and f(q), that is onto join(f(p), f(q)), and every line is
+      join(p, q) for two of its points.  O(q^3) instead of O(q^4) pairs.
+    - Direction of a fixed-point-free dilation: the class of its invariant
+      lines (m == l), which are its traces.  If l = join(p, f(p)), f(l) is
+      parallel to l and holds f(p), which is on l, so f(l) = l.  If
+      f(l) = l and p is on l, then f(p) != p is on l, so l is p's trace.
+      So the invariant lines' classes are the traces' classes, which
+      direction() compares point by point.
     """
     _check_size(plane, image)
+    plane.require_verified()
     image = tuple(image)
     fixed = fixed_points(image)
-    collineation, dilation = _line_verdicts(plane, image)
-    if not collineation:
-        return ClassifiedMap(image, "general", fixed)
+    class_of = parallel_partition(plane).class_of
+    line_index = plane.line_index
+    dilation = True
+    invariant = set()
+    for lid, pts in enumerate(plane.lines):
+        m = line_index.get(frozenset([image[p] for p in pts]))
+        if m is None:
+            return ClassifiedMap(image, "general", fixed)
+        if m == lid:
+            invariant.add(class_of[lid])
+        elif class_of[m] != class_of[lid]:
+            dilation = False
     if not dilation:
         return ClassifiedMap(image, "collineation", fixed)
     if len(fixed) == plane.num_points:
         return ClassifiedMap(image, "translation", fixed)
     if fixed:
         return ClassifiedMap(image, "dilation", fixed)
-    f = ClassifiedMap(image, "translation", fixed)
-    return ClassifiedMap(image, "translation", fixed, direction(plane, f))
+    if len(invariant) != 1:
+        raise TraceClassMismatch(f"traces fall into {len(invariant)} parallel classes")
+    return ClassifiedMap(image, "translation", fixed, invariant.pop())
 
 
 def identity_map(plane: IncidencePlane) -> ClassifiedMap:
@@ -218,7 +215,12 @@ def enumerate_dilations(
     which must span a line parallel to AB.  Every candidate image pair is
     extended pointwise by intersecting parallels and the result validated
     and classified by one classify call, so the construction cannot
-    over-report.
+    over-report.  No other check is needed:
+    - A completed candidate that is not a bijection is dropped: the steps
+      fill every point but A and B with a point, so it is a self-map of a
+      finite set that is not injective, which classify calls "general".
+    - Each dilation is listed once: two candidates differ in their image
+      of A or of B, so no image is built twice.
     """
     plane.require_verified()
     order = len(plane.lines[0])
@@ -245,7 +247,7 @@ def enumerate_dilations(
         + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
     ]
 
-    found: dict[tuple[int, ...], ClassifiedMap] = {}
+    found: list[ClassifiedMap] = []
     for m in partition.classes[class_of[line_ab]]:
         for a2 in plane.lines[m]:
             for b2 in plane.lines[m]:
@@ -259,22 +261,15 @@ def enumerate_dilations(
                         break
                     image[c] = c2
                 else:
-                    img = tuple(image)
-                    if img in found or sorted(img) != list(range(n)):
-                        continue
-                    f = classify(plane, img)
+                    f = classify(plane, image)
                     if f.kind in ("dilation", "translation"):
-                        found[img] = f
-    return [found[img] for img in sorted(found)]
+                        found.append(f)
+    found.sort(key=lambda f: f.image)
+    return found
 
 
 def enumerate_translations(
     plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
 ) -> list[ClassifiedMap]:
     """Identity plus every fixed-point-free dilation, each with its direction."""
-    out = [
-        f
-        for f in enumerate_dilations(plane, max_order)
-        if f.kind == "translation"
-    ]
-    return out
+    return [f for f in enumerate_dilations(plane, max_order) if f.kind == "translation"]

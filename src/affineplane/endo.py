@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
 from .incidence import IncidencePlane
-from .transgroup import TranslationGroup, generator_chain, generators
+from .transgroup import TranslationGroup, compose_images, generator_chain, generators
 
 DEFAULT_MAX_GROUP = 49
 
@@ -52,11 +52,6 @@ def _sum_table(cayley, a: tuple, b: tuple) -> tuple:
     return tuple([cayley[x][y] for x, y in zip(a, b)])
 
 
-def _composite_table(a: tuple, b: tuple) -> tuple:
-    """The table of alpha o beta from the tables a, b of equal size."""
-    return tuple([a[y] for y in b])
-
-
 def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
     """(alpha + beta)(s) = alpha(s) o beta(s)."""
     _check_size(g, alpha)
@@ -68,7 +63,7 @@ def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> Gro
     """(alpha o beta)(s) = alpha(beta(s))."""
     _check_size(g, alpha)
     _check_size(g, beta)
-    return GroupSelfMap(_composite_table(alpha.table, beta.table))
+    return GroupSelfMap(compose_images(alpha.table, beta.table))
 
 
 def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
@@ -344,7 +339,7 @@ def check_ring_axioms(
     def plus(a, b):
         return _sum_table(g.cayley, a, b)
 
-    times = _composite_table
+    times = compose_images
     sums = [[plus(a, b) for b in tables] for a in tables]
     products = [[times(a, b) for b in tables] for a in tables]
     # the pointwise inverses, not negate(): that raises on a non-endomorphism

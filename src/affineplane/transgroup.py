@@ -32,7 +32,7 @@ class CheckResult:
 
 def compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """(f o g)(p) = f(g(p)): g applies first."""
-    return tuple(f[q] for q in g)
+    return tuple([f[q] for q in g])
 
 
 @dataclass
@@ -42,7 +42,6 @@ class TranslationGroup:
     elements[0] is the identity; cayley[i][j] indexes elements[i] o elements[j].
     """
 
-    plane: IncidencePlane
     elements: tuple[ClassifiedMap, ...]
     cayley: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
@@ -101,7 +100,6 @@ def build_group(
             raise NotClosed(f"element {i} has no inverse in the list")
 
     return TranslationGroup(
-        plane=plane,
         elements=tuple(ordered),
         cayley=tuple(cayley),
         inverse=tuple(inverse),

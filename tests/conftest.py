@@ -84,14 +84,13 @@ def table_group(elements, mul) -> TranslationGroup:
     elements[0] must be the identity.  Element i acts by left
     multiplication, so its image is row i of the multiplication table, and
     the Cayley table of those images is the table itself.  There is no
-    plane: plane=None and no element has a direction.
+    plane, so no element has a direction.
     """
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
     cayley = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
     assert cayley[0] == tuple(range(len(elements))), "elements[0] is not the identity"
     return TranslationGroup(
-        plane=None,
         elements=tuple(ClassifiedMap(row, "translation", frozenset()) for row in cayley),
         cayley=cayley,
         inverse=tuple(row.index(0) for row in cayley),

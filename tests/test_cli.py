@@ -13,17 +13,24 @@ from conftest import ag24_document
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 
 
-def count_calls(monkeypatch, name, modules=(cli,)):
-    """Record the positional arguments of every call to <module>.<name>."""
+def count_calls(monkeypatch, name, module=cli):
+    """Record the positional arguments of every call to <module>.<name>.
+
+    Every loaded affineplane module attribute that holds the same
+    function, under any name, is patched, so an import under another
+    name or from another module is counted too."""
+    real = getattr(module, name)
     calls = []
-    for module in modules:
-        real = getattr(module, name)
 
-        def counted(*args, real=real, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.startswith("affineplane"):
+            for attr, value in list(vars(loaded).items()):
+                if value is real:
+                    monkeypatch.setattr(loaded, attr, counted)
     return calls
 
 
@@ -358,7 +365,7 @@ class TestStages:
         )
 
     def test_plain_endo_skips_the_tp_filter(self, p2_file, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "is_trace_preserving", (endo,))
+        calls = count_calls(monkeypatch, "is_trace_preserving", endo)
         assert run(capsys, "endo", p2_file)[0] == 0
         assert calls == []
 
@@ -380,7 +387,7 @@ class TestStages:
 
     def test_tp_maps_are_not_filtered_from_end(self, p3_file, capsys, monkeypatch):
         # a filter over End would ask is_trace_preserving of all 81 maps
-        calls = count_calls(monkeypatch, "is_trace_preserving", (endo,))
+        calls = count_calls(monkeypatch, "is_trace_preserving", endo)
         code, out, _ = run(capsys, "endo", p3_file, "--trace-preserving")
         assert code == 0
         assert json.loads(out)["results"]["num_tp_endomorphisms"] == 3

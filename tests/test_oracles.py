@@ -6,9 +6,10 @@ the generators, ``enumerate_endomorphisms`` searches along that chain and
 tests each level's pairs once per subgroup,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
-generating set, ``is_dilation`` / ``classify`` check one line at a
-time, ``check_conjugation`` conjugates only the generators point by
-point, and ``parallel_through_point`` / ``intersect`` answer from lookup
+generating set, ``classify`` checks one line at a time and reads a
+translation's direction from its invariant lines,
+``check_conjugation`` conjugates only the generators point by point,
+and ``parallel_through_point`` / ``intersect`` answer from lookup
 tables.  The all-pairs, product-and-test, filtering and scanning
 definitions live here, as oracles, and every test below asks both for a
 verdict on the same inputs."""
@@ -29,6 +30,7 @@ from affineplane import (
     check_normal_in_dilations,
     classify,
     compose,
+    direction,
     enumerate_collineations,
     enumerate_dilations,
     enumerate_endomorphisms,
@@ -45,7 +47,7 @@ from affineplane import (
     verify_axioms,
 )
 from affineplane.cli import _closed
-from affineplane.endo import _composite_table, _sum_table
+from affineplane.endo import _sum_table
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
@@ -59,7 +61,7 @@ from affineplane.transgroup import (
     generator_chain,
     generators,
 )
-from conftest import ag29_document, hall9_document, table_group
+from conftest import ag24_document, ag29_document, hall9_document, table_group
 from test_endo import brute_force_endomorphisms
 from test_transgroup import span
 
@@ -217,13 +219,21 @@ def assert_endomorphism_verdicts_agree(g, tables):
 
 
 def assert_dilation_verdicts_agree(plane, images):
+    """classify against the oracles; for a dilation, also its translation
+    verdict (no fixed point, or the identity) and its direction against
+    direction(), which compares the traces point by point."""
     kinds = []
     for image in images:
         assert is_collineation(plane, image) == collineation_oracle(plane, image)
         assert is_dilation(plane, image) == dilation_oracle(plane, image)
-        kind = classify(plane, image).kind
-        kind = "dilation" if kind == "translation" else kind
+        f = classify(plane, image)
+        kind = "dilation" if f.kind == "translation" else f.kind
         assert kind == kind_oracle(plane, image), image
+        if kind == "dilation":
+            fixed = sum(p == q for p, q in enumerate(image))
+            assert (f.kind == "translation") == (fixed in (0, len(image))), image
+        if f.kind == "translation":
+            assert f.direction == direction(plane, f), image
         kinds.append(kind)
     return kinds
 
@@ -509,7 +519,7 @@ def closure_ops(g, name):
     """(table op for _closed, map op for the oracle) of + or o."""
     if name == "+":
         return partial(_sum_table, g.cayley), partial(add, g)
-    return _composite_table, partial(compose, g)
+    return compose_images, partial(compose, g)
 
 
 def closure_cases(g, plane, endos):
@@ -687,6 +697,44 @@ class TestDilationOracle:
     def test_every_dilation_of_ag25(self, p5, dilations):
         images = [f.image for f in dilations[5]]
         assert set(assert_dilation_verdicts_agree(p5, images)) == {"dilation"}
+
+    @pytest.mark.parametrize(
+        "make,q,dilations",
+        [
+            (partial(build_prime_plane, 2), 2, 4),
+            (partial(build_prime_plane, 3), 3, 18),
+            (partial(build_prime_plane, 7), 7, 294),
+            (lambda: load_plane(ag24_document()), 4, 48),
+            (lambda: load_plane(ag29_document()), 9, 648),
+            (lambda: load_plane(hall9_document()), 9, 162),
+        ],
+        ids=["AG(2,2)", "AG(2,3)", "AG(2,7)", "AG(2,4)", "AG(2,9)", "Hall(9)"],
+    )
+    def test_every_dilation_and_its_direction(self, make, q, dilations):
+        plane = make()
+        assert verify_axioms(plane).all_pass
+        found = enumerate_dilations(plane)
+        assert set(assert_dilation_verdicts_agree(plane, [f.image for f in found])) == {
+            "dilation"
+        }
+        assert len(found) == dilations
+        assert sum(f.kind == "translation" for f in found) == q * q
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(build_prime_plane, 3), lambda: load_plane(hall9_document())],
+        ids=["AG(2,3)", "Hall(9)"],
+    )
+    def test_maps_that_are_not_injective(self, make):
+        plane = make()
+        assert verify_axioms(plane).all_pass
+        n = plane.num_points
+        shift = next(f for f in enumerate_dilations(plane) if f.kind == "translation"
+                     and not f.is_identity).image
+        merged = list(shift)
+        merged[0] = shift[1]  # points 0 and 1 share an image, the rest is a translation
+        images = [(0,) * n, tuple(merged)]
+        assert assert_dilation_verdicts_agree(plane, images) == ["general", "general"]
 
 
 class TestConjugationOracle:
