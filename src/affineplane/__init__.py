@@ -28,6 +28,7 @@ from .endo import (
     add,
     check_ring_axioms,
     compose,
+    count_endomorphisms,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
     inversion_endo,

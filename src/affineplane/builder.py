@@ -32,10 +32,10 @@ def point_id(x: int, y: int, p: int) -> int:
 
 def build_prime_plane(p: int, max_order: int = DEFAULT_MAX_ORDER) -> IncidencePlane:
     """Construct AG(2,p) and verify it, so the result is ready for use."""
+    if p > max_order:  # first: trial division of a large p would not end
+        raise OrderTooLarge(f"order {p} exceeds the bound {max_order}")
     if not is_prime(p):
         raise NotPrime(f"plane order must be prime, got {p}")
-    if p > max_order:
-        raise OrderTooLarge(f"order {p} exceeds the bound {max_order}")
 
     lines: list[frozenset[int]] = []
     for m in range(p):

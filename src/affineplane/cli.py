@@ -24,6 +24,7 @@ from .endo import (
     _check_size,
     _sum_table,
     check_ring_axioms,
+    count_endomorphisms,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
     is_endomorphism,
@@ -247,13 +248,17 @@ def cmd_endo(args) -> int:
         return EXIT_ERROR
 
     group = _translation_group(plane, args.max_order)[1]  # dilations freed before the End search
-    endomorphisms = enumerate_endomorphisms(group, max_group=args.max_group)
+    if args.dump:
+        endomorphisms = enumerate_endomorphisms(group, max_group=args.max_group)
+        num_endomorphisms = len(endomorphisms)
+    else:  # End is only counted: no table is kept
+        num_endomorphisms = count_endomorphisms(group, max_group=args.max_group)
 
     results: dict = {
         "group_order": group.order,
-        "num_endomorphisms": len(endomorphisms),
+        "num_endomorphisms": num_endomorphisms,
     }
-    note = f"|End| = {len(endomorphisms)}"
+    note = f"|End| = {num_endomorphisms}"
     all_pass = True
     if args.trace_preserving or args.check_ring:
         tp = enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
@@ -262,7 +267,7 @@ def cmd_endo(args) -> int:
         if args.dump:
             results["tp_endomorphisms"] = [list(a.table) for a in tp]
         if args.check_ring:
-            ring = check_ring_axioms(plane, group, tp, len(endomorphisms))
+            ring = check_ring_axioms(plane, group, tp, num_endomorphisms)
             results["ring"] = ring.to_dict()
             all_pass = ring.all_pass
     if args.dump:

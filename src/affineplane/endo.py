@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
 from .incidence import IncidencePlane
@@ -170,12 +170,24 @@ def enumerate_endomorphisms(
        different from phi(s_k), so phi is emitted once.  The old route
        accepts the same set, one assignment each, since a homomorphism is
        fixed by its generator images.  Both lists are sorted by table.
+    4. Depth-first order is table order, so no sort is needed.
+       generator_chain picks s_k as the lowest index outside H_(k-1), so
+       every index below s_k lies in H_(k-1), and the tree step (s_k, 0)
+       sets t[s_k] = y_k.  Two leaves whose images first differ at level
+       k agree on H_(k-1), so on every index below s_k, and differ at s_k,
+       where they are ordered by y_k; the loop tries y_k in ascending
+       order.
 
     Nothing here uses commutativity.  Cost per node at level k: the new
     entries of H_k and that level's pairs, instead of a full table and
     |G|.r pairs per assignment.
     """
-    return _chain_search(g, max_group)
+    return [GroupSelfMap(t, True) for t in _chain_search(g, max_group)]
+
+
+def count_endomorphisms(g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP) -> int:
+    """|End|, from the search of enumerate_endomorphisms, keeping no table."""
+    return sum(1 for _ in _chain_search(g, max_group))
 
 
 def enumerate_tp_endomorphisms(
@@ -199,33 +211,35 @@ def enumerate_tp_endomorphisms(
        every leaf below a pruned level-k node keeps the entry that failed
        there, and its table fails is_trace_preserving.
     3. The leaves are the endomorphisms that pass is_trace_preserving,
-       each once (claim 3 of enumerate_endomorphisms), sorted by table as
-       End is, so filtering End keeps them in the same order.
+       each once (claim 3 of enumerate_endomorphisms), in table order as
+       End is (claim 4), so filtering End keeps them in the same order.
 
     Cost: a node survives level k only if y_1, ..., y_k lie in the
     direction subgroups of s_1, ..., s_k, so at most q^k nodes do on a
     plane of order q, each tried against |G| images at the next level;
     filtering End tested all of End, 65,536 maps on AG(2,4).
     """
-    return _chain_search(g, max_group, g.direction_of)
+    return [GroupSelfMap(t, True, True) for t in _chain_search(g, max_group, g.direction_of)]
 
 
 def _chain_search(
     g: TranslationGroup, max_group: int, directions: Optional[tuple] = None
-) -> list[GroupSelfMap]:
-    """The one search body of enumerate_endomorphisms and, given
-    directions, of enumerate_tp_endomorphisms: checks[k] lists
-    (z, allowed[z]) for the entries z that level k fills, and is empty
-    without directions.  allowed is built after the group bound holds."""
+) -> Iterator[tuple]:
+    """The one search body of enumerate_endomorphisms, count_endomorphisms
+    and, given directions, enumerate_tp_endomorphisms: yields each leaf
+    table, in depth-first order, which is table order (claim 4 of
+    enumerate_endomorphisms).  checks[k] lists (z, allowed[z]) for the
+    entries z that level k fills, and is empty without directions.  The
+    group bound is checked, and allowed built, at the first next()."""
     if g.order > max_group:
         raise OrderTooLarge(
             f"endomorphism enumeration bounded to group order {max_group}, "
             f"got {g.order}"
         )
-    tp = None if directions is None else True  # the leaves' is_trace_preserving
     gens, levels = generator_chain(g)
     if not gens:
-        return [GroupSelfMap((0,), is_endomorphism=True, is_trace_preserving=tp)]
+        yield (0,)
+        return
 
     cayley = g.cayley
     if directions is None:
@@ -239,9 +253,8 @@ def _chain_search(
     last = len(levels) - 1
     t = [0] * g.order
     rows: list = [None] * len(gens)  # rows[j] = cayley[y_j]
-    out = []
 
-    def search(k: int) -> None:
+    def search(k: int) -> Iterator[tuple]:
         steps, pairs = levels[k]
         tests = checks[k]
         for y in range(g.order):
@@ -257,13 +270,11 @@ def _chain_search(
                         break
                 else:
                     if k == last:
-                        out.append(GroupSelfMap(tuple(t), True, tp))
+                        yield tuple(t)
                     else:
-                        search(k + 1)
+                        yield from search(k + 1)
 
-    search(0)
-    out.sort(key=lambda a: a.table)
-    return out
+    yield from search(0)
 
 
 @dataclass

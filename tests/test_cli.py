@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from affineplane.cli import main
 from conftest import ag24_document
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
+RING = ["--trace-preserving", "--check-ring"]
 
 
 def count_calls(monkeypatch, name, module=cli):
@@ -78,6 +80,14 @@ class TestBuild:
 
     def test_order_above_bound_exits_2(self, capsys):
         assert run(capsys, "build", "--order", "17")[0] == 2
+
+    def test_huge_order_exits_2_before_the_primality_test(self, capsys):
+        # 2^61 - 1 is prime: trial division up to its square root takes minutes
+        start = time.perf_counter()
+        code, _, err = run(capsys, "build", "--order", str(2**61 - 1))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == f"build failed: order {2**61 - 1} exceeds the bound 13\n"
 
 
 class TestCheck:
@@ -188,11 +198,15 @@ class TestEndo:
     @pytest.mark.parametrize(
         "plane,flags,digest",
         [
-            ("2", ["--dump"], "c7dab69375185f2e4af8a79e456c2a4113060f9f3d612b5aac7ef9e788999ec9"),
-            ("3", ["--dump"], "320616817a6fddbf6108eb6c1d9a6f6932920ac57894702506279f27b67808bd"),
-            ("ag24", [], "681c315c9a173bb28d0da9b0779ad6651a8ca1fa2f3be178e72bc37aa0883009"),
-            ("5", ["--dump"], "853fbbcdad9082d5a83758ddf0295fa28f47d0ffe14e031c1eb67b809f4b1302"),
-            ("7", ["--dump"], "cb9ec5b21960c2af90e3990bbc63e8fe4127fa477e5db9ce8d4bfaed99b17e7d"),
+            ("2", RING + ["--dump"], "c7dab69375185f2e4af8a79e456c2a4113060f9f3d612b5aac7ef9e788999ec9"),
+            ("3", RING + ["--dump"], "320616817a6fddbf6108eb6c1d9a6f6932920ac57894702506279f27b67808bd"),
+            ("ag24", RING, "681c315c9a173bb28d0da9b0779ad6651a8ca1fa2f3be178e72bc37aa0883009"),
+            ("5", RING + ["--dump"], "853fbbcdad9082d5a83758ddf0295fa28f47d0ffe14e031c1eb67b809f4b1302"),
+            ("7", RING + ["--dump"], "cb9ec5b21960c2af90e3990bbc63e8fe4127fa477e5db9ce8d4bfaed99b17e7d"),
+            # End counted, not listed
+            ("5", RING, "da4eec3947720781105007960d54417dc4766d19e1a9b52c757a0d2cad9bd215"),
+            ("7", RING, "bd5e6fb3ad37d4e3926de77a7e6df71b0711210bc5e927c2ad91a3b1c5c052c0"),
+            ("ag24", [], "225f132ab9c9965a12897d8786d8722feb43281b16623b779d093466874cc2d5"),
         ],
     )
     def test_ring_report_is_pinned(self, tmp_path, capsys, plane, flags, digest):
@@ -202,9 +216,7 @@ class TestEndo:
             path.write_text(json.dumps(ag24_document()))
         else:
             assert run(capsys, "build", "--order", plane, "--out", str(path))[0] == 0
-        code, out, _ = run(
-            capsys, "endo", str(path), "--trace-preserving", "--check-ring", *flags
-        )
+        code, out, _ = run(capsys, "endo", str(path), *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -349,8 +361,9 @@ class TestStages:
         [
             ("check", [], 0, 0),
             ("groups", ["--check-abelian", "--check-normal", "--check-directions"], 1, 0),
-            ("endo", ["--trace-preserving", "--check-ring"], 1, 1),
+            ("endo", ["--trace-preserving", "--check-ring"], 1, 0),  # End is counted
             ("verify-all", [], 1, 1),
+            ("endo", ["--dump"], 1, 1),
         ],
     )
     def test_each_stage_at_most_once(
@@ -363,6 +376,20 @@ class TestStages:
         assert (len(dilations), len(endomorphisms)) == (
             dilation_searches, endomorphism_searches,
         )
+
+    def test_counted_end_keeps_no_table(self, tmp_path, capsys):
+        # listing End held 65,536 maps on AG(2,4), a tracemalloc peak of 15 MB
+        path = tmp_path / "ag24.json"
+        path.write_text(json.dumps(ag24_document()))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "endo", str(path), *RING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["results"]["num_endomorphisms"] == 2**16
+        assert peak < 2 * 2**20
 
     def test_plain_endo_skips_the_tp_filter(self, p2_file, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "is_trace_preserving", endo)

@@ -2,8 +2,9 @@
 
 ``is_endomorphism`` checks the homomorphism identity at the generators
 only, ``generator_chain`` saturates the group once for every reader of
-the generators, ``enumerate_endomorphisms`` searches along that chain and
-tests each level's pairs once per subgroup,
+the generators, ``enumerate_endomorphisms`` searches along that chain,
+tests each level's pairs once per subgroup and meets its leaves in
+table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
 generating set, ``classify`` checks one line at a time and reads a
@@ -30,6 +31,7 @@ from affineplane import (
     check_normal_in_dilations,
     classify,
     compose,
+    count_endomorphisms,
     direction,
     enumerate_collineations,
     enumerate_dilations,
@@ -47,11 +49,12 @@ from affineplane import (
     verify_axioms,
 )
 from affineplane.cli import _closed
-from affineplane.endo import _sum_table
+from affineplane.endo import DEFAULT_MAX_GROUP, _chain_search, _sum_table
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
     NotEndomorphism,
+    OrderTooLarge,
     SameLine,
     SizeMismatch,
 )
@@ -442,10 +445,21 @@ class TestGeneratorChainOracle:
         assert generator_chain(g) is generator_chain(g)
 
 
+def assert_increasing_leaves(g, directions=None):
+    """The raw leaf stream of the chain search is strictly increasing by
+    table (claim 4 of enumerate_endomorphisms): no sort is needed."""
+    leaves = list(_chain_search(g, DEFAULT_MAX_GROUP, directions))
+    assert all(a < b for a, b in zip(leaves, leaves[1:]))
+    return leaves
+
+
 def assert_same_endomorphism_lists(g):
     chain = enumerate_endomorphisms(g)
-    assert [a.table for a in chain] == [a.table for a in endomorphisms_oracle(g)]
+    oracle = endomorphisms_oracle(g)
+    assert [a.table for a in chain] == [a.table for a in oracle]
     assert all(a.is_endomorphism for a in chain)
+    assert assert_increasing_leaves(g) == [a.table for a in chain]
+    assert count_endomorphisms(g) == len(oracle)
     return chain
 
 
@@ -476,6 +490,8 @@ class TestEndomorphismSearchOracle:
         index = {e: i for i, e in enumerate(elements)}
         expected = sorted(tuple(index[a * e % n] for e in elements) for a in range(n))
         assert [a.table for a in enumerate_endomorphisms(g)] == expected
+        assert assert_increasing_leaves(g) == expected
+        assert count_endomorphisms(g) == n
 
     @pytest.mark.parametrize("name", ["Z4", "S3"])
     def test_small_groups_against_every_table(self, name):
@@ -484,11 +500,25 @@ class TestEndomorphismSearchOracle:
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
 
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_count_at_the_group_bound(self, name):
+        g, count = SMALL_GROUPS[name]
+        assert count_endomorphisms(g, max_group=g.order) == count
+        for search in (count_endomorphisms, enumerate_endomorphisms):
+            with pytest.raises(OrderTooLarge):
+                search(g, max_group=g.order - 1)
+
+    def test_trivial_group(self, p2):
+        g = build_group(p2, [identity_map(p2)])
+        assert assert_increasing_leaves(g) == [(0,)]
+        assert count_endomorphisms(g) == 1
+
 
 def assert_same_tp_lists(plane, g):
     tp = enumerate_tp_endomorphisms(plane, g)
     assert [a.table for a in tp] == [a.table for a in tp_endomorphisms_oracle(plane, g)]
     assert all(a.is_endomorphism is True and a.is_trace_preserving is True for a in tp)
+    assert assert_increasing_leaves(g, g.direction_of) == [a.table for a in tp]
     return tp
 
 
