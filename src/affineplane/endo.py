@@ -144,50 +144,59 @@ def enumerate_endomorphisms(
     """All endomorphisms, by a depth-first search along the generator chain.
 
     With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
-    H_0 = {0} < H_1 < ... < H_r = G is saturated once (generator_chain).
-    The search picks an image y_k for s_k at level k, fills the entries of
-    the new elements of H_k by the tree steps t[s_j.x] := y_j.t[x], tests
-    that level's pairs t[s_j.x] = y_j.t[x], and descends only if they
-    hold; every table that survives level r is emitted.  The old route,
-    each of the |G|^r assignments extended to a full table along one word
-    per element, then is_endomorphism on that table, emits the same list:
+    H_0 = {0} < H_1 < ... < H_r = G is saturated once, level k by a BFS
+    over the left cosets c.H_(k-1) (generator_chain).  At level k the
+    search picks an image y_k for s_k, sets the representatives by the
+    tree edges t[s_j.c] := y_j.t[c], tests each relator s_j.c = c'.h as
+    y_j.t[c] = t[c'].t[h], and only then fills t[c.h] := t[c].t[h] and
+    descends; every table that survives level r is emitted.  The old
+    route, each of the |G|^r assignments extended to a full table along
+    one word per element, then is_endomorphism on that table, emits the
+    same list:
 
-    1. A leaf passes iff its table passes is_endomorphism.  Over all
-       levels, the tree steps and the tested pairs are every (s_j, x) with
-       x in G, each once, which are is_endomorphism's pairs, and t[0] = 0
-       because 0 is in H_0 and never filled.  The tree steps hold by
-       construction, the pairs were tested, and the pair or tree step
-       (s_j, 0) gives t[s_j] = y_j.0 = y_j, so the tested identity is
-       is_endomorphism's t[s_j.x] = t[s_j].t[x].
+    1. A leaf passes iff its table passes is_endomorphism.  By induction
+       on k, t is a homomorphism on H_k iff it is one on H_(k-1) and
+       level k's relators hold.  "=>" is clear.  "<=": t[0] = 0 (never
+       filled), t[s_j] = y_j (level j's first tree edge), and each x in
+       H_k is c.h for one representative c and one h in H_(k-1), with
+       t[x] = t[c].t[h].  Each edge (j, c), j <= k, has s_j.c = c'.h' and
+       t[s_j].t[c] = t[c'].t[h']: by construction for a tree edge
+       (h' = 0), by the test for a relator, and as y_j = t[s_j] for a
+       dropped (j < k, c = 0).  So t[s_j.x] = t[c'.h'h] = t[c'].t[h'].t[h]
+       = t[s_j].t[c].t[h] = t[s_j].t[x], by associativity and the
+       homomorphism on H_(k-1): is_endomorphism's generator identity on
+       H_k = <s_1, ..., s_k>, which its proof extends to all of H_k.
     2. Pruning is sound.  Level k's test reads only entries of H_k, and
        deeper levels fill only entries outside H_k, so the leaf table of
        a passing leaf agrees there with its level-k node, and that node
        passed.  (Equivalently: a homomorphism restricts to one on H_k.)
     3. The lists are equal.  By 1, every emitted table is an
        endomorphism.  Each endomorphism phi is emitted at the leaf
-       y_k = phi(s_k): the fills there give phi(s_j.x) = phi(s_j).phi(x),
-       and every test holds.  Every other leaf has some t[s_k] = y_k
+       y_k = phi(s_k): the tree edges and fills there give
+       phi(s_j.c) = phi(s_j).phi(c) and phi(c.h) = phi(c).phi(h), and
+       every relator holds.  Every other leaf has some t[s_k] = y_k
        different from phi(s_k), so phi is emitted once.  The old route
        accepts the same set, one assignment each, since a homomorphism is
        fixed by its generator images.  Both lists are sorted by table.
     4. Depth-first order is table order, so no sort is needed.
        generator_chain picks s_k as the lowest index outside H_(k-1), so
-       every index below s_k lies in H_(k-1), and the tree step (s_k, 0)
-       sets t[s_k] = y_k.  Two leaves whose images first differ at level
-       k agree on H_(k-1), so on every index below s_k, and differ at s_k,
-       where they are ordered by y_k; the loop tries y_k in ascending
-       order.
+       every index below s_k lies in H_(k-1), and the first tree edge of
+       level k sets t[s_k] = y_k.  Two leaves whose images first differ at
+       level k agree on H_(k-1), so on every index below s_k, and differ
+       at s_k, where they are ordered by y_k; the loop tries y_k in
+       ascending order.
 
-    Nothing here uses commutativity.  Cost per node at level k: the new
-    entries of H_k and that level's pairs, instead of a full table and
-    |G|.r pairs per assignment.
+    Nothing here uses commutativity, nor that H_(k-1) is normal in H_k.
+    Cost per node at level k: its tree edges and relators, then its
+    fills, instead of a full table and |G|.r pairs per assignment.
     """
     return [GroupSelfMap(t, True) for t in _chain_search(g, max_group)]
 
 
 def count_endomorphisms(g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP) -> int:
-    """|End|, from the search of enumerate_endomorphisms, keeping no table."""
-    return sum(1 for _ in _chain_search(g, max_group))
+    """|End|, from the search of enumerate_endomorphisms, keeping no table
+    and skipping the last level's fills."""
+    return sum(1 for _ in _chain_search(g, max_group, tables=False))
 
 
 def enumerate_tp_endomorphisms(
@@ -195,19 +204,20 @@ def enumerate_tp_endomorphisms(
 ) -> list[GroupSelfMap]:
     """The trace-preserving endomorphisms, by the same chain search, pruned.
 
-    The search of enumerate_endomorphisms also requires, at each level,
-    allowed[z][t[z]] for every entry t[z] the level fills, where
-    allowed[z][y] = (y == 0 or direction_of[y] == direction_of[z]), and
-    prunes at once when that fails.  The list equals End filtered by
-    is_trace_preserving, in the same order:
+    The search of enumerate_endomorphisms also requires
+    allowed[z][t[z]] for every entry t[z] a level sets, by a tree edge or
+    a fill, where allowed[z][y] = (y == 0 or direction_of[y] ==
+    direction_of[z]), and prunes as soon as that fails.  The list equals
+    End filtered by is_trace_preserving, in the same order:
 
     1. A leaf passes iff its table passes is_endomorphism and
        is_trace_preserving.  The new elements of the levels are the
-       nonzero elements, each filled once, by its tree step, and tested
-       when it is filled; is_trace_preserving asks allowed[z][t[z]] of
-       exactly these z.  The pair tests are those of claim 1 of
+       nonzero elements, each set once, by a tree edge or a fill, and
+       tested when it is set; is_trace_preserving asks allowed[z][t[z]]
+       of exactly these z.  The relator tests are those of claim 1 of
        enumerate_endomorphisms.
-    2. Pruning is sound.  Deeper levels never rewrite an entry of H_k, so
+    2. Pruning is sound.  A tested entry of level k depends only on
+       y_1, ..., y_k, and deeper levels never rewrite an entry of H_k, so
        every leaf below a pruned level-k node keeps the entry that failed
        there, and its table fails is_trace_preserving.
     3. The leaves are the endomorphisms that pass is_trace_preserving,
@@ -223,14 +233,15 @@ def enumerate_tp_endomorphisms(
 
 
 def _chain_search(
-    g: TranslationGroup, max_group: int, directions: Optional[tuple] = None
-) -> Iterator[tuple]:
+    g: TranslationGroup, max_group: int, directions: Optional[tuple] = None, tables: bool = True
+) -> Iterator[Optional[tuple]]:
     """The one search body of enumerate_endomorphisms, count_endomorphisms
     and, given directions, enumerate_tp_endomorphisms: yields each leaf
     table, in depth-first order, which is table order (claim 4 of
-    enumerate_endomorphisms).  checks[k] lists (z, allowed[z]) for the
-    entries z that level k fills, and is empty without directions.  The
-    group bound is checked, and allowed built, at the first next()."""
+    enumerate_endomorphisms).  Given neither directions nor tables, it
+    yields None per leaf and skips the last level's fills, which nothing
+    reads then.  keep[z][y] says whether t[z] = y is allowed.  The group
+    bound is checked, and keep built, at the first next()."""
     if g.order > max_group:
         raise OrderTooLarge(
             f"endomorphism enumeration bounded to group order {max_group}, "
@@ -243,36 +254,44 @@ def _chain_search(
 
     cayley = g.cayley
     if directions is None:
-        checks = [[] for _ in levels]
+        keep = [(True,) * g.order] * g.order
     else:
         allowed = {
             d: tuple(y == 0 or directions[y] == d for y in range(g.order))
             for d in set(directions)
         }
-        checks = [[(z, allowed[directions[z]]) for z, _, _ in steps] for steps, _ in levels]
+        keep = [allowed[d] for d in directions]
     last = len(levels) - 1
     t = [0] * g.order
     rows: list = [None] * len(gens)  # rows[j] = cayley[y_j]
 
-    def search(k: int) -> Iterator[tuple]:
-        steps, pairs = levels[k]
-        tests = checks[k]
+    def search(k: int) -> Iterator[Optional[tuple]]:
+        tree, relators, fills = levels[k]
+        leaf = k == last
+        counted = leaf and not tables and directions is None
         for y in range(g.order):
             rows[k] = cayley[y]
-            for z, j, x in steps:
-                t[z] = rows[j][t[x]]
-            for z, keep in tests:
-                if not keep[t[z]]:
+            for c2, j, c in tree:
+                v = t[c2] = rows[j][t[c]]
+                if not keep[c2][v]:
                     break
             else:
-                for j, x, sx in pairs:
-                    if t[sx] != rows[j][t[x]]:
+                for j, c, c2, h in relators:
+                    if rows[j][t[c]] != cayley[t[c2]][t[h]]:
                         break
                 else:
-                    if k == last:
-                        yield tuple(t)
+                    if counted:
+                        yield None
+                        continue
+                    for z, c, h in fills:
+                        v = t[z] = cayley[t[c]][t[h]]
+                        if not keep[z][v]:
+                            break
                     else:
-                        yield from search(k + 1)
+                        if leaf:
+                            yield tuple(t)
+                        else:
+                            yield from search(k + 1)
 
     yield from search(0)
 

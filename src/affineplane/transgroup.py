@@ -129,13 +129,14 @@ def check_conjugation(
 
     Per dilation d, only the generators are conjugated point by point.
     If each of their conjugates is a translation, phi(x) = d^-1.x.d is
-    computed for every x by one Cayley lookup per tree step of the
-    generator chain, phi(gens[j].x) := phi(gens[j]).phi(x), and every
-    direction is compared.  This is the conjugate itself: conjugation by
-    a permutation is a homomorphism of the symmetric group, the Cayley
-    table records composition of permutations within the translation
-    set, which build_group checked to be closed, and the BFS order of the
-    tree steps fills x before gens[j].x, starting from phi(0) = 0.  So
+    computed for every x by one Cayley lookup per tree edge or fill of
+    the generator chain, phi(gens[j].c) := phi(gens[j]).phi(c) or
+    phi(c.h) := phi(c).phi(h), and every direction is compared.  This is
+    the conjugate itself: conjugation by a permutation is a homomorphism
+    of the symmetric group, the Cayley table records composition of
+    permutations within the translation set, which build_group checked
+    to be closed, and the tree edges and fills set every nonzero element
+    once, after the elements they read, starting from phi(0) = 0.  So
     the conjugate of every x is a translation whose index the lookups
     give, and normality holds for d.  If some generator's conjugate is
     not a translation, the translations of d are conjugated point by
@@ -161,9 +162,11 @@ def check_conjugation(
         if None not in images:
             if direction is None:
                 phi = [0] * g.order
-                for steps, _ in levels:
-                    for y, j, x in steps:
+                for tree, _, fills in levels:
+                    for y, j, x in tree:
                         phi[y] = g.cayley[images[j]][phi[x]]
+                    for z, c, h in fills:
+                        phi[z] = g.cayley[phi[c]][phi[h]]
                 for si in range(1, g.order):
                     if g.direction_of[phi[si]] != g.direction_of[si]:
                         direction = CheckResult("conjugation_direction", False, (di, si))
@@ -215,46 +218,51 @@ def check_composition_direction(g: TranslationGroup) -> CheckResult:
 
 def generator_chain(
     g: TranslationGroup,
-) -> tuple[tuple[int, ...], tuple[tuple[list, list], ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[list, list, list], ...]]:
     """(gens, levels): greedy generators and the chain they saturate.
 
     gens[k] is the lowest-index element outside H_k = <gens[:k]>, and
-    H_0 = {0} < H_1 < ... < H_r = G.  levels[k] = (steps, pairs) extend
-    H_k to H_{k+1}, which one BFS saturates from H_k over gens[:k+1]
-    (positive words suffice: every element has finite order).  Each new
-    element y = gens[j].x gets one tree step (y, j, x), listed in BFS
-    order, so x is filled before y.  pairs lists (j, x, gens[j].x) for
-    every j <= k and x in H_{k+1} outside H_k that is not a tree step.
-    For x in H_k, (j, x) with j < k was listed at an earlier level, and
-    (k, x) is a tree step: the BFS walks H_k first, and the gens[k].x,
-    x in H_k, are distinct and outside H_k, so each is new.  So over all
-    levels, the tree steps and the pairs list every (j, x) once, and the
-    tree steps fill every nonzero element once.
+    H_0 = {0} < H_1 < ... < H_r = G.  levels[k] = (tree, relators, fills)
+    extend H_k to H_{k+1} by one BFS over the left cosets c.H_k in
+    H_{k+1}, from c = 0.  Each edge (j, c), c a representative and
+    j <= k, has gens[j].c = c'.h for one representative c' and one h in
+    H_k.  If that coset is new, c' = gens[j].c is a tree edge (c', j, c),
+    listed in BFS order, so c comes before c'.  Every other edge is a
+    relator (j, c, c', h), but (j < k, 0), where c' = 0 and h = gens[j]
+    in any table, is dropped; so (k, 0) is the first tree edge.  fills
+    lists (z, c, h), z = c.h, for every other new element.  Since
+    s.(c.H_k) = (s.c).H_k, the reached cosets are closed under left
+    multiplication by gens[:k+1], so they cover H_{k+1} (positive words
+    suffice: every element has finite order), with no normality needed.
 
     Computed once per group and kept on it.
     """
     if g._chain is None:
         cayley = g.cayley
-        in_chain = [False] * g.order
-        in_chain[0] = True
+        coset: list = [None] * g.order  # coset[z] = (c, h), z = c.h, on the chain
+        coset[0] = (0, 0)
         members = [0]
         gens: list[int] = []
         levels = []
         while len(members) < g.order:
             k = len(gens)
-            gens.append(in_chain.index(False))
-            old = len(members)
-            steps, pairs = [], []
-            for i, x in enumerate(members):  # grows while it is walked: a BFS from H_k
-                for j in range(k + 1):
-                    y = cayley[gens[j]][x]
-                    if not in_chain[y]:
-                        in_chain[y] = True
-                        members.append(y)
-                        steps.append((y, j, x))
-                    elif i >= old:
-                        pairs.append((j, x, y))
-            levels.append((steps, pairs))
+            gens.append(coset.index(None))
+            for h in members:
+                coset[h] = (0, h)
+            tree, relators, reps = [], [], [0]
+            for c in reps:  # grows while it is walked: a BFS over the cosets
+                for j in range(k if c == 0 else 0, k + 1):
+                    y = cayley[gens[j]][c]
+                    if coset[y] is None:
+                        reps.append(y)
+                        tree.append((y, j, c))
+                        for h in members:
+                            coset[cayley[y][h]] = (y, h)
+                    else:
+                        relators.append((j, c, *coset[y]))
+            fills = [(cayley[c][h], c, h) for c in reps[1:] for h in members[1:]]
+            members = [cayley[c][h] for c in reps for h in members]
+            levels.append((tree, relators, fills))
         g._chain = (tuple(gens), tuple(levels))
     return g._chain
 

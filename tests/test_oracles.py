@@ -3,7 +3,7 @@
 ``is_endomorphism`` checks the homomorphism identity at the generators
 only, ``generator_chain`` saturates the group once for every reader of
 the generators, ``enumerate_endomorphisms`` searches along that chain,
-tests each level's pairs once per subgroup and meets its leaves in
+tests one relator per coset edge of each level and meets its leaves in
 table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
@@ -390,28 +390,60 @@ def greedy_generators_oracle(g):
     return gens
 
 
+def left_coset(g, c, subgroup):
+    return frozenset(g.cayley[c][h] for h in subgroup)
+
+
 def assert_chain_agrees(g):
     """generator_chain's generators are the greedy ones, and its levels are
-    what claims 1 and 3 of enumerate_endomorphisms rest on: over all
-    levels, the tree steps and the pairs list every (j, x) once, the tree
-    steps fill every nonzero element once, each x before gens[j].x, and
-    level k reads only elements of H_{k+1} through gens[:k+1]."""
+    what claims 1, 3 and 4 of enumerate_endomorphisms rest on.  Level k
+    extends H = span(gens[:k]) to K = span(gens[:k+1]), and:
+    - the representatives, 0 and the tree edges' targets, lie one in each
+      left coset c.H of K, and the first tree edge is (gens[k], k, 0);
+    - the tree edges and the relators list every edge (j, c), c a
+      representative and j <= k, once, except (j < k, c = 0), and
+      gens[j].c = c'.h with c' a representative and h in H;
+    - the fills list every element of K outside H that is no
+      representative once, as z = c.h with c a representative and h in H;
+    - each entry is set after the entries it reads: a tree edge reads a
+      representative set before it, a relator or fill only
+      representatives and H, and the fills follow the tree edges;
+    - the union of the levels is G."""
     gens, levels = generator_chain(g)
     assert list(gens) == generators(g) == greedy_generators_oracle(g)
     assert len(levels) == len(gens)
-    filled, seen = {0}, []
-    for k, (steps, pairs) in enumerate(levels):
-        for y, j, x in steps:
-            assert j <= k and x in filled and y not in filled
-            assert y == g.cayley[gens[j]][x]
-            filled.add(y)
-            seen.append((j, x))
-        assert filled == span(g, gens[: k + 1])
-        for j, x, y in pairs:
-            assert j <= k and x in filled and y == g.cayley[gens[j]][x]
-            seen.append((j, x))
-    assert sorted(seen) == [(j, x) for j in range(len(gens)) for x in range(g.order)]
-    assert sorted(y for steps, _ in levels for y, _, _ in steps) == list(range(1, g.order))
+    old = {0}
+    for k, (tree, relators, fills) in enumerate(levels):
+        new = span(g, gens[: k + 1])
+        assert old == span(g, gens[:k]) < new
+        assert tree[0] == (gens[k], k, 0)
+        reps, filled = [0], set(old)
+        for c2, j, c in tree:
+            assert j <= k and c in reps and c2 == g.cayley[gens[j]][c]
+            assert c2 not in filled
+            reps.append(c2)
+            filled.add(c2)
+        cosets = {left_coset(g, c, old) for c in new}
+        assert {left_coset(g, c, old) for c in reps} == cosets and len(reps) == len(cosets)
+        edges = [(j, c) for _, j, c in tree]
+        for j, c, c2, h in relators:
+            assert c in reps and c2 in reps and h in old
+            assert g.cayley[gens[j]][c] == g.cayley[c2][h]
+            edges.append((j, c))
+        assert sorted(edges) == sorted(
+            (j, c) for c in reps for j in range(k + 1) if c != 0 or j == k
+        )
+        for z, c, h in fills:
+            assert c in reps and h in old and z == g.cayley[c][h]
+            assert z not in filled
+            filled.add(z)
+        assert filled == new
+        old = new
+    assert old == set(range(g.order))
+
+
+def level_sizes(g):
+    return [tuple(map(len, level)) for level in generator_chain(g)[1]]
 
 
 class TestGeneratorChainOracle:
@@ -439,6 +471,26 @@ class TestGeneratorChainOracle:
     def test_trivial_group(self, p2):
         g = build_group(p2, [identity_map(p2)])
         assert generator_chain(g) == ((), ())
+
+    def test_s3_has_a_level_over_a_subgroup_that_is_not_normal(self):
+        # H_1 = <a transposition> has order 2 and index 3 in H_2 = S_3, and
+        # is not normal: the left-coset levels do not rest on normality
+        g, _ = SMALL_GROUPS["S3"]
+        gens, _ = generator_chain(g)
+        subgroups = [span(g, gens[:k]) for k in range(len(gens) + 1)]
+        assert [len(h) for h in subgroups] == [1, 2, 6]
+        h, k = subgroups[1], subgroups[2]
+        assert any(g.cayley[g.cayley[x][y]][g.inverse[x]] not in h for x in k for y in h)
+        assert level_sizes(g) == [(1, 1, 0), (2, 3, 2)]
+
+    # the per-level work of the End search: (tree edges, relators, fills);
+    # a node at level k tests one relator per coset edge, not every
+    # generator pair of the level's new elements
+    def test_level_sizes_on_ag24(self, ag24):
+        assert level_sizes(plane_group(ag24)) == [(1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 7)]
+
+    def test_level_sizes_on_ag27(self):
+        assert level_sizes(plane_group(build_prime_plane(7))) == [(6, 1, 0), (6, 7, 36)]
 
     def test_computed_once(self, groups):
         g = groups[3]
@@ -483,7 +535,7 @@ class TestEndomorphismSearchOracle:
     @pytest.mark.parametrize("n", [8, 16])
     def test_cyclic_groups_with_one_generator_per_level(self, n):
         # generators() picks n/2, n/4, ..., 1: a chain of log2(n) levels,
-        # each of index 2, and every level's pairs reject images; End(Z_n)
+        # each of index 2, and every level's relators reject images; End(Z_n)
         # is x -> a.x
         elements, g = two_adic_cyclic(n)
         assert len(generators(g)) == n.bit_length() - 1
