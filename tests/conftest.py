@@ -78,6 +78,22 @@ def hall9_document() -> dict:
     return spread_document(spread)
 
 
+def corrupted_documents(document) -> dict:
+    """Four loadable documents that break a plane of order at least 3:
+    its first line dropped, its first two lines merged, the last point of
+    its first line moved to the first point off that line, and an extra
+    point on no line."""
+    n, lines = document["points"], [list(line) for line in document["lines"]]
+    first = lines[0]
+    off = next(p for p in range(n) if p not in first)
+    return {
+        "line_dropped": {"points": n, "lines": lines[1:]},
+        "lines_merged": {"points": n, "lines": [sorted(set(first) | set(lines[1]))] + lines[2:]},
+        "point_moved": {"points": n, "lines": [first[:-1] + [off]] + lines[1:]},
+        "isolated_point": {"points": n + 1, "lines": lines},
+    }
+
+
 def table_group(elements, mul) -> TranslationGroup:
     """A finite group as a TranslationGroup, from its elements and product.
 

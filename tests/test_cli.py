@@ -7,12 +7,21 @@ import tracemalloc
 
 import pytest
 
-from affineplane import cli, endo
+from affineplane import build_prime_plane, cli, endo
 from affineplane.cli import main
-from conftest import ag24_document
+from conftest import ag24_document, ag29_document, corrupted_documents, hall9_document
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 RING = ["--trace-preserving", "--check-ring"]
+GROUP_CHECKS = ["--check-abelian", "--check-normal", "--check-directions"]
+
+
+def plane_document(name: str) -> dict:
+    """The document of AG(2,p) for a prime name, else of a named order-4 or order-9 plane."""
+    documents = {"ag24": ag24_document, "ag29": ag29_document, "hall9": hall9_document}
+    if name in documents:
+        return documents[name]()
+    return build_prime_plane(int(name)).to_document()
 
 
 def count_calls(monkeypatch, name, module=cli):
@@ -111,6 +120,31 @@ class TestCheck:
         assert report["status"] == "fail"
         assert report["results"]["axioms"]["unique_join"]["witness"][:2] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "plane,corruption,digest",
+        [
+            ("3", "line_dropped", "7ab964f885724b791362b56608746b8c77583564c4848adfd8d99960c3c11e31"),
+            ("3", "lines_merged", "89abfb73dbe6632fc6466bb1aade43c02cc0fce6d270b357ab7ca61de98725e4"),
+            ("3", "point_moved", "0daa4b09f7052b2c6d5e1c4d8eb95612bbf58c291c8295320aa47019bd6e15ba"),
+            ("3", "isolated_point", "6000d6b6fef669a9c7243337fb9b88efa50e935299e875d1d128d551f38f5cfc"),
+            ("ag24", "line_dropped", "de7416c08581bf5a0ed361f63e9ad1736cddfc1985b2566fa7117fc06693c90d"),
+            ("ag24", "lines_merged", "bf42a12a0f633be3d7bce2287f30fa1dac92f156760bb358b7de8af4cfab12a4"),
+            ("ag24", "point_moved", "77d9dc22a2f3be71f4dd3a0b2318a0a0fd4c5b6e16559a4235ca1a250e7fdde5"),
+            ("ag24", "isolated_point", "4a63258a6bb4961edcb4d787755bb58a0e84f130e979993b907fb902a23d1c4a"),
+            ("hall9", "line_dropped", "57aefd588b817a91d0e785d5e739067783480f49a703f0c55dce64e3d8f6f7f5"),
+            ("hall9", "lines_merged", "3918c25e54322106f55b7dcd1bdd4c4fa1dc1787b7f53280b231abc89d926fd2"),
+            ("hall9", "point_moved", "7b3887a097400b3ee4d06dcbb148224b1bd056a3afd423eb1bbb89cd0bb3db72"),
+            ("hall9", "isolated_point", "4ad282b79490f8fe700c87bd8261dc3fb95bb4ce216a621b9d3c63198398d623"),
+        ],
+    )
+    def test_corrupted_report_is_pinned(self, tmp_path, capsys, plane, corruption, digest):
+        """sha256 of the stdout of the per-pair and per-line axiom scans, with their witnesses."""
+        path = tmp_path / "corrupted.json"
+        path.write_text(json.dumps(corrupted_documents(plane_document(plane))[corruption]))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"points": 4, "lines": [[0')
@@ -166,6 +200,25 @@ class TestGroups:
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "groups", p3_file, *flags)[0] == 0
         assert len(calls) == passes
+
+
+    @pytest.mark.parametrize(
+        "plane,digest",
+        [
+            ("7", "510c1adf1d5ee1cdaf900820f50df651ee530bd6d60a62576acb12dd53e0b1da"),
+            ("ag29", "eee42e33ca074c34a9b4314af1525e155e4029326f2e763507edaa2e236c0558"),
+            ("hall9", "2661301415b1cfc663f22356cbc16999a6565fec10e8f8d051515ce730e37c4e"),
+        ],
+    )
+    def test_report_is_pinned(self, tmp_path, capsys, plane, digest):
+        """sha256 of the stdout of the point-map Cayley table and conjugation scans."""
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(plane_document(plane)))
+        code, out, _ = run(
+            capsys, "groups", str(path), "--dilations", "--translations", *GROUP_CHECKS
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEndo:
