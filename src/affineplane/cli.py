@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 from . import __version__
@@ -42,6 +43,7 @@ from .transgroup import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+REPORT_FORMAT = {"indent": 2, "sort_keys": True}
 
 
 def _bound(text: str) -> int:
@@ -62,15 +64,19 @@ BOUNDS = {
 }
 
 
-def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
-    document = {
+def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
+    return {
         "tool_version": __version__,
         "command": command,
         "plane_summary": plane_summary,
         "results": results,
         "status": status,
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
+    """The report text that _finish streams."""
+    return json.dumps(_report(command, plane_summary, results, status), **REPORT_FORMAT) + "\n"
 
 
 def emit(text: str, out_path: str | None) -> None:
@@ -113,9 +119,13 @@ def _translation_group(plane, max_order: int):
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
-    """Emit the report, then the stderr note with {status} filled in."""
+    """Stream the report to --out or stdout, then the stderr note with {status} filled in.
+
+    json.dump writes the chunks render_report joins: the same bytes, never all in memory."""
     status = "pass" if passed else "fail"
-    emit(render_report(args.command, summary, results, status), args.out)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        json.dump(_report(args.command, summary, results, status), fh, **REPORT_FORMAT)
+        fh.write("\n")
     print(note.format(status=status), file=sys.stderr)
     return EXIT_PASS if passed else EXIT_FAIL
 

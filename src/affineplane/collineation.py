@@ -9,6 +9,7 @@ translation (no fixed point, or the identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .builder import DEFAULT_MAX_ORDER
@@ -102,47 +103,54 @@ def direction(plane: IncidencePlane, f: ClassifiedMap) -> Optional[int]:
 def classify(plane: IncidencePlane, image) -> ClassifiedMap:
     """Classify a point map as strongly as its properties allow.
 
-    The one validation of a map: a single pass looks up the index m of
-    each line l's image point set.
-    - Collineation: every m exists.  A map with f(p) = f(q), p != q, fails
-      at l = join(p, q), whose image has fewer points than any line (all
-      lines of an affine plane have the same size), so it is "general".
-    - Dilation: moreover class_of[m] == class_of[l] for every l, which is
-      the definition: a collineation maps join(p, q) onto a line through
-      f(p) and f(q), that is onto join(f(p), f(q)), and every line is
-      join(p, q) for two of its points.  O(q^3) instead of O(q^4) pairs.
-    - Direction of a fixed-point-free dilation: the class of its invariant
-      lines (m == l), which are its traces.  If l = join(p, f(p)), f(l) is
-      parallel to l and holds f(p), which is on l, so f(l) = l.  If
-      f(l) = l and p is on l, then f(p) != p is on l, so l is p's trace.
-      So the invariant lines' classes are the traces' classes, which
-      direction() compares point by point.
+    The one validation of a map: the dilation test of _as_dilation, then,
+    for a map that fails it, one pass looking up each line's image point
+    set: a collineation if every one is a line, else "general".  A map
+    with f(p) = f(q), p != q, fails at join(p, q), whose image has fewer
+    points than any line (all lines of an affine plane have q points).
     """
     _check_size(plane, image)
     plane.require_verified()
     image = tuple(image)
-    fixed = fixed_points(image)
-    class_of = parallel_partition(plane).class_of
+    f = _as_dilation(plane, image)
+    if f is not None:
+        return f
     line_index = plane.line_index
-    dilation = True
-    invariant = set()
-    for lid, pts in enumerate(plane.lines):
-        m = line_index.get(frozenset([image[p] for p in pts]))
-        if m is None:
-            return ClassifiedMap(image, "general", fixed)
-        if m == lid:
-            invariant.add(class_of[lid])
-        elif class_of[m] != class_of[lid]:
-            dilation = False
-    if not dilation:
-        return ClassifiedMap(image, "collineation", fixed)
-    if len(fixed) == plane.num_points:
+    if all(frozenset([image[p] for p in pts]) in line_index for pts in plane.lines):
+        return ClassifiedMap(image, "collineation", fixed_points(image))
+    return ClassifiedMap(image, "general", fixed_points(image))
+
+
+def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[ClassifiedMap]:
+    """The image classified as a dilation or translation, None if it is neither.
+
+    The test: f is a bijection onto the points and, for each class c,
+    par[c].f is constant on each line of c (two itemgetter calls), that
+    is f maps each line of c into a line of c.  Such an f is a dilation:
+    it maps each line onto a line of its class, as lines have q points,
+    so join(p, q) onto join(f(p), f(q)) in the class of join(p, q).  A
+    dilation passes: it is injective (see classify), so a bijection.
+    The direction of a fixed-point-free dilation is the class of its
+    trace join(0, f(0)).  A trace join(p, f(p)) is invariant, since its
+    image is parallel to it through f(p), so two traces of different
+    classes would meet in a fixed point.  So all traces share one class,
+    which direction() compares point by point.
+    """
+    n = plane.num_points
+    if set(image) != set(range(n)):
+        return None
+    apply = itemgetter(*image)
+    for row, first in zip(plane.parallel_table(), plane.first_point_getters()):
+        moved = apply(row)
+        if first(moved) != moved:
+            return None
+    fixed = fixed_points(image)
+    if len(fixed) == n:
         return ClassifiedMap(image, "translation", fixed)
     if fixed:
         return ClassifiedMap(image, "dilation", fixed)
-    if len(invariant) != 1:
-        raise TraceClassMismatch(f"traces fall into {len(invariant)} parallel classes")
-    return ClassifiedMap(image, "translation", fixed, invariant.pop())
+    line = plane.join_table()[0][image[0]]
+    return ClassifiedMap(image, "translation", fixed, parallel_partition(plane).class_of[line])
 
 
 def identity_map(plane: IncidencePlane) -> ClassifiedMap:
@@ -214,11 +222,11 @@ def enumerate_dilations(
     A dilation is pinned down by the images of two distinct points A, B,
     which must span a line parallel to AB.  Every candidate image pair is
     extended pointwise by intersecting parallels and the result validated
-    and classified by one classify call, so the construction cannot
-    over-report.  No other check is needed:
+    and classified by the dilation test of classify alone (_as_dilation),
+    so the construction cannot over-report.  No other check is needed:
     - A completed candidate that is not a bijection is dropped: the steps
-      fill every point but A and B with a point, so it is a self-map of a
-      finite set that is not injective, which classify calls "general".
+      fill every point but A and B with a point, and the test requires a
+      bijection.
     - Each dilation is listed once: two candidates differ in their image
       of A or of B, so no image is built twice.
     """
@@ -261,8 +269,8 @@ def enumerate_dilations(
                         break
                     image[c] = c2
                 else:
-                    f = classify(plane, image)
-                    if f.kind in ("dilation", "translation"):
+                    f = _as_dilation(plane, tuple(image))
+                    if f is not None:
                         found.append(f)
     found.sort(key=lambda f: f.image)
     return found

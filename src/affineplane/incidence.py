@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, product
+from operator import itemgetter, or_
 from typing import Optional
 
 from .errors import (
@@ -101,6 +104,7 @@ class IncidencePlane:
         self._partition: Optional[DirectionPartition] = None
         self._join: Optional[list[list[int]]] = None
         self._parallel: Optional[list[list[int]]] = None
+        self._firsts: Optional[list[itemgetter]] = None
         self._meet: Optional[list[list[Optional[int]]]] = None
 
     @property
@@ -149,6 +153,14 @@ class IncidencePlane:
                     row[p] = lid
             self._parallel = table
         return self._parallel
+
+    def first_point_getters(self) -> list[itemgetter]:
+        """first[c](t) = (t[s(0)], ..., t[s(n-1)]), s(p) the smallest point on
+        p's line of class c: t is constant on each line of c iff first[c](t) == t."""
+        if self._firsts is None:
+            smallest = [min(pts) for pts in self.lines]
+            self._firsts = [itemgetter(*[smallest[l] for l in row]) for row in self.parallel_table()]
+        return self._firsts
 
     def meet_table(self) -> list[list[Optional[int]]]:
         """line-meet lookup: meet[l][m] = common point of l != m, None if parallel.
@@ -218,44 +230,37 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
 
     Failures are report content (with a witness), never exceptions.
     Updates ``plane.axiom_status``.
+
+    Bit l of mask[p] is set iff p is on line l, and meets[l], the union
+    of mask[x] over the points x of l, has bit m set iff l and m meet.
+    So the lines joining p and q number popcount(mask[p] & mask[q]), the
+    parallels to l through p (lines on p missing l) number
+    popcount(mask[p] & ~meets[l]), and p, q, r are collinear iff
+    mask[p] & mask[q] & mask[r] != 0: the lengths of the lists the
+    axioms define, scanned in the same order, so the witnesses agree.
     """
     n = plane.num_points
+    mask = [sum(1 << lid for lid in through) for through in plane.lines_through]
+    meets = [reduce(or_, [mask[p] for p in pts]) for pts in plane.lines]
 
     unique_join = AxiomCheck(True)
-    for p in range(n):
-        for q in range(p + 1, n):
-            joins = [lid for lid in plane.lines_through[p] if q in plane.lines[lid]]
-            if len(joins) != 1:
-                unique_join = AxiomCheck(False, (p, q, len(joins)))
-                break
-        if not unique_join.passed:
+    for p, q in combinations(range(n), 2):
+        joins = (mask[p] & mask[q]).bit_count()
+        if joins != 1:
+            unique_join = AxiomCheck(False, (p, q, joins))
             break
 
     unique_parallel = AxiomCheck(True)
-    for p in range(n):
-        on_p = set(plane.lines_through[p])
-        for lid, pts in enumerate(plane.lines):
-            if p in pts:
-                continue
-            parallels = [m for m in on_p if plane.lines[m].isdisjoint(pts)]
-            if len(parallels) != 1:
-                unique_parallel = AxiomCheck(False, (p, lid, len(parallels)))
-                break
-        if not unique_parallel.passed:
+    for p, (lid, meets_l) in product(range(n), enumerate(meets)):
+        parallels = (mask[p] & ~meets_l).bit_count()
+        if not mask[p] >> lid & 1 and parallels != 1:
+            unique_parallel = AxiomCheck(False, (p, lid, parallels))
             break
 
     triangle = AxiomCheck(False, ("no non-collinear point triple",))
-    for p in range(n):
-        for q in range(p + 1, n):
-            for r in range(q + 1, n):
-                if not any(
-                    {p, q, r} <= pts for pts in plane.lines
-                ):
-                    triangle = AxiomCheck(True)
-                    break
-            if triangle.passed:
-                break
-        if triangle.passed:
+    for p, q, r in combinations(range(n), 3):
+        if not mask[p] & mask[q] & mask[r]:
+            triangle = AxiomCheck(True)
             break
 
     report = AxiomReport(unique_join, unique_parallel, triangle)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .collineation import ClassifiedMap
-from .errors import MissingIdentity, NotClosed
+from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import IncidencePlane
 
 
@@ -56,6 +56,7 @@ class TranslationGroup:
 
     def __post_init__(self):
         self._lookup = {f.image: i for i, f in enumerate(self.elements)}
+        self._by_key = {f.image[:2]: i for i, f in enumerate(self.elements)}  # see build_group
         self._chain: Optional[tuple] = None  # generator_chain(self), once computed
 
     def element_order(self, i: int) -> int:
@@ -69,35 +70,39 @@ class TranslationGroup:
 def build_group(
     plane: IncidencePlane, translations: list[ClassifiedMap]
 ) -> TranslationGroup:
-    """Assemble the group, failing loudly if composition escapes the list."""
+    """Assemble the group, failing loudly if composition escapes the list.
+
+    Precondition: every element is a translation as classify says; an
+    element of another kind raises NotTranslation.  Each Cayley entry is
+    read from the key (f(0), f(1)) of the composite f = a.b, which is a
+    dilation, since it maps each line onto a line of the same class.
+    Two dilations that agree at points 0 and 1 are equal (a dilation is
+    fixed by the images of two points: enumerate_dilations' construction
+    with A, B = 0, 1), so the key names the listed element equal to the
+    composite, or none when the composite is not listed.
+    """
     identity = tuple(range(plane.num_points))
+    for f in translations:
+        if f.kind != "translation":
+            raise NotTranslation(f"build_group requires translations, got kind {f.kind!r}")
     ordered = sorted(translations, key=lambda f: f.image)
     if not ordered or ordered[0].image != identity:
         raise MissingIdentity("translation list does not contain the identity")
-    lookup = {f.image: i for i, f in enumerate(ordered)}
-    n = len(ordered)
+    keys = [f.image[:2] for f in ordered]
+    by_key = {key: i for i, key in enumerate(keys)}
 
     cayley = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            composite = compose_images(ordered[i].image, ordered[j].image)
-            k = lookup.get(composite)
-            if k is None:
-                raise NotClosed(
-                    f"composite of elements {i} and {j} is not a listed translation"
-                )
-            row.append(k)
+    for i, f in enumerate(ordered):
+        row = [by_key.get((f.image[a], f.image[b])) for a, b in keys]
+        if None in row:
+            raise NotClosed(
+                f"composite of elements {i} and {row.index(None)} is not a listed translation"
+            )
         cayley.append(tuple(row))
 
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if cayley[i][j] == 0:
-                inverse[i] = j
-                break
-        if inverse[i] == -1:
-            raise NotClosed(f"element {i} has no inverse in the list")
+    inverse = [row.index(0) if 0 in row else -1 for row in cayley]
+    if -1 in inverse:
+        raise NotClosed(f"element {inverse.index(-1)} has no inverse in the list")
 
     return TranslationGroup(
         elements=tuple(ordered),
@@ -127,38 +132,41 @@ def check_conjugation(
     non-identity translation and its conjugate share a direction, and
     fails with the first (di, si), si >= 1, that breaks either condition.
 
-    Per dilation d, only the generators are conjugated point by point.
-    If each of their conjugates is a translation, phi(x) = d^-1.x.d is
-    computed for every x by one Cayley lookup per tree edge or fill of
-    the generator chain, phi(gens[j].c) := phi(gens[j]).phi(c) or
-    phi(c.h) := phi(c).phi(h), and every direction is compared.  This is
-    the conjugate itself: conjugation by a permutation is a homomorphism
-    of the symmetric group, the Cayley table records composition of
-    permutations within the translation set, which build_group checked
-    to be closed, and the tree edges and fills set every nonzero element
-    once, after the elements they read, starting from phi(0) = 0.  So
-    the conjugate of every x is a translation whose index the lookups
-    give, and normality holds for d.  If some generator's conjugate is
-    not a translation, the translations of d are conjugated point by
-    point, as the definition reads, which yields the same witnesses.
-    Cost per dilation: rank point-wise conjugates plus one lookup per
-    element, instead of |G| point-wise conjugates for each check.
+    Per dilation d, only the generators are conjugated: by their key
+    (c(0), c(1)) as in build_group when d's kind is "dilation" or
+    "translation", since composites and inverses of dilations are
+    dilations, else point by point.  If each conjugate is a translation,
+    phi(x) = d^-1.x.d is computed for every x by one Cayley lookup per
+    tree edge or fill of the generator chain, phi(gens[j].c) :=
+    phi(gens[j]).phi(c) or phi(c.h) := phi(c).phi(h), and every direction
+    is compared.  This is the conjugate itself: conjugation by a
+    permutation is a homomorphism of the symmetric group, the Cayley
+    table records composition of permutations within the translation
+    set, which build_group checked to be closed, and the tree edges and
+    fills set every nonzero element once, after the elements they read,
+    starting from phi(0) = 0.  So the conjugate of every x is a
+    translation whose index the lookups give, and normality holds for d.
+    If some generator's conjugate is not a translation, the translations
+    are conjugated point by point, as the definition reads, with d^-1
+    built once, which yields the same witnesses.  Cost per dilation: rank
+    key lookups plus one lookup per element, instead of |G| point-wise
+    conjugates for each check.
     """
     normal: Optional[CheckResult] = None
     direction: Optional[CheckResult] = None
     gens, levels = generator_chain(g)
+    gen_images = [g.elements[s].image for s in gens]
+
+    def conjugate(inv, s, d) -> Optional[int]:
+        return g.index_of(compose_images(inv, compose_images(s, d)))
+
     for di, delta in enumerate(dilations):
-        inv = [0] * len(delta.image)
-        for p, q in enumerate(delta.image):
-            inv[q] = p
-        inv_t = tuple(inv)
-
-        def conjugate(si: int) -> Optional[int]:
-            return g.index_of(
-                compose_images(inv_t, compose_images(g.elements[si].image, delta.image))
-            )
-
-        images = [conjugate(s) for s in gens]
+        d, inv = delta.image, None
+        if delta.kind in ("dilation", "translation"):
+            images = [g._by_key.get((d.index(s[d[0]]), d.index(s[d[1]]))) for s in gen_images]
+        else:
+            inv = _inverse(d)
+            images = [conjugate(inv, s, d) for s in gen_images]
         if None not in images:
             if direction is None:
                 phi = [0] * g.order
@@ -172,8 +180,10 @@ def check_conjugation(
                         direction = CheckResult("conjugation_direction", False, (di, si))
                         break
         else:
+            if inv is None:
+                inv = _inverse(d)
             for si in range(1, g.order):
-                ci = conjugate(si)
+                ci = conjugate(inv, g.elements[si].image, d)
                 if ci is None:
                     normal = CheckResult("normal_in_dilations", False, (di, si))
                     direction = direction or CheckResult(
@@ -188,6 +198,13 @@ def check_conjugation(
         normal or CheckResult("normal_in_dilations", True),
         direction or CheckResult("conjugation_direction", True),
     )
+
+
+def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(image)
+    for p, q in enumerate(image):
+        inv[q] = p
+    return tuple(inv)
 
 
 def check_normal_in_dilations(

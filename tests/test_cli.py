@@ -407,6 +407,18 @@ class TestOut:
         )
         assert out_path.read_text() == stdout_report
 
+    @pytest.mark.parametrize(
+        "argv", [["groups", "--translations", *GROUP_CHECKS], ["endo", "--dump"], ["verify-all"]]
+    )
+    def test_render_report_matches_the_streamed_report(self, p3_file, capsys, argv):
+        # the traced benchmark replay renders with render_report and compares bytes
+        code, out, _ = run(capsys, argv[0], p3_file, *argv[1:])
+        report = json.loads(out)
+        assert code == 0
+        assert cli.render_report(
+            report["command"], report["plane_summary"], report["results"], report["status"]
+        ) == out
+
 
 class TestStages:
     @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ tests one relator per coset edge of each level and meets its leaves in
 table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
-generating set, ``classify`` checks one line at a time and reads a
-translation's direction from its invariant lines,
-``check_conjugation`` conjugates only the generators point by point,
-and ``parallel_through_point`` / ``intersect`` answer from lookup
-tables.  The all-pairs, product-and-test, filtering and scanning
+generating set, ``verify_axioms`` counts joins and parallels with line
+bitmasks, ``classify`` tests "dilation" from the parallel table and
+reads a translation's direction from the trace of point 0,
+``build_group`` reads each Cayley entry from a two-point key,
+``check_conjugation`` conjugates only the generators, by that key for
+a dilation, and ``parallel_through_point`` / ``intersect`` answer from
+lookup tables.  The all-pairs, product-and-test, filtering and scanning
 definitions live here, as oracles, and every test below asks both for a
 verdict on the same inputs."""
 
@@ -22,6 +24,7 @@ from functools import partial
 import pytest
 
 from affineplane import (
+    AxiomReport,
     GroupSelfMap,
     add,
     build_group,
@@ -53,18 +56,27 @@ from affineplane.endo import DEFAULT_MAX_GROUP, _chain_search, _sum_table
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
+    NotClosed,
     NotEndomorphism,
     OrderTooLarge,
     SameLine,
     SizeMismatch,
 )
+from affineplane import transgroup
+from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
     compose_images,
     generator_chain,
     generators,
 )
-from conftest import ag24_document, ag29_document, hall9_document, table_group
+from conftest import (
+    ag24_document,
+    ag29_document,
+    corrupted_documents,
+    hall9_document,
+    table_group,
+)
 from test_endo import brute_force_endomorphisms
 from test_transgroup import span
 
@@ -193,6 +205,57 @@ def parallel_through_oracle(plane, l, p):
         return l
     (m,) = [m for m in plane.lines_through[p] if plane.lines[m].isdisjoint(plane.lines[l])]
     return m
+
+
+def axioms_oracle(plane):
+    """The definitions: per point pair the list of lines on both, per point
+    and line off it the list of lines on the point missing the line, and
+    a point triple on no common line."""
+    n = plane.num_points
+    unique_join = AxiomCheck(True)
+    for p, q in itertools.combinations(range(n), 2):
+        joins = [lid for lid in plane.lines_through[p] if q in plane.lines[lid]]
+        if len(joins) != 1:
+            unique_join = AxiomCheck(False, (p, q, len(joins)))
+            break
+    unique_parallel = AxiomCheck(True)
+    for p, (lid, pts) in itertools.product(range(n), enumerate(plane.lines)):
+        if p not in pts:
+            parallels = [m for m in plane.lines_through[p] if plane.lines[m].isdisjoint(pts)]
+            if len(parallels) != 1:
+                unique_parallel = AxiomCheck(False, (p, lid, len(parallels)))
+                break
+    triangle = AxiomCheck(False, ("no non-collinear point triple",))
+    for triple in itertools.combinations(range(n), 3):
+        if not any(set(triple) <= pts for pts in plane.lines):
+            triangle = AxiomCheck(True)
+            break
+    return AxiomReport(unique_join, unique_parallel, triangle)
+
+
+def cayley_oracle(translations):
+    """The all-pairs table: every composite built point by point and looked
+    up by its whole image; NotClosed names the first pair not listed."""
+    ordered = sorted(translations, key=lambda f: f.image)
+    lookup = {f.image: i for i, f in enumerate(ordered)}
+    table = []
+    for i, f in enumerate(ordered):
+        row = []
+        for j, h in enumerate(ordered):
+            k = lookup.get(compose_images(f.image, h.image))
+            if k is None:
+                raise NotClosed(f"composite of elements {i} and {j} is not a listed translation")
+            row.append(k)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def raised(fn, *args):
+    """fn's result, or the class and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except AffinePlaneError as exc:
+        return type(exc), str(exc)
 
 
 def meet_oracle(plane, l, m):
@@ -818,6 +881,20 @@ class TestDilationOracle:
         images = [(0,) * n, tuple(merged)]
         assert assert_dilation_verdicts_agree(plane, images) == ["general", "general"]
 
+    @pytest.mark.parametrize(
+        "make",
+        [partial(build_prime_plane, 3), lambda: load_plane(hall9_document())],
+        ids=["AG(2,3)", "Hall(9)"],
+    )
+    def test_maps_off_the_point_set(self, make):
+        plane = make()
+        assert verify_axioms(plane).all_pass
+        n = plane.num_points
+        shift = next(f for f in enumerate_dilations(plane) if f.kind == "translation"
+                     and not f.is_identity).image
+        images = [shift[:-1] + (n,), shift[:-1] + (-1,), (-1,) + tuple(range(1, n))]
+        assert assert_dilation_verdicts_agree(plane, images) == ["general"] * 3
+
 
 class TestConjugationOracle:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -830,6 +907,30 @@ class TestConjugationOracle:
             g, dils = groups[p], dilations[p]
         normal, direction = assert_conjugation_verdicts_agree(g, dils)
         assert normal.passed and direction.passed
+
+    @pytest.mark.parametrize("name", ["AG(2,4)", "AG(2,9)", "Hall(9)"])
+    def test_dilations_of_order_4_and_9_planes(self, name):
+        plane = verified_plane(name)
+        dils = enumerate_dilations(plane)
+        g = build_group(plane, [f for f in dils if f.kind == "translation"])
+        normal, direction = assert_conjugation_verdicts_agree(g, dils)
+        assert normal.passed and direction.passed
+
+    def test_inverse_built_once_per_map_that_is_no_dilation(self, planes, groups, dilations,
+                                                            monkeypatch):
+        # dilations are conjugated by two-point keys, other maps point by point
+        inverses = []
+        real = transgroup._inverse
+        monkeypatch.setattr(transgroup, "_inverse", lambda d: inverses.append(d) or real(d))
+        plane, g, dils = planes[3], groups[3], dilations[3]
+        check_conjugation(g, dils)
+        assert inverses == []
+        others = [classify(plane, point_map(3, lambda x, y: (y, x))),
+                  classify(plane, (1, 0) + tuple(range(2, 9)))]
+        assert [f.kind for f in others] == ["collineation", "general"]
+        normal, direction = check_conjugation(g, dils + others)
+        assert (normal.witness, direction.witness) == ((19, 1), (18, 1))
+        assert inverses == [f.image for f in others]
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_corrupted_dilation_lists(self, planes, groups, dilations, p):
@@ -898,3 +999,81 @@ class TestLookupTableOracle:
                     parallel_pairs += point is None
         # each of the p + 1 classes has p lines, pairwise parallel
         assert parallel_pairs == (p + 1) * p * (p - 1)
+
+
+PLANE_DOCUMENTS = {
+    **{f"AG(2,{p})": partial(lambda p: build_prime_plane(p).to_document(), p) for p in (2, 3, 5, 7)},
+    "AG(2,4)": ag24_document,
+    "AG(2,9)": ag29_document,
+    "Hall(9)": hall9_document,
+}
+ORDER_3_UP = [name for name in PLANE_DOCUMENTS if name != "AG(2,2)"]
+
+
+def verified_plane(name):
+    plane = load_plane(PLANE_DOCUMENTS[name]())
+    assert verify_axioms(plane).all_pass
+    return plane
+
+
+class TestAxiomOracle:
+    @pytest.mark.parametrize("name", PLANE_DOCUMENTS)
+    def test_planes(self, name):
+        plane = load_plane(PLANE_DOCUMENTS[name]())
+        report = verify_axioms(plane)
+        assert report.all_pass
+        assert report == axioms_oracle(plane)
+
+    @pytest.mark.parametrize("corruption", corrupted_documents(ag24_document()))
+    @pytest.mark.parametrize("name", ORDER_3_UP)
+    def test_corrupted_documents(self, name, corruption):
+        plane = load_plane(corrupted_documents(PLANE_DOCUMENTS[name]())[corruption])
+        report = verify_axioms(plane)
+        assert not report.all_pass
+        assert report == axioms_oracle(plane)
+
+    def test_degenerate_and_random_documents(self):
+        documents = [
+            {"points": 0, "lines": []},
+            {"points": 1, "lines": []},
+            {"points": 3, "lines": [[0, 1, 2]]},
+            {"points": 4, "lines": [[0, 1], [2, 3]]},
+            {"points": 4, "lines": [[0, 1, 2, 3], [0, 1], [2, 3]]},
+        ]
+        rng = random.Random(20200320)
+        while len(documents) < 200:
+            n = rng.randrange(3, 9)
+            lines = {frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+                     for _ in range(rng.randrange(0, 12))}
+            documents.append({"points": n, "lines": [sorted(line) for line in lines]})
+        verdicts = set()
+        for document in documents:
+            plane = load_plane(document)
+            report = verify_axioms(plane)
+            assert report == axioms_oracle(plane), document
+            verdicts.add((report.unique_join.passed, report.unique_parallel.passed,
+                          report.triangle.passed))
+        assert len(verdicts) >= 4
+
+
+class TestCayleyOracle:
+    @pytest.mark.parametrize("name", PLANE_DOCUMENTS)
+    def test_translation_groups_and_lists_that_are_not_closed(self, name):
+        plane = verified_plane(name)
+        translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
+        one_direction = [f for f in translations if f.direction in (None, 0)]
+        lists = [
+            translations,
+            one_direction,  # a subgroup: closed
+            translations[:-1],
+            translations[:len(translations) // 2] + translations[len(translations) // 2 + 1:],
+            [translations[0], translations[1]],  # closed iff the order is even
+            one_direction + [translations[-1]],
+        ]
+        outcomes = []
+        for listed in lists:
+            expected = raised(cayley_oracle, listed)
+            assert raised(lambda: build_group(plane, listed).cayley) == expected
+            outcomes.append(expected[0] if isinstance(expected[0], type) else "table")
+        pair = "table" if len(plane.lines[0]) % 2 == 0 else NotClosed
+        assert outcomes == ["table", "table", NotClosed, NotClosed, pair, NotClosed]

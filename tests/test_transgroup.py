@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from affineplane import (
+    ClassifiedMap,
     build_group,
     check_abelian,
     check_composition_direction,
@@ -11,7 +12,7 @@ from affineplane import (
     generators,
     identity_map,
 )
-from affineplane.errors import MissingIdentity, NotClosed
+from affineplane.errors import MissingIdentity, NotClosed, NotTranslation
 from affineplane.transgroup import compose_images
 
 
@@ -48,6 +49,14 @@ class TestBuildGroup:
         shift = next(f for f in translations[3] if not f.is_identity)
         with pytest.raises(NotClosed):
             build_group(p3, [identity_map(p3), shift])
+
+    @pytest.mark.parametrize("kind", ["general", "collineation", "dilation"])
+    def test_element_not_classified_as_translation_rejected(self, p3, translations, kind):
+        # the Cayley keys (f(0), f(1)) name a composite only among dilations
+        swap = (1, 0) + tuple(range(2, 9))
+        posing = ClassifiedMap(swap, kind, frozenset(range(2, 9)))
+        with pytest.raises(NotTranslation, match=kind):
+            build_group(p3, [*translations[3], posing])
 
 
 class TestChecks:
