@@ -13,6 +13,7 @@ from .errors import NotPrime, OrderTooLarge, SameLine
 from .incidence import IncidencePlane, verify_axioms
 
 DEFAULT_MAX_ORDER = 13
+DEFAULT_MAX_GROUP = 49  # the End search bound; here so the CLI reads it without loading endo
 
 
 def is_prime(n: int) -> bool:

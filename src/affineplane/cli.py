@@ -17,28 +17,12 @@ from contextlib import nullcontext
 from functools import partial
 
 from . import __version__
-from .builder import DEFAULT_MAX_ORDER, build_prime_plane
-from .collineation import enumerate_dilations
-from .endo import (
-    DEFAULT_MAX_GROUP,
-    GroupSelfMap,
-    _check_size,
-    _sum_table,
-    check_ring_axioms,
-    count_endomorphisms,
-    enumerate_endomorphisms,
-    enumerate_tp_endomorphisms,
-    is_endomorphism,
-)
+from .builder import DEFAULT_MAX_GROUP, DEFAULT_MAX_ORDER, build_prime_plane
 from .errors import AffinePlaneError, IncompleteList, MalformedDocument
 from .incidence import load_plane, parallel_partition, verify_axioms
-from .transgroup import (
-    build_group,
-    check_abelian,
-    check_composition_direction,
-    check_conjugation,
-    compose_images,
-)
+
+# Each command imports the stages it runs in its body: `check` and `build`
+# load no stage module, `groups` loads no endo.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -113,6 +97,9 @@ def _load_verified_summary(path: str):
 
 def _translation_group(plane, max_order: int):
     """The stage shared by groups, endo and verify-all: dilations, then Tr."""
+    from .collineation import enumerate_dilations
+    from .transgroup import build_group
+
     dilations = enumerate_dilations(plane, max_order=max_order)
     group = build_group(plane, [f for f in dilations if f.kind == "translation"])
     return dilations, group
@@ -164,6 +151,8 @@ def _closed(g, maps, op, predicate) -> bool:
     Cost: |S|.|T| products instead of |S|^2; sizes are checked once per
     list, not twice per product.
     """
+    from .endo import GroupSelfMap, _check_size
+
     for a in maps:
         _check_size(g, a)
     by_table = {a.table: a for a in maps}
@@ -219,6 +208,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_groups(args) -> int:
+    from .transgroup import check_abelian, check_composition_direction, check_conjugation
+
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
@@ -252,6 +243,8 @@ def cmd_groups(args) -> int:
 
 
 def cmd_endo(args) -> int:
+    from . import endo
+
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
@@ -259,10 +252,10 @@ def cmd_endo(args) -> int:
 
     group = _translation_group(plane, args.max_order)[1]  # dilations freed before the End search
     if args.dump:
-        endomorphisms = enumerate_endomorphisms(group, max_group=args.max_group)
+        endomorphisms = endo.enumerate_endomorphisms(group, max_group=args.max_group)
         num_endomorphisms = len(endomorphisms)
     else:  # End is only counted: no table is kept
-        num_endomorphisms = count_endomorphisms(group, max_group=args.max_group)
+        num_endomorphisms = endo.count_endomorphisms(group, max_group=args.max_group)
 
     results: dict = {
         "group_order": group.order,
@@ -271,13 +264,13 @@ def cmd_endo(args) -> int:
     note = f"|End| = {num_endomorphisms}"
     all_pass = True
     if args.trace_preserving or args.check_ring:
-        tp = enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
+        tp = endo.enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
         results["num_tp_endomorphisms"] = len(tp)
         note += f", |End^TP| = {len(tp)}"
         if args.dump:
             results["tp_endomorphisms"] = [list(a.table) for a in tp]
         if args.check_ring:
-            ring = check_ring_axioms(plane, group, tp, num_endomorphisms)
+            ring = endo.check_ring_axioms(plane, group, tp, num_endomorphisms)
             results["ring"] = ring.to_dict()
             all_pass = ring.all_pass
     if args.dump:
@@ -287,6 +280,8 @@ def cmd_endo(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import endo, transgroup
+
     plane, report, summary = _load_verified_summary(args.plane)
     results: dict = {"axioms": report.to_dict()}
     if not report.all_pass:
@@ -295,35 +290,35 @@ def cmd_verify_all(args) -> int:
     dilations, group = _translation_group(plane, args.max_order)
     results["num_dilations"] = len(dilations)
     results["num_translations"] = group.order
-    normal, conjugation = check_conjugation(group, dilations)
+    normal, conjugation = transgroup.check_conjugation(group, dilations)
 
     theorems = [
         ("affine_plane_axioms", report.all_pass),
         ("translations_form_group", True),  # build_group raises otherwise
-        ("translation_group_abelian", check_abelian(group).passed),
+        ("translation_group_abelian", transgroup.check_abelian(group).passed),
         ("translations_normal_in_dilations", normal.passed),
         ("conjugation_preserves_direction", conjugation.passed),
         (
             "composition_preserves_shared_direction",
-            check_composition_direction(group).passed,
+            transgroup.check_composition_direction(group).passed,
         ),
     ]
 
-    endomorphisms = enumerate_endomorphisms(group, max_group=args.max_group)
-    tp = enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
+    endomorphisms = endo.enumerate_endomorphisms(group, max_group=args.max_group)
+    tp = endo.enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
     results["num_endomorphisms"] = len(endomorphisms)
     results["num_tp_endomorphisms"] = len(tp)
 
-    add = partial(_sum_table, group.cayley)
-    is_endo = partial(is_endomorphism, group)
-    ring = check_ring_axioms(plane, group, tp, len(endomorphisms))
+    add = partial(endo._sum_table, group.cayley)
+    is_endo = partial(endo.is_endomorphism, group)
+    ring = endo.check_ring_axioms(plane, group, tp, len(endomorphisms))
     results["ring"] = ring.to_dict()
     # tp is every TP endomorphism (claim 3 of enumerate_tp_endomorphisms),
     # so a sum or composite is one iff it is listed: the closure axioms
     theorems += [
         ("endomorphism_sums_are_endomorphisms", _closed(group, endomorphisms, add, is_endo)),
         ("endomorphism_composites_are_endomorphisms",
-         _closed(group, endomorphisms, compose_images, is_endo)),
+         _closed(group, endomorphisms, transgroup.compose_images, is_endo)),
         ("tp_sums_are_trace_preserving", ring.axioms["add_closure"][0]),
         ("tp_composites_are_trace_preserving", ring.axioms["mul_closure"][0]),
         ("tp_additive_abelian_group", all(

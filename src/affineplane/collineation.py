@@ -8,9 +8,8 @@ translation (no fixed point, or the identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .builder import DEFAULT_MAX_ORDER
 from .errors import (
@@ -30,8 +29,7 @@ from .incidence import (
 DEFAULT_MAX_POINTS = 9  # collineation backtracking bound
 
 
-@dataclass(frozen=True)
-class ClassifiedMap:
+class ClassifiedMap(NamedTuple):
     """A point bijection together with its strongest classification."""
 
     image: tuple[int, ...]
@@ -124,12 +122,19 @@ def classify(plane: IncidencePlane, image) -> ClassifiedMap:
 def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[ClassifiedMap]:
     """The image classified as a dilation or translation, None if it is neither.
 
-    The test: f is a bijection onto the points and, for each class c,
-    par[c].f is constant on each line of c (two itemgetter calls), that
-    is f maps each line of c into a line of c.  Such an f is a dilation:
-    it maps each line onto a line of its class, as lines have q points,
-    so join(p, q) onto join(f(p), f(q)) in the class of join(p, q).  A
-    dilation passes: it is injective (see classify), so a bijection.
+    The test: f is a bijection onto the points and, for each class c but
+    the last, par[c].f is constant on each line of c (two itemgetter
+    calls), that is f maps each line of c into a line of c.  The last
+    class, c*, follows.  Take two points a, b of a line l of c*.  For any
+    other class c they lie on distinct lines of c, which f maps into
+    distinct lines of c: one line of q points cannot hold the 2q images
+    of two disjoint ones, f being injective.  So join(f(a), f(b)) is in
+    no class but c*, and f maps l into the line of c* through f(a).  So
+    f maps each line of every class into a line of that class.  Such an
+    f is a dilation: it maps each line onto a line of its class, as
+    lines have q points, so join(p, q) onto join(f(p), f(q)) in the
+    class of join(p, q).  A dilation passes: it is injective (see
+    classify), so a bijection.
     The direction of a fixed-point-free dilation is the class of its
     trace join(0, f(0)).  A trace join(p, f(p)) is invariant, since its
     image is parallel to it through f(p), so two traces of different
@@ -140,7 +145,7 @@ def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[Clas
     if set(image) != set(range(n)):
         return None
     apply = itemgetter(*image)
-    for row, first in zip(plane.parallel_table(), plane.first_point_getters()):
+    for row, first in zip(plane.parallel_table(), plane.first_point_getters()[:-1]):
         moved = apply(row)
         if first(moved) != moved:
             return None

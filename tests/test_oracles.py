@@ -8,8 +8,9 @@ table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``cli._closed`` settles a closure theorem from a
 generating set, ``verify_axioms`` counts joins and parallels with line
-bitmasks, ``classify`` tests "dilation" from the parallel table and
-reads a translation's direction from the trace of point 0,
+bitmasks and settles the triangle axiom by point pairs, ``classify``
+tests "dilation" from the parallel table on all classes but the last
+and reads a translation's direction from the trace of point 0,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_conjugation`` conjugates only the generators, by that key for
 a dilation, and ``parallel_through_point`` / ``intersect`` answer from
@@ -62,7 +63,7 @@ from affineplane.errors import (
     SameLine,
     SizeMismatch,
 )
-from affineplane import transgroup
+from affineplane import collineation, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -225,12 +226,15 @@ def axioms_oracle(plane):
             if len(parallels) != 1:
                 unique_parallel = AxiomCheck(False, (p, lid, len(parallels)))
                 break
-    triangle = AxiomCheck(False, ("no non-collinear point triple",))
-    for triple in itertools.combinations(range(n), 3):
+    return AxiomReport(unique_join, unique_parallel, triangle_oracle(plane))
+
+
+def triangle_oracle(plane):
+    """The definition: a point triple on no common line, scanned triple by triple."""
+    for triple in itertools.combinations(range(plane.num_points), 3):
         if not any(set(triple) <= pts for pts in plane.lines):
-            triangle = AxiomCheck(True)
-            break
-    return AxiomReport(unique_join, unique_parallel, triangle)
+            return AxiomCheck(True)
+    return AxiomCheck(False, ("no non-collinear point triple",))
 
 
 def cayley_oracle(translations):
@@ -1016,6 +1020,27 @@ def verified_plane(name):
     return plane
 
 
+class TestDilationCandidateOracle:
+    @pytest.mark.parametrize("name", PLANE_DOCUMENTS)
+    def test_every_candidate_of_the_dilation_search(self, name, monkeypatch):
+        """_as_dilation skips the last class: its verdict on every completed
+        candidate of enumerate_dilations is the line-pass oracle's."""
+        plane = verified_plane(name)
+        verdicts = []
+        real = collineation._as_dilation
+
+        def recorded(plane, image):
+            f = real(plane, image)
+            verdicts.append((image, f is not None))
+            return f
+
+        monkeypatch.setattr(collineation, "_as_dilation", recorded)
+        found = enumerate_dilations(plane)
+        assert sum(passed for _, passed in verdicts) == len(found)
+        for image, passed in verdicts:
+            assert passed == dilation_oracle(plane, image), image
+
+
 class TestAxiomOracle:
     @pytest.mark.parametrize("name", PLANE_DOCUMENTS)
     def test_planes(self, name):
@@ -1046,6 +1071,15 @@ class TestAxiomOracle:
             lines = {frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
                      for _ in range(rng.randrange(0, 12))}
             documents.append({"points": n, "lines": [sorted(line) for line in lines]})
+        # the triangle axiom from pairs: no line, one line, two lines on 0
+        # and 1 that cover every point, a point on no line
+        documents += [
+            {"points": 2, "lines": []},
+            {"points": 3, "lines": []},
+            {"points": 5, "lines": [[0, 1, 2, 3, 4]]},
+            {"points": 5, "lines": [[0, 1, 2], [0, 1, 3, 4]]},
+            {"points": 6, "lines": [[0, 1, 2, 3, 4]]},
+        ]
         verdicts = set()
         for document in documents:
             plane = load_plane(document)

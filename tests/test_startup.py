@@ -1,0 +1,191 @@
+"""Start-up: each command loads only the stages it runs, and nothing loads
+``dataclasses``.
+
+The package exports its names lazily (PEP 562): ``import affineplane``
+loads no submodule, and a name loads its submodule on first access.  The
+records are ``NamedTuple``s and the two stateful classes plain
+``__slots__`` classes.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import affineplane
+from affineplane import builder, endo
+from affineplane.collineation import ClassifiedMap
+from affineplane.endo import GroupSelfMap, RingReport
+from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
+from affineplane.transgroup import CheckResult, TranslationGroup
+
+SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
+
+# The names `affineplane` exported when __init__ imported every submodule.
+EXPORTS = {
+    "builder": ["build_prime_plane", "intersect", "is_prime"],
+    "collineation": [
+        "ClassifiedMap", "classify", "direction", "enumerate_collineations",
+        "enumerate_dilations", "enumerate_translations", "fixed_points", "identity_map",
+        "is_collineation", "is_dilation", "is_translation", "trace",
+    ],
+    "endo": [
+        "GroupSelfMap", "RingReport", "add", "check_ring_axioms", "compose",
+        "count_endomorphisms", "enumerate_endomorphisms", "enumerate_tp_endomorphisms",
+        "inversion_endo", "is_endomorphism", "is_trace_preserving", "negate",
+        "scalar_labeling", "unit_endo", "zero_endo",
+    ],
+    "incidence": [
+        "AxiomReport", "DirectionPartition", "IncidencePlane", "line_through", "load_plane",
+        "parallel", "parallel_partition", "parallel_through_point", "verify_axioms",
+    ],
+    "transgroup": [
+        "CheckResult", "TranslationGroup", "build_group", "check_abelian",
+        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
+        "check_normal_in_dilations", "generators",
+    ],
+}
+
+# Runs `python -m affineplane <argv>` through runpy and, at exit, prints on
+# stderr the modules the run loaded beyond those loaded at start-up.
+WRAPPER = """\
+import atexit, json, runpy, sys
+before = set(sys.modules)
+atexit.register(lambda: print("loaded:", json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr))
+runpy.run_module("affineplane", run_name="__main__", alter_sys=True)
+"""
+
+
+def python(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def loaded_by(tmp_path, *argv):
+    """The exit code of `affineplane <argv>` and the modules it loaded."""
+    result = python("-c", WRAPPER, *argv, cwd=tmp_path)
+    line = result.stderr.splitlines()[-1]
+    assert line.startswith("loaded: "), result.stderr
+    return result.returncode, set(json.loads(line[len("loaded: "):]))
+
+
+@pytest.fixture(scope="module")
+def plane_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "p3.json"
+    path.write_text(json.dumps(builder.build_prime_plane(3).to_document()))
+    return str(path)
+
+
+STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.endo"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["build", "--order", "3"], STAGES),
+        (["check", "PLANE"], STAGES),
+        (["groups", "PLANE", "--check-abelian", "--check-normal", "--check-directions"],
+         {"affineplane.endo"}),
+        (["verify-all", "PLANE"], set()),
+    ],
+    ids=["build", "check", "groups", "verify-all"],
+)
+def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
+    code, loaded = loaded_by(tmp_path, *[plane_file if a == "PLANE" else a for a in argv])
+    assert code == 0
+    assert "affineplane.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert loaded & absent == set()
+    assert STAGES - absent <= loaded
+
+
+def test_import_loads_no_submodule(tmp_path):
+    code = "import sys, affineplane; print(sorted(m for m in sys.modules if m.startswith('affineplane')))"
+    result = python("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['affineplane']\n"
+
+
+def test_every_export_is_its_submodule_object():
+    assert sorted(affineplane.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        submodule = importlib.import_module(f"affineplane.{module}")
+        for name in names:
+            assert getattr(affineplane, name) is getattr(submodule, name), name
+    assert set(affineplane.__all__) <= set(dir(affineplane))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        affineplane.no_such_name
+
+
+def test_default_max_group_is_defined_once():
+    assert endo.DEFAULT_MAX_GROUP is builder.DEFAULT_MAX_GROUP == 49
+
+
+@pytest.mark.parametrize(
+    "cls,fields,defaults",
+    [
+        (DirectionPartition, ("class_of", "classes"), {}),
+        (AxiomCheck, ("passed", "witness"), {"witness": None}),
+        (AxiomReport, ("unique_join", "unique_parallel", "triangle"), {}),
+        (ClassifiedMap, ("image", "kind", "fixed_points", "direction"), {"direction": None}),
+        (CheckResult, ("name", "passed", "witness"), {"witness": None}),
+        (RingReport, ("axioms", "mul_commutative", "num_tp", "num_endomorphisms"),
+         {"num_endomorphisms": None}),
+    ],
+)
+def test_record_fields_and_defaults(cls, fields, defaults):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+
+
+def test_records_compare_and_hash_by_value_and_reject_assignment():
+    a = ClassifiedMap((1, 0), "translation", frozenset(), 0)
+    b = ClassifiedMap((1, 0), "translation", frozenset(), 0)
+    assert a == b and hash(a) == hash(b)
+    assert a != a._replace(direction=1)
+    assert a.is_identity is False
+    partition = DirectionPartition((0, 0, 1), ((0, 1), (2,)))
+    assert partition == DirectionPartition((0, 0, 1), ((0, 1), (2,)))
+    assert hash(partition) == hash(DirectionPartition((0, 0, 1), ((0, 1), (2,))))
+    assert partition.num_classes == 2
+    for record, field in [(a, "kind"), (partition, "classes")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert CheckResult("abelian", True) == CheckResult("abelian", True, None)
+    assert AxiomCheck(False, (1, 2)) != AxiomCheck(False, (2, 1))
+
+
+def test_ring_report_keeps_its_class_constant():
+    assert "AXIOM_NAMES" not in RingReport._fields
+    assert len(RingReport.AXIOM_NAMES) == 10
+    report = RingReport({name: (True, None) for name in RingReport.AXIOM_NAMES}, True, 2)
+    assert report.all_pass and report.to_dict()["num_tp"] == 2
+    assert "num_endomorphisms" not in report.to_dict()
+
+
+def test_group_self_map_equality_hash_memo_and_repr():
+    a = GroupSelfMap((0, 1))
+    b = GroupSelfMap((0, 1), True, True)
+    assert a == b and hash(a) == hash(b) == hash((0, 1))
+    assert a != GroupSelfMap((0, 0)) and a != (0, 1)
+    a.is_endomorphism = True
+    assert a.is_endomorphism is True and a.is_trace_preserving is None
+    assert repr(b) == "GroupSelfMap(table=(0, 1), is_endomorphism=True, is_trace_preserving=True)"
+    with pytest.raises(AttributeError):
+        a.other = 1
+
+
+def test_translation_group_keeps_its_caches(groups):
+    g = groups[3]
+    rebuilt = TranslationGroup(g.elements, g.cayley, g.inverse, g.direction_of)
+    assert rebuilt.order == g.order == 9
+    assert all(rebuilt.index_of(f.image) == i for i, f in enumerate(g.elements))
+    assert rebuilt._by_key == g._by_key and rebuilt._chain is None
+    with pytest.raises(AttributeError):
+        rebuilt.other = 1
