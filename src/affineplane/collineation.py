@@ -9,7 +9,7 @@ translation (no fixed point, or the identity).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .builder import DEFAULT_MAX_ORDER
 from .errors import (
@@ -135,11 +135,6 @@ def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[Clas
     lines have q points, so join(p, q) onto join(f(p), f(q)) in the
     class of join(p, q).  A dilation passes: it is injective (see
     classify), so a bijection.
-    The direction of a fixed-point-free dilation is the class of its
-    trace join(0, f(0)).  A trace join(p, f(p)) is invariant, since its
-    image is parallel to it through f(p), so two traces of different
-    classes would meet in a fixed point.  So all traces share one class,
-    which direction() compares point by point.
     """
     n = plane.num_points
     if set(image) != set(range(n)):
@@ -149,8 +144,20 @@ def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[Clas
         moved = apply(row)
         if first(moved) != moved:
             return None
+    return _classified_dilation(plane, image)
+
+
+def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> ClassifiedMap:
+    """A known dilation classified: a translation if it fixes no point or all.
+
+    The direction of a fixed-point-free dilation is the class of its
+    trace join(0, f(0)).  A trace join(p, f(p)) is invariant, since its
+    image is parallel to it through f(p), so two traces of different
+    classes would meet in a fixed point.  So all traces share one class,
+    which direction() compares point by point.
+    """
     fixed = fixed_points(image)
-    if len(fixed) == n:
+    if len(fixed) == len(image):
         return ClassifiedMap(image, "translation", fixed)
     if fixed:
         return ClassifiedMap(image, "dilation", fixed)
@@ -222,18 +229,27 @@ def enumerate_collineations(
 def enumerate_dilations(
     plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
 ) -> list[ClassifiedMap]:
-    """All dilations, by two-point determination.
+    """All dilations, by two-point determination over the cosets of Dil_0.
 
-    A dilation is pinned down by the images of two distinct points A, B,
-    which must span a line parallel to AB.  Every candidate image pair is
-    extended pointwise by intersecting parallels and the result validated
-    and classified by the dilation test of classify alone (_as_dilation),
-    so the construction cannot over-report.  No other check is needed:
-    - A completed candidate that is not a bijection is dropped: the steps
-      fill every point but A and B with a point, and the test requires a
-      bijection.
-    - Each dilation is listed once: two candidates differ in their image
-      of A or of B, so no image is built twice.
+    A dilation is pinned down by the images of two distinct points A = 0,
+    B = 1, which must span a line parallel to AB.  A candidate image pair
+    is extended pointwise by intersecting parallels, and the result is
+    validated and classified by the dilation test of classify alone
+    (_as_dilation), so the construction cannot over-report.  A completed
+    candidate that is not a bijection is dropped: the steps fill every
+    point but A and B with a point, and the test requires a bijection.
+
+    One passing candidate per image of A suffices (Artin, Geometric
+    Algebra, ch. II).  Let Dil_0 be the stabiliser of A:
+    - composites and inverses of dilations are dilations;
+    - if g(A) = f(A), then f^-1 g fixes A, so g lies in f Dil_0, and the
+      f s, s in Dil_0, are distinct, as f is injective;
+    - the candidates (A', B') are complete for A' by two-point
+      determination: if none passes, no dilation sends A to A'.
+    So the search tests the candidates (A, B') for Dil_0, then, for each
+    other point A', the candidates (A', B') until one f passes, and lists
+    f s for every s in Dil_0 untested.  Cosets of distinct A' are
+    disjoint, so each dilation is listed once.
     """
     plane.require_verified()
     order = len(plane.lines[0])
@@ -260,23 +276,33 @@ def enumerate_dilations(
         + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
     ]
 
-    found: list[ClassifiedMap] = []
+    def dilations_from(a2: int, b2s) -> Iterator[ClassifiedMap]:
+        """The candidates (a2, b2), b2 in b2s, that pass, lazily."""
+        for b2 in b2s:
+            if b2 == a2:
+                continue
+            image = [-1] * n
+            image[a], image[b] = a2, b2
+            for c, base, row_a, row_base in steps:
+                c2 = meet[row_a[a2]][row_base[image[base]]]
+                if c2 is None:
+                    break
+                image[c] = c2
+            else:
+                f = _as_dilation(plane, tuple(image))
+                if f is not None:
+                    yield f
+
+    stabiliser = list(dilations_from(a, on_ab))
+    compose = [itemgetter(*s.image) for s in stabiliser]
+    found = list(stabiliser)
     for m in partition.classes[class_of[line_ab]]:
         for a2 in plane.lines[m]:
-            for b2 in plane.lines[m]:
-                if a2 == b2:
-                    continue
-                image = [-1] * n
-                image[a], image[b] = a2, b2
-                for c, base, row_a, row_base in steps:
-                    c2 = meet[row_a[a2]][row_base[image[base]]]
-                    if c2 is None:
-                        break
-                    image[c] = c2
-                else:
-                    f = _as_dilation(plane, tuple(image))
-                    if f is not None:
-                        found.append(f)
+            if a2 == a:
+                continue  # its coset is the stabiliser itself
+            f = next(dilations_from(a2, plane.lines[m]), None)
+            if f is not None:  # else no dilation sends A to a2
+                found += [_classified_dilation(plane, g(f.image)) for g in compose]
     found.sort(key=lambda f: f.image)
     return found
 

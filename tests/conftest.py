@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from affineplane import (
@@ -9,6 +11,7 @@ from affineplane import (
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
     load_plane,
+    parallel_partition,
     verify_axioms,
 )
 
@@ -76,6 +79,37 @@ def hall9_document() -> dict:
     for w in [(1, 0), (0, 1), (1, 1), (1, 2)]:
         spread.append([(gf9_mul(a, w), gf9_mul(b, w)) for a in gf3 for b in gf3])
     return spread_document(spread)
+
+
+@functools.lru_cache(maxsize=None)
+def projective_hall9() -> tuple[frozenset, ...]:
+    """The projective completion of hall9_document(): each line gains the
+    point 81 + c of its parallel class c, and the last line is the line
+    at infinity through those ten points."""
+    plane = load_plane(hall9_document())
+    assert verify_axioms(plane).all_pass
+    partition = parallel_partition(plane)
+    n = plane.num_points
+    lines = [line | {n + partition.class_of[l]} for l, line in enumerate(plane.lines)]
+    return (*lines, frozenset(range(n, n + len(partition.classes))))
+
+
+def dual_hall9_cut(point: int) -> dict:
+    """An affine plane of order 9 that is no translation plane: the dual
+    of the projective Hall plane, less the dual line of one point.
+
+    The points are the projective lines not through point, in order, and
+    each other projective point gives the line of those through it.  A
+    point at infinity (81 to 90) leaves 72 dilations and 9 translations,
+    all of one direction; an affine point leaves 2 dilations and the
+    identity alone."""
+    lines = projective_hall9()
+    kept = [l for l, line in enumerate(lines) if point not in line]
+    return {
+        "points": len(kept),
+        "lines": [[i for i, l in enumerate(kept) if q in lines[l]]
+                  for q in range(len(lines)) if q != point],
+    }
 
 
 def corrupted_documents(document) -> dict:

@@ -10,7 +10,13 @@ import pytest
 import affineplane
 from affineplane import build_prime_plane, cli, endo
 from affineplane.cli import main
-from conftest import ag24_document, ag29_document, corrupted_documents, hall9_document
+from conftest import (
+    ag24_document,
+    ag29_document,
+    corrupted_documents,
+    dual_hall9_cut,
+    hall9_document,
+)
 
 BROKEN_DOC = {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}
 RING = ["--trace-preserving", "--check-ring"]
@@ -234,6 +240,27 @@ class TestGroups:
             capsys, "groups", str(path), "--dilations", "--translations", *GROUP_CHECKS
         )
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "point,sizes,digest",
+        [
+            (81, (72, 9), "f8265d2dfef27815dc62db7ba5184ff21b03c2b03965270a4970872c166ec95d"),
+            (0, (2, 1), "b7f4f0a055dd7d62b17c3d66a9826097e50b089be3a9baf2197edc3ad6145760"),
+        ],
+    )
+    def test_dual_hall_cut_is_pinned(self, tmp_path, capsys, point, sizes, digest):
+        """A plane that is no translation plane: some points are the image
+        of point 0 under no dilation."""
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(dual_hall9_cut(point)))
+        code, out, _ = run(
+            capsys, "groups", str(path), "--dilations", "--translations", *GROUP_CHECKS
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert (results["num_dilations"], results["num_translations"]) == sizes
+        assert all(check["passed"] for check in results["checks"])
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -11,12 +11,14 @@ generating set, ``verify_axioms`` counts joins and parallels with line
 bitmasks and settles the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
+``enumerate_dilations`` tests one candidate per image of point 0 and
+composes the rest from the stabiliser of 0,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_conjugation`` conjugates only the generators, by that key for
 a dilation, and ``parallel_through_point`` / ``intersect`` answer from
 lookup tables.  The all-pairs, product-and-test, filtering and scanning
-definitions live here, as oracles, and every test below asks both for a
-verdict on the same inputs."""
+and candidate-by-candidate definitions live here, as oracles, and every
+test below asks both for a verdict on the same inputs."""
 
 import itertools
 import random
@@ -75,6 +77,7 @@ from conftest import (
     ag24_document,
     ag29_document,
     corrupted_documents,
+    dual_hall9_cut,
     hall9_document,
     table_group,
 )
@@ -158,6 +161,45 @@ def dilation_oracle(plane, image):
         for p in range(n)
         for q in range(p + 1, n)
     )
+
+
+def dilations_oracle(plane):
+    """Every dilation by two-point determination: each candidate pair of
+    images (f(0), f(1)) on a line parallel to join(0, 1) is extended by
+    intersecting parallels and tested, none composed."""
+    n = plane.num_points
+    join = plane.join_table()
+    par, meet = plane.parallel_table(), plane.meet_table()
+    partition = parallel_partition(plane)
+    class_of = partition.class_of
+    a, b = 0, 1
+    line_ab = join[a][b]
+    on_ab = plane.lines[line_ab]
+    off_ab = [c for c in range(n) if c not in on_ab]
+    steps = [
+        (c, base, par[class_of[join[a][c]]], par[class_of[join[base][c]]])
+        for c, base in [(c, b) for c in off_ab]
+        + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
+    ]
+    found = []
+    for m in partition.classes[class_of[line_ab]]:
+        for a2 in plane.lines[m]:
+            for b2 in plane.lines[m]:
+                if a2 == b2:
+                    continue
+                image = [-1] * n
+                image[a], image[b] = a2, b2
+                for c, base, row_a, row_base in steps:
+                    c2 = meet[row_a[a2]][row_base[image[base]]]
+                    if c2 is None:
+                        break
+                    image[c] = c2
+                else:
+                    f = collineation._as_dilation(plane, tuple(image))
+                    if f is not None:
+                        found.append(f)
+    found.sort(key=lambda f: f.image)
+    return found
 
 
 def kind_oracle(plane, image):
@@ -1012,33 +1054,71 @@ PLANE_DOCUMENTS = {
     "Hall(9)": hall9_document,
 }
 ORDER_3_UP = [name for name in PLANE_DOCUMENTS if name != "AG(2,2)"]
+DILATION_PLANES = {
+    **PLANE_DOCUMENTS,
+    **{f"AG(2,{p})": partial(lambda p: build_prime_plane(p).to_document(), p) for p in (11, 13)},
+}
 
 
 def verified_plane(name):
-    plane = load_plane(PLANE_DOCUMENTS[name]())
+    plane = load_plane(DILATION_PLANES[name]())
     assert verify_axioms(plane).all_pass
     return plane
 
 
+def search_verdicts(plane, monkeypatch):
+    """The dilations of plane, and each (image, verdict) of _as_dilation
+    on a completed candidate of the search."""
+    verdicts = []
+    real = collineation._as_dilation
+
+    def recorded(plane, image):
+        f = real(plane, image)
+        verdicts.append((image, f is not None))
+        return f
+
+    with monkeypatch.context() as patch:
+        patch.setattr(collineation, "_as_dilation", recorded)
+        found = enumerate_dilations(plane)
+    return found, verdicts
+
+
 class TestDilationCandidateOracle:
-    @pytest.mark.parametrize("name", PLANE_DOCUMENTS)
+    @pytest.mark.parametrize("name", DILATION_PLANES)
     def test_every_candidate_of_the_dilation_search(self, name, monkeypatch):
         """_as_dilation skips the last class: its verdict on every completed
-        candidate of enumerate_dilations is the line-pass oracle's."""
+        candidate of enumerate_dilations is the line-pass oracle's.  A
+        Desarguesian plane of order q passes every candidate, so the search
+        tests q - 1 for the stabiliser of 0 and one for each other point."""
         plane = verified_plane(name)
-        verdicts = []
-        real = collineation._as_dilation
-
-        def recorded(plane, image):
-            f = real(plane, image)
-            verdicts.append((image, f is not None))
-            return f
-
-        monkeypatch.setattr(collineation, "_as_dilation", recorded)
-        found = enumerate_dilations(plane)
-        assert sum(passed for _, passed in verdicts) == len(found)
+        _, verdicts = search_verdicts(plane, monkeypatch)
+        q = len(plane.lines[0])
+        assert len(verdicts) == (319 if name == "Hall(9)" else q * q + q - 2)
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
+
+
+class TestDilationSearchOracle:
+    @pytest.mark.parametrize("name", DILATION_PLANES)
+    def test_planes(self, name):
+        plane = verified_plane(name)
+        assert enumerate_dilations(plane) == dilations_oracle(plane)
+
+    def test_dual_hall_cuts(self, monkeypatch):
+        """The 91 cuts of the dual Hall plane: a point at infinity leaves
+        (|Dil|, |Tr|) = (72, 9), an affine point (2, 1).  Here, unlike on
+        a translation plane, some points are the image of 0 under no
+        dilation, so some points have no candidate that passes."""
+        sizes = {}
+        for point in range(91):
+            plane = load_plane(dual_hall9_cut(point))
+            assert verify_axioms(plane).all_pass
+            found, verdicts = search_verdicts(plane, monkeypatch)
+            assert found == dilations_oracle(plane), point
+            sizes[point] = (len(found), sum(f.kind == "translation" for f in found))
+            # a subset of the oracle's candidates, each tested once
+            assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
+        assert sizes == {point: (72, 9) if point >= 81 else (2, 1) for point in range(91)}
 
 
 class TestAxiomOracle:
