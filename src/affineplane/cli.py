@@ -63,12 +63,14 @@ def render_report(command: str, plane_summary: dict, results: dict, status: str)
     return json.dumps(_report(command, plane_summary, results, status), **REPORT_FORMAT) + "\n"
 
 
-def emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(document: dict, out_path: str | None) -> None:
+    """Stream document and a newline to out_path, or stdout when None.
+
+    json.dump writes the chunks json.dumps joins (for a report, the bytes
+    of render_report), never all in memory."""
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        json.dump(document, fh, **REPORT_FORMAT)
+        fh.write("\n")
 
 
 def _check_out(path: str) -> None:
@@ -106,13 +108,9 @@ def _translation_group(plane, max_order: int):
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
-    """Stream the report to --out or stdout, then the stderr note with {status} filled in.
-
-    json.dump writes the chunks render_report joins: the same bytes, never all in memory."""
+    """Write the report to --out or stdout, then the stderr note with {status} filled in."""
     status = "pass" if passed else "fail"
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        json.dump(_report(args.command, summary, results, status), fh, **REPORT_FORMAT)
-        fh.write("\n")
+    _write(_report(args.command, summary, results, status), args.out)
     print(note.format(status=status), file=sys.stderr)
     return EXIT_PASS if passed else EXIT_FAIL
 
@@ -192,8 +190,7 @@ def cmd_build(args) -> int:
     except AffinePlaneError as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    text = json.dumps(plane.to_document(), indent=2, sort_keys=True) + "\n"
-    emit(text, args.out)
+    _write(plane.to_document(), args.out)
     print(
         f"AG(2,{args.order}): {plane.num_points} points, {plane.num_lines} lines",
         file=sys.stderr,

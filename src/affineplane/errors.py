@@ -29,18 +29,6 @@ class SameLine(AffinePlaneError):
     """Two distinct lines were required."""
 
 
-class NoJoin(AffinePlaneError):
-    """No line joins the given point pair (unverified planes only)."""
-
-
-class MultipleJoins(AffinePlaneError):
-    """More than one line joins the given point pair (unverified planes only)."""
-
-
-class NotEquivalence(AffinePlaneError):
-    """Parallelism failed to be an equivalence relation (unverified planes only)."""
-
-
 class SizeMismatch(AffinePlaneError):
     """A map's table does not match the size of its carrier."""
 

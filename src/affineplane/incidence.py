@@ -14,14 +14,7 @@ from itertools import combinations, product
 from operator import itemgetter, or_
 from typing import NamedTuple, Optional
 
-from .errors import (
-    MalformedDocument,
-    MultipleJoins,
-    NoJoin,
-    NotEquivalence,
-    NotVerified,
-    SamePoint,
-)
+from .errors import MalformedDocument, NotVerified, SamePoint
 
 KNOWN_FIELDS = {"points", "lines"}
 
@@ -278,17 +271,10 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
 
 
 def line_through(plane: IncidencePlane, p: int, q: int) -> int:
-    """The unique line joining two distinct points."""
+    """The unique line joining two distinct points of a verified plane."""
     if p == q:
         raise SamePoint(f"line_through requires distinct points, got {p} twice")
-    if plane.verified:
-        return plane.join_table()[p][q]
-    joins = [lid for lid in plane.lines_through[p] if q in plane.lines[lid]]
-    if not joins:
-        raise NoJoin(f"no line joins points {p} and {q}")
-    if len(joins) > 1:
-        raise MultipleJoins(f"points {p} and {q} lie on {len(joins)} common lines")
-    return joins[0]
+    return plane.join_table()[p][q]
 
 
 def parallel(plane: IncidencePlane, l: int, m: int) -> bool:
@@ -301,63 +287,43 @@ def parallel_through_point(plane: IncidencePlane, l: int, p: int) -> int:
 
     Answered by one lookup in plane.parallel_table(), in the row of l's
     parallel class.  That row holds the line sought: lines of one class
-    are pairwise parallel (parallel_partition audits this), so at most
-    one line of the class passes through p.  If p lies on l, that line is
-    l.  Otherwise the unique-parallel axiom gives exactly one line m
-    through p disjoint from l, and parallel_partition joined m to l's
-    class, so the class line through p is m.
+    are pairwise parallel (parallel_partition proves it), so at most one
+    line of the class passes through p.  If p lies on l, that line is l.
+    Otherwise the unique-parallel axiom gives exactly one line m through
+    p disjoint from l, and m is in l's class, so the class line through
+    p is m.
     """
-    table = plane.parallel_table()  # builds plane._partition on first use
-    return table[plane._partition.class_of[l]][p]
+    return plane.parallel_table()[parallel_partition(plane).class_of[l]][p]
 
 
 def parallel_partition(plane: IncidencePlane) -> DirectionPartition:
-    """Split the lines into parallel classes.
+    """Split the lines into parallel classes, read from the pencil at point 0.
 
-    Built by union-find over the parallelism relation, then audited:
-    every pair inside a class must itself be parallel.  The audit can
-    only fail on structures that are not affine planes; it is kept as a
-    guard because the operation is reachable from unverified planes in
-    principle.
+    Each line l goes with the line of lines_through[0] parallel to it:
+    l itself when 0 lies on l, else the one pencil line disjoint from l.
+
+    Proof, on a verified plane.  By the unique-parallel axiom exactly one
+    line through 0 is parallel to l (when 0 lies on l, every other line
+    through 0 meets l at 0).  Parallelism is an equivalence: take l and k
+    both parallel to m, all three distinct; if l and k met at p, p would
+    be off m, and l and k two parallels to m through p.  The pencil lines
+    meet at 0, so they lie in distinct classes, one in each.  So two lines
+    share a class iff they share their pencil line.
+
+    Classes are numbered by their smallest line id.  Cost: O(L.q)
+    isdisjoint calls for L lines of q points.
     """
     plane.require_verified()
-    if plane._partition is not None:
-        return plane._partition
-
-    nl = plane.num_lines
-    parent = list(range(nl))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for l in range(nl):
-        for m in range(l + 1, nl):
-            if plane.lines[l].isdisjoint(plane.lines[m]):
-                union(l, m)
-
-    groups: dict[int, list[int]] = {}
-    for l in range(nl):
-        groups.setdefault(find(l), []).append(l)
-    classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    class_of = [0] * nl
-    for cid, members in enumerate(classes):
-        for l in members:
-            class_of[l] = cid
-        for i, l in enumerate(members):
-            for m in members[i + 1:]:
-                if not parallel(plane, l, m):
-                    raise NotEquivalence(
-                        f"lines {l} and {m} share a class but are not parallel"
-                    )
-
-    partition = DirectionPartition(tuple(class_of), classes)
-    plane._partition = partition
-    return partition
+    if plane._partition is None:
+        pencil = [(m, plane.lines[m]) for m in plane.lines_through[0]]
+        groups: dict[int, list[int]] = {}
+        for l, pts in enumerate(plane.lines):
+            key = l if 0 in pts else next(m for m, line in pencil if pts.isdisjoint(line))
+            groups.setdefault(key, []).append(l)
+        classes = tuple(sorted(tuple(g) for g in groups.values()))
+        class_of = [0] * plane.num_lines
+        for cid, members in enumerate(classes):
+            for l in members:
+                class_of[l] = cid
+        plane._partition = DirectionPartition(tuple(class_of), classes)
+    return plane._partition

@@ -39,7 +39,7 @@ class TranslationGroup:
     elements[0] is the identity; cayley[i][j] indexes elements[i] o elements[j].
     """
 
-    __slots__ = ("elements", "cayley", "inverse", "direction_of", "_lookup", "_by_key", "_chain")
+    __slots__ = ("elements", "cayley", "inverse", "direction_of", "_by_key", "_chain")
 
     def __init__(self, elements: tuple[ClassifiedMap, ...], cayley: tuple[tuple[int, ...], ...],
                  inverse: tuple[int, ...], direction_of: tuple[Optional[int], ...]):
@@ -47,7 +47,6 @@ class TranslationGroup:
         self.cayley = cayley
         self.inverse = inverse
         self.direction_of = direction_of
-        self._lookup = {f.image: i for i, f in enumerate(elements)}
         self._by_key = {f.image[:2]: i for i, f in enumerate(elements)}  # see build_group
         self._chain: Optional[tuple] = None  # generator_chain(self), once computed
 
@@ -56,7 +55,9 @@ class TranslationGroup:
         return len(self.elements)
 
     def index_of(self, image: tuple[int, ...]) -> Optional[int]:
-        return self._lookup.get(image)
+        """The index of the listed element with this image, else None."""
+        i = self._by_key.get(image[:2])
+        return i if i is not None and self.elements[i].image == image else None
 
     def element_order(self, i: int) -> int:
         k, x = 1, i

@@ -98,6 +98,16 @@ class TestBuild:
     def test_order_above_bound_exits_2(self, capsys):
         assert run(capsys, "build", "--order", "17")[0] == 2
 
+    def test_document_is_pinned_on_stdout_and_in_out(self, tmp_path, capsys):
+        """sha256 of the AG(2,5) document, written by the report writer."""
+        digest = "1c93faaef05c786f5995f9485ecbd996a319620d10ee86e9dd4cd03533390e6b"
+        code, out, err = run(capsys, "build", "--order", "5")
+        assert (code, err) == (0, "AG(2,5): 25 points, 30 lines\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        path = tmp_path / "ag25.json"
+        assert run(capsys, "build", "--order", "5", "--out", str(path)) == (0, "", err)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_huge_order_exits_2_before_the_primality_test(self, capsys):
         # 2^61 - 1 is prime: trial division up to its square root takes minutes
         start = time.perf_counter()

@@ -92,6 +92,18 @@ class TestLineThrough:
         with pytest.raises(SamePoint):
             line_through(p2, 0, 0)
 
+    @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "failed"])
+    def test_unverified_plane_refused_after_the_same_point_check(self, checked):
+        # AG(2,2) less the line {1, 2}: no line joins 1 and 2
+        plane = load_plane({"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]})
+        if checked:
+            assert not verify_axioms(plane).all_pass
+        with pytest.raises(SamePoint):
+            line_through(plane, 1, 1)
+        for p, q in [(0, 1), (1, 2)]:  # one join, none: both refused
+            with pytest.raises(NotVerified):
+                line_through(plane, p, q)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_pair_has_unique_join(self, planes, p):
         plane = planes[p]

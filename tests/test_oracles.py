@@ -15,9 +15,11 @@ and reads a translation's direction from the trace of point 0,
 composes the rest from the stabiliser of 0,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_conjugation`` conjugates only the generators, by that key for
-a dilation, and ``parallel_through_point`` / ``intersect`` answer from
-lookup tables.  The all-pairs, product-and-test, filtering and scanning
-and candidate-by-candidate definitions live here, as oracles, and every
+a dilation, ``parallel_partition`` reads the classes from the pencil
+at point 0, and ``parallel_through_point`` / ``intersect`` answer from
+lookup tables.  The all-pairs, union-find, product-and-test, filtering
+and scanning and candidate-by-candidate definitions live here, as
+oracles, and every
 test below asks both for a verdict on the same inputs."""
 
 import itertools
@@ -50,6 +52,7 @@ from affineplane import (
     is_endomorphism,
     is_trace_preserving,
     load_plane,
+    parallel,
     parallel_partition,
     parallel_through_point,
     verify_axioms,
@@ -248,6 +251,42 @@ def parallel_through_oracle(plane, l, p):
         return l
     (m,) = [m for m in plane.lines_through[p] if plane.lines[m].isdisjoint(plane.lines[l])]
     return m
+
+
+def partition_oracle(plane):
+    """The parallel classes by union-find over every pair of disjoint
+    lines, numbered by their smallest line id, then audited: every pair
+    inside a class must itself be parallel."""
+    nl = plane.num_lines
+    parent = list(range(nl))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for l in range(nl):
+        for m in range(l + 1, nl):
+            if plane.lines[l].isdisjoint(plane.lines[m]):
+                union(l, m)
+
+    groups = {}
+    for l in range(nl):
+        groups.setdefault(find(l), []).append(l)
+    classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    class_of = [0] * nl
+    for cid, members in enumerate(classes):
+        for l in members:
+            class_of[l] = cid
+        for l, m in itertools.combinations(members, 2):
+            assert parallel(plane, l, m), f"lines {l} and {m} share a class but are not parallel"
+    return tuple(class_of), classes
 
 
 def axioms_oracle(plane):
@@ -1119,6 +1158,46 @@ class TestDilationSearchOracle:
             # a subset of the oracle's candidates, each tested once
             assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
         assert sizes == {point: (72, 9) if point >= 81 else (2, 1) for point in range(91)}
+
+
+def line_shuffled(document, seed):
+    """document with its lines listed in a seeded random order."""
+    lines = list(document["lines"])
+    random.Random(seed).shuffle(lines)
+    return {"points": document["points"], "lines": lines}
+
+
+def pencil_not_smallest(plane):
+    """The classes whose line through point 0 is not their smallest line."""
+    return sum(0 not in plane.lines[members[0]] for members in parallel_partition(plane).classes)
+
+
+class TestPartitionOracle:
+    @pytest.mark.parametrize("name", DILATION_PLANES)
+    def test_planes(self, name):
+        plane = verified_plane(name)
+        assert parallel_partition(plane) == partition_oracle(plane)
+        # the builder's layout and the conftest documents list each pencil
+        # line first in its class, so they cannot tell the numbering apart
+        assert pencil_not_smallest(plane) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["AG(2,4)", "AG(2,9)", "Hall(9)"])
+    def test_line_shuffled_planes(self, name, seed):
+        plane = load_plane(line_shuffled(DILATION_PLANES[name](), seed))
+        assert verify_axioms(plane).all_pass
+        assert parallel_partition(plane) == partition_oracle(plane)
+        assert pencil_not_smallest(plane) > 0
+
+    def test_dual_hall_cuts(self):
+        broken = {}
+        for point in range(91):
+            plane = load_plane(dual_hall9_cut(point))
+            assert verify_axioms(plane).all_pass
+            assert parallel_partition(plane) == partition_oracle(plane), point
+            broken[point] = pencil_not_smallest(plane)
+        # classes numbered by their pencil line would differ here
+        assert broken[0] == 8
 
 
 class TestAxiomOracle:

@@ -4,15 +4,21 @@ from affineplane import (
     ClassifiedMap,
     TranslationGroup,
     build_group,
+    build_prime_plane,
     check_abelian,
     check_composition_direction,
     check_conjugation_direction,
     check_normal_in_dilations,
+    enumerate_dilations,
     generators,
     identity_map,
+    load_plane,
+    verify_axioms,
 )
 from affineplane.errors import MissingIdentity, NotClosed, NotTranslation
 from affineplane.transgroup import compose_images
+
+from conftest import ag29_document
 
 
 class TestBuildGroup:
@@ -56,6 +62,23 @@ class TestBuildGroup:
         posing = ClassifiedMap(swap, kind, frozenset(range(2, 9)))
         with pytest.raises(NotTranslation, match=kind):
             build_group(p3, [*translations[3], posing])
+
+    @pytest.mark.parametrize(
+        "document",
+        [lambda: build_prime_plane(3).to_document(), ag29_document],
+        ids=["AG(2,3)", "AG(2,9)"],
+    )
+    def test_index_of_an_image_with_a_listed_key(self, document):
+        # the conjugation oracles call index_of too, so they cannot see a
+        # lookup that trusts the key (f(0), f(1)) alone
+        plane = load_plane(document())
+        assert verify_axioms(plane).all_pass
+        g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
+        for i, f in enumerate(g.elements):
+            assert g.index_of(f.image) == i
+            image = list(f.image)
+            image[2], image[-1] = image[-1], image[2]
+            assert g.index_of(tuple(image)) is None
 
 
 class TestChecks:
