@@ -11,8 +11,8 @@ from affineplane import (
     build_prime_plane,
     check_ring_axioms,
     compose,
+    enumerate_dilations,
     enumerate_endomorphisms,
-    enumerate_translations,
     enumerate_tp_endomorphisms,
     inversion_endo,
     scalar_labeling,
@@ -21,7 +21,8 @@ from affineplane import (
 )
 
 plane = build_prime_plane(5)
-group = build_group(plane, enumerate_translations(plane))
+translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
+group = build_group(plane, translations)
 print(f"translation group order: {group.order}")
 
 endomorphisms = enumerate_endomorphisms(group)

@@ -7,9 +7,7 @@ keeps ids stable across runs.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .errors import NotPrime, OrderTooLarge, SameLine
+from .errors import NotPrime, OrderTooLarge
 from .incidence import IncidencePlane, verify_axioms
 
 DEFAULT_MAX_ORDER = 13
@@ -48,14 +46,3 @@ def build_prime_plane(p: int, max_order: int = DEFAULT_MAX_ORDER) -> IncidencePl
     plane = IncidencePlane(p * p, lines)
     verify_axioms(plane)
     return plane
-
-
-def intersect(plane: IncidencePlane, l: int, m: int) -> Optional[int]:
-    """Common point of two distinct lines, or None when they are parallel.
-
-    One lookup in plane.meet_table().
-    """
-    meet = plane.meet_table()
-    if l == m:
-        raise SameLine(f"intersect requires distinct lines, got {l} twice")
-    return meet[l][m]

@@ -18,7 +18,7 @@ from functools import partial
 
 from . import __version__
 from .builder import DEFAULT_MAX_GROUP, DEFAULT_MAX_ORDER, build_prime_plane
-from .errors import AffinePlaneError, IncompleteList, MalformedDocument
+from .errors import AffinePlaneError, MalformedDocument
 from .incidence import load_plane, parallel_partition, verify_axioms
 
 # Each command imports the stages it runs in its body: `check` and `build`
@@ -88,7 +88,12 @@ def _check_out(path: str) -> None:
 
 def _load_verified_summary(path: str):
     with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+        try:
+            document = json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and an integer literal
+            # over the int-to-str digit limit; RecursionError, deep nesting
+            raise MalformedDocument(str(exc)) from exc
     plane = load_plane(document)
     report = verify_axioms(plane)
     summary = {"points": plane.num_points, "lines": plane.num_lines}
@@ -113,75 +118,6 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
     _write(_report(args.command, summary, results, status), args.out)
     print(note.format(status=status), file=sys.stderr)
     return EXIT_PASS if passed else EXIT_FAIL
-
-
-def _closed(g, maps, op, predicate) -> bool:
-    """predicate(op(a, b)) for every ordered pair of maps, from a generating set.
-
-    op maps two tables to the table of their product and must be
-    associative: + is, because the group is, and o is.  Let S be the set
-    of tables.  Candidates are tried in order of image size, largest
-    first (a stable sort); one not yet reached joins the generating set
-    T.  S is saturated by a BFS under right multiplication by T, which
-    computes every product x op t, x reached and t in T, once: a new
-    generator multiplies every element reached before it, and a newly
-    reached element is multiplied by all of T.  A product in S passes
-    only if predicate holds on its map in the list, asked once per table;
-    a product outside S that fails predicate returns False at once.
-
-    Proof that the verdict is exact.  Every reached element is a positive
-    word t_1 op ... op t_m over T (m >= 1): the BFS starts from the
-    generators and multiplies by them on the right.  Every element of S
-    is reached, since a candidate not yet reached becomes a generator.
-    False is returned at a product x op t, with x and t in S, that fails
-    predicate: a failing pair.  Otherwise every x op t with x in S and t
-    in T lies in S and passes predicate.  Take a, b in S and write
-    b = t_1 op ... op t_m.  By associativity a op b is
-    (...(a op t_1) op ...) op t_m, and by induction on m each partial
-    product lies in S, so a op b = x op t_m for some x in S, on which
-    predicate holds.  So True means predicate holds on every a op b.
-    The induction needs S op T inside S: a product outside S that passes
-    predicate shows the list is not the whole predicate set, and raises
-    IncompleteList rather than guess.  The CLI's list never raises: End
-    is the whole set of endomorphisms (claim 3 of
-    enumerate_endomorphisms).
-
-    Cost: |S|.|T| products instead of |S|^2; sizes are checked once per
-    list, not twice per product.
-    """
-    from .endo import GroupSelfMap, _check_size
-
-    for a in maps:
-        _check_size(g, a)
-    by_table = {a.table: a for a in maps}
-    gens, members = [], []
-    reached = {}  # table -> whether it was met as a product, so predicate held
-    for c in sorted(by_table, key=lambda t: len(set(t)), reverse=True):
-        if c in reached:
-            continue
-        old = len(members)
-        gens.append(c)
-        members.append(c)
-        reached[c] = False
-        for i, x in enumerate(members):  # grows while it is walked: the BFS
-            for t in gens if i >= old else (c,):
-                y = op(x, t)
-                if reached.get(y):
-                    continue
-                a = by_table.get(y)
-                if a is None:
-                    if predicate(GroupSelfMap(y)):
-                        raise IncompleteList(
-                            f"a product of two of the {len(by_table)} maps lies "
-                            "outside the list and passes the predicate"
-                        )
-                    return False
-                if not predicate(a):
-                    return False
-                if a.table not in reached:
-                    members.append(a.table)
-                reached[a.table] = True
-    return True
 
 
 def cmd_build(args) -> int:
@@ -313,9 +249,10 @@ def cmd_verify_all(args) -> int:
     # tp is every TP endomorphism (claim 3 of enumerate_tp_endomorphisms),
     # so a sum or composite is one iff it is listed: the closure axioms
     theorems += [
-        ("endomorphism_sums_are_endomorphisms", _closed(group, endomorphisms, add, is_endo)),
+        ("endomorphism_sums_are_endomorphisms",
+         endo.closed(group, endomorphisms, add, is_endo)),
         ("endomorphism_composites_are_endomorphisms",
-         _closed(group, endomorphisms, transgroup.compose_images, is_endo)),
+         endo.closed(group, endomorphisms, transgroup.compose_images, is_endo)),
         ("tp_sums_are_trace_preserving", ring.axioms["add_closure"][0]),
         ("tp_composites_are_trace_preserving", ring.axioms["mul_closure"][0]),
         ("tp_additive_abelian_group", all(
@@ -385,7 +322,7 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except (MalformedDocument, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (MalformedDocument, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except AffinePlaneError as exc:

@@ -12,21 +12,8 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .builder import DEFAULT_MAX_ORDER
-from .errors import (
-    NotCollineation,
-    NotDilation,
-    NotTranslation,
-    OrderTooLarge,
-    SizeMismatch,
-    TraceClassMismatch,
-)
-from .incidence import (
-    IncidencePlane,
-    line_through,
-    parallel_partition,
-)
-
-DEFAULT_MAX_POINTS = 9  # collineation backtracking bound
+from .errors import OrderTooLarge, SizeMismatch
+from .incidence import IncidencePlane, parallel_partition
 
 
 class ClassifiedMap(NamedTuple):
@@ -66,36 +53,6 @@ def is_dilation(plane: IncidencePlane, image) -> bool:
 def is_translation(plane: IncidencePlane, image) -> bool:
     """A dilation with no fixed point, or the identity."""
     return classify(plane, image).kind == "translation"
-
-
-def trace(plane: IncidencePlane, f: ClassifiedMap, p: int) -> Optional[int]:
-    """Line through p and its image; None when p is fixed."""
-    if f.kind not in ("dilation", "translation"):
-        raise NotDilation(f"trace requires a dilation, got kind {f.kind!r}")
-    q = f.image[p]
-    if q == p:
-        return None
-    return line_through(plane, p, q)
-
-
-def direction(plane: IncidencePlane, f: ClassifiedMap) -> Optional[int]:
-    """Parallel class containing every trace of a translation.
-
-    None for the identity, whose direction is undefined.  Every point's
-    trace is computed and compared, not just one: that all traces agree
-    is itself a claim worth checking.
-    """
-    if f.kind != "translation":
-        raise NotTranslation(f"direction requires a translation, got kind {f.kind!r}")
-    if f.is_identity:
-        return None
-    class_of = parallel_partition(plane).class_of
-    classes = {class_of[trace(plane, f, p)] for p in range(plane.num_points)}
-    if len(classes) != 1:
-        raise TraceClassMismatch(
-            f"traces fall into {len(classes)} parallel classes"
-        )
-    return classes.pop()
 
 
 def classify(plane: IncidencePlane, image) -> ClassifiedMap:
@@ -153,8 +110,8 @@ def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Class
     The direction of a fixed-point-free dilation is the class of its
     trace join(0, f(0)).  A trace join(p, f(p)) is invariant, since its
     image is parallel to it through f(p), so two traces of different
-    classes would meet in a fixed point.  So all traces share one class,
-    which direction() compares point by point.
+    classes would meet in a fixed point.  So all traces share one class;
+    the tests check that point by point.
     """
     fixed = fixed_points(image)
     if len(fixed) == len(image):
@@ -163,67 +120,6 @@ def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Class
         return ClassifiedMap(image, "dilation", fixed)
     line = plane.join_table()[0][image[0]]
     return ClassifiedMap(image, "translation", fixed, parallel_partition(plane).class_of[line])
-
-
-def identity_map(plane: IncidencePlane) -> ClassifiedMap:
-    n = plane.num_points
-    return ClassifiedMap(tuple(range(n)), "translation", frozenset(range(n)))
-
-
-def enumerate_collineations(
-    plane: IncidencePlane, max_points: int = DEFAULT_MAX_POINTS
-) -> list[ClassifiedMap]:
-    """All collineations, by backtracking over point images.
-
-    A partial assignment is pruned as soon as the assigned images of any
-    line stop fitting on a common line.  Exponential in the worst case;
-    bounded by ``max_points``.
-    """
-    plane.require_verified()
-    n = plane.num_points
-    if n > max_points:
-        raise OrderTooLarge(
-            f"collineation search bounded to {max_points} points, plane has {n}"
-        )
-    join = plane.join_table()
-
-    found: list[tuple[int, ...]] = []
-    image: list[int] = [-1] * n
-    used = [False] * n
-
-    def consistent(p: int, b: int) -> bool:
-        for lid in plane.lines_through[p]:
-            imgs = [image[q] for q in plane.lines[lid] if q != p and image[q] != -1]
-            if not imgs:
-                continue
-            if b in imgs:
-                return False
-            if len(imgs) == 1:
-                continue
-            target = plane.lines[join[imgs[0]][imgs[1]]]
-            if b not in target or any(i not in target for i in imgs):
-                return False
-        return True
-
-    def extend(p: int) -> None:
-        if p == n:
-            found.append(tuple(image))
-            return
-        for b in range(n):
-            if used[b] or not consistent(p, b):
-                continue
-            image[p] = b
-            used[b] = True
-            extend(p + 1)
-            image[p] = -1
-            used[b] = False
-
-    extend(0)
-    results = [classify(plane, img) for img in sorted(found)]
-    for f in results:
-        if f.kind == "general":
-            raise NotCollineation(f"backtracking produced {list(f.image)}")
-    return results
 
 
 def enumerate_dilations(
@@ -305,10 +201,3 @@ def enumerate_dilations(
                 found += [_classified_dilation(plane, g(f.image)) for g in compose]
     found.sort(key=lambda f: f.image)
     return found
-
-
-def enumerate_translations(
-    plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
-) -> list[ClassifiedMap]:
-    """Identity plus every fixed-point-free dilation, each with its direction."""
-    return [f for f in enumerate_dilations(plane, max_order) if f.kind == "translation"]

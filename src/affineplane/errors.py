@@ -21,32 +21,12 @@ class OrderTooLarge(AffinePlaneError):
     """Requested enumeration exceeds the configured size bound."""
 
 
-class SamePoint(AffinePlaneError):
-    """Two distinct points were required."""
-
-
-class SameLine(AffinePlaneError):
-    """Two distinct lines were required."""
-
-
 class SizeMismatch(AffinePlaneError):
     """A map's table does not match the size of its carrier."""
 
 
-class NotDilation(AffinePlaneError):
-    """Operation requires a dilation or translation."""
-
-
 class NotTranslation(AffinePlaneError):
     """Operation requires a translation."""
-
-
-class TraceClassMismatch(AffinePlaneError):
-    """Traces of one translation fell into different parallel classes."""
-
-
-class NotCollineation(AffinePlaneError):
-    """A collineation search produced a map that is not a collineation."""
 
 
 class NotClosed(AffinePlaneError):

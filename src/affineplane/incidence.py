@@ -14,7 +14,7 @@ from itertools import combinations, product
 from operator import itemgetter, or_
 from typing import NamedTuple, Optional
 
-from .errors import MalformedDocument, NotVerified, SamePoint
+from .errors import MalformedDocument, NotVerified
 
 KNOWN_FIELDS = {"points", "lines"}
 
@@ -129,8 +129,14 @@ class IncidencePlane:
     def parallel_table(self) -> list[list[int]]:
         """parallel-line lookup: parallel[c][p] = line of parallel class c through p.
 
-        Each class covers every point exactly once on a verified plane;
-        parallel_through_point gives the proof.
+        Each class covers every point exactly once on a verified plane, so
+        parallel[class_of[l]][p] is the unique line through p parallel to
+        l, l itself when p lies on it.  Proof: lines of one class are
+        pairwise parallel (parallel_partition proves it), so at most one
+        line of the class passes through p.  If p lies on l, that line is
+        l.  Otherwise the unique-parallel axiom gives exactly one line m
+        through p disjoint from l, and m is in l's class, so the class
+        line through p is m.
         """
         self.require_verified()
         if self._parallel is None:
@@ -268,32 +274,6 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     plane.axiom_status = "verified" if report.all_pass else "failed"
     plane.axiom_report = report
     return report
-
-
-def line_through(plane: IncidencePlane, p: int, q: int) -> int:
-    """The unique line joining two distinct points of a verified plane."""
-    if p == q:
-        raise SamePoint(f"line_through requires distinct points, got {p} twice")
-    return plane.join_table()[p][q]
-
-
-def parallel(plane: IncidencePlane, l: int, m: int) -> bool:
-    """Two lines are parallel when they coincide or share no point."""
-    return l == m or plane.lines[l].isdisjoint(plane.lines[m])
-
-
-def parallel_through_point(plane: IncidencePlane, l: int, p: int) -> int:
-    """The unique line through p parallel to l; l itself when p lies on it.
-
-    Answered by one lookup in plane.parallel_table(), in the row of l's
-    parallel class.  That row holds the line sought: lines of one class
-    are pairwise parallel (parallel_partition proves it), so at most one
-    line of the class passes through p.  If p lies on l, that line is l.
-    Otherwise the unique-parallel axiom gives exactly one line m through
-    p disjoint from l, and m is in l's class, so the class line through
-    p is m.
-    """
-    return plane.parallel_table()[parallel_partition(plane).class_of[l]][p]
 
 
 def parallel_partition(plane: IncidencePlane) -> DirectionPartition:

@@ -59,13 +59,6 @@ class TranslationGroup:
         i = self._by_key.get(image[:2])
         return i if i is not None and self.elements[i].image == image else None
 
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = self.cayley[x][i]
-            k += 1
-        return k
-
 
 def build_group(
     plane: IncidencePlane, translations: list[ClassifiedMap]

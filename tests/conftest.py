@@ -112,6 +112,12 @@ def dual_hall9_cut(point: int) -> dict:
     }
 
 
+def identity_map(plane) -> ClassifiedMap:
+    """The identity of plane, classified as a translation with no direction."""
+    n = plane.num_points
+    return ClassifiedMap(tuple(range(n)), "translation", frozenset(range(n)))
+
+
 def corrupted_documents(document) -> dict:
     """Four loadable documents that break a plane of order at least 3:
     its first line dropped, its first two lines merged, the last point of

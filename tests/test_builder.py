@@ -1,8 +1,10 @@
 import pytest
 
-from affineplane import build_prime_plane, intersect, is_prime, parallel, verify_axioms
+from affineplane import build_prime_plane, is_prime, verify_axioms
 from affineplane.builder import point_id
-from affineplane.errors import NotPrime, OrderTooLarge, SameLine
+from affineplane.errors import NotPrime, OrderTooLarge
+
+from test_oracles import parallel_oracle
 
 
 def test_is_prime():
@@ -37,31 +39,30 @@ def test_point_id_layout():
 
 
 class TestIntersect:
+    """The common point of two lines, read from the meet table."""
+
     def test_shared_point(self, p2):
         l = p2.line_index[frozenset({0, 1})]
         m = p2.line_index[frozenset({0, 2})]
-        assert intersect(p2, l, m) == 0
+        assert p2.meet_table()[l][m] == 0
 
     def test_parallel_lines_have_no_intersection(self, p2):
         l = p2.line_index[frozenset({0, 1})]
         m = p2.line_index[frozenset({2, 3})]
-        assert intersect(p2, l, m) is None
-
-    def test_same_line_rejected(self, p2):
-        with pytest.raises(SameLine):
-            intersect(p2, 0, 0)
+        assert p2.meet_table()[l][m] is None
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_distinct_nonparallel_lines_meet_once(self, planes, p):
         plane = planes[p]
+        meet = plane.meet_table()
         for l in range(plane.num_lines):
             for m in range(plane.num_lines):
                 if l == m:
                     continue
                 common = plane.lines[l] & plane.lines[m]
-                if parallel(plane, l, m):
-                    assert intersect(plane, l, m) is None
+                if parallel_oracle(plane, l, m):
+                    assert meet[l][m] is None
                     assert not common
                 else:
                     assert len(common) == 1
-                    assert intersect(plane, l, m) in common
+                    assert meet[l][m] in common

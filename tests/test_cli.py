@@ -199,6 +199,20 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("command", ["check", "groups", "endo", "verify-all"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"points": ' + "1" * 4301 + ', "lines": []}'],
+        ids=["deep_nesting", "4301_digit_integer"],
+    )
+    def test_json_beyond_parser_limits_exits_2(self, tmp_path, capsys, command, text):
+        # json.load raises RecursionError and ValueError here, not JSONDecodeError
+        path = tmp_path / "limits.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+
 
 class TestGroups:
     def test_translations_and_abelian(self, p3_file, capsys):

@@ -4,27 +4,17 @@ import pytest
 
 from affineplane import (
     classify,
-    direction,
-    enumerate_collineations,
     enumerate_dilations,
-    enumerate_translations,
     fixed_points,
-    identity_map,
     is_collineation,
     is_dilation,
     is_translation,
     parallel_partition,
-    trace,
 )
-from affineplane import collineation
-from affineplane.collineation import ClassifiedMap
-from affineplane.errors import (
-    NotCollineation,
-    NotTranslation,
-    OrderTooLarge,
-    SizeMismatch,
-)
+from affineplane.errors import NotTranslation, SizeMismatch
 from affineplane.transgroup import build_group, check_abelian, compose_images
+from conftest import identity_map
+from test_oracles import collineations_oracle, trace_direction_oracle, trace_oracle
 
 KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
 
@@ -97,42 +87,59 @@ class TestIsTranslation:
 
 
 class TestTrace:
+    """The traces the oracles read, and the join-table lookup classify reads
+    for the trace of point 0."""
+
     def test_translation_trace(self, p2):
         f = classify(p2, (1, 0, 3, 2))
-        assert p2.lines[trace(p2, f, 0)] == frozenset({0, 1})
+        assert p2.lines[trace_oracle(p2, f, 0)] == frozenset({0, 1})
+        assert trace_oracle(p2, f, 0) == p2.join_table()[0][f.image[0]]
 
     def test_identity_has_no_trace(self, p2):
-        assert trace(p2, identity_map(p2), 0) is None
+        assert trace_oracle(p2, identity_map(p2), 0) is None
 
     def test_homothety_trace_is_x_axis(self, p3):
         f = classify(p3, HOMOTHETY3)
         assert f.kind == "dilation"
-        assert p3.lines[trace(p3, f, 3)] == frozenset({0, 3, 6})
+        assert p3.lines[trace_oracle(p3, f, 3)] == frozenset({0, 3, 6})
+        assert trace_oracle(p3, f, 3) == p3.join_table()[3][f.image[3]]
 
 
 class TestDirection:
+    """classify's direction, the class of the trace of point 0, against
+    every trace."""
+
     def test_translation_direction(self, p2):
         f = classify(p2, (1, 0, 3, 2))
         part = parallel_partition(p2)
-        assert direction(p2, f) == part.class_of[p2.line_index[frozenset({0, 1})]]
+        assert f.direction == part.class_of[p2.line_index[frozenset({0, 1})]]
+        assert f.direction == trace_direction_oracle(p2, f)
 
     def test_identity_direction_undefined(self, p2):
-        assert direction(p2, identity_map(p2)) is None
+        f = classify(p2, tuple(range(4)))
+        assert f.kind == "translation"
+        assert f.direction is None
+        assert trace_direction_oracle(p2, f) is None
 
     def test_shift_direction_is_vertical_class_of_its_traces(self, p3):
         f = classify(p3, SHIFT3)
         part = parallel_partition(p3)
         # trace of (0,0) under (x,y)->(x+1,y) joins points 0 and 3: the line y=0
-        assert direction(p3, f) == part.class_of[p3.line_index[frozenset({0, 3, 6})]]
+        assert f.direction == part.class_of[p3.line_index[frozenset({0, 3, 6})]]
+        assert f.direction == trace_direction_oracle(p3, f)
 
     def test_non_translation_rejected(self, p3):
+        f = classify(p3, HOMOTHETY3)
+        assert f.direction is None
         with pytest.raises(NotTranslation):
-            direction(p3, classify(p3, HOMOTHETY3))
+            trace_direction_oracle(p3, f)
 
 
 class TestEnumerateCollineations:
+    """The backtracking oracle that feeds TestDilationOracle."""
+
     def test_ag22_count_matches_brute_force(self, p2):
-        enumerated = {f.image for f in enumerate_collineations(p2)}
+        enumerated = set(collineations_oracle(p2))
         brute = {
             perm
             for perm in itertools.permutations(range(4))
@@ -142,22 +149,10 @@ class TestEnumerateCollineations:
         assert len(enumerated) == 24
 
     def test_ag23_count(self, p3):
-        assert len(enumerate_collineations(p3)) == 432
-
-    def test_bound_enforced(self, p5):
-        with pytest.raises(OrderTooLarge):
-            enumerate_collineations(p5)
-
-    def test_non_collineation_from_search_rejected(self, p2, monkeypatch):
-        def misclassify(plane, image):
-            return ClassifiedMap(tuple(image), "general", fixed_points(image))
-
-        monkeypatch.setattr(collineation, "classify", misclassify)
-        with pytest.raises(NotCollineation):
-            enumerate_collineations(p2)
+        assert len(collineations_oracle(p3)) == 432
 
     def test_closed_under_composition_and_inverse(self, p2):
-        images = {f.image for f in enumerate_collineations(p2)}
+        images = set(collineations_oracle(p2))
         for f in images:
             inv = [0] * 4
             for a, b in enumerate(f):
@@ -179,9 +174,7 @@ class TestEnumerateDilations:
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_filtered_collineations(self, planes, dilations, p):
         filtered = {
-            f.image
-            for f in enumerate_collineations(planes[p])
-            if f.kind in ("dilation", "translation")
+            image for image in collineations_oracle(planes[p]) if is_dilation(planes[p], image)
         }
         assert {f.image for f in dilations[p]} == filtered
 
@@ -211,8 +204,10 @@ class TestEnumerateDilations:
 
 
 class TestEnumerateTranslations:
-    def test_ag22_is_the_klein_four_group(self, p2):
-        assert {f.image for f in enumerate_translations(p2)} == set(KLEIN)
+    """The translations: the dilations of kind "translation"."""
+
+    def test_ag22_is_the_klein_four_group(self, translations):
+        assert {f.image for f in translations[2]} == set(KLEIN)
 
     @pytest.mark.parametrize("p,count", [(2, 4), (3, 9), (5, 25)])
     def test_counts(self, translations, p, count):
@@ -231,7 +226,7 @@ class TestEnumerateTranslations:
                 if f.is_identity:
                     continue
                 classes = {
-                    part.class_of[trace(plane, f, q)]
+                    part.class_of[trace_oracle(plane, f, q)]
                     for q in range(plane.num_points)
                 }
                 assert classes == {f.direction}

@@ -12,7 +12,6 @@ from affineplane import (
     enumerate_dilations,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
-    identity_map,
     inversion_endo,
     is_endomorphism,
     is_trace_preserving,
@@ -24,7 +23,7 @@ from affineplane import (
     zero_endo,
 )
 from affineplane.errors import NotEndomorphism, OrderTooLarge, SizeMismatch
-from conftest import ag29_document, hall9_document
+from conftest import ag29_document, hall9_document, identity_map
 
 
 def brute_force_endomorphisms(g):

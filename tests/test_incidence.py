@@ -3,20 +3,23 @@ import pytest
 from affineplane import (
     IncidencePlane,
     build_prime_plane,
-    line_through,
     load_plane,
-    parallel,
     parallel_partition,
-    parallel_through_point,
     verify_axioms,
 )
-from affineplane.errors import MalformedDocument, NotVerified, SamePoint
+from affineplane.errors import MalformedDocument, NotVerified
 
 from conftest import AG22_DOC
+from test_oracles import parallel_oracle
 
 
 def lid(plane: IncidencePlane, *points: int) -> int:
     return plane.line_index[frozenset(points)]
+
+
+def parallel_through(plane: IncidencePlane, l: int, p: int) -> int:
+    """The line through p parallel to l, read from the parallel table."""
+    return plane.parallel_table()[parallel_partition(plane).class_of[l]][p]
 
 
 class TestLoadPlane:
@@ -84,46 +87,46 @@ class TestVerifyAxioms:
 
 
 class TestLineThrough:
-    def test_examples(self, p2):
-        assert line_through(p2, 0, 1) == lid(p2, 0, 1)
-        assert line_through(p2, 0, 3) == lid(p2, 0, 3)
+    """The joining line, read from the join table."""
 
-    def test_same_point_rejected(self, p2):
-        with pytest.raises(SamePoint):
-            line_through(p2, 0, 0)
+    def test_examples(self, p2):
+        join = p2.join_table()
+        assert join[0][1] == lid(p2, 0, 1)
+        assert join[0][3] == lid(p2, 0, 3)
 
     @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "failed"])
-    def test_unverified_plane_refused_after_the_same_point_check(self, checked):
+    def test_unverified_plane_refused(self, checked):
         # AG(2,2) less the line {1, 2}: no line joins 1 and 2
         plane = load_plane({"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]})
         if checked:
             assert not verify_axioms(plane).all_pass
-        with pytest.raises(SamePoint):
-            line_through(plane, 1, 1)
-        for p, q in [(0, 1), (1, 2)]:  # one join, none: both refused
+        for table in (plane.join_table, plane.parallel_table, plane.meet_table):
             with pytest.raises(NotVerified):
-                line_through(plane, p, q)
+                table()
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_pair_has_unique_join(self, planes, p):
         plane = planes[p]
+        join = plane.join_table()
         for a in range(plane.num_points):
             for b in range(a + 1, plane.num_points):
                 joins = [l for l, pts in enumerate(plane.lines) if a in pts and b in pts]
-                assert joins == [line_through(plane, a, b)]
+                assert joins == [join[a][b]] == [join[b][a]]
 
 
 class TestParallel:
+    """The definition the parallel classes are checked against."""
+
     def test_examples(self, p2):
-        assert parallel(p2, lid(p2, 0, 1), lid(p2, 2, 3))
-        assert parallel(p2, lid(p2, 0, 1), lid(p2, 0, 1))
-        assert not parallel(p2, lid(p2, 0, 1), lid(p2, 0, 2))
+        assert parallel_oracle(p2, lid(p2, 0, 1), lid(p2, 2, 3))
+        assert parallel_oracle(p2, lid(p2, 0, 1), lid(p2, 0, 1))
+        assert not parallel_oracle(p2, lid(p2, 0, 1), lid(p2, 0, 2))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equivalence_relation(self, planes, p):
         plane = planes[p]
         nl = plane.num_lines
-        rel = [[parallel(plane, l, m) for m in range(nl)] for l in range(nl)]
+        rel = [[parallel_oracle(plane, l, m) for m in range(nl)] for l in range(nl)]
         for l in range(nl):
             assert rel[l][l]
             for m in range(nl):
@@ -134,29 +137,31 @@ class TestParallel:
 
 
 class TestParallelThroughPoint:
+    """The parallel through a point, read from the parallel table."""
+
     def test_unique_disjoint_line(self, p2):
-        assert parallel_through_point(p2, lid(p2, 0, 1), 2) == lid(p2, 2, 3)
+        assert parallel_through(p2, lid(p2, 0, 1), 2) == lid(p2, 2, 3)
 
     def test_point_on_line_returns_line(self, p2):
         l = lid(p2, 0, 1)
-        assert parallel_through_point(p2, l, 0) == l
+        assert parallel_through(p2, l, 0) == l
 
     def test_ag23_horizontal(self, p3):
         # y=0 is points {0,3,6}; the parallel through (0,1)=point 1 is y=1
-        assert parallel_through_point(p3, lid(p3, 0, 3, 6), 1) == lid(p3, 1, 4, 7)
+        assert parallel_through(p3, lid(p3, 0, 3, 6), 1) == lid(p3, 1, 4, 7)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_result_is_parallel_contains_point_and_unique(self, planes, p):
         plane = planes[p]
         for l in range(plane.num_lines):
             for q in range(plane.num_points):
-                m = parallel_through_point(plane, l, q)
+                m = parallel_through(plane, l, q)
                 assert q in plane.lines[m]
-                assert parallel(plane, l, m)
+                assert parallel_oracle(plane, l, m)
                 others = [
                     r
                     for r in plane.lines_through[q]
-                    if parallel(plane, l, r)
+                    if parallel_oracle(plane, l, r)
                 ]
                 assert others == [m]
 
@@ -175,7 +180,7 @@ class TestParallelPartition:
         part = parallel_partition(plane)
         for l in range(plane.num_lines):
             for m in range(plane.num_lines):
-                assert (part.class_of[l] == part.class_of[m]) == parallel(plane, l, m)
+                assert (part.class_of[l] == part.class_of[m]) == parallel_oracle(plane, l, m)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_classes_partition_lines(self, planes, p):

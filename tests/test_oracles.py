@@ -6,7 +6,7 @@ the generators, ``enumerate_endomorphisms`` searches along that chain,
 tests one relator per coset edge of each level and meets its leaves in
 table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
-of filtering End, ``cli._closed`` settles a closure theorem from a
+of filtering End, ``endo.closed`` settles a closure theorem from a
 generating set, ``verify_axioms`` counts joins and parallels with line
 bitmasks and settles the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
@@ -16,11 +16,13 @@ composes the rest from the stabiliser of 0,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_conjugation`` conjugates only the generators, by that key for
 a dilation, ``parallel_partition`` reads the classes from the pencil
-at point 0, and ``parallel_through_point`` / ``intersect`` answer from
-lookup tables.  The all-pairs, union-find, product-and-test, filtering
-and scanning and candidate-by-candidate definitions live here, as
-oracles, and every
-test below asks both for a verdict on the same inputs."""
+at point 0, and the parallel and meet tables answer in one lookup.  The
+all-pairs, union-find, product-and-test, filtering, scanning,
+candidate-by-candidate and backtracking definitions live here, as
+oracles, and every test below asks both for a verdict on the same
+inputs.  The collineations of a small plane come from a backtracking
+search (``collineations_oracle``), a translation's direction from every
+one of its traces (``trace_direction_oracle``)."""
 
 import itertools
 import random
@@ -40,32 +42,25 @@ from affineplane import (
     classify,
     compose,
     count_endomorphisms,
-    direction,
-    enumerate_collineations,
     enumerate_dilations,
     enumerate_endomorphisms,
     enumerate_tp_endomorphisms,
-    identity_map,
-    intersect,
     is_collineation,
     is_dilation,
     is_endomorphism,
     is_trace_preserving,
     load_plane,
-    parallel,
     parallel_partition,
-    parallel_through_point,
     verify_axioms,
 )
-from affineplane.cli import _closed
-from affineplane.endo import DEFAULT_MAX_GROUP, _chain_search, _sum_table
+from affineplane.endo import DEFAULT_MAX_GROUP, _chain_search, _sum_table, closed
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
     NotClosed,
     NotEndomorphism,
+    NotTranslation,
     OrderTooLarge,
-    SameLine,
     SizeMismatch,
 )
 from affineplane import collineation, transgroup
@@ -82,6 +77,7 @@ from conftest import (
     corrupted_documents,
     dual_hall9_cut,
     hall9_document,
+    identity_map,
     table_group,
 )
 from test_endo import brute_force_endomorphisms
@@ -152,6 +148,48 @@ def collineation_oracle(plane, image):
     )
 
 
+def collineations_oracle(plane):
+    """Every collineation's image, sorted, by backtracking over point
+    images: a partial assignment is pruned as soon as the assigned images
+    of a line stop fitting on a common line.  Exponential; the tests call
+    it on AG(2,2) and AG(2,3) only."""
+    n = plane.num_points
+    join = plane.join_table()
+    found = []
+    image = [-1] * n
+    used = [False] * n
+
+    def consistent(p, b):
+        for lid in plane.lines_through[p]:
+            imgs = [image[q] for q in plane.lines[lid] if q != p and image[q] != -1]
+            if not imgs:
+                continue
+            if b in imgs:
+                return False
+            if len(imgs) == 1:
+                continue
+            target = plane.lines[join[imgs[0]][imgs[1]]]
+            if b not in target or any(i not in target for i in imgs):
+                return False
+        return True
+
+    def extend(p):
+        if p == n:
+            found.append(tuple(image))
+            return
+        for b in range(n):
+            if used[b] or not consistent(p, b):
+                continue
+            image[p] = b
+            used[b] = True
+            extend(p + 1)
+            image[p] = -1
+            used[b] = False
+
+    extend(0)
+    return sorted(found)
+
+
 def dilation_oracle(plane, image):
     """The definition: a collineation keeping every joining line's class."""
     if not collineation_oracle(plane, image):
@@ -214,6 +252,29 @@ def kind_oracle(plane, image):
     return "dilation"
 
 
+def trace_oracle(plane, f, p):
+    """The line through p and f(p), found among the lines on p; None when
+    f fixes p."""
+    q = f.image[p]
+    if q == p:
+        return None
+    (line,) = [l for l in plane.lines_through[p] if q in plane.lines[l]]
+    return line
+
+
+def trace_direction_oracle(plane, f):
+    """The parallel class of every trace of a translation, compared point
+    by point; None for the identity, whose direction is undefined."""
+    if f.kind != "translation":
+        raise NotTranslation(f"direction requires a translation, got kind {f.kind!r}")
+    if f.is_identity:
+        return None
+    class_of = parallel_partition(plane).class_of
+    classes = {class_of[trace_oracle(plane, f, p)] for p in range(plane.num_points)}
+    assert len(classes) == 1, f"traces fall into {len(classes)} parallel classes"
+    return classes.pop()
+
+
 def normal_oracle(g, dilations):
     """The definition: every conjugate d^-1.t.d, built point by point, is listed."""
     for di, delta in enumerate(dilations):
@@ -243,6 +304,11 @@ def direction_oracle(g, dilations):
             if ci != 0 and g.direction_of[ci] != g.direction_of[si]:
                 return CheckResult("conjugation_direction", False, (di, si))
     return CheckResult("conjugation_direction", True)
+
+
+def parallel_oracle(plane, l, m):
+    """The definition: two lines are parallel when they coincide or share no point."""
+    return l == m or plane.lines[l].isdisjoint(plane.lines[m])
 
 
 def parallel_through_oracle(plane, l, p):
@@ -285,7 +351,7 @@ def partition_oracle(plane):
         for l in members:
             class_of[l] = cid
         for l, m in itertools.combinations(members, 2):
-            assert parallel(plane, l, m), f"lines {l} and {m} share a class but are not parallel"
+            assert parallel_oracle(plane, l, m), f"lines {l} and {m} share a class but are not parallel"
     return tuple(class_of), classes
 
 
@@ -372,7 +438,7 @@ def assert_endomorphism_verdicts_agree(g, tables):
 def assert_dilation_verdicts_agree(plane, images):
     """classify against the oracles; for a dilation, also its translation
     verdict (no fixed point, or the identity) and its direction against
-    direction(), which compares the traces point by point."""
+    trace_direction_oracle, which compares the traces point by point."""
     kinds = []
     for image in images:
         assert is_collineation(plane, image) == collineation_oracle(plane, image)
@@ -384,7 +450,7 @@ def assert_dilation_verdicts_agree(plane, images):
             fixed = sum(p == q for p, q in enumerate(image))
             assert (f.kind == "translation") == (fixed in (0, len(image))), image
         if f.kind == "translation":
-            assert f.direction == direction(plane, f), image
+            assert f.direction == trace_direction_oracle(plane, f), image
         kinds.append(kind)
     return kinds
 
@@ -746,7 +812,7 @@ def closed_oracle(maps, op, predicate):
 
 
 def closure_ops(g, name):
-    """(table op for _closed, map op for the oracle) of + or o."""
+    """(table op for closed, map op for the oracle) of + or o."""
     if name == "+":
         return partial(_sum_table, g.cayley), partial(add, g)
     return compose_images, partial(compose, g)
@@ -769,7 +835,7 @@ def outcome(fn, *args):
 
 
 def assert_closure_verdicts_agree(g, maps, name, predicate):
-    """_closed's verdict, or error, is the oracle's.  It multiplies each
+    """closed's verdict, or error, is the oracle's.  It multiplies each
     pair once; True takes every x in the list times every generator, and
     False stops at its last pair, two maps of the list whose product the
     oracle rejects."""
@@ -780,7 +846,7 @@ def assert_closure_verdicts_agree(g, maps, name, predicate):
         pairs.append((x, t))
         return table_op(x, t)
 
-    verdict = outcome(_closed, g, maps, op, predicate)
+    verdict = outcome(closed, g, maps, op, predicate)
     assert verdict == outcome(closed_oracle, maps, map_op, predicate)
     assert len(pairs) == len(set(pairs))
     by_table = {a.table: a for a in maps}
@@ -819,7 +885,7 @@ class TestClosureOracle:
                 gens.add(t)
                 return table_op(x, t)
 
-            assert _closed(g, endos, op, is_endo)
+            assert closed(g, endos, op, is_endo)
             assert len(gens) == rank
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
@@ -862,7 +928,7 @@ class TestClosureOracle:
                 if square.table != a.table and is_endo(square):
                     # the list is not all of End: the generating set decides nothing
                     with pytest.raises(IncompleteList):
-                        _closed(g, [a], table_op, is_endo)
+                        closed(g, [a], table_op, is_endo)
                 else:
                     assert_closure_verdicts_agree(g, [a], name, is_endo)
 
@@ -889,14 +955,14 @@ class TestClosureOracle:
             maps = endos[:at] + endos[at + 1:]
             for name in "+o":
                 with pytest.raises(IncompleteList):
-                    _closed(g, maps, closure_ops(g, name)[0], partial(is_endomorphism, g))
+                    closed(g, maps, closure_ops(g, name)[0], partial(is_endomorphism, g))
 
 
 class TestDilationOracle:
     @pytest.mark.parametrize("p,dilations", [(2, 4), (3, 18)])
     def test_every_collineation(self, planes, p, dilations):
         plane = planes[p]
-        images = [f.image for f in enumerate_collineations(plane)]
+        images = collineations_oracle(plane)
         kinds = assert_dilation_verdicts_agree(plane, images)
         assert kinds.count("dilation") == dilations
 
@@ -1063,9 +1129,10 @@ class TestLookupTableOracle:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_parallel_through_every_line_and_point(self, planes, p):
         plane = planes[p]
+        par, class_of = plane.parallel_table(), parallel_partition(plane).class_of
         for l in range(plane.num_lines):
             for q in range(plane.num_points):
-                m = parallel_through_point(plane, l, q)
+                m = par[class_of[l]][q]
                 assert m == parallel_through_oracle(plane, l, q)
                 if q in plane.lines[l]:
                     assert m == l
@@ -1073,13 +1140,15 @@ class TestLookupTableOracle:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_intersect_every_pair_of_lines(self, planes, p):
         plane = planes[p]
+        meet = plane.meet_table()
         parallel_pairs = 0
         for l in range(plane.num_lines):
-            with pytest.raises(SameLine):
-                intersect(plane, l, l)
+            # a line meets itself in None: the dilation search rejects a
+            # candidate whose two parallels coincide
+            assert meet[l][l] is None
             for m in range(plane.num_lines):
                 if l != m:
-                    point = intersect(plane, l, m)
+                    point = meet[l][m]
                     assert point == meet_oracle(plane, l, m)
                     parallel_pairs += point is None
         # each of the p + 1 classes has p lines, pairwise parallel

@@ -24,13 +24,12 @@ from affineplane.transgroup import CheckResult, TranslationGroup
 
 SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 
-# The names `affineplane` exported when __init__ imported every submodule.
+# The names `affineplane` exports, by the submodule that defines each.
 EXPORTS = {
-    "builder": ["build_prime_plane", "intersect", "is_prime"],
+    "builder": ["build_prime_plane", "is_prime"],
     "collineation": [
-        "ClassifiedMap", "classify", "direction", "enumerate_collineations",
-        "enumerate_dilations", "enumerate_translations", "fixed_points", "identity_map",
-        "is_collineation", "is_dilation", "is_translation", "trace",
+        "ClassifiedMap", "classify", "enumerate_dilations", "fixed_points",
+        "is_collineation", "is_dilation", "is_translation",
     ],
     "endo": [
         "GroupSelfMap", "RingReport", "add", "check_ring_axioms", "compose",
@@ -39,8 +38,8 @@ EXPORTS = {
         "scalar_labeling", "unit_endo", "zero_endo",
     ],
     "incidence": [
-        "AxiomReport", "DirectionPartition", "IncidencePlane", "line_through", "load_plane",
-        "parallel", "parallel_partition", "parallel_through_point", "verify_axioms",
+        "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
+        "parallel_partition", "verify_axioms",
     ],
     "transgroup": [
         "CheckResult", "TranslationGroup", "build_group", "check_abelian",
