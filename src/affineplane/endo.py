@@ -418,6 +418,26 @@ class RingReport(NamedTuple):
         }
 
 
+class _Operation(dict):
+    """S or P of check_ring_axioms: self[a, b] is the value of a op b.
+
+    A value is the id of a listed table, or a table that is not listed.
+    An entry is formed on its first read, and kept only when both
+    operands are ids: at most k^2 entries for a list of k maps."""
+
+    def __init__(self, op, ids: dict):
+        super().__init__()
+        self.op, self.ids, self.tables = op, ids, list(ids)
+
+    def __missing__(self, key):
+        a, b = key
+        t = self.op(*[self.tables[x] if type(x) is int else x for x in key])
+        value = self.ids.get(t, t)
+        if type(a) is type(b) is int:
+            self[key] = value
+        return value
+
+
 def check_ring_axioms(
     plane: IncidencePlane,
     g: TranslationGroup,
@@ -428,80 +448,57 @@ def check_ring_axioms(
 
     Failures are report content with a minimal witness, never exceptions,
     so deliberately broken fixtures can be inspected.  Sizes are checked
-    once, for the whole list; the scan then works on the tables, and
-    forms each pairwise sum and product once.
+    once, for the whole list.  Each distinct listed table gets an id, in
+    order of first occurrence, and a sum or product is its id when the
+    result is listed and its table when it is not (_Operation).  So two
+    values are equal iff their tables are, and a value is listed iff it
+    is an id: every axiom compares values, and on a closed list each
+    triple costs only lookups in the Cayley tables S and P of the ring.
+    The scans run in index order, and witnesses index into the list.
+    x + (-x) = 0 holds pointwise in any group, so add_inverses asks only
+    that -x, the inversion map composed with x, be listed.
     """
     for a in tp:
         _check_size(g, a)
-    tables = [a.table for a in tp]
-    index = {a: i for i, a in enumerate(tables)}
-    k = len(tables)
+    ids: dict = {}
+    for a in tp:
+        ids.setdefault(a.table, len(ids))
+    values = [ids[a.table] for a in tp]
+    S = _Operation(lambda a, b: _sum_table(g.cayley, a, b), ids)
+    P = _Operation(compose_images, ids)
+    minus = ids.get(g.inverse, g.inverse)
 
-    def plus(a, b):
-        return _sum_table(g.cayley, a, b)
-
-    times = compose_images
-    sums = [[plus(a, b) for b in tables] for a in tables]
-    products = [[times(a, b) for b in tables] for a in tables]
-    # the pointwise inverses, not negate(): that raises on a non-endomorphism
-    negatives = [times(g.inverse, a) for a in tables]
-    zero = (0,) * g.order
-    axioms: dict = {}
-
-    def first_failure(pairs_or_triples, predicate):
-        for item in pairs_or_triples:
-            if not predicate(*item):
-                return False, item
+    def first_failure(arity, holds):
+        for witness, v in zip(itertools.product(range(len(tp)), repeat=arity),
+                              itertools.product(values, repeat=arity)):
+            if not holds(*v):
+                return False, witness
         return True, None
 
-    pairs = list(itertools.product(range(k), repeat=2))
-    triples = list(itertools.product(range(k), repeat=3))
+    def unit_law(op, unit, name):
+        e = ids.get(unit)
+        if e is None:
+            return False, (f"{name} endomorphism missing",)
+        return first_failure(1, lambda x: op[x, e] == x == op[e, x])
 
-    axioms["add_closure"] = first_failure(pairs, lambda i, j: sums[i][j] in index)
-    axioms["add_associative"] = first_failure(
-        triples, lambda i, j, l: plus(sums[i][j], tables[l]) == plus(tables[i], sums[j][l])
-    )
-    zi = index.get(zero)
-    if zi is None:
-        axioms["add_identity"] = (False, ("zero endomorphism missing",))
-    else:
-        axioms["add_identity"] = first_failure(
-            [(i,) for i in range(k)],
-            lambda i: sums[i][zi] == tables[i] and sums[zi][i] == tables[i],
-        )
-    axioms["add_inverses"] = first_failure(
-        [(i,) for i in range(k)],
-        lambda i: negatives[i] in index and plus(tables[i], negatives[i]) == zero,
-    )
-    axioms["add_commutative"] = first_failure(pairs, lambda i, j: sums[i][j] == sums[j][i])
-    axioms["mul_closure"] = first_failure(pairs, lambda i, j: products[i][j] in index)
-    axioms["mul_associative"] = first_failure(
-        triples,
-        lambda i, j, l: times(products[i][j], tables[l]) == times(tables[i], products[j][l]),
-    )
-    axioms["left_distributive"] = first_failure(
-        triples,
-        lambda i, j, l: times(tables[i], sums[j][l]) == plus(products[i][j], products[i][l]),
-    )
-    axioms["right_distributive"] = first_failure(
-        triples,
-        lambda i, j, l: times(sums[i][j], tables[l]) == plus(products[i][l], products[j][l]),
-    )
-    ui = index.get(tuple(range(g.order)))
-    if ui is None:
-        axioms["mul_identity"] = (False, ("unit endomorphism missing",))
-    else:
-        axioms["mul_identity"] = first_failure(
-            [(i,) for i in range(k)],
-            lambda i: products[i][ui] == tables[i] and products[ui][i] == tables[i],
-        )
-
-    mul_commutative, _ = first_failure(pairs, lambda i, j: products[i][j] == products[j][i])
-
+    axioms = {
+        "add_closure": first_failure(2, lambda x, y: type(S[x, y]) is int),
+        "add_associative": first_failure(3, lambda x, y, z: S[S[x, y], z] == S[x, S[y, z]]),
+        "add_identity": unit_law(S, (0,) * g.order, "zero"),
+        "add_inverses": first_failure(1, lambda x: type(P[minus, x]) is int),
+        "add_commutative": first_failure(2, lambda x, y: S[x, y] == S[y, x]),
+        "mul_closure": first_failure(2, lambda x, y: type(P[x, y]) is int),
+        "mul_associative": first_failure(3, lambda x, y, z: P[P[x, y], z] == P[x, P[y, z]]),
+        "left_distributive": first_failure(
+            3, lambda x, y, z: P[x, S[y, z]] == S[P[x, y], P[x, z]]),
+        "right_distributive": first_failure(
+            3, lambda x, y, z: P[S[x, y], z] == S[P[x, z], P[y, z]]),
+        "mul_identity": unit_law(P, tuple(range(g.order)), "unit"),
+    }
     return RingReport(
         axioms=axioms,
-        mul_commutative=mul_commutative,
-        num_tp=k,
+        mul_commutative=first_failure(2, lambda x, y: P[x, y] == P[y, x])[0],
+        num_tp=len(tp),
         num_endomorphisms=num_endomorphisms,
     )
 
@@ -511,18 +508,19 @@ def scalar_labeling(g: TranslationGroup, tp: list[GroupSelfMap]) -> Optional[lis
 
     Returns labels[i] = k meaning tp[i] is the k-fold sum of the unit, or
     None when the scalar sums do not exhaust the list.  Used to compare
-    the ring's tables with arithmetic modulo the label count.
+    the ring's tables with arithmetic modulo the label count.  Each of the
+    len(tp) steps labels a new index, so every label is set at the end.
     """
     index = {a.table: i for i, a in enumerate(tp)}
     unit = unit_endo(g)
     labels = [-1] * len(tp)
-    current = zero_endo(g)
+    current = zero = zero_endo(g)
     for k in range(len(tp)):
         i = index.get(current.table)
         if i is None or labels[i] != -1:
             return None
         labels[i] = k
         current = add(g, current, unit)
-    if current.table != zero_endo(g).table or -1 in labels:
+    if current.table != zero.table:
         return None
     return labels

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from affineplane import (
     zero_endo,
 )
 from affineplane.errors import NotEndomorphism, OrderTooLarge, SizeMismatch
-from conftest import ag29_document, hall9_document, identity_map
+from conftest import ag29_document, dual_hall9_cut, hall9_document, identity_map
 
 
 def brute_force_endomorphisms(g):
@@ -242,7 +243,37 @@ class TestRingReport:
         g = groups[3]
         collapse = GroupSelfMap((0,) + (1,) * 8)
         report = check_ring_axioms(planes[3], g, tp_endomorphisms[3] + [collapse])
-        assert report.axioms["add_inverses"] == (False, (3,))
+        # collapse is no endomorphism, so it breaks left distributivity;
+        # the first failing triple, in scan order, is (collapse, tp[1], tp[1])
+        assert report.axioms == {
+            "add_closure": (False, (1, 3)),
+            "add_associative": (True, None),
+            "add_identity": (True, None),
+            "add_inverses": (False, (3,)),
+            "add_commutative": (True, None),
+            "mul_closure": (False, (2, 3)),
+            "mul_associative": (True, None),
+            "left_distributive": (False, (3, 1, 1)),
+            "right_distributive": (True, None),
+            "mul_identity": (True, None),
+        }
+        assert report.mul_commutative is False
+
+    def test_ring_scan_keeps_no_triples_list(self):
+        # 27 of the 81 TP maps of a plane whose translations lie in one
+        # direction; listing the 27^3 index triples took 1.33 MB
+        plane = load_plane(dual_hall9_cut(81))
+        assert verify_axioms(plane).all_pass
+        g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
+        tp = enumerate_tp_endomorphisms(plane, g, max_group=g.order)[:27]
+        tracemalloc.start()
+        try:
+            report = check_ring_axioms(plane, g, tp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak < 500_000
 
     @pytest.mark.parametrize("at", [0, 1, 3])
     def test_wrong_size_table_raises(self, planes, groups, tp_endomorphisms, at):

@@ -14,13 +14,14 @@ and reads a translation's direction from the trace of point 0,
 ``enumerate_dilations`` tests one candidate per image of point 0 and
 composes the rest from the stabiliser of 0,
 ``build_group`` reads each Cayley entry from a two-point key,
+``check_ring_axioms`` compares ids in the ring's own Cayley tables,
 ``check_conjugation`` conjugates only the generators, by that key for
 a dilation, ``parallel_partition`` reads the classes from the pencil
 at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
-candidate-by-candidate and backtracking definitions live here, as
-oracles, and every test below asks both for a verdict on the same
-inputs.  The collineations of a small plane come from a backtracking
+table-per-triple, candidate-by-candidate and backtracking definitions
+live here, as oracles, and every test below asks both for a verdict on
+the same inputs.  The collineations of a small plane come from a backtracking
 search (``collineations_oracle``), a translation's direction from every
 one of its traces (``trace_direction_oracle``)."""
 
@@ -53,7 +54,15 @@ from affineplane import (
     parallel_partition,
     verify_axioms,
 )
-from affineplane.endo import DEFAULT_MAX_GROUP, _chain_search, _sum_table, closed
+from affineplane.endo import (
+    DEFAULT_MAX_GROUP,
+    RingReport,
+    _chain_search,
+    _check_size,
+    _sum_table,
+    check_ring_axioms,
+    closed,
+)
 from affineplane.errors import (
     AffinePlaneError,
     IncompleteList,
@@ -1339,3 +1348,173 @@ class TestCayleyOracle:
             outcomes.append(expected[0] if isinstance(expected[0], type) else "table")
         pair = "table" if len(plane.lines[0]) % 2 == 0 else NotClosed
         assert outcomes == ["table", "table", NotClosed, NotClosed, pair, NotClosed]
+
+
+def ring_oracle(plane, g, tp, num_endomorphisms=None):
+    """check_ring_axioms as a table scan: every sum and product formed as
+    a table, and up to eight more tables built per triple."""
+    for a in tp:
+        _check_size(g, a)
+    tables = [a.table for a in tp]
+    index = {a: i for i, a in enumerate(tables)}
+    k = len(tables)
+
+    def plus(a, b):
+        return _sum_table(g.cayley, a, b)
+
+    times = compose_images
+    sums = [[plus(a, b) for b in tables] for a in tables]
+    products = [[times(a, b) for b in tables] for a in tables]
+    # the pointwise inverses, not negate(): that raises on a non-endomorphism
+    negatives = [times(g.inverse, a) for a in tables]
+    zero = (0,) * g.order
+    axioms: dict = {}
+
+    def first_failure(pairs_or_triples, predicate):
+        for item in pairs_or_triples:
+            if not predicate(*item):
+                return False, item
+        return True, None
+
+    pairs = list(itertools.product(range(k), repeat=2))
+    triples = list(itertools.product(range(k), repeat=3))
+
+    axioms["add_closure"] = first_failure(pairs, lambda i, j: sums[i][j] in index)
+    axioms["add_associative"] = first_failure(
+        triples, lambda i, j, l: plus(sums[i][j], tables[l]) == plus(tables[i], sums[j][l])
+    )
+    zi = index.get(zero)
+    if zi is None:
+        axioms["add_identity"] = (False, ("zero endomorphism missing",))
+    else:
+        axioms["add_identity"] = first_failure(
+            [(i,) for i in range(k)],
+            lambda i: sums[i][zi] == tables[i] and sums[zi][i] == tables[i],
+        )
+    axioms["add_inverses"] = first_failure(
+        [(i,) for i in range(k)],
+        lambda i: negatives[i] in index and plus(tables[i], negatives[i]) == zero,
+    )
+    axioms["add_commutative"] = first_failure(pairs, lambda i, j: sums[i][j] == sums[j][i])
+    axioms["mul_closure"] = first_failure(pairs, lambda i, j: products[i][j] in index)
+    axioms["mul_associative"] = first_failure(
+        triples,
+        lambda i, j, l: times(products[i][j], tables[l]) == times(tables[i], products[j][l]),
+    )
+    axioms["left_distributive"] = first_failure(
+        triples,
+        lambda i, j, l: times(tables[i], sums[j][l]) == plus(products[i][j], products[i][l]),
+    )
+    axioms["right_distributive"] = first_failure(
+        triples,
+        lambda i, j, l: times(sums[i][j], tables[l]) == plus(products[i][l], products[j][l]),
+    )
+    ui = index.get(tuple(range(g.order)))
+    if ui is None:
+        axioms["mul_identity"] = (False, ("unit endomorphism missing",))
+    else:
+        axioms["mul_identity"] = first_failure(
+            [(i,) for i in range(k)],
+            lambda i: products[i][ui] == tables[i] and products[ui][i] == tables[i],
+        )
+
+    mul_commutative, _ = first_failure(pairs, lambda i, j: products[i][j] == products[j][i])
+
+    return RingReport(
+        axioms=axioms,
+        mul_commutative=mul_commutative,
+        num_tp=k,
+        num_endomorphisms=num_endomorphisms,
+    )
+
+
+def assert_ring_reports_agree(plane, g, tp):
+    """check_ring_axioms's report, or error, is the oracle's: every
+    verdict and every witness."""
+    report = outcome(check_ring_axioms, plane, g, tp)
+    assert report == outcome(ring_oracle, plane, g, tp)
+    return report
+
+
+def failing_axioms(report):
+    return {name for name, (passed, _) in report.axioms.items() if not passed}
+
+
+def ring_mutants(tp, order, seed):
+    """The TP list, each map dropped, and seeded mutants: a listed map
+    duplicated, the list shuffled, and a listed map with one entry
+    rewritten or a random table, each inserted at a random place."""
+    rng = random.Random(seed)
+    tables = [a.table for a in tp]
+    lists = [tables] + [tables[:i] + tables[i + 1:] for i in range(len(tables))]
+
+    def inserted(table):
+        at = rng.randrange(len(tables) + 1)
+        return tables[:at] + [tuple(table)] + tables[at:]
+
+    for _ in range(4):
+        corrupted = list(rng.choice(tables))
+        corrupted[rng.randrange(order)] = rng.randrange(order)
+        lists += [
+            inserted(rng.choice(tables)),
+            rng.sample(tables, len(tables)),
+            inserted(corrupted),
+            inserted([rng.randrange(order) for _ in range(order)]),
+        ]
+    return [[GroupSelfMap(t) for t in listed] for listed in lists]
+
+
+RING_PLANES = {**PLANE_DOCUMENTS, "dual_hall9_cut(0)": partial(dual_hall9_cut, 0)}
+
+
+class TestRingOracle:
+    def test_lists_of_the_ring_tests(self, planes, groups, tp_endomorphisms):
+        unit = tuple(range(groups[3].order))
+        cases = [(p, tp_endomorphisms[p]) for p in (2, 3, 5)] + [
+            (3, [a for a in tp_endomorphisms[3] if a.table != unit]),
+            (2, tp_endomorphisms[2] + [GroupSelfMap((0, 0, 2, 3))]),
+            (3, tp_endomorphisms[3] + [GroupSelfMap((0,) + (1,) * 8)]),
+        ] + [(3, tp_endomorphisms[3][:at] + [GroupSelfMap((0,) * 4)] + tp_endomorphisms[3][at:])
+             for at in (0, 1, 3)]
+        reports = [assert_ring_reports_agree(planes[p], groups[p], tp) for p, tp in cases]
+        assert [r.all_pass for r in reports[:3]] == [True] * 3
+        assert [failing_axioms(r) for r in reports[3:6]] == [
+            {"add_closure", "add_inverses", "mul_closure", "mul_identity"},
+            {"add_closure"},
+            {"add_closure", "add_inverses", "mul_closure", "left_distributive"},
+        ]
+        assert reports[6:] == [SizeMismatch] * 3
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_empty_list(self, planes, groups, p):
+        report = assert_ring_reports_agree(planes[p], groups[p], [])
+        assert report.axioms["add_identity"] == (False, ("zero endomorphism missing",))
+        assert report.axioms["mul_identity"] == (False, ("unit endomorphism missing",))
+        assert failing_axioms(report) == {"add_identity", "mul_identity"}
+        assert report.mul_commutative and report.num_tp == 0
+
+    @pytest.mark.parametrize("name", RING_PLANES)
+    def test_seeded_mutants_of_the_tp_list(self, name):
+        plane = load_plane(RING_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
+        tp = enumerate_tp_endomorphisms(plane, g, max_group=g.order)
+        failing = set()
+        for listed in ring_mutants(tp, g.order, seed=g.order):
+            failing |= failing_axioms(assert_ring_reports_agree(plane, g, listed))
+        # a dropped zero or unit, an unclosed list, and a triple witness;
+        # on any maps of an abelian group + and o are associative, + is
+        # commutative and o distributes over + from the right, so no
+        # mutant fails those
+        if g.order > 1:
+            assert {"add_closure", "add_identity", "left_distributive", "mul_closure",
+                    "mul_identity"} <= failing
+        else:
+            assert failing == {"add_identity", "mul_identity"}
+
+    @pytest.mark.parametrize("name", ["S3", "Q8"])
+    def test_end_of_non_abelian_groups(self, name):
+        # + is no longer commutative, and a sum of endomorphisms need not be one
+        g = SMALL_GROUPS[name][0]
+        report = assert_ring_reports_agree(None, g, enumerate_endomorphisms(g))
+        assert failing_axioms(report) == {"add_closure", "add_inverses", "add_commutative"}
