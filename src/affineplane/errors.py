@@ -39,8 +39,3 @@ class MissingIdentity(AffinePlaneError):
 
 class NotEndomorphism(AffinePlaneError):
     """Operation requires a map already known to be an endomorphism."""
-
-
-class IncompleteList(AffinePlaneError):
-    """A closure check met a product outside its list that passes the
-    predicate: the list is not the whole set the predicate defines."""
