@@ -16,34 +16,14 @@ from typing import Iterator, NamedTuple, Optional
 
 from .builder import DEFAULT_MAX_GROUP
 from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
-from .incidence import IncidencePlane
+from .incidence import AxiomCheck, IncidencePlane
 from .transgroup import TranslationGroup, compose_images, generator_chain, generators
 
 
-class GroupSelfMap:
-    """A total map on the translation group, as an element-index table.
+class GroupSelfMap(NamedTuple):
+    """A total map on the translation group, as an element-index table."""
 
-    The endomorphism and trace-preservation flags are memoized tri-state:
-    None until computed by the corresponding predicate.
-    """
-
-    __slots__ = ("table", "is_endomorphism", "is_trace_preserving")
-
-    def __init__(self, table: tuple[int, ...], is_endomorphism: Optional[bool] = None,
-                 is_trace_preserving: Optional[bool] = None):
-        self.table = table
-        self.is_endomorphism = is_endomorphism
-        self.is_trace_preserving = is_trace_preserving
-
-    def __repr__(self):
-        return (f"GroupSelfMap(table={self.table!r}, is_endomorphism={self.is_endomorphism!r}, "
-                f"is_trace_preserving={self.is_trace_preserving!r})")
-
-    def __eq__(self, other):
-        return isinstance(other, GroupSelfMap) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
+    table: tuple[int, ...]
 
 
 def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
@@ -51,6 +31,8 @@ def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
         raise SizeMismatch(
             f"table covers {len(alpha.table)} elements, group has {g.order}"
         )
+    if min(alpha.table) < 0 or max(alpha.table) >= g.order:
+        raise SizeMismatch(f"table has an entry outside range({g.order})")
 
 
 def _sum_table(cayley, a: tuple, b: tuple) -> tuple:
@@ -88,26 +70,22 @@ def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
     generator instead of |G|^2.
     """
     _check_size(g, alpha)
-    if alpha.is_endomorphism is None:
-        t = alpha.table
-        alpha.is_endomorphism = t[0] == 0 and all(
-            t[sx] == g.cayley[t[s]][tx]
-            for s in generators(g)
-            for sx, tx in zip(g.cayley[s], t)
-        )
-    return alpha.is_endomorphism
+    t = alpha.table
+    return t[0] == 0 and all(
+        t[sx] == g.cayley[t[s]][tx]
+        for s in generators(g)
+        for sx, tx in zip(g.cayley[s], t)
+    )
 
 
 def zero_endo(g: TranslationGroup) -> GroupSelfMap:
     """Sends every translation to the identity."""
-    return GroupSelfMap((0,) * g.order, is_endomorphism=True, is_trace_preserving=True)
+    return GroupSelfMap((0,) * g.order)
 
 
 def unit_endo(g: TranslationGroup) -> GroupSelfMap:
     """Leaves every translation in place."""
-    return GroupSelfMap(
-        tuple(range(g.order)), is_endomorphism=True, is_trace_preserving=True
-    )
+    return GroupSelfMap(tuple(range(g.order)))
 
 
 def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
@@ -116,7 +94,7 @@ def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
     An endomorphism because the group is abelian; trace-preserving
     because a translation and its inverse share their direction.
     """
-    return GroupSelfMap(g.inverse, is_endomorphism=True, is_trace_preserving=True)
+    return GroupSelfMap(g.inverse)
 
 
 def negate(g: TranslationGroup, alpha: GroupSelfMap) -> GroupSelfMap:
@@ -136,12 +114,10 @@ def is_trace_preserving(
     """
     if not is_endomorphism(g, alpha):
         raise NotEndomorphism("trace preservation is defined for endomorphisms")
-    if alpha.is_trace_preserving is None:
-        alpha.is_trace_preserving = all(
-            alpha.table[i] == 0 or g.direction_of[alpha.table[i]] == g.direction_of[i]
-            for i in range(1, g.order)
-        )
-    return alpha.is_trace_preserving
+    return all(
+        alpha.table[i] == 0 or g.direction_of[alpha.table[i]] == g.direction_of[i]
+        for i in range(1, g.order)
+    )
 
 
 def enumerate_endomorphisms(
@@ -196,7 +172,7 @@ def enumerate_endomorphisms(
     Cost per node at level k: its tree edges and relators, then its
     fills, instead of a full table and |G|.r pairs per assignment.
     """
-    return [GroupSelfMap(t, True) for t in _chain_search(g, max_group)]
+    return [GroupSelfMap(t) for t in _chain_search(g, max_group)]
 
 
 def count_endomorphisms(g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP) -> int:
@@ -235,7 +211,7 @@ def enumerate_tp_endomorphisms(
     plane of order q, each tried against |G| images at the next level;
     filtering End tested all of End, 65,536 maps on AG(2,4).
     """
-    return [GroupSelfMap(t, True, True) for t in _chain_search(g, max_group, g.direction_of)]
+    return [GroupSelfMap(t) for t in _chain_search(g, max_group, g.direction_of)]
 
 
 def _chain_search(
@@ -329,7 +305,7 @@ def closed(g: TranslationGroup, maps: list[GroupSelfMap], op) -> bool:
     does every endomorphism by claim 3 of enumerate_endomorphisms, a
     product is a member iff it is listed.
 
-    Cost: |S|.|T| products instead of |S|^2; sizes are checked once per
+    Cost: |S|.|T| products instead of |S|^2; tables are checked once per
     list, not twice per product.
     """
     for a in maps:
@@ -386,13 +362,7 @@ class RingReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "axioms": {
-                name: {
-                    "passed": passed,
-                    **({"witness": list(witness)} if witness is not None else {}),
-                }
-                for name, (passed, witness) in self.axioms.items()
-            },
+            "axioms": {name: AxiomCheck(*check).to_dict() for name, check in self.axioms.items()},
             "mul_commutative": self.mul_commutative,
             "num_tp": self.num_tp,
             **(
@@ -434,7 +404,7 @@ def check_ring_axioms(
     exhaustion where a list can fail them, settled by proof elsewhere.
 
     Failures are report content with a minimal witness, never exceptions,
-    so deliberately broken fixtures can be inspected.  Sizes are checked
+    so deliberately broken fixtures can be inspected.  Tables are checked
     once, for the whole list.  Each distinct listed table gets an id, in
     order of first occurrence, and a sum or product is its id when the
     result is listed and its table when it is not (_Operation).  So two
@@ -483,7 +453,7 @@ def check_ring_axioms(
         "mul_associative": proven,
         "left_distributive": first_failure(
             3, lambda x, y, z: P[x, S[y, z]] == S[P[x, y], P[x, z]],
-            [i for i, a in enumerate(tp) if not is_endomorphism(g, GroupSelfMap(a.table))]),
+            [i for i, a in enumerate(tp) if not is_endomorphism(g, a)]),
         "right_distributive": proven,
         "mul_identity": unit_law(tuple(range(g.order)), "unit"),
     }

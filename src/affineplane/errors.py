@@ -22,7 +22,8 @@ class OrderTooLarge(AffinePlaneError):
 
 
 class SizeMismatch(AffinePlaneError):
-    """A map's table does not match the size of its carrier."""
+    """A map's table does not match the size of its carrier, or a group
+    self-map's table has an entry outside the group's index range."""
 
 
 class NotTranslation(AffinePlaneError):

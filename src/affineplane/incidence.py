@@ -35,8 +35,17 @@ class DirectionPartition(NamedTuple):
 
 
 class AxiomCheck(NamedTuple):
+    """One verdict, with a counterexample witness on failure."""
+
     passed: bool
     witness: Optional[tuple] = None
+
+    def to_dict(self) -> dict:
+        """The verdict as a report entry; every passed/witness entry is
+        written here."""
+        if self.witness is None:
+            return {"passed": self.passed}
+        return {"passed": self.passed, "witness": list(self.witness)}
 
 
 class AxiomReport(NamedTuple):
@@ -55,17 +64,7 @@ class AxiomReport(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        def one(check: AxiomCheck) -> dict:
-            d: dict = {"passed": check.passed}
-            if check.witness is not None:
-                d["witness"] = list(check.witness)
-            return d
-
-        return {
-            "unique_join": one(self.unique_join),
-            "unique_parallel": one(self.unique_parallel),
-            "triangle": one(self.triangle),
-        }
+        return {name: check.to_dict() for name, check in zip(self._fields, self)}
 
 
 class IncidencePlane:
@@ -89,7 +88,6 @@ class IncidencePlane:
             tuple(ls) for ls in through
         )
         self.axiom_status: str = "unchecked"
-        self.axiom_report: Optional[AxiomReport] = None
         self._partition: Optional[DirectionPartition] = None
         self._join: Optional[list[list[int]]] = None
         self._parallel: Optional[list[list[int]]] = None
@@ -272,7 +270,6 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
 
     report = AxiomReport(unique_join, unique_parallel, triangle)
     plane.axiom_status = "verified" if report.all_pass else "failed"
-    plane.axiom_report = report
     return report
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .collineation import ClassifiedMap
 from .errors import MissingIdentity, NotClosed, NotTranslation
-from .incidence import IncidencePlane
+from .incidence import AxiomCheck, IncidencePlane
 
 
 class CheckResult(NamedTuple):
@@ -22,10 +22,7 @@ class CheckResult(NamedTuple):
     witness: Optional[tuple] = None
 
     def to_dict(self) -> dict:
-        d: dict = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            d["witness"] = list(self.witness)
-        return d
+        return {"name": self.name, **AxiomCheck(self.passed, self.witness).to_dict()}
 
 
 def compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from functools import partial
 import tracemalloc
 
 import pytest
@@ -23,7 +24,9 @@ from affineplane import (
     verify_axioms,
     zero_endo,
 )
+from affineplane.endo import _sum_table, closed
 from affineplane.errors import NotEndomorphism, OrderTooLarge, SizeMismatch
+from affineplane.transgroup import compose_images
 from conftest import ag29_document, dual_hall9_cut, hall9_document, identity_map
 
 
@@ -108,6 +111,12 @@ class TestOperations:
         g = groups[2]
         with pytest.raises(NotEndomorphism):
             negate(g, GroupSelfMap((0, 1, 1, 1)))
+        # the verdict is read from the table, and no caller can mark a map
+        collapse = (0,) + (1,) * 8
+        with pytest.raises(NotEndomorphism):
+            negate(groups[3], GroupSelfMap(collapse))
+        with pytest.raises(TypeError):
+            GroupSelfMap(collapse, is_endomorphism=True)
 
 
 class TestIsEndomorphism:
@@ -298,6 +307,27 @@ class TestRingReport:
         tp.insert(at, GroupSelfMap((0,) * 4))
         with pytest.raises(SizeMismatch):
             check_ring_axioms(planes[3], g, tp)
+
+
+@pytest.mark.parametrize("table", [(0, -3, -2, -1), (0, 1, 2, 9)])
+@pytest.mark.parametrize(
+    "operation", ["add", "compose", "is_endomorphism", "closed", "check_ring_axioms"]
+)
+def test_entry_outside_the_group_raises(planes, groups, tp_endomorphisms, table, operation):
+    # a negative entry would be read by wrap-around, a large one past the end
+    g, bad = groups[2], GroupSelfMap(table)
+    unit, listed = unit_endo(g), tp_endomorphisms[2] + [bad]
+    calls = {
+        "add": [partial(add, g, bad, unit), partial(add, g, unit, bad)],
+        "compose": [partial(compose, g, bad, unit), partial(compose, g, unit, bad)],
+        "is_endomorphism": [partial(is_endomorphism, g, bad)],
+        "closed": [partial(closed, g, listed, partial(_sum_table, g.cayley)),
+                   partial(closed, g, listed, compose_images)],
+        "check_ring_axioms": [partial(check_ring_axioms, planes[2], g, listed)],
+    }
+    for call in calls[operation]:
+        with pytest.raises(SizeMismatch, match=r"outside range\(4\)"):
+            call()
 
 
 @pytest.fixture(scope="module", params=["AG(2,9)", "Hall(9)"])

@@ -731,7 +731,7 @@ def assert_same_endomorphism_lists(g):
     chain = enumerate_endomorphisms(g)
     oracle = endomorphisms_oracle(g)
     assert [a.table for a in chain] == [a.table for a in oracle]
-    assert all(a.is_endomorphism for a in chain)
+    assert all(is_endomorphism(g, a) for a in chain)
     assert assert_increasing_leaves(g) == [a.table for a in chain]
     assert count_endomorphisms(g) == len(oracle)
     return chain
@@ -791,7 +791,7 @@ class TestEndomorphismSearchOracle:
 def assert_same_tp_lists(plane, g):
     tp = enumerate_tp_endomorphisms(plane, g)
     assert [a.table for a in tp] == [a.table for a in tp_endomorphisms_oracle(plane, g)]
-    assert all(a.is_endomorphism is True and a.is_trace_preserving is True for a in tp)
+    assert all(is_endomorphism(g, a) and is_trace_preserving(plane, g, a) for a in tp)
     assert assert_increasing_leaves(g, g.direction_of) == [a.table for a in tp]
     return tp
 
@@ -1502,15 +1502,14 @@ class TestRingOracle:
         else:
             assert failing == {"add_identity", "mul_identity"}
 
-    def test_left_distributivity_reads_the_table_not_the_flag(
+    def test_left_distributivity_is_scanned_for_a_listed_non_endomorphism(
         self, planes, groups, tp_endomorphisms
     ):
-        # collapse is no endomorphism, whatever its flag says
-        tables = [a.table for a in tp_endomorphisms[3]] + [(0,) + (1,) * 8]
-        flagged = [GroupSelfMap(t, is_endomorphism=True) for t in tables]
-        report = check_ring_axioms(planes[3], groups[3], flagged)
+        # collapse is no endomorphism, so its row is scanned
+        maps = tp_endomorphisms[3] + [GroupSelfMap((0,) + (1,) * 8)]
+        report = check_ring_axioms(planes[3], groups[3], maps)
         assert report.axioms["left_distributive"] == (False, (3, 1, 1))
-        assert report == ring_oracle(planes[3], groups[3], [GroupSelfMap(t) for t in tables])
+        assert report == ring_oracle(planes[3], groups[3], maps)
 
     @pytest.mark.parametrize("name", ["S3", "Q8"])
     def test_end_of_non_abelian_groups(self, name):

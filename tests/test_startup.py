@@ -3,8 +3,8 @@
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.  The
-records are ``NamedTuple``s and the two stateful classes plain
-``__slots__`` classes.
+records are ``NamedTuple``s and the one stateful class,
+``TranslationGroup``, a plain ``__slots__`` class.
 """
 
 import importlib
@@ -136,6 +136,7 @@ def test_default_max_group_is_defined_once():
         (CheckResult, ("name", "passed", "witness"), {"witness": None}),
         (RingReport, ("axioms", "mul_commutative", "num_tp", "num_endomorphisms"),
          {"num_endomorphisms": None}),
+        (GroupSelfMap, ("table",), {}),
     ],
 )
 def test_record_fields_and_defaults(cls, fields, defaults):
@@ -153,7 +154,11 @@ def test_records_compare_and_hash_by_value_and_reject_assignment():
     assert partition == DirectionPartition((0, 0, 1), ((0, 1), (2,)))
     assert hash(partition) == hash(DirectionPartition((0, 0, 1), ((0, 1), (2,))))
     assert partition.num_classes == 2
-    for record, field in [(a, "kind"), (partition, "classes")]:
+    alpha = GroupSelfMap((0, 1))
+    assert alpha == GroupSelfMap((0, 1)) and hash(alpha) == hash(GroupSelfMap((0, 1)))
+    assert alpha != GroupSelfMap((0, 0))
+    for record, field in [(a, "kind"), (partition, "classes"), (alpha, "table"),
+                          (alpha, "is_endomorphism")]:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert CheckResult("abelian", True) == CheckResult("abelian", True, None)
@@ -166,18 +171,6 @@ def test_ring_report_keeps_its_class_constant():
     report = RingReport({name: (True, None) for name in RingReport.AXIOM_NAMES}, True, 2)
     assert report.all_pass and report.to_dict()["num_tp"] == 2
     assert "num_endomorphisms" not in report.to_dict()
-
-
-def test_group_self_map_equality_hash_memo_and_repr():
-    a = GroupSelfMap((0, 1))
-    b = GroupSelfMap((0, 1), True, True)
-    assert a == b and hash(a) == hash(b) == hash((0, 1))
-    assert a != GroupSelfMap((0, 0)) and a != (0, 1)
-    a.is_endomorphism = True
-    assert a.is_endomorphism is True and a.is_trace_preserving is None
-    assert repr(b) == "GroupSelfMap(table=(0, 1), is_endomorphism=True, is_trace_preserving=True)"
-    with pytest.raises(AttributeError):
-        a.other = 1
 
 
 def test_translation_group_keeps_its_caches(groups):
