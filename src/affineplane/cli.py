@@ -103,13 +103,15 @@ def _load_verified_summary(path: str):
 
 
 def _translation_group(plane, max_order: int):
-    """The stage shared by groups, endo and verify-all: dilations, then Tr."""
-    from .collineation import enumerate_dilations
+    """The stage shared by groups, endo and verify-all: the cosets of
+    Dil_0, |Dil| and Tr, which is the translations among Dil_0 and the
+    representatives (dilation_cosets)."""
+    from .collineation import dilation_cosets
     from .transgroup import build_group
 
-    dilations = enumerate_dilations(plane, max_order=max_order)
-    group = build_group(plane, [f for f in dilations if f.kind == "translation"])
-    return dilations, group
+    stabiliser, representatives = cosets = dilation_cosets(plane, max_order=max_order)
+    translations = [f for f in stabiliser + representatives if f.kind == "translation"]
+    return cosets, len(stabiliser) * (1 + len(representatives)), build_group(plane, translations)
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
@@ -141,20 +143,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    from .transgroup import check_abelian, check_composition_direction, check_conjugation
+    from .collineation import compose_cosets
+    from .transgroup import (
+        check_abelian, check_composition_direction, check_conjugation_on_cosets,
+    )
 
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    dilations, group = _translation_group(plane, args.max_order)
+    cosets, num_dilations, group = _translation_group(plane, args.max_order)
     results: dict = {
-        "num_dilations": len(dilations),
+        "num_dilations": num_dilations,
         "num_translations": group.order,
     }
     if args.dilations:
-        results["dilations"] = [list(f.image) for f in dilations]
+        results["dilations"] = [list(f.image) for f in compose_cosets(plane, *cosets)]
     if args.translations:
         results["translations"] = [list(f.image) for f in group.elements]
         results["cayley_table"] = [list(row) for row in group.cayley]
@@ -163,7 +168,7 @@ def cmd_groups(args) -> int:
     if args.check_abelian:
         checks.append(check_abelian(group))
     if args.check_normal or args.check_directions:
-        normal, conjugation = check_conjugation(group, dilations)
+        normal, conjugation = check_conjugation_on_cosets(plane, group, *cosets)
         if args.check_normal:
             checks.append(normal)
         if args.check_directions:
@@ -171,7 +176,7 @@ def cmd_groups(args) -> int:
             checks.append(check_composition_direction(group))
     results["checks"] = [c.to_dict() for c in checks]
 
-    note = f"{len(dilations)} dilations, {group.order} translations; checks: {{status}}"
+    note = f"{num_dilations} dilations, {group.order} translations; checks: {{status}}"
     return _finish(args, summary, results, all(c.passed for c in checks), note)
 
 
@@ -183,7 +188,7 @@ def cmd_endo(args) -> int:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    group = _translation_group(plane, args.max_order)[1]  # dilations freed before the End search
+    group = _translation_group(plane, args.max_order)[2]
     if args.dump:
         endomorphisms = endo.enumerate_endomorphisms(group, max_group=args.max_group)
         num_endomorphisms = len(endomorphisms)
@@ -220,10 +225,9 @@ def cmd_verify_all(args) -> int:
     if not report.all_pass:
         return _finish(args, summary, results, False, "axiom verification failed")
 
-    dilations, group = _translation_group(plane, args.max_order)
-    results["num_dilations"] = len(dilations)
+    cosets, results["num_dilations"], group = _translation_group(plane, args.max_order)
     results["num_translations"] = group.order
-    normal, conjugation = transgroup.check_conjugation(group, dilations)
+    normal, conjugation = transgroup.check_conjugation_on_cosets(plane, group, *cosets)
 
     theorems = [
         ("affine_plane_axioms", report.all_pass),

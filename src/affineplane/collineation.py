@@ -122,30 +122,58 @@ def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Class
     return ClassifiedMap(image, "translation", fixed, parallel_partition(plane).class_of[line])
 
 
-def enumerate_dilations(
+def dilation_cosets(
     plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
-) -> list[ClassifiedMap]:
-    """All dilations, by two-point determination over the cosets of Dil_0.
+) -> tuple[list[ClassifiedMap], list[ClassifiedMap]]:
+    """(Dil_0, representatives): the dilations as cosets of the stabiliser.
 
-    A dilation is pinned down by the images of two distinct points A = 0,
-    B = 1, which must span a line parallel to AB.  A candidate image pair
-    is extended pointwise by intersecting parallels, and the result is
-    validated and classified by the dilation test of classify alone
-    (_as_dilation), so the construction cannot over-report.  A completed
-    candidate that is not a bijection is dropped: the steps fill every
-    point but A and B with a point, and the test requires a bijection.
+    Dil_0 is the stabiliser of A = 0; representatives holds one dilation
+    f per point f(A) != A that some dilation reaches.  A dilation is
+    pinned down by the images of two distinct points A and B = 1, which
+    must span a line parallel to AB.  A candidate image pair is extended
+    pointwise by intersecting parallels, and the result is validated and
+    classified by the dilation test of classify alone (_as_dilation), so
+    the construction cannot over-report.  A completed candidate that is
+    not a bijection is dropped: the steps fill every point but A and B
+    with a point, and the test requires a bijection.  Dil_0 is every
+    passing candidate (A, B'); for each other point A', the candidates
+    (A', B') are tried until one passes, the translation candidate first.
 
-    One passing candidate per image of A suffices (Artin, Geometric
-    Algebra, ch. II).  Let Dil_0 be the stabiliser of A:
-    - composites and inverses of dilations are dilations;
-    - if g(A) = f(A), then f^-1 g fixes A, so g lies in f Dil_0, and the
-      f s, s in Dil_0, are distinct, as f is injective;
-    - the candidates (A', B') are complete for A' by two-point
-      determination: if none passes, no dilation sends A to A'.
-    So the search tests the candidates (A, B') for Dil_0, then, for each
-    other point A', the candidates (A', B') until one f passes, and lists
-    f s for every s in Dil_0 untested.  Cosets of distinct A' are
-    disjoint, so each dilation is listed once.
+    One representative per image of A suffices (Artin, Geometric
+    Algebra, ch. II): composites and inverses of dilations are
+    dilations; if g(A) = f(A), then f^-1 g fixes A, so g lies in f Dil_0,
+    and the f s, s in Dil_0, are distinct, as f is injective; and the
+    candidates (A', B') are complete for A' by two-point determination,
+    so if none passes, no dilation sends A to A'.  Three facts follow.
+
+    1. A coset holds at most one translation, and only the translation
+    candidate can be it; so Tr is the set of translations among Dil_0
+    and the representatives.  Let t be a translation, t(A) = A' != A.
+    Its traces join(p, t(p)) all lie in the class of join(A, A')
+    (_classified_dilation), and t maps each line onto its parallel
+    through the image point.  If A' is off AB, t(B) lies on the parallel
+    to AB through A' and on the trace of B, the parallel to AA' through
+    B; the two are of distinct classes, so they meet in one point.  If A'
+    is on AB, take c0, the first point off AB: t(c0) lies on the parallel
+    to Ac0 through A' and on the parallel to AB through c0, one point;
+    t(B) lies on the parallel to c0B through t(c0) and on AB, the trace
+    of B, again one point.  So t(B) is the point the search builds
+    first, and t is that candidate.  When the candidate passes, it is the
+    representative, and classify calls it a translation iff the coset
+    holds one; when it fails, the coset holds none.  In Dil_0 the one
+    translation is the identity, the only translation with a fixed point.
+
+    2. |Dil| = |Dil_0| (1 + len(representatives)): the cosets of distinct
+    images of A are disjoint, each has |Dil_0| elements, and the coset of
+    A itself is Dil_0.
+
+    3. normal_in_dilations and conjugation_direction pass on Dil iff they
+    pass on Dil_0 and the representatives.  Every dilation is f s, with f
+    the identity or a representative and s in Dil_0, and
+    (f s)^-1 t (f s) = s^-1 (f^-1 t f) s.  So if conjugation by f and by
+    s each send every translation to a translation (of its direction), so
+    does conjugation by f s; the converse holds as the generating set lies
+    in Dil.
     """
     plane.require_verified()
     order = len(plane.lines[0])
@@ -156,12 +184,12 @@ def enumerate_dilations(
     n = plane.num_points
     join = plane.join_table()
     par, meet = plane.parallel_table(), plane.meet_table()
-    partition = parallel_partition(plane)
-    class_of = partition.class_of
+    class_of = parallel_partition(plane).class_of
     a, b = 0, 1
     line_ab = join[a][b]
     on_ab = plane.lines[line_ab]
     off_ab = [c for c in range(n) if c not in on_ab]
+    c0 = off_ab[0]
     # One step per point c, in order: f(c) is where the parallel to AC
     # through f(A) meets the parallel to (base)C through f(base), with base
     # B off AB and the first point off AB on it.  Equal parallels meet in
@@ -169,8 +197,12 @@ def enumerate_dilations(
     steps = [
         (c, base, par[class_of[join[a][c]]], par[class_of[join[base][c]]])
         for c, base in [(c, b) for c in off_ab]
-        + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
+        + [(c, c0) for c in on_ab if c not in (a, b)]
     ]
+
+    def parallel(p: int, q: int, through: int) -> int:
+        """The line through `through` parallel to join(p, q)."""
+        return par[class_of[join[p][q]]][through]
 
     def dilations_from(a2: int, b2s) -> Iterator[ClassifiedMap]:
         """The candidates (a2, b2), b2 in b2s, that pass, lazily."""
@@ -190,14 +222,35 @@ def enumerate_dilations(
                     yield f
 
     stabiliser = list(dilations_from(a, on_ab))
+    representatives = []
+    for a2 in range(1, n):
+        m = parallel(a, b, a2)  # f(B) lies on the parallel to AB through f(A)
+        if m == line_ab:
+            t1 = meet[parallel(c0, b, meet[parallel(a, c0, a2)][parallel(a, b, c0)])][line_ab]
+        else:
+            t1 = meet[m][parallel(a, a2, b)]
+        candidates = [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]
+        f = next(dilations_from(a2, candidates), None)
+        if f is not None:  # else no dilation sends A to a2
+            representatives.append(f)
+    return stabiliser, representatives
+
+
+def compose_cosets(
+    plane: IncidencePlane, stabiliser: list[ClassifiedMap], representatives: list[ClassifiedMap]
+) -> list[ClassifiedMap]:
+    """Every dilation f s, f the identity or a representative and s in
+    Dil_0, untested and sorted by image (see dilation_cosets)."""
     compose = [itemgetter(*s.image) for s in stabiliser]
     found = list(stabiliser)
-    for m in partition.classes[class_of[line_ab]]:
-        for a2 in plane.lines[m]:
-            if a2 == a:
-                continue  # its coset is the stabiliser itself
-            f = next(dilations_from(a2, plane.lines[m]), None)
-            if f is not None:  # else no dilation sends A to a2
-                found += [_classified_dilation(plane, g(f.image)) for g in compose]
+    for f in representatives:
+        found += [_classified_dilation(plane, g(f.image)) for g in compose]
     found.sort(key=lambda f: f.image)
     return found
+
+
+def enumerate_dilations(
+    plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
+) -> list[ClassifiedMap]:
+    """All dilations, sorted by image: the cosets of Dil_0, composed."""
+    return compose_cosets(plane, *dilation_cosets(plane, max_order))

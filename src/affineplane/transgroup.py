@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .collineation import ClassifiedMap
+from .collineation import ClassifiedMap, compose_cosets
 from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import AxiomCheck, IncidencePlane
 
@@ -188,6 +188,24 @@ def check_conjugation(
         normal or CheckResult("normal_in_dilations", True),
         direction or CheckResult("conjugation_direction", True),
     )
+
+
+def check_conjugation_on_cosets(
+    plane: IncidencePlane, g: TranslationGroup,
+    stabiliser: list[ClassifiedMap], representatives: list[ClassifiedMap],
+) -> tuple[CheckResult, CheckResult]:
+    """check_conjugation over every dilation, run on its generating set.
+
+    stabiliser and representatives are the cosets of dilation_cosets.
+    Both verdicts on all of Dil are those on Dil_0 and the
+    representatives (fact 3 there), so a pass there is returned.  If
+    either fails, the composed list, sorted as enumerate_dilations gives
+    it, is scanned again, so each witness (di, si) indexes that list.
+    """
+    checks = check_conjugation(g, stabiliser + representatives)
+    if all(c.passed for c in checks):
+        return checks
+    return check_conjugation(g, compose_cosets(plane, stabiliser, representatives))
 
 
 def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import affineplane
-from affineplane import build_prime_plane, cli, endo
+from affineplane import build_prime_plane, cli, collineation, endo
 from affineplane.cli import main
 from conftest import (
     ag24_document,
@@ -243,9 +243,10 @@ class TestGroups:
         [([], 0), (["--check-normal"], 1), (["--check-normal", "--check-directions"], 1)],
     )
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch, flags, passes):
+        # on Dil_0 and the coset representatives: 2 + 8 of the 18 dilations
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "groups", p3_file, *flags)[0] == 0
-        assert len(calls) == passes
+        assert [len(dilations) for _, dilations in calls] == [10] * passes
 
 
     @pytest.mark.parametrize(
@@ -372,10 +373,11 @@ class TestVerifyAll:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_one_conjugation_pass(self, p2_file, capsys, monkeypatch):
+    def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch):
+        # on Dil_0 and the coset representatives: 2 + 8 of the 18 dilations
         calls = count_calls(monkeypatch, "check_conjugation")
-        assert run(capsys, "verify-all", p2_file)[0] == 0
-        assert [len(dilations) for _, dilations in calls] == [4]
+        assert run(capsys, "verify-all", p3_file)[0] == 0
+        assert [len(dilations) for _, dilations in calls] == [10]
 
     def test_broken_plane_fails_at_axiom_stage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -455,7 +457,7 @@ class TestOut:
     def test_bad_out_fails_before_the_dilation_search(
         self, p2_file, tmp_path, capsys, monkeypatch, command, target
     ):
-        searches = count_calls(monkeypatch, "enumerate_dilations")
+        searches = count_calls(monkeypatch, "dilation_cosets", collineation)
         out_path = tmp_path / target
         code, out, err = run(capsys, command, p2_file, "--out", str(out_path))
         assert (code, out, searches) == (2, "", [])
@@ -502,12 +504,23 @@ class TestStages:
         self, p2_file, capsys, monkeypatch, command, flags,
         dilation_searches, endomorphism_searches,
     ):
-        dilations = count_calls(monkeypatch, "enumerate_dilations")
+        """The coset search runs at most once, and no full dilation list
+        is composed."""
+        searches = count_calls(monkeypatch, "dilation_cosets", collineation)
+        composed = count_calls(monkeypatch, "compose_cosets", collineation)
         endomorphisms = count_calls(monkeypatch, "enumerate_endomorphisms")
         assert run(capsys, command, p2_file, *flags)[0] == 0
-        assert (len(dilations), len(endomorphisms)) == (
-            dilation_searches, endomorphism_searches,
+        assert (len(searches), len(composed), len(endomorphisms)) == (
+            dilation_searches, 0, endomorphism_searches,
         )
+
+    def test_printed_dilations_are_composed_once(self, p3_file, capsys, monkeypatch):
+        searches = count_calls(monkeypatch, "dilation_cosets", collineation)
+        composed = count_calls(monkeypatch, "compose_cosets", collineation)
+        code, out, _ = run(capsys, "groups", p3_file, "--dilations", *GROUP_CHECKS)
+        assert code == 0
+        assert len(json.loads(out)["results"]["dilations"]) == 18
+        assert (len(searches), len(composed)) == (1, 1)
 
     def test_counted_end_keeps_no_table(self, tmp_path, capsys):
         # listing End held 65,536 maps on AG(2,4), a tracemalloc peak of 15 MB

@@ -11,8 +11,10 @@ generating set, ``verify_axioms`` counts joins and parallels with line
 bitmasks and settles the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
-``enumerate_dilations`` tests one candidate per image of point 0 and
-composes the rest from the stabiliser of 0,
+``dilation_cosets`` tests one candidate per image of point 0, the
+translation first, and ``compose_cosets`` composes the rest from the
+stabiliser of 0, ``check_conjugation_on_cosets`` conjugates by the
+stabiliser and the representatives only,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_ring_axioms`` compares ids in the ring's own Cayley tables
 and scans only the laws a list can fail,
@@ -1123,6 +1125,29 @@ class TestConjugationOracle:
             assert direction.witness == (at, maps[first][3])
             assert normal.witness[0] == at + (maps[first][2] is None)
 
+    @pytest.mark.parametrize("fn", [lambda x, y: (y, x), lambda x, y: (x, 2 * y)],
+                             ids=["swap", "stretch"])
+    def test_failing_generating_set_rescans_the_composed_list(self, planes, groups, fn):
+        """A collineation fixing 0 that is no dilation, put in Dil_0: it
+        normalizes the translations but moves directions.  The verdicts
+        and witnesses are those of check_conjugation on every f.s,
+        classified, sorted."""
+        plane, g = planes[3], groups[3]
+        stabiliser, representatives = collineation.dilation_cosets(plane)
+        extra = classify(plane, point_map(3, fn))
+        assert (extra.kind, extra.image[0]) == ("collineation", 0)
+        stabiliser.append(extra)
+        composed = sorted(
+            (classify(plane, compose_images(f.image, s.image))
+             for f in [identity_map(plane), *representatives] for s in stabiliser),
+            key=lambda f: f.image,
+        )
+        normal, direction = assert_conjugation_verdicts_agree(g, composed)
+        assert normal.passed and not direction.passed
+        assert transgroup.check_conjugation_on_cosets(
+            plane, g, stabiliser, representatives
+        ) == (normal, direction)
+
 
 class TestLookupTableOracle:
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1196,20 +1221,51 @@ class TestDilationCandidateOracle:
         """_as_dilation skips the last class: its verdict on every completed
         candidate of enumerate_dilations is the line-pass oracle's.  A
         Desarguesian plane of order q passes every candidate, so the search
-        tests q - 1 for the stabiliser of 0 and one for each other point."""
+        tests q - 1 for the stabiliser of 0 and one for each other point.
+        So does every translation plane, Hall(9) too: its translation
+        candidate for each point passes."""
         plane = verified_plane(name)
         _, verdicts = search_verdicts(plane, monkeypatch)
         q = len(plane.lines[0])
-        assert len(verdicts) == (319 if name == "Hall(9)" else q * q + q - 2)
+        assert len(verdicts) == q * q + q - 2
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
+
+    @pytest.mark.parametrize("point,tests", [(81, 592), (0, 642)])
+    def test_dual_hall_cut(self, point, tests, monkeypatch):
+        """A cut is no translation plane: where the translation candidate
+        fails, the other points of the line are tried."""
+        plane = load_plane(dual_hall9_cut(point))
+        assert verify_axioms(plane).all_pass
+        _, verdicts = search_verdicts(plane, monkeypatch)
+        assert len(verdicts) == tests
+        for image, passed in verdicts:
+            assert passed == dilation_oracle(plane, image), image
+
+
+def assert_cosets_agree(plane, dilations):
+    """dilation_cosets against dilations, the full list of the oracle:
+    |Dil| from the cosets, Tr from the representatives, both conjugation
+    verdicts on the generating set, and the composed list."""
+    stabiliser, representatives = collineation.dilation_cosets(plane)
+    assert collineation.compose_cosets(plane, stabiliser, representatives) == dilations
+    assert len(stabiliser) * (1 + len(representatives)) == len(dilations)
+    generating = stabiliser + representatives
+    translations = [f for f in dilations if f.kind == "translation"]
+    assert sorted(f for f in generating if f.kind == "translation") == translations
+    g = build_group(plane, translations)
+    verdicts = check_conjugation(g, dilations)
+    assert check_conjugation(g, generating) == verdicts
+    assert transgroup.check_conjugation_on_cosets(plane, g, stabiliser, representatives) == verdicts
 
 
 class TestDilationSearchOracle:
     @pytest.mark.parametrize("name", DILATION_PLANES)
     def test_planes(self, name):
         plane = verified_plane(name)
-        assert enumerate_dilations(plane) == dilations_oracle(plane)
+        oracle = dilations_oracle(plane)
+        assert enumerate_dilations(plane) == oracle
+        assert_cosets_agree(plane, oracle)
 
     def test_dual_hall_cuts(self, monkeypatch):
         """The 91 cuts of the dual Hall plane: a point at infinity leaves
@@ -1222,6 +1278,7 @@ class TestDilationSearchOracle:
             assert verify_axioms(plane).all_pass
             found, verdicts = search_verdicts(plane, monkeypatch)
             assert found == dilations_oracle(plane), point
+            assert_cosets_agree(plane, found)
             sizes[point] = (len(found), sum(f.kind == "translation" for f in found))
             # a subset of the oracle's candidates, each tested once
             assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
