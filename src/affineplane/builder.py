@@ -7,11 +7,8 @@ keeps ids stable across runs.
 
 from __future__ import annotations
 
-from .errors import NotPrime, OrderTooLarge
+from .errors import NotPrime
 from .incidence import IncidencePlane, verify_axioms
-
-DEFAULT_MAX_ORDER = 13
-DEFAULT_MAX_GROUP = 49  # the End search bound; here so the CLI reads it without loading endo
 
 
 def is_prime(n: int) -> bool:
@@ -29,10 +26,8 @@ def point_id(x: int, y: int, p: int) -> int:
     return x * p + y
 
 
-def build_prime_plane(p: int, max_order: int = DEFAULT_MAX_ORDER) -> IncidencePlane:
+def build_prime_plane(p: int) -> IncidencePlane:
     """Construct AG(2,p) and verify it, so the result is ready for use."""
-    if p > max_order:  # first: trial division of a large p would not end
-        raise OrderTooLarge(f"order {p} exceeds the bound {max_order}")
     if not is_prime(p):
         raise NotPrime(f"plane order must be prime, got {p}")
 

@@ -17,8 +17,8 @@ from contextlib import nullcontext
 from functools import partial
 
 from . import __version__
-from .builder import DEFAULT_MAX_GROUP, DEFAULT_MAX_ORDER, build_prime_plane
-from .errors import AffinePlaneError, MalformedDocument
+from .builder import build_prime_plane
+from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
 from .incidence import load_plane, parallel_partition, verify_axioms
 
 # Each command imports the stages it runs in its body: `check` and `build`
@@ -28,6 +28,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 REPORT_FORMAT = {"indent": 2, "sort_keys": True}
+# Input-size bounds, checked right before the stage each guards; the library takes none
+DEFAULT_MAX_ORDER = 13
+DEFAULT_MAX_GROUP = 49
 
 
 def _bound(text: str) -> int:
@@ -49,13 +52,8 @@ BOUNDS = {
 
 
 def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
-    return {
-        "tool_version": __version__,
-        "command": command,
-        "plane_summary": plane_summary,
-        "results": results,
-        "status": status,
-    }
+    return {"tool_version": __version__, "command": command, "plane_summary": plane_summary,
+            "results": results, "status": status}
 
 
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
@@ -103,15 +101,27 @@ def _load_verified_summary(path: str):
 
 
 def _translation_group(plane, max_order: int):
-    """The stage shared by groups, endo and verify-all: the cosets of
-    Dil_0, |Dil| and Tr, which is the translations among Dil_0 and the
-    representatives (dilation_cosets)."""
+    """The stage shared by groups, endo and verify-all: Dil_0, the coset
+    representatives (dilation_cosets), |Dil| and Tr, which is the
+    translations among them."""
     from .collineation import dilation_cosets
     from .transgroup import build_group
 
-    stabiliser, representatives = cosets = dilation_cosets(plane, max_order=max_order)
+    order = len(plane.lines[0])
+    if order > max_order:
+        raise OrderTooLarge(f"dilation enumeration bounded to order {max_order}, plane has {order}")
+    stabiliser, representatives = dilation_cosets(plane)
     translations = [f for f in stabiliser + representatives if f.kind == "translation"]
-    return cosets, len(stabiliser) * (1 + len(representatives)), build_group(plane, translations)
+    num_dilations = len(stabiliser) * (1 + len(representatives))
+    return stabiliser, representatives, num_dilations, build_group(plane, translations)
+
+
+def _check_group_bound(group, max_group: int) -> None:
+    """Raise before the first End or TP search of a group over the bound."""
+    if group.order > max_group:
+        raise OrderTooLarge(
+            f"endomorphism enumeration bounded to group order {max_group}, got {group.order}"
+        )
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
@@ -124,7 +134,9 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
 
 def cmd_build(args) -> int:
     try:
-        plane = build_prime_plane(args.order, max_order=args.max_order)
+        if args.order > args.max_order:  # first: trial division of a large order would not end
+            raise OrderTooLarge(f"order {args.order} exceeds the bound {args.max_order}")
+        plane = build_prime_plane(args.order)
     except AffinePlaneError as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -144,22 +156,18 @@ def cmd_check(args) -> int:
 
 def cmd_groups(args) -> int:
     from .collineation import compose_cosets
-    from .transgroup import (
-        check_abelian, check_composition_direction, check_conjugation_on_cosets,
-    )
+    from .transgroup import check_abelian, check_composition_direction, check_conjugation
 
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    cosets, num_dilations, group = _translation_group(plane, args.max_order)
-    results: dict = {
-        "num_dilations": num_dilations,
-        "num_translations": group.order,
-    }
+    stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
+    results: dict = {"num_dilations": num_dilations, "num_translations": group.order}
     if args.dilations:
-        results["dilations"] = [list(f.image) for f in compose_cosets(plane, *cosets)]
+        dilations = compose_cosets(plane, stabiliser, representatives)
+        results["dilations"] = [list(f.image) for f in dilations]
     if args.translations:
         results["translations"] = [list(f.image) for f in group.elements]
         results["cayley_table"] = [list(row) for row in group.cayley]
@@ -168,7 +176,7 @@ def cmd_groups(args) -> int:
     if args.check_abelian:
         checks.append(check_abelian(group))
     if args.check_normal or args.check_directions:
-        normal, conjugation = check_conjugation_on_cosets(plane, group, *cosets)
+        normal, conjugation = check_conjugation(group, stabiliser + representatives)
         if args.check_normal:
             checks.append(normal)
         if args.check_directions:
@@ -188,21 +196,19 @@ def cmd_endo(args) -> int:
         print("plane failed axiom verification; run `check` for details", file=sys.stderr)
         return EXIT_ERROR
 
-    group = _translation_group(plane, args.max_order)[2]
+    *_, group = _translation_group(plane, args.max_order)
+    _check_group_bound(group, args.max_group)
     if args.dump:
-        endomorphisms = endo.enumerate_endomorphisms(group, max_group=args.max_group)
+        endomorphisms = endo.enumerate_endomorphisms(group)
         num_endomorphisms = len(endomorphisms)
     else:  # End is only counted: no table is kept
-        num_endomorphisms = endo.count_endomorphisms(group, max_group=args.max_group)
+        num_endomorphisms = endo.count_endomorphisms(group)
 
-    results: dict = {
-        "group_order": group.order,
-        "num_endomorphisms": num_endomorphisms,
-    }
+    results: dict = {"group_order": group.order, "num_endomorphisms": num_endomorphisms}
     note = f"|End| = {num_endomorphisms}"
     all_pass = True
     if args.trace_preserving or args.check_ring:
-        tp = endo.enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
+        tp = endo.enumerate_tp_endomorphisms(plane, group)
         results["num_tp_endomorphisms"] = len(tp)
         note += f", |End^TP| = {len(tp)}"
         if args.dump:
@@ -225,9 +231,9 @@ def cmd_verify_all(args) -> int:
     if not report.all_pass:
         return _finish(args, summary, results, False, "axiom verification failed")
 
-    cosets, results["num_dilations"], group = _translation_group(plane, args.max_order)
-    results["num_translations"] = group.order
-    normal, conjugation = transgroup.check_conjugation_on_cosets(plane, group, *cosets)
+    stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
+    results.update(num_dilations=num_dilations, num_translations=group.order)
+    normal, conjugation = transgroup.check_conjugation(group, stabiliser + representatives)
 
     theorems = [
         ("affine_plane_axioms", report.all_pass),
@@ -241,8 +247,9 @@ def cmd_verify_all(args) -> int:
         ),
     ]
 
-    endomorphisms = endo.enumerate_endomorphisms(group, max_group=args.max_group)
-    tp = endo.enumerate_tp_endomorphisms(plane, group, max_group=args.max_group)
+    _check_group_bound(group, args.max_group)
+    endomorphisms = endo.enumerate_endomorphisms(group)
+    tp = endo.enumerate_tp_endomorphisms(plane, group)
     results["num_endomorphisms"] = len(endomorphisms)
     results["num_tp_endomorphisms"] = len(tp)
 

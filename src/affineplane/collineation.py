@@ -11,8 +11,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
-from .builder import DEFAULT_MAX_ORDER
-from .errors import OrderTooLarge, SizeMismatch
+from .errors import SizeMismatch
 from .incidence import IncidencePlane, parallel_partition
 
 
@@ -122,9 +121,7 @@ def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Class
     return ClassifiedMap(image, "translation", fixed, parallel_partition(plane).class_of[line])
 
 
-def dilation_cosets(
-    plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
-) -> tuple[list[ClassifiedMap], list[ClassifiedMap]]:
+def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[ClassifiedMap]]:
     """(Dil_0, representatives): the dilations as cosets of the stabiliser.
 
     Dil_0 is the stabiliser of A = 0; representatives holds one dilation
@@ -176,11 +173,6 @@ def dilation_cosets(
     in Dil.
     """
     plane.require_verified()
-    order = len(plane.lines[0])
-    if order > max_order:
-        raise OrderTooLarge(
-            f"dilation enumeration bounded to order {max_order}, plane has {order}"
-        )
     n = plane.num_points
     join = plane.join_table()
     par, meet = plane.parallel_table(), plane.meet_table()
@@ -249,8 +241,6 @@ def compose_cosets(
     return found
 
 
-def enumerate_dilations(
-    plane: IncidencePlane, max_order: int = DEFAULT_MAX_ORDER
-) -> list[ClassifiedMap]:
+def enumerate_dilations(plane: IncidencePlane) -> list[ClassifiedMap]:
     """All dilations, sorted by image: the cosets of Dil_0, composed."""
-    return compose_cosets(plane, *dilation_cosets(plane, max_order))
+    return compose_cosets(plane, *dilation_cosets(plane))

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional
 
-from .builder import DEFAULT_MAX_GROUP
-from .errors import NotEndomorphism, OrderTooLarge, SizeMismatch
+from .errors import NotEndomorphism, SizeMismatch
 from .incidence import AxiomCheck, IncidencePlane
 from .transgroup import TranslationGroup, compose_images, generator_chain, generators
 
@@ -120,9 +119,7 @@ def is_trace_preserving(
     )
 
 
-def enumerate_endomorphisms(
-    g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
-) -> list[GroupSelfMap]:
+def enumerate_endomorphisms(g: TranslationGroup) -> list[GroupSelfMap]:
     """All endomorphisms, by a depth-first search along the generator chain.
 
     With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
@@ -172,18 +169,16 @@ def enumerate_endomorphisms(
     Cost per node at level k: its tree edges and relators, then its
     fills, instead of a full table and |G|.r pairs per assignment.
     """
-    return [GroupSelfMap(t) for t in _chain_search(g, max_group)]
+    return [GroupSelfMap(t) for t in _chain_search(g)]
 
 
-def count_endomorphisms(g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP) -> int:
+def count_endomorphisms(g: TranslationGroup) -> int:
     """|End|, from the search of enumerate_endomorphisms, keeping no table
     and skipping the last level's fills."""
-    return sum(1 for _ in _chain_search(g, max_group, tables=False))
+    return sum(1 for _ in _chain_search(g, tables=False))
 
 
-def enumerate_tp_endomorphisms(
-    plane: IncidencePlane, g: TranslationGroup, max_group: int = DEFAULT_MAX_GROUP
-) -> list[GroupSelfMap]:
+def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> list[GroupSelfMap]:
     """The trace-preserving endomorphisms, by the same chain search, pruned.
 
     The search of enumerate_endomorphisms also requires
@@ -211,24 +206,18 @@ def enumerate_tp_endomorphisms(
     plane of order q, each tried against |G| images at the next level;
     filtering End tested all of End, 65,536 maps on AG(2,4).
     """
-    return [GroupSelfMap(t) for t in _chain_search(g, max_group, g.direction_of)]
+    return [GroupSelfMap(t) for t in _chain_search(g, g.direction_of)]
 
 
 def _chain_search(
-    g: TranslationGroup, max_group: int, directions: Optional[tuple] = None, tables: bool = True
+    g: TranslationGroup, directions: Optional[tuple] = None, tables: bool = True
 ) -> Iterator[Optional[tuple]]:
     """The one search body of enumerate_endomorphisms, count_endomorphisms
     and, given directions, enumerate_tp_endomorphisms: yields each leaf
     table, in depth-first order, which is table order (claim 4 of
     enumerate_endomorphisms).  Given neither directions nor tables, it
     yields None per leaf and skips the last level's fills, which nothing
-    reads then.  keep[z][y] says whether t[z] = y is allowed.  The group
-    bound is checked, and keep built, at the first next()."""
-    if g.order > max_group:
-        raise OrderTooLarge(
-            f"endomorphism enumeration bounded to group order {max_group}, "
-            f"got {g.order}"
-        )
+    reads then.  keep[z][y] says whether t[z] = y is allowed."""
     gens, levels = generator_chain(g)
     if not gens:
         yield (0,)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .collineation import ClassifiedMap, compose_cosets
+from .collineation import ClassifiedMap
 from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import AxiomCheck, IncidencePlane
 
@@ -141,6 +141,14 @@ def check_conjugation(
     built once, which yields the same witnesses.  Cost per dilation: rank
     key lookups plus one lookup per element, instead of |G| point-wise
     conjugates for each check.
+
+    The CLI passes Dil_0, then the representatives of dilation_cosets.
+    Both checks pass for every dilation d of any affine plane (Artin,
+    Geometric Algebra, ch. II): d^-1.t.d is a dilation, and if it fixes p,
+    t fixes d(p), so both are the identity; and d^-1 maps the trace
+    join(p, t(p)) onto a parallel, the trace of d^-1.t.d at d^-1(p).  So
+    only a library call with a non-dilation gets a witness, and its di
+    indexes the list passed.
     """
     normal: Optional[CheckResult] = None
     direction: Optional[CheckResult] = None
@@ -188,24 +196,6 @@ def check_conjugation(
         normal or CheckResult("normal_in_dilations", True),
         direction or CheckResult("conjugation_direction", True),
     )
-
-
-def check_conjugation_on_cosets(
-    plane: IncidencePlane, g: TranslationGroup,
-    stabiliser: list[ClassifiedMap], representatives: list[ClassifiedMap],
-) -> tuple[CheckResult, CheckResult]:
-    """check_conjugation over every dilation, run on its generating set.
-
-    stabiliser and representatives are the cosets of dilation_cosets.
-    Both verdicts on all of Dil are those on Dil_0 and the
-    representatives (fact 3 there), so a pass there is returned.  If
-    either fails, the composed list, sorted as enumerate_dilations gives
-    it, is scanned again, so each witness (di, si) indexes that list.
-    """
-    checks = check_conjugation(g, stabiliser + representatives)
-    if all(c.passed for c in checks):
-        return checks
-    return check_conjugation(g, compose_cosets(plane, stabiliser, representatives))
 
 
 def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:

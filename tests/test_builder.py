@@ -2,7 +2,7 @@ import pytest
 
 from affineplane import build_prime_plane, is_prime, verify_axioms
 from affineplane.builder import point_id
-from affineplane.errors import NotPrime, OrderTooLarge
+from affineplane.errors import NotPrime
 
 from test_oracles import parallel_oracle
 
@@ -25,10 +25,9 @@ def test_composite_order_rejected():
         build_prime_plane(4)
 
 
-def test_order_above_bound_rejected():
-    with pytest.raises(OrderTooLarge):
-        build_prime_plane(17)
-    assert build_prime_plane(17, max_order=17).num_points == 289
+def test_library_takes_no_order_bound():
+    # --max-order is the CLI's policy (test_cli.TestBuild)
+    assert build_prime_plane(17).num_points == 289
 
 
 def test_point_id_layout():

@@ -450,6 +450,27 @@ class TestBounds:
         assert run(capsys, "groups", p2_file)[0] == 0
         assert run(capsys, "check", p2_file)[0] == 0
 
+    def test_order_bound_stops_before_the_dilation_search(self, p3_file, capsys, monkeypatch):
+        # the library takes no bound: the CLI checks it before dilation_cosets
+        searches = count_calls(monkeypatch, "dilation_cosets", collineation)
+        assert run(capsys, "groups", p3_file, "--max-order", "2") == (
+            2, "", "error: dilation enumeration bounded to order 2, plane has 3\n",
+        )
+        assert searches == []
+
+    @pytest.mark.parametrize("command", ["endo", "verify-all"])
+    def test_group_bound_stops_before_the_end_search(self, p3_file, capsys, monkeypatch,
+                                                     command):
+        searches = [
+            count_calls(monkeypatch, name, endo)
+            for name in ("enumerate_endomorphisms", "count_endomorphisms",
+                         "enumerate_tp_endomorphisms", "_chain_search")
+        ]
+        assert run(capsys, command, p3_file, "--max-group", "4") == (
+            2, "", "error: endomorphism enumeration bounded to group order 4, got 9\n",
+        )
+        assert searches == [[]] * 4
+
 
 class TestOut:
     @pytest.mark.parametrize("command", ["groups", "endo", "verify-all"])

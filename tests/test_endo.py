@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from functools import partial
 import tracemalloc
@@ -25,7 +26,8 @@ from affineplane import (
     zero_endo,
 )
 from affineplane.endo import _sum_table, closed
-from affineplane.errors import NotEndomorphism, OrderTooLarge, SizeMismatch
+from affineplane.errors import NotEndomorphism, SizeMismatch
+from affineplane.cli import main
 from affineplane.transgroup import compose_images
 from conftest import ag29_document, dual_hall9_cut, hall9_document, identity_map
 
@@ -155,10 +157,6 @@ class TestEnumeration:
         g = build_group(p2, [identity_map(p2)])
         assert [a.table for a in enumerate_endomorphisms(g)] == [(0,)]
 
-    def test_group_order_bound(self, groups):
-        with pytest.raises(OrderTooLarge):
-            enumerate_endomorphisms(groups[5], max_group=9)
-
 
 class TestTracePreservation:
     def test_zero_and_unit_are_trace_preserving(self, planes, groups):
@@ -274,7 +272,7 @@ class TestRingReport:
         plane = load_plane(dual_hall9_cut(81))
         assert verify_axioms(plane).all_pass
         g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
-        tp = enumerate_tp_endomorphisms(plane, g, max_group=g.order)[:27]
+        tp = enumerate_tp_endomorphisms(plane, g)[:27]
         tracemalloc.start()
         try:
             report = check_ring_axioms(plane, g, tp)
@@ -291,7 +289,7 @@ class TestRingReport:
         plane = load_plane(dual_hall9_cut(81))
         assert verify_axioms(plane).all_pass
         g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
-        tp = enumerate_tp_endomorphisms(plane, g, max_group=g.order)
+        tp = enumerate_tp_endomorphisms(plane, g)
         assert len(tp) == 81
         best = float("inf")
         for _ in range(3):
@@ -330,11 +328,13 @@ def test_entry_outside_the_group_raises(planes, groups, tp_endomorphisms, table,
             call()
 
 
-@pytest.fixture(scope="module", params=["AG(2,9)", "Hall(9)"])
+ORDER_NINE = {"AG(2,9)": ag29_document, "Hall(9)": hall9_document}
+
+
+@pytest.fixture(scope="module", params=sorted(ORDER_NINE))
 def order_nine(request):
     """(name, plane, Tr, |Dil|) of an order-9 plane from its spread."""
-    document = {"AG(2,9)": ag29_document, "Hall(9)": hall9_document}[request.param]()
-    plane = load_plane(document)
+    plane = load_plane(ORDER_NINE[request.param]())
     assert verify_axioms(plane).all_pass
     dilations = enumerate_dilations(plane)
     g = build_group(plane, [f for f in dilations if f.kind == "translation"])
@@ -357,14 +357,21 @@ class TestOrderNine:
     def test_tp_endomorphisms_form_the_ring(self, order_nine):
         name, plane, g, _ = order_nine
         start = time.perf_counter()
-        tp = enumerate_tp_endomorphisms(plane, g, max_group=81)
+        tp = enumerate_tp_endomorphisms(plane, g)
         report = check_ring_axioms(plane, g, tp)
         assert time.perf_counter() - start < 2
         assert len(tp) == self.EXPECTED[name][1]
         for axiom in report.AXIOM_NAMES:
             assert report.axioms[axiom] == (True, None)
 
-    def test_group_bound_holds(self, order_nine):
-        _, plane, g, _ = order_nine
-        with pytest.raises(OrderTooLarge):
-            enumerate_tp_endomorphisms(plane, g)
+    def test_group_bound_holds(self, order_nine, tmp_path, capsys):
+        """|Tr| = 81 is over the CLI's default --max-group: endo and
+        verify-all exit 2 before the End search over 3^16 maps starts."""
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(ORDER_NINE[order_nine[0]]()))
+        for argv in (["endo", str(path), "--trace-preserving", "--check-ring"],
+                     ["verify-all", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", "error: endomorphism enumeration bounded to group order 49, got 81\n"
+            )

@@ -13,8 +13,8 @@ tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
 ``dilation_cosets`` tests one candidate per image of point 0, the
 translation first, and ``compose_cosets`` composes the rest from the
-stabiliser of 0, ``check_conjugation_on_cosets`` conjugates by the
-stabiliser and the representatives only,
+stabiliser of 0, ``check_conjugation`` is run on the stabiliser and
+the representatives only,
 ``build_group`` reads each Cayley entry from a two-point key,
 ``check_ring_axioms`` compares ids in the ring's own Cayley tables
 and scans only the laws a list can fail,
@@ -58,7 +58,6 @@ from affineplane import (
     verify_axioms,
 )
 from affineplane.endo import (
-    DEFAULT_MAX_GROUP,
     RingReport,
     _chain_search,
     _check_size,
@@ -70,7 +69,6 @@ from affineplane.errors import (
     AffinePlaneError,
     NotClosed,
     NotTranslation,
-    OrderTooLarge,
     SizeMismatch,
 )
 from affineplane import collineation, transgroup
@@ -724,7 +722,7 @@ class TestGeneratorChainOracle:
 def assert_increasing_leaves(g, directions=None):
     """The raw leaf stream of the chain search is strictly increasing by
     table (claim 4 of enumerate_endomorphisms): no sort is needed."""
-    leaves = list(_chain_search(g, DEFAULT_MAX_GROUP, directions))
+    leaves = list(_chain_search(g, directions))
     assert all(a < b for a, b in zip(leaves, leaves[1:]))
     return leaves
 
@@ -755,6 +753,7 @@ class TestEndomorphismSearchOracle:
     def test_small_groups(self, name):
         g, count = SMALL_GROUPS[name]
         assert len(assert_same_endomorphism_lists(g)) == count
+        assert count_endomorphisms(g) == count
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_cyclic_groups_with_one_generator_per_level(self, n):
@@ -775,14 +774,6 @@ class TestEndomorphismSearchOracle:
         tables = [a.table for a in enumerate_endomorphisms(g)]
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
-
-    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
-    def test_count_at_the_group_bound(self, name):
-        g, count = SMALL_GROUPS[name]
-        assert count_endomorphisms(g, max_group=g.order) == count
-        for search in (count_endomorphisms, enumerate_endomorphisms):
-            with pytest.raises(OrderTooLarge):
-                search(g, max_group=g.order - 1)
 
     def test_trivial_group(self, p2):
         g = build_group(p2, [identity_map(p2)])
@@ -1129,9 +1120,9 @@ class TestConjugationOracle:
                              ids=["swap", "stretch"])
     def test_failing_generating_set_rescans_the_composed_list(self, planes, groups, fn):
         """A collineation fixing 0 that is no dilation, put in Dil_0: it
-        normalizes the translations but moves directions.  The verdicts
-        and witnesses are those of check_conjugation on every f.s,
-        classified, sorted."""
+        normalizes the translations but moves directions.  The verdicts on
+        the generating set are those of check_conjugation on every f.s,
+        classified, sorted; the witness indexes the list it was given."""
         plane, g = planes[3], groups[3]
         stabiliser, representatives = collineation.dilation_cosets(plane)
         extra = classify(plane, point_map(3, fn))
@@ -1144,9 +1135,8 @@ class TestConjugationOracle:
         )
         normal, direction = assert_conjugation_verdicts_agree(g, composed)
         assert normal.passed and not direction.passed
-        assert transgroup.check_conjugation_on_cosets(
-            plane, g, stabiliser, representatives
-        ) == (normal, direction)
+        verdicts = check_conjugation(g, stabiliser + representatives)
+        assert [c.passed for c in verdicts] == [normal.passed, direction.passed]
 
 
 class TestLookupTableOracle:
@@ -1256,7 +1246,6 @@ def assert_cosets_agree(plane, dilations):
     g = build_group(plane, translations)
     verdicts = check_conjugation(g, dilations)
     assert check_conjugation(g, generating) == verdicts
-    assert transgroup.check_conjugation_on_cosets(plane, g, stabiliser, representatives) == verdicts
 
 
 class TestDilationSearchOracle:
@@ -1545,7 +1534,7 @@ class TestRingOracle:
         plane = load_plane(RING_PLANES[name]())
         assert verify_axioms(plane).all_pass
         g = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
-        tp = enumerate_tp_endomorphisms(plane, g, max_group=g.order)
+        tp = enumerate_tp_endomorphisms(plane, g)
         failing = set()
         for listed in ring_mutants(tp, g.order, seed=g.order):
             failing |= failing_axioms(assert_ring_reports_agree(plane, g, listed))

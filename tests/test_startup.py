@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import affineplane
-from affineplane import builder, endo
+from affineplane import builder
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
@@ -120,10 +120,6 @@ def test_every_export_is_its_submodule_object():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         affineplane.no_such_name
-
-
-def test_default_max_group_is_defined_once():
-    assert endo.DEFAULT_MAX_GROUP is builder.DEFAULT_MAX_GROUP == 49
 
 
 @pytest.mark.parametrize(
