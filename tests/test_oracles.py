@@ -69,9 +69,10 @@ from affineplane.errors import (
     AffinePlaneError,
     NotClosed,
     NotTranslation,
+    OrderTooLarge,
     SizeMismatch,
 )
-from affineplane import collineation, transgroup
+from affineplane import cli, collineation, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -753,7 +754,6 @@ class TestEndomorphismSearchOracle:
     def test_small_groups(self, name):
         g, count = SMALL_GROUPS[name]
         assert len(assert_same_endomorphism_lists(g)) == count
-        assert count_endomorphisms(g) == count
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_cyclic_groups_with_one_generator_per_level(self, n):
@@ -774,6 +774,17 @@ class TestEndomorphismSearchOracle:
         tables = [a.table for a in enumerate_endomorphisms(g)]
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_count_at_the_group_bound(self, name):
+        """The group bound is CLI policy: a group of order max_group passes
+        the check and is counted in full; at max_group one less it is
+        refused before any search."""
+        g, count = SMALL_GROUPS[name]
+        cli._check_group_bound(g, g.order)
+        assert count_endomorphisms(g) == count
+        with pytest.raises(OrderTooLarge):
+            cli._check_group_bound(g, g.order - 1)
 
     def test_trivial_group(self, p2):
         g = build_group(p2, [identity_map(p2)])
