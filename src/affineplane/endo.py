@@ -267,58 +267,6 @@ def _chain_search(
     yield from search(0)
 
 
-def closed(g: TranslationGroup, maps: list[GroupSelfMap], op) -> bool:
-    """Whether op(a, b) is listed for every ordered pair of maps, from a
-    generating set.
-
-    op maps two tables to the table of their product and must be
-    associative: + is, because the group is, and o is.  Let S be the set
-    of tables.  Candidates are tried in order of image size, largest
-    first, ties in list order (a stable sort); one not yet reached joins
-    the generating set T.  S is saturated by a BFS under right multiplication by T, which
-    computes every product x op t, x reached and t in T, once: a new
-    generator multiplies every element reached before it, and a newly
-    reached element is multiplied by all of T.  An unlisted product
-    returns False at once.
-
-    Proof that the verdict is exact.  Every reached element is a positive
-    word t_1 op ... op t_m over T (m >= 1): the BFS starts from the
-    generators and multiplies by them on the right.  Every element of S
-    is reached, since a candidate not yet reached becomes a generator.
-    False is returned at a product x op t, with x and t in S, that is not
-    listed: a failing pair.  Otherwise every x op t with x in S and t in
-    T lies in S.  Take a, b in S and write b = t_1 op ... op t_m.  By
-    associativity a op b is (...(a op t_1) op ...) op t_m, and by
-    induction on m each partial product lies in S.  So True means every
-    a op b is listed.  On a list that holds every member of a set, as End
-    does every endomorphism by claim 3 of enumerate_endomorphisms, a
-    product is a member iff it is listed.
-
-    Cost: |S|.|T| products instead of |S|^2; tables are checked once per
-    list, not twice per product.
-    """
-    for a in maps:
-        _check_size(g, a)
-    listed = {a.table: a.table for a in maps}  # a product -> its listed table
-    gens, members, reached = [], [], set()
-    for c in sorted(listed, key=lambda t: len(set(t)), reverse=True):
-        if c in reached:
-            continue
-        old = len(members)
-        gens.append(c)
-        members.append(c)
-        reached.add(c)
-        for i, x in enumerate(members):  # grows while it is walked: the BFS
-            for t in gens if i >= old else (c,):
-                y = listed.get(op(x, t))
-                if y is None:
-                    return False
-                if y not in reached:
-                    members.append(y)
-                    reached.add(y)
-    return True
-
-
 class RingReport(NamedTuple):
     """Outcome of the ring-axiom checks over a trace-preserving set.
 

@@ -103,6 +103,21 @@ def build_group(
 
 
 def check_abelian(g: TranslationGroup) -> CheckResult:
+    """Whether every two elements commute; fails with the first pair
+    (i, j), i < j, in scan order that does not.
+
+    The verdict also settles both End closure theorems of verify-all.
+    Composites: a(b(s.x)) = a(b(s).b(x)) = a(b(s)).a(b(x)) for any
+    endomorphisms a, b of any group, so every composite is one.  Sums,
+    (a+b)(x) = a(x).b(x): every sum is an endomorphism iff the group is
+    abelian.  If it is, (a+b)(s.x) = a(s).a(x).b(s).b(x)
+    = a(s).b(s).a(x).b(x) = (a+b)(s).(a+b)(x), and (a+b)(0) = 0.  If it
+    is not, the identity map 1 is an endomorphism, but 1+1 is x -> x.x,
+    and (s.x).(s.x) = s.s.x.x only when x.s = s.x, so 1+1 fails at a pair
+    that does not commute.  End lists every endomorphism (claim 3 of
+    endo.enumerate_endomorphisms), so "every sum is listed in End" means
+    the same as "every sum is an endomorphism".
+    """
     for i in range(g.order):
         for j in range(i + 1, g.order):
             if g.cayley[i][j] != g.cayley[j][i]:

@@ -6,8 +6,8 @@ the generators, ``enumerate_endomorphisms`` searches along that chain,
 tests one relator per coset edge of each level and meets its leaves in
 table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
-of filtering End, ``endo.closed`` settles a closure theorem from a
-generating set, ``verify_axioms`` counts joins and parallels with line
+of filtering End, ``check_abelian`` settles both End closure theorems
+without listing End, ``verify_axioms`` counts joins and parallels with line
 bitmasks and settles the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
@@ -40,6 +40,7 @@ from affineplane import (
     add,
     build_group,
     build_prime_plane,
+    check_abelian,
     check_conjugation,
     check_conjugation_direction,
     check_normal_in_dilations,
@@ -63,7 +64,6 @@ from affineplane.endo import (
     _check_size,
     _sum_table,
     check_ring_axioms,
-    closed,
 )
 from affineplane.errors import (
     AffinePlaneError,
@@ -824,19 +824,6 @@ def closed_oracle(maps, op):
     return all(op(a, b).table in tables for a in maps for b in maps)
 
 
-def closure_ops(g, name):
-    """(table op for closed, map op for the oracle) of + or o."""
-    if name == "+":
-        return partial(_sum_table, g.cayley), partial(add, g)
-    return compose_images, partial(compose, g)
-
-
-def closure_cases(g, plane, endos):
-    """(maps, op name) of the four closure theorems: End and its TP maps."""
-    tp = [a for a in endos if is_trace_preserving(plane, g, a)]
-    return [(endos, "+"), (endos, "o"), (tp, "+"), (tp, "o")]
-
-
 def outcome(fn, *args):
     """fn's result, or the class of the package error it raised."""
     try:
@@ -845,120 +832,32 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def assert_closure_verdicts_agree(g, maps, name):
-    """closed's verdict, or error, is the oracle's.  It multiplies each
-    pair once; True takes every x in the list times every generator, and
-    False stops at its last pair, two maps of the list whose product is
-    not listed."""
-    table_op, map_op = closure_ops(g, name)
-    pairs = []
-
-    def op(x, t):
-        pairs.append((x, t))
-        return table_op(x, t)
-
-    verdict = outcome(closed, g, maps, op)
-    assert verdict == outcome(closed_oracle, maps, map_op)
-    assert len(pairs) == len(set(pairs))
-    tables = {a.table for a in maps}
-    if verdict is True:
-        assert len(pairs) == len(tables) * len({t for _, t in pairs})
-    if verdict is False:
-        x, t = pairs[-1]
-        assert {x, t} <= tables and table_op(x, t) not in tables
-    return verdict
-
-
-# tables on AG(2,3)'s group of order 9 that are no endomorphisms
-NON_ENDOMORPHISMS_AG23 = [
-    (0, 2, 1, 3, 4, 5, 6, 7, 8),
-    (0,) + (1,) * 8,
-    (0, 1, 2, 3, 4, 5, 6, 8, 7),
-    (0, 0, 0, 0, 0, 0, 0, 0, 5),
-]
+def assert_end_closure_settled(g, endos):
+    """verify-all's verdicts on End's closure theorems, check_abelian for
+    sums and True for composites (proof in check_abelian), are the
+    all-pairs scan's over End; returns the verdict for sums."""
+    assert closed_oracle(endos, partial(compose, g)) is True
+    sums = closed_oracle(endos, partial(add, g))
+    assert sums is check_abelian(g).passed
+    return sums
 
 
 class TestClosureOracle:
     @pytest.mark.parametrize("p", [2, 3])
-    def test_end_and_tp_of_ag2p(self, planes, groups, endomorphisms, p):
-        g = groups[p]
-        for case in closure_cases(g, planes[p], endomorphisms[p]):
-            assert assert_closure_verdicts_agree(g, *case) is True
-
-    def test_generating_sets_of_end_ag23(self, groups, endomorphisms):
-        g, endos = groups[3], endomorphisms[3]
-        for name, rank in (("+", 4), ("o", 6)):
-            table_op = closure_ops(g, name)[0]
-            gens = set()
-
-            def op(x, t):
-                gens.add(t)
-                return table_op(x, t)
-
-            assert closed(g, endos, op)
-            assert len(gens) == rank
+    def test_end_and_tp_of_ag2p(self, planes, groups, endomorphisms, tp_endomorphisms, p):
+        g, tp = groups[p], tp_endomorphisms[p]
+        assert assert_end_closure_settled(g, endomorphisms[p]) is True
+        # verify-all reads the TP closure theorems from the ring's scans
+        axioms = check_ring_axioms(planes[p], g, tp).axioms
+        assert closed_oracle(tp, partial(add, g)) is axioms["add_closure"][0] is True
+        assert closed_oracle(tp, partial(compose, g)) is axioms["mul_closure"][0] is True
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
     def test_small_groups(self, name):
+        # in the non-abelian groups a pointwise sum can leave End
         g, _ = SMALL_GROUPS[name]
-        verdicts = [
-            assert_closure_verdicts_agree(g, *case)
-            for case in closure_cases(g, None, enumerate_endomorphisms(g))
-        ]
-        # no plane, so every endomorphism counts as trace-preserving; in
-        # the non-abelian groups a pointwise sum can leave End
-        if name in ("S3", "Q8"):
-            assert verdicts == [False, True, False, True]
-        else:
-            assert verdicts == [True] * 4
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_shuffled_lists(self, planes, groups, endomorphisms, seed):
-        rng = random.Random(seed)
-        cases = [(groups[p], case)
-                 for p in (2, 3)
-                 for case in closure_cases(groups[p], planes[p], endomorphisms[p])]
-        cases += [(g, case)
-                  for g, _ in SMALL_GROUPS.values()
-                  for case in closure_cases(g, None, enumerate_endomorphisms(g))]
-        for g, (maps, name) in cases:
-            maps = list(maps)
-            rng.shuffle(maps)
-            assert assert_closure_verdicts_agree(g, maps, name) in (True, False)
-
-    def test_empty_and_one_element_lists(self, groups, endomorphisms):
-        g = groups[3]
-        for name in "+o":
-            assert assert_closure_verdicts_agree(g, [], name) is True
-            map_op = closure_ops(g, name)[1]
-            for a in endomorphisms[3] + [GroupSelfMap(t) for t in NON_ENDOMORPHISMS_AG23]:
-                # {a} is closed iff a's square is a
-                verdict = assert_closure_verdicts_agree(g, [a], name)
-                assert verdict is (map_op(a, a).table == a.table)
-
-    def test_non_endomorphism_inserted(self, groups, endomorphisms):
-        g, endos = groups[3], endomorphisms[3]
-        for table in NON_ENDOMORPHISMS_AG23:
-            assert not endomorphism_oracle(g, table)
-            for at in (0, len(endos) // 2, len(endos)):
-                maps = endos[:at] + [GroupSelfMap(table)] + endos[at:]
-                for name in "+o":
-                    assert assert_closure_verdicts_agree(g, maps, name) is False
-
-    def test_wrong_size_table_inserted(self, groups, endomorphisms):
-        g, endos = groups[3], endomorphisms[3]
-        maps = endos + [GroupSelfMap((0,) * 4)]
-        for name in "+o":
-            assert assert_closure_verdicts_agree(g, maps, name) is SizeMismatch
-
-    def test_endomorphism_dropped(self, groups, endomorphisms):
-        g, endos = groups[3], endomorphisms[3]
-        for at in (0, len(endos) // 2, len(endos) - 1):
-            maps = endos[:at] + endos[at + 1:]
-            for name in "+o":
-                # the list is no longer all of End: some product of two
-                # listed maps is the dropped one
-                assert assert_closure_verdicts_agree(g, maps, name) is False
+        sums = assert_end_closure_settled(g, enumerate_endomorphisms(g))
+        assert sums is (name not in ("S3", "Q8"))
 
 
 class TestDilationOracle:
