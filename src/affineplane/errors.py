@@ -31,7 +31,8 @@ class NotTranslation(AffinePlaneError):
 
 
 class NotClosed(AffinePlaneError):
-    """A composite escaped the element list during group construction."""
+    """The element list for a group build is not a group: a composite or
+    an inverse escapes it, or it lists an element twice."""
 
 
 class MissingIdentity(AffinePlaneError):

@@ -69,7 +69,10 @@ def build_group(
     Two dilations that agree at points 0 and 1 are equal (a dilation is
     fixed by the images of two points: enumerate_dilations' construction
     with A, B = 0, 1), so the key names the listed element equal to the
-    composite, or none when the composite is not listed.
+    composite, or none when the composite is not listed.  For the same
+    reason two elements with one key are equal, and a list that repeats
+    one raises NotClosed naming both; sorting by image puts them side by
+    side.
     """
     identity = tuple(range(plane.num_points))
     for f in translations:
@@ -79,6 +82,9 @@ def build_group(
     if not ordered or ordered[0].image != identity:
         raise MissingIdentity("translation list does not contain the identity")
     keys = [f.image[:2] for f in ordered]
+    for i in range(1, len(keys)):
+        if keys[i] == keys[i - 1]:
+            raise NotClosed(f"elements {i - 1} and {i} are the same translation")
     by_key = {key: i for i, key in enumerate(keys)}
 
     cayley = []
@@ -131,80 +137,68 @@ def check_conjugation(
     """Conjugate every translation by every dilation, once, for two checks.
 
     Returns (normal_in_dilations, conjugation_direction).  The first
-    passes iff every conjugate d^-1.t.d (d applied first) is a
+    passes iff every conjugate d^-1.t.d (d applied first) is a listed
     translation, and fails with the first witness (di, si) in scan order
     whose conjugate is not.  The second passes iff moreover every
     non-identity translation and its conjugate share a direction, and
     fails with the first (di, si), si >= 1, that breaks either condition.
 
-    Per dilation d, only the generators are conjugated: by their key
-    (c(0), c(1)) as in build_group when d's kind is "dilation" or
-    "translation", since composites and inverses of dilations are
-    dilations, else point by point.  If each conjugate is a translation,
-    phi(x) = d^-1.x.d is computed for every x by one Cayley lookup per
-    tree edge or fill of the generator chain, phi(gens[j].c) :=
-    phi(gens[j]).phi(c) or phi(c.h) := phi(c).phi(h), and every direction
-    is compared.  This is the conjugate itself: conjugation by a
+    Both verdicts come from one table per dilation d: conj[si] is the
+    index of d^-1.s.d, or None when that map is not listed.  One scan of
+    it finds the first si with no conjugate, which fails both checks, and
+    the first whose conjugate changes direction.  conj[0] = 0, and
+    conjugation by a permutation is injective, so conj[si] = 0 only for
+    si = 0: the scan finds no witness there and compares every other
+    direction.  When
+    d's kind is "dilation" or "translation" and each generator's
+    conjugate is listed by its key (c(0), c(1)) as in build_group (the
+    conjugate of a dilation is a dilation), the table is filled along the
+    generator chain from conj[0] = 0, one Cayley lookup per tree edge or
+    fill: conj[gens[j].c] := conj[gens[j]].conj[c] and conj[c.h] :=
+    conj[c].conj[h].  This is the conjugate itself: conjugation by a
     permutation is a homomorphism of the symmetric group, the Cayley
-    table records composition of permutations within the translation
-    set, which build_group checked to be closed, and the tree edges and
-    fills set every nonzero element once, after the elements they read,
-    starting from phi(0) = 0.  So the conjugate of every x is a
-    translation whose index the lookups give, and normality holds for d.
-    If some generator's conjugate is not a translation, the translations
-    are conjugated point by point, as the definition reads, with d^-1
-    built once, which yields the same witnesses.  Cost per dilation: rank
-    key lookups plus one lookup per element, instead of |G| point-wise
-    conjugates for each check.
+    table records composition within the list, which build_group checked
+    to be closed, and the tree edges and fills set every nonzero element
+    once, after the elements they read.  Every other map, and a dilation
+    with a generator whose conjugate is not listed, is conjugated point by
+    point, as the definition reads.  The key path trusts kind: a map
+    labelled "dilation" that is none can pass where the definition fails.
 
     The CLI passes Dil_0, then the representatives of dilation_cosets.
-    Both checks pass for every dilation d of any affine plane (Artin,
-    Geometric Algebra, ch. II): d^-1.t.d is a dilation, and if it fixes p,
-    t fixes d(p), so both are the identity; and d^-1 maps the trace
-    join(p, t(p)) onto a parallel, the trace of d^-1.t.d at d^-1(p).  So
-    only a library call with a non-dilation gets a witness, and its di
-    indexes the list passed.
+    When g is all of Tr, both checks pass for every dilation d of any
+    affine plane (Artin, Geometric Algebra, ch. II): d^-1.t.d is a
+    dilation, and if it fixes p, t fixes d(p), so both are the identity;
+    and d^-1 maps the trace join(p, t(p)) onto a parallel, the trace of
+    d^-1.t.d at d^-1(p).  So a witness needs a map that is no dilation,
+    or a group that is not all of Tr, which a dilation can conjugate off
+    the list; its di indexes the list passed.
     """
     normal: Optional[CheckResult] = None
     direction: Optional[CheckResult] = None
     gens, levels = generator_chain(g)
     gen_images = [g.elements[s].image for s in gens]
-
-    def conjugate(inv, s, d) -> Optional[int]:
-        return g.index_of(compose_images(inv, compose_images(s, d)))
-
+    direction_of = g.direction_of
     for di, delta in enumerate(dilations):
-        d, inv = delta.image, None
+        d, conj = delta.image, None
         if delta.kind in ("dilation", "translation"):
-            images = [g._by_key.get((d.index(s[d[0]]), d.index(s[d[1]]))) for s in gen_images]
-        else:
-            inv = _inverse(d)
-            images = [conjugate(inv, s, d) for s in gen_images]
-        if None not in images:
-            if direction is None:
-                phi = [0] * g.order
+            keyed = [g._by_key.get((d.index(s[d[0]]), d.index(s[d[1]]))) for s in gen_images]
+            if None not in keyed:
+                conj = [0] * g.order
                 for tree, _, fills in levels:
                     for y, j, x in tree:
-                        phi[y] = g.cayley[images[j]][phi[x]]
+                        conj[y] = g.cayley[keyed[j]][conj[x]]
                     for z, c, h in fills:
-                        phi[z] = g.cayley[phi[c]][phi[h]]
-                for si in range(1, g.order):
-                    if g.direction_of[phi[si]] != g.direction_of[si]:
-                        direction = CheckResult("conjugation_direction", False, (di, si))
-                        break
-        else:
-            if inv is None:
-                inv = _inverse(d)
-            for si in range(1, g.order):
-                ci = conjugate(inv, g.elements[si].image, d)
-                if ci is None:
-                    normal = CheckResult("normal_in_dilations", False, (di, si))
-                    direction = direction or CheckResult(
-                        "conjugation_direction", False, (di, si)
-                    )
-                    break
-                if direction is None and ci != 0 and g.direction_of[ci] != g.direction_of[si]:
-                    direction = CheckResult("conjugation_direction", False, (di, si))
+                        conj[z] = g.cayley[conj[c]][conj[h]]
+        if conj is None:
+            inv = _inverse(d)
+            conj = [g.index_of(tuple([inv[s.image[q]] for q in d])) for s in g.elements]
+        for si, ci in enumerate(conj):
+            if ci is None:
+                normal = CheckResult("normal_in_dilations", False, (di, si))
+                direction = direction or CheckResult("conjugation_direction", False, (di, si))
+                break
+            if direction is None and direction_of[ci] != direction_of[si]:
+                direction = CheckResult("conjugation_direction", False, (di, si))
         if normal is not None:
             break
     return (

@@ -15,11 +15,13 @@ and reads a translation's direction from the trace of point 0,
 translation first, and ``compose_cosets`` composes the rest from the
 stabiliser of 0, ``check_conjugation`` is run on the stabiliser and
 the representatives only,
-``build_group`` reads each Cayley entry from a two-point key,
+``build_group`` reads each Cayley entry from a two-point key and
+rejects a list that repeats one,
 ``check_ring_axioms`` compares ids in the ring's own Cayley tables
 and scans only the laws a list can fail,
-``check_conjugation`` conjugates only the generators, by that key for
-a dilation, ``parallel_partition`` reads the classes from the pencil
+``check_conjugation`` fills one table per dilation from the conjugates
+of the generators, by that key for a dilation, and reads both verdicts
+from one scan of it, ``parallel_partition`` reads the classes from the pencil
 at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
 table-per-triple, candidate-by-candidate and backtracking definitions
@@ -395,8 +397,12 @@ def triangle_oracle(plane):
 
 def cayley_oracle(translations):
     """The all-pairs table: every composite built point by point and looked
-    up by its whole image; NotClosed names the first pair not listed."""
+    up by its whole image; NotClosed names the first pair not listed, or
+    two elements with one image."""
     ordered = sorted(translations, key=lambda f: f.image)
+    for i in range(1, len(ordered)):
+        if ordered[i].image == ordered[i - 1].image:
+            raise NotClosed(f"elements {i - 1} and {i} are the same translation")
     lookup = {f.image: i for i, f in enumerate(ordered)}
     table = []
     for i, f in enumerate(ordered):
@@ -991,8 +997,8 @@ class TestConjugationOracle:
         # 1 is (0,1), p is (1,0) and p + 1 is (1,1).  The swap and the
         # stretch are collineations that normalize the translations but
         # move directions; the other maps are no collineations, and each
-        # conjugates some translation off the list, which sends the
-        # fused pass to its point-by-point rescan.
+        # conjugates some translation off the list.  None is a dilation,
+        # so each is conjugated point by point.
         plane, g, dils = planes[p], groups[p], dilations[p]
         rng = random.Random(20200320)
         shuffled = list(range(p * p))
@@ -1025,6 +1031,31 @@ class TestConjugationOracle:
             normal, direction = assert_conjugation_verdicts_agree(g, insert([first, second], at))
             assert direction.witness == (at, maps[first][3])
             assert normal.witness[0] == at + (maps[first][2] is None)
+
+    @pytest.mark.parametrize("name,witness",
+                             [("AG(2,4)", (1, 1)), ("AG(2,9)", (2, 1)), ("Hall(9)", None)])
+    def test_subgroup_spanned_by_two_directions(self, name, witness, monkeypatch):
+        """Dil_0 and the representatives on the subgroup of Tr that the
+        first two non-identity translations of different directions span.
+        A dilation can conjugate it off the list; then that dilation, and
+        no other, is conjugated point by point, once per call."""
+        plane = verified_plane(name)
+        stabiliser, representatives = collineation.dilation_cosets(plane)
+        dils = stabiliser + representatives
+        full = build_group(plane, [f for f in enumerate_dilations(plane) if f.kind == "translation"])
+        second = next(i for i in range(2, full.order) if full.direction_of[i] != full.direction_of[1])
+        g = build_group(plane, [full.elements[i] for i in sorted(span(full, [1, second]))])
+        assert g.order == len(plane.lines[0]) < full.order
+        inverses = []
+        real = transgroup._inverse
+        monkeypatch.setattr(transgroup, "_inverse", lambda d: inverses.append(d) or real(d))
+        normal, direction = assert_conjugation_verdicts_agree(g, dils)
+        assert normal.witness == direction.witness == witness
+        if witness is None:
+            assert inverses == []
+        else:
+            assert dils[witness[0]].kind == "dilation"
+            assert inverses == [dils[witness[0]].image] * 3
 
     @pytest.mark.parametrize("fn", [lambda x, y: (y, x), lambda x, y: (x, 2 * y)],
                              ids=["swap", "stretch"])
@@ -1286,6 +1317,8 @@ class TestCayleyOracle:
             translations[:len(translations) // 2] + translations[len(translations) // 2 + 1:],
             [translations[0], translations[1]],  # closed iff the order is even
             one_direction + [translations[-1]],
+            translations + [translations[-1]],  # a repeated translation
+            [translations[0], *translations],  # a repeated identity
         ]
         outcomes = []
         for listed in lists:
@@ -1293,7 +1326,8 @@ class TestCayleyOracle:
             assert raised(lambda: build_group(plane, listed).cayley) == expected
             outcomes.append(expected[0] if isinstance(expected[0], type) else "table")
         pair = "table" if len(plane.lines[0]) % 2 == 0 else NotClosed
-        assert outcomes == ["table", "table", NotClosed, NotClosed, pair, NotClosed]
+        assert outcomes == ["table", "table", NotClosed, NotClosed, pair, NotClosed,
+                            NotClosed, NotClosed]
 
 
 def ring_oracle(plane, g, tp, num_endomorphisms=None):

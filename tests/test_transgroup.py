@@ -63,6 +63,16 @@ class TestBuildGroup:
         with pytest.raises(NotClosed):
             build_group(p3, [identity_map(p3), shift])
 
+    def test_repeated_translation_rejected(self, p3, translations):
+        # sorted by image, the two copies of the shift sit at 3 and 4
+        shift = sorted(translations[3], key=lambda f: f.image)[3]
+        with pytest.raises(NotClosed, match="elements 3 and 4 are the same translation"):
+            build_group(p3, [*translations[3], shift])
+
+    def test_repeated_identity_rejected(self, p3, translations):
+        with pytest.raises(NotClosed, match="elements 0 and 1 are the same translation"):
+            build_group(p3, [identity_map(p3), *translations[3]])
+
     @pytest.mark.parametrize("kind", ["general", "collineation", "dilation"])
     def test_element_not_classified_as_translation_rejected(self, p3, translations, kind):
         # the Cayley keys (f(0), f(1)) name a composite only among dilations
