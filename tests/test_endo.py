@@ -360,6 +360,27 @@ class TestOrderNine:
         for axiom in report.AXIOM_NAMES:
             assert report.axioms[axiom] == (True, None)
 
+    def test_raised_group_bound_counts_end(self, order_nine, tmp_path, capsys):
+        """With --max-group 81 both commands count the 3^16 maps of End by
+        cosets (count_endomorphisms) and check the ring, in well under the
+        budget; walking every leaf ran for more than 4 min."""
+        name = order_nine[0]
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(ORDER_NINE[name]()))
+        start = time.perf_counter()
+        assert main(["endo", str(path), "--trace-preserving", "--check-ring",
+                     "--max-group", "81"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["num_endomorphisms"], results["num_tp_endomorphisms"]) == (
+            3**16, self.EXPECTED[name][1],
+        )
+        assert results["ring"]["all_pass"]
+        assert main(["verify-all", str(path), "--max-group", "81"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["num_endomorphisms"] == 3**16
+        assert [t["passed"] for t in results["theorems"]] == [True] * 12
+        assert time.perf_counter() - start < 5
+
     def test_group_bound_holds(self, order_nine, tmp_path, capsys):
         """|Tr| = 81 is over the CLI's default --max-group: endo and
         verify-all exit 2 before the End search over 3^16 maps starts."""

@@ -4,7 +4,8 @@
 only, ``generator_chain`` saturates the group once for every reader of
 the generators, ``enumerate_endomorphisms`` searches along that chain,
 tests one relator per coset edge of each level and meets its leaves in
-table order, so ``count_endomorphisms`` keeps none and nothing is sorted,
+table order, so nothing is sorted, ``count_endomorphisms`` counts End of
+an abelian group by the cosets of its additive group instead of its leaves,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``check_abelian`` settles both End closure theorems
 without listing End, ``verify_axioms`` counts joins and parallels with line
@@ -24,13 +25,15 @@ of the generators, by that key for a dilation, and reads both verdicts
 from one scan of it, ``parallel_partition`` reads the classes from the pencil
 at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
-table-per-triple, candidate-by-candidate and backtracking definitions
-live here, as oracles, and every test below asks both for a verdict on
-the same inputs.  The collineations of a small plane come from a backtracking
-search (``collineations_oracle``), a translation's direction from every
-one of its traces (``trace_direction_oracle``)."""
+table-per-triple, candidate-by-candidate, backtracking and closed-form
+(``gcd_product_oracle``) definitions live here, as oracles, and every
+test below asks both for a verdict on the same inputs.  The collineations
+of a small plane come from a backtracking search (``collineations_oracle``),
+a translation's direction from every one of its traces
+(``trace_direction_oracle``)."""
 
 import itertools
+import math
 import random
 from functools import partial
 
@@ -74,7 +77,7 @@ from affineplane.errors import (
     OrderTooLarge,
     SizeMismatch,
 )
-from affineplane import cli, collineation, transgroup
+from affineplane import cli, collineation, endo, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -734,45 +737,82 @@ def assert_increasing_leaves(g, directions=None):
     return leaves
 
 
-def assert_same_endomorphism_lists(g):
+def count_by_path(monkeypatch, g):
+    """(count_endomorphisms(g), walked, dead): walked says whether the
+    count took the leaf stream of _chain_search, and dead lists the depth
+    of every node whose step found no child and ran to its end, which
+    happens exactly when some node is searched and has no leaf."""
+    walks, dead = [], []
+    chain_search, chain_levels = endo._chain_search, endo._chain_levels
+
+    def watched_levels(*args):
+        depth, t, step = chain_levels(*args)
+
+        def watched(k):
+            children = 0
+            for _ in step(k):
+                children += 1
+                yield
+            if not children:
+                dead.append(k)
+
+        return depth, t, watched
+
+    with monkeypatch.context() as m:
+        m.setattr(endo, "_chain_search", lambda *args: walks.append(args) or chain_search(*args))
+        m.setattr(endo, "_chain_levels", watched_levels)
+        count = count_endomorphisms(g)
+    return count, bool(walks), dead
+
+
+def assert_same_endomorphism_lists(g, monkeypatch, walks=False):
+    """The chain search lists what the product-and-test oracle lists, and
+    count_endomorphisms counts it: by cosets, walking no leaf stream, on
+    an abelian group, else (walks) by the leaves of the search."""
     chain = enumerate_endomorphisms(g)
     oracle = endomorphisms_oracle(g)
     assert [a.table for a in chain] == [a.table for a in oracle]
     assert all(is_endomorphism(g, a) for a in chain)
     assert assert_increasing_leaves(g) == [a.table for a in chain]
-    assert count_endomorphisms(g) == len(oracle)
+    assert check_abelian(g).passed is not walks
+    assert count_by_path(monkeypatch, g)[:2] == (len(oracle), walks)
     return chain
 
 
 class TestEndomorphismSearchOracle:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_ag2p(self, p):
+    def test_ag2p(self, p, monkeypatch):
         plane = build_prime_plane(p)
         translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
-        chain = assert_same_endomorphism_lists(build_group(plane, translations))
+        chain = assert_same_endomorphism_lists(build_group(plane, translations), monkeypatch)
         assert len(chain) == p**4
 
-    def test_ag24(self, ag24):
+    def test_ag24(self, ag24, monkeypatch):
         translations = [f for f in enumerate_dilations(ag24) if f.kind == "translation"]
-        assert len(assert_same_endomorphism_lists(build_group(ag24, translations))) == 2**16
+        chain = assert_same_endomorphism_lists(build_group(ag24, translations), monkeypatch)
+        assert len(chain) == 2**16
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
-    def test_small_groups(self, name):
+    def test_small_groups(self, name, monkeypatch):
+        # S3 and Q8 are the groups that are not abelian: their End is no
+        # additive group, and the count walks every leaf
         g, count = SMALL_GROUPS[name]
-        assert len(assert_same_endomorphism_lists(g)) == count
+        chain = assert_same_endomorphism_lists(g, monkeypatch, walks=name in ("S3", "Q8"))
+        assert len(chain) == count
 
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_cyclic_groups_with_one_generator_per_level(self, n):
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_cyclic_groups_with_one_generator_per_level(self, n, monkeypatch):
         # generators() picks n/2, n/4, ..., 1: a chain of log2(n) levels,
         # each of index 2, and every level's relators reject images; End(Z_n)
-        # is x -> a.x
+        # is x -> a.x.  The product-and-test oracle would try n^log2(n)
+        # assignments, 32^5 for n = 32, so that list is the oracle here
         elements, g = two_adic_cyclic(n)
         assert len(generators(g)) == n.bit_length() - 1
         index = {e: i for i, e in enumerate(elements)}
         expected = sorted(tuple(index[a * e % n] for e in elements) for a in range(n))
         assert [a.table for a in enumerate_endomorphisms(g)] == expected
         assert assert_increasing_leaves(g) == expected
-        assert count_endomorphisms(g) == n
+        assert count_by_path(monkeypatch, g)[:2] == (n, False)
 
     @pytest.mark.parametrize("name", ["Z4", "S3"])
     def test_small_groups_against_every_table(self, name):
@@ -792,10 +832,63 @@ class TestEndomorphismSearchOracle:
         with pytest.raises(OrderTooLarge):
             cli._check_group_bound(g, g.order - 1)
 
-    def test_trivial_group(self, p2):
+    def test_trivial_group(self, p2, monkeypatch):
         g = build_group(p2, [identity_map(p2)])
         assert assert_increasing_leaves(g) == [(0,)]
-        assert count_endomorphisms(g) == 1
+        assert len(assert_same_endomorphism_lists(g, monkeypatch)) == 1
+
+
+def gcd_product_oracle(orders):
+    """|End(Z_d1 x ... x Z_dn)|, the product of gcd(d_i, d_j) over all
+    pairs (i, j) (Hillar and Rhea, "Automorphisms of finite abelian
+    groups", Amer. Math. Monthly 114, 2007)."""
+    return math.prod(math.gcd(a, b) for a in orders for b in orders)
+
+
+def shuffled_product(orders, seed):
+    """Z_d1 x ... x Z_dn with the identity first and the other elements in
+    an order shuffled by seed, so the greedy generators need not be a
+    basis."""
+    identity, *rest = itertools.product(*[range(d) for d in orders])
+    random.Random(seed).shuffle(rest)
+    return table_group(
+        [identity, *rest], lambda u, v: tuple((a + b) % d for a, b, d in zip(u, v, orders))
+    )
+
+
+class TestEndomorphismCountOracle:
+    """count_endomorphisms against the closed form of |End| of a finite
+    abelian group, which lists nothing: Z4^3 has 4^9 endomorphisms and
+    the translation groups of order 9 have 3^16."""
+
+    @pytest.mark.parametrize(
+        "orders,mixed",
+        [((4, 4, 4), False), ((2, 4, 8), True), ((9, 9), False), ((3, 9), True), ((2, 16), True)],
+        ids=["Z4^3", "Z2xZ4xZ8", "Z9^2", "Z3xZ9", "Z2xZ16"],
+    )
+    def test_shuffled_products(self, monkeypatch, orders, mixed):
+        """On Z_(p^k)^n every homomorphism on a subgroup extends to the
+        group (Z/p^k is self-injective), so no node is dead.  With mixed
+        orders some chains have homomorphisms on H_k that extend to no
+        endomorphism: nodes without a leaf, each searched to its end."""
+        dead_nodes = 0
+        for seed in range(6):
+            g = shuffled_product(orders, seed)
+            count, walked, dead = count_by_path(monkeypatch, g)
+            assert (count, walked) == (gcd_product_oracle(orders), False)
+            if count < 2**13:
+                assert len(enumerate_endomorphisms(g)) == count
+            dead_nodes += len(dead)
+        assert bool(dead_nodes) is mixed
+
+    @pytest.mark.parametrize("document", [ag29_document, hall9_document])
+    def test_order_nine(self, monkeypatch, document):
+        # Tr is Z_3^4; every homomorphism on H_k extends, so no node is dead
+        plane = load_plane(document())
+        assert verify_axioms(plane).all_pass
+        count, walked, dead = count_by_path(monkeypatch, plane_group(plane))
+        assert (count, walked, dead) == (gcd_product_oracle((3,) * 4), False, [])
+        assert count == 3**16
 
 
 def assert_same_tp_lists(plane, g):
