@@ -14,14 +14,14 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 
 from . import __version__
-from .builder import build_prime_plane
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
 from .incidence import load_plane, parallel_partition, verify_axioms
 
-# Each command imports the stages it runs in its body: `check` and `build`
-# load no stage module, `groups` loads no endo.
+# Each command imports the stages it runs in its body: only `build` loads
+# builder, `check` and `build` load no stage module, `groups` loads no endo.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -55,19 +55,22 @@ def _report(command: str, plane_summary: dict, results: dict, status: str) -> di
             "results": results, "status": status}
 
 
+def _text(document: dict):
+    return chain(json.JSONEncoder(**REPORT_FORMAT).iterencode(document), ("\n",))
+
+
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
-    """The report text that _finish streams."""
-    return json.dumps(_report(command, plane_summary, results, status), **REPORT_FORMAT) + "\n"
+    """The report text that _finish writes."""
+    return "".join(_text(_report(command, plane_summary, results, status)))
 
 
 def _write(document: dict, out_path: str | None) -> None:
-    """Stream document and a newline to out_path, or stdout when None.
-
-    json.dump writes the chunks json.dumps joins (for a report, the bytes
-    of render_report), never all in memory."""
+    """Write the text of document to out_path, or stdout when None, 32 x 32 encoder chunks per
+    write (-u and PYTHONUNBUFFERED make stdout write-through), holding at most 32 chunk strings."""
+    chunks = _text(document)
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        json.dump(document, fh, **REPORT_FORMAT)
-        fh.write("\n")
+        while batch := "".join(["".join(islice(chunks, 32)) for _ in range(32)]):
+            fh.write(batch)
 
 
 def _check_out(path: str) -> None:
@@ -132,6 +135,8 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
 
 
 def cmd_build(args) -> int:
+    from .builder import build_prime_plane
+
     try:
         if args.order > args.max_order:  # first: trial division of a large order would not end
             raise OrderTooLarge(f"order {args.order} exceeds the bound {args.max_order}")

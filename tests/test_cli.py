@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -511,6 +513,47 @@ class TestOut:
         assert cli.render_report(
             report["command"], report["plane_summary"], report["results"], report["status"]
         ) == out
+
+    def test_report_is_written_in_batches(self, tmp_path, monkeypatch):
+        # one write per JSON token would be 13,719 writes here, each one
+        # write(2) when stdout is write-through (python -u, PYTHONUNBUFFERED)
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        path = tmp_path / "ag29.json"
+        path.write_text(json.dumps(ag29_document()))
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["groups", str(path), "--translations", "--check-abelian"]) == 0
+        out = stdout.getvalue()
+        report = json.loads(out)
+        assert cli.render_report(
+            report["command"], report["plane_summary"], report["results"], report["status"]
+        ) == out
+        assert stdout.writes <= 16
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["groups", "PLANE", "--dilations", "--translations"], ["build", "--order", "7"]],
+        ids=["groups-hall9", "build-7"],
+    )
+    def test_write_through_stdout_matches_the_out_file(self, tmp_path, argv):
+        # a report of many batches (27 writes) and one of a single batch, to a
+        # write-through stdout and to a file
+        plane = tmp_path / "hall9.json"
+        plane.write_text(json.dumps(hall9_document()))
+        src = os.path.dirname(os.path.dirname(affineplane.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        command = [sys.executable, "-m", "affineplane",
+                   *[str(plane) if a == "PLANE" else a for a in argv]]
+        stdout = subprocess.run(command, env=env, check=True, capture_output=True).stdout
+        out = tmp_path / "report.json"
+        subprocess.run([*command, "--out", str(out)], env=env, check=True, capture_output=True)
+        assert stdout == out.read_bytes()
 
 
 class TestStages:

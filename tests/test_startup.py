@@ -79,16 +79,17 @@ def plane_file(tmp_path_factory):
 
 
 STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.endo"}
+BUILDER = "affineplane.builder"
 
 
 @pytest.mark.parametrize(
     "argv,absent",
     [
         (["build", "--order", "3"], STAGES),
-        (["check", "PLANE"], STAGES),
+        (["check", "PLANE"], STAGES | {BUILDER}),
         (["groups", "PLANE", "--check-abelian", "--check-normal", "--check-directions"],
-         {"affineplane.endo"}),
-        (["verify-all", "PLANE"], set()),
+         {"affineplane.endo", BUILDER}),
+        (["verify-all", "PLANE"], {BUILDER}),
     ],
     ids=["build", "check", "groups", "verify-all"],
 )
@@ -98,7 +99,7 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
     assert "affineplane.cli" in loaded
     assert "dataclasses" not in loaded
     assert loaded & absent == set()
-    assert STAGES - absent <= loaded
+    assert (STAGES | {BUILDER}) - absent <= loaded
 
 
 def test_import_loads_no_submodule(tmp_path):
