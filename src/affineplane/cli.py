@@ -3,7 +3,7 @@
 Subcommands: build, check, groups, endo, verify-all.  Each emits one
 structured JSON report on stdout (or to --out) and a short human summary
 on stderr.  Exit codes: 0 every check passed, 1 a mathematical check
-failed, 2 usage or input error.
+failed, 2 usage, input or output error.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import errno
 import json
 import os
 import sys
-from contextlib import nullcontext
-from itertools import chain, islice
+from contextlib import nullcontext, suppress
+from itertools import chain
 
 from . import __version__
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
@@ -26,7 +26,7 @@ from .incidence import load_plane, parallel_partition, verify_axioms
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-REPORT_FORMAT = {"indent": 2, "sort_keys": True}
+WRITE_BATCH = 1 << 14
 # Input-size bounds, checked right before the stage each guards; the library takes none
 DEFAULT_MAX_ORDER = 13
 DEFAULT_MAX_GROUP = 49
@@ -55,8 +55,41 @@ def _report(command: str, plane_summary: dict, results: dict, status: str) -> di
             "results": results, "status": status}
 
 
+class _Numerals(dict):
+    """int -> its JSON numeral, built once per report."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = int.__repr__(i)
+        return text
+
+
+def _chunks(o, newline: str, numerals: _Numerals):
+    """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
+    line break is newline (dict keys are str), in chunks: one per key, scalar
+    and bracket, and one per non-empty list or tuple of exact ints."""
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)) and set(map(type, o)) == {int}:  # bool is no exact int
+        yield f"[{inner}{(',' + inner).join(map(numerals.__getitem__, o))}{newline}]"
+    elif isinstance(o, dict) and o:
+        opener = "{"
+        for key in sorted(o):
+            yield f"{opener}{inner}{json.dumps(key)}: "
+            yield from _chunks(o[key], inner, numerals)
+            opener = ","
+        yield newline + "}"
+    elif isinstance(o, (list, tuple)) and o:
+        opener = "["
+        for item in o:
+            yield opener + inner
+            yield from _chunks(item, inner, numerals)
+            opener = ","
+        yield newline + "]"
+    else:  # a scalar, {}, [] or ()
+        yield json.dumps(o)
+
+
 def _text(document: dict):
-    return chain(json.JSONEncoder(**REPORT_FORMAT).iterencode(document), ("\n",))
+    return chain(_chunks(document, "\n", _Numerals()), ("\n",))
 
 
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
@@ -64,13 +97,29 @@ def render_report(command: str, plane_summary: dict, results: dict, status: str)
     return "".join(_text(_report(command, plane_summary, results, status)))
 
 
+class _OutputError(Exception):
+    """The OSError that writing a report raised: exit 2, but no input error."""
+
+
 def _write(document: dict, out_path: str | None) -> None:
-    """Write the text of document to out_path, or stdout when None, 32 x 32 encoder chunks per
-    write (-u and PYTHONUNBUFFERED make stdout write-through), holding at most 32 chunk strings."""
-    chunks = _text(document)
-    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        while batch := "".join(["".join(islice(chunks, 32)) for _ in range(32)]):
-            fh.write(batch)
+    """Write the text of document to out_path, or stdout when None, in writes of
+    about WRITE_BATCH characters (-u and PYTHONUNBUFFERED make stdout write-through)."""
+    try:
+        with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+            batch, size = [], 0
+            for chunk in _text(document):
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= WRITE_BATCH:
+                    fh.write("".join(batch))
+                    batch, size = [], 0
+            fh.write("".join(batch))
+            fh.flush()  # a stdout that fails fails here, not at exit
+    except OSError as exc:
+        if out_path is None:  # drop what stdout holds: its flush at exit would fail again
+            with suppress(OSError):
+                sys.stdout.close()
+        raise _OutputError(exc) from exc
 
 
 def _check_out(path: str) -> None:
@@ -171,10 +220,10 @@ def cmd_groups(args) -> int:
     results: dict = {"num_dilations": num_dilations, "num_translations": group.order}
     if args.dilations:
         dilations = compose_cosets(plane, stabiliser, representatives)
-        results["dilations"] = [list(f.image) for f in dilations]
-    if args.translations:
-        results["translations"] = [list(f.image) for f in group.elements]
-        results["cayley_table"] = [list(row) for row in group.cayley]
+        results["dilations"] = [f.image for f in dilations]
+    if args.translations:  # tuples, which JSON writes as lists
+        results["translations"] = [f.image for f in group.elements]
+        results["cayley_table"] = group.cayley
 
     checks = []
     if args.check_abelian:
@@ -335,6 +384,9 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (MalformedDocument, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR

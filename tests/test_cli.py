@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -516,12 +517,13 @@ class TestOut:
 
     def test_report_is_written_in_batches(self, tmp_path, monkeypatch):
         # one write per JSON token would be 13,719 writes here, each one
-        # write(2) when stdout is write-through (python -u, PYTHONUNBUFFERED)
+        # write(2) when stdout is write-through (python -u, PYTHONUNBUFFERED);
+        # one write of the whole report would hold all of its text at once
         class CountingStdout(io.StringIO):
-            writes = 0
+            writes = []
 
             def write(self, text):
-                self.writes += 1
+                self.writes.append(len(text))
                 return super().write(text)
 
         path = tmp_path / "ag29.json"
@@ -534,7 +536,8 @@ class TestOut:
         assert cli.render_report(
             report["command"], report["plane_summary"], report["results"], report["status"]
         ) == out
-        assert stdout.writes <= 16
+        assert len(stdout.writes) <= 16
+        assert max(stdout.writes) <= cli.WRITE_BATCH + max(map(len, cli._text(report)))
 
     @pytest.mark.parametrize(
         "argv",
@@ -542,8 +545,8 @@ class TestOut:
         ids=["groups-hall9", "build-7"],
     )
     def test_write_through_stdout_matches_the_out_file(self, tmp_path, argv):
-        # a report of many batches (27 writes) and one of a single batch, to a
-        # write-through stdout and to a file
+        # a report of many batches (WRITE_BATCH characters each) and one of a
+        # single batch, to a write-through stdout and to a file
         plane = tmp_path / "hall9.json"
         plane.write_text(json.dumps(hall9_document()))
         src = os.path.dirname(os.path.dirname(affineplane.__file__))
@@ -554,6 +557,94 @@ class TestOut:
         out = tmp_path / "report.json"
         subprocess.run([*command, "--out", str(out)], env=env, check=True, capture_output=True)
         assert stdout == out.read_bytes()
+
+    def test_failed_write_is_an_output_error(self, p2_file, capsys, monkeypatch):
+        class BrokenPipeStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        stdout = BrokenPipeStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["groups", p2_file, "--translations"]) == 2
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+        assert stdout.closed  # what it holds is dropped, not flushed again at exit
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "write-through"])
+    def test_closed_pipe_exits_2_without_a_shutdown_traceback(self, unbuffered):
+        # a small buffered report would first meet the closed pipe in the flush
+        # at interpreter exit, which prints "Exception ignored ... BrokenPipeError"
+        # and exits 120; _write flushes stdout itself
+        src = os.path.dirname(os.path.dirname(affineplane.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        with subprocess.Popen(
+            [sys.executable, "-m", "affineplane", "build", "--order", "3"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            proc.stdout.close()  # before the child writes its report
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, b"output error: [Errno 32] Broken pipe\n")
+
+
+def oracle_text(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportText:
+    """cli._text is held to json.dumps, the oracle; no other encoder is kept."""
+
+    @pytest.mark.parametrize(
+        "plane,argv",
+        [
+            (lambda: BROKEN_DOC, ["check"]),  # a failing axiom and its witness
+            (lambda: plane_document("3"), ["groups", "--dilations", "--translations",
+                                           *GROUP_CHECKS]),
+            (hall9_document, ["groups", "--dilations", "--translations", *GROUP_CHECKS]),
+            (lambda: plane_document("3"), ["endo", "--dump", *RING]),
+            (lambda: dual_hall9_cut(81), ["verify-all"]),
+            (None, ["build", "--order", "5"]),
+        ],
+        ids=["check-witness", "groups-ag23", "groups-hall9", "endo-dump", "verify-all-cut",
+             "build"],
+    )
+    def test_every_report_shape(self, tmp_path, monkeypatch, plane, argv):
+        command, *flags = argv
+        if plane is not None:
+            path = tmp_path / "plane.json"
+            path.write_text(json.dumps(plane()))
+            flags.insert(0, str(path))
+        written = []
+        monkeypatch.setattr(cli, "_write", lambda document, out_path: written.append(document))
+        main([command, *flags])
+        [document] = written
+        assert "".join(cli._text(document)) == oracle_text(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+            [1, True, 2],
+            [False, 0],
+            [None, 1, None],
+            [True],
+            [-1, 0, -(2**70), 7],
+            [2**63, 2**64 + 1, -(2**63) - 1],
+            [1.5, 2, -0.0, 1e300, float("inf"), float("nan")],
+            {"x": 0.1, "y": -3.25e-7},
+            {"é": "ü", "snow ☃": ["\u2603", "\U0001f600"], "\ud800": "\udfff"},
+            {"quote\"back\\slash": "new\nline\ttab\x00\x1f\x7f"},
+            ((1, 2), (3,), ((4, 5), ()), ("a", 1)),
+            {"rows": ((0, 1), (1, 0)), "flat": (5, 6, 7), "mixed": (1, "1", None)},
+            {"z": 1, "a": {"y": [1, [2, [3]]], "b": "s"}, "m": None},
+            "top-level string",
+            42,
+        ],
+    )
+    def test_edge_documents(self, document):
+        assert "".join(cli._text(document)) == oracle_text(document)
 
 
 class TestStages:
