@@ -30,6 +30,9 @@ WRITE_BATCH = 1 << 14
 # Input-size bounds, checked right before the stage each guards; the library takes none
 DEFAULT_MAX_ORDER = 13
 DEFAULT_MAX_GROUP = 49
+# endo --dump lists |End| tables of |Tr| entries each: at most this many entries
+# (AG(2,4) lists 65,536 x 16); the order-9 planes' 3^16 x 81 would exhaust memory
+MAX_DUMP_ENTRIES = 1 << 22
 
 
 def _bound(text: str) -> int:
@@ -251,11 +254,14 @@ def cmd_endo(args) -> int:
 
     *_, group = _translation_group(plane, args.max_order)
     _check_group_bound(group, args.max_group)
-    if args.dump:
+    num_endomorphisms = endo.count_endomorphisms(group)
+    if args.dump:  # else End is only counted: no table is kept
+        if num_endomorphisms * group.order > MAX_DUMP_ENTRIES:
+            raise OrderTooLarge(
+                f"endomorphism listing bounded to {MAX_DUMP_ENTRIES} table entries, "
+                f"got {num_endomorphisms} endomorphisms of group order {group.order}"
+            )
         endomorphisms = endo.enumerate_endomorphisms(group)
-        num_endomorphisms = len(endomorphisms)
-    else:  # End is only counted: no table is kept
-        num_endomorphisms = endo.count_endomorphisms(group)
 
     results: dict = {"group_order": group.order, "num_endomorphisms": num_endomorphisms}
     note = f"|End| = {num_endomorphisms}"

@@ -133,15 +133,23 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
     the construction cannot over-report.  A completed candidate that is
     not a bijection is dropped: the steps fill every point but A and B
     with a point, and the test requires a bijection.  Dil_0 is every
-    passing candidate (A, B'); for each other point A', the candidates
-    (A', B') are tried until one passes, the translation candidate first.
+    passing candidate (A, B').  The other points A' are walked in order:
+    one that a composite of translations found so far has reached is
+    skipped (Fact 4); for any other, the candidates (A', B') are tried
+    until one passes, the translation candidate first.  A translation
+    that passes joins the generators, and the translations found are
+    closed under composition with them, each composite filling its
+    image of A.  On AG(2,p^k), Tr is Z_p^(2k) and each tested point lies
+    outside the subgroup found before it, so q - 1 + 2k candidates are
+    tested in all.
 
     One representative per image of A suffices (Artin, Geometric
     Algebra, ch. II): composites and inverses of dilations are
     dilations; if g(A) = f(A), then f^-1 g fixes A, so g lies in f Dil_0,
     and the f s, s in Dil_0, are distinct, as f is injective; and the
     candidates (A', B') are complete for A' by two-point determination,
-    so if none passes, no dilation sends A to A'.  Three facts follow.
+    so if none passes, no dilation sends A to A'.  Facts 1 to 3 follow;
+    Fact 4 rests on Fact 1.
 
     1. A coset holds at most one translation, and only the translation
     candidate can be it; so Tr is the set of translations among Dil_0
@@ -171,6 +179,18 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
     s each send every translation to a translation (of its direction), so
     does conjugation by f s; the converse holds as the generating set lies
     in Dil.
+
+    4. A point A' reached by a composite gets, untested, the
+    representative its test would return, image and kind alike.  A
+    composite h of dilations is a dilation, so _classified_dilation
+    classifies it as _as_dilation would.  If h is a translation, the coset
+    of A' = h(A) holds it, so by Fact 1 h is the translation candidate
+    of A', which the test tries first and which passes.  A composite
+    with a fixed point is never used.  The identity sends A to A, whose
+    coset is Dil_0.  Any other is no translation, and Fact 1 names no
+    member of a coset but its translation as the test's result, so its
+    point goes to the test.  (Tr being a group, the identity is the only
+    composite of translations with a fixed point.)
     """
     plane.require_verified()
     n = plane.num_points
@@ -214,18 +234,31 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
                     yield f
 
     stabiliser = list(dilations_from(a, on_ab))
-    representatives = []
+    found: list = [None] * n  # found[a2]: the representative for a2, tested or composed
+    found[a] = stabiliser  # A's coset is Dil_0: no composite fills it
+    translations, generators = [], []  # Tr found so far; (g(A), compose with g)
     for a2 in range(1, n):
+        if found[a2] is not None:  # a composite translation (Fact 4)
+            continue
         m = parallel(a, b, a2)  # f(B) lies on the parallel to AB through f(A)
         if m == line_ab:
             t1 = meet[parallel(c0, b, meet[parallel(a, c0, a2)][parallel(a, b, c0)])][line_ab]
         else:
             t1 = meet[m][parallel(a, a2, b)]
         candidates = [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]
-        f = next(dilations_from(a2, candidates), None)
-        if f is not None:  # else no dilation sends A to a2
-            representatives.append(f)
-    return stabiliser, representatives
+        f = found[a2] = next(dilations_from(a2, candidates), None)
+        if f is None or f.kind != "translation":  # None: no dilation sends A to a2
+            continue
+        translations.append(f)
+        generators.append((a2, itemgetter(*f.image)))
+        for t in translations:  # grows as it is read: a BFS over the composites t.g
+            for g_a, compose in generators:
+                if found[t.image[g_a]] is None:
+                    h = _classified_dilation(plane, compose(t.image))
+                    if h.kind == "translation":
+                        found[h.image[a]] = h
+                        translations.append(h)
+    return stabiliser, [f for f in found[1:] if f is not None]
 
 
 def compose_cosets(

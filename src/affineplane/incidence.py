@@ -231,6 +231,16 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     popcount(mask[p] & ~meets[l]): the lengths of the lists the axioms
     define, scanned in the same order, so the witnesses agree.
 
+    Unique parallel is settled by counting when unique join holds, every
+    line has k points and every point lies on k + 1 lines.  Take p off a
+    line l.  The lines through p that meet l are the joins of p with the
+    points x of l, and distinct points give distinct joins: if join(p, x)
+    = join(p, y), x != y, that line joins x and y, so it is l by unique
+    join, and p is on l.  So p lies on |l| lines that meet l and on
+    deg(p) - |l| = (k + 1) - k = 1 parallel to it, for every such (p, l):
+    the scan would find nothing.  In every other case the (p, l) scan
+    runs, so the witness is the same.
+
     The triangle axiom is settled by pairs, not triples: p, q, r are
     collinear iff r lies on a common line of p and q, so a non-collinear
     triple exists iff for some pair p < q the points of its common lines,
@@ -240,7 +250,6 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     """
     n = plane.num_points
     mask = [sum(1 << lid for lid in through) for through in plane.lines_through]
-    meets = [reduce(or_, [mask[p] for p in pts]) for pts in plane.lines]
     points_of = [sum(1 << p for p in pts) for pts in plane.lines]
 
     unique_join = AxiomCheck(True)
@@ -251,11 +260,15 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
             break
 
     unique_parallel = AxiomCheck(True)
-    for p, (lid, meets_l) in product(range(n), enumerate(meets)):
-        parallels = (mask[p] & ~meets_l).bit_count()
-        if not mask[p] >> lid & 1 and parallels != 1:
-            unique_parallel = AxiomCheck(False, (p, lid, parallels))
-            break
+    sizes = {len(pts) for pts in plane.lines}
+    degrees_less_one = {len(through) - 1 for through in plane.lines_through}
+    if not (unique_join.passed and len(sizes) == 1 and degrees_less_one == sizes):
+        meets = [reduce(or_, [mask[p] for p in pts]) for pts in plane.lines]
+        for p, (lid, meets_l) in product(range(n), enumerate(meets)):
+            parallels = (mask[p] & ~meets_l).bit_count()
+            if not mask[p] >> lid & 1 and parallels != 1:
+                unique_parallel = AxiomCheck(False, (p, lid, parallels))
+                break
 
     triangle = AxiomCheck(False, ("no non-collinear point triple",))
     everyone = (1 << n) - 1

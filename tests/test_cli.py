@@ -319,6 +319,26 @@ class TestEndo:
     def test_group_bound_exits_2(self, p3_file, capsys):
         assert run(capsys, "endo", p3_file, "--max-group", "4")[0] == 2
 
+    @pytest.mark.parametrize("plane", ["ag29", "hall9"])
+    def test_dump_over_the_listing_bound_exits_2(self, tmp_path, capsys, monkeypatch, plane):
+        """End is counted first: 3^16 tables of 81 entries are refused before
+        the listing starts, where the search ran out of memory."""
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(plane_document(plane)))
+        listings = count_calls(monkeypatch, "enumerate_endomorphisms")
+        assert run(capsys, "endo", str(path), "--dump", "--max-group", "81") == (
+            2, "", "error: endomorphism listing bounded to 4194304 table entries, "
+            "got 43046721 endomorphisms of group order 81\n",
+        )
+        assert listings == []
+
+    @pytest.mark.parametrize("bound,code", [(63, 2), (64, 0)])
+    def test_dump_listing_bound_is_inclusive(self, p2_file, capsys, monkeypatch, bound, code):
+        # AG(2,2): 16 endomorphisms of a group of order 4
+        monkeypatch.setattr(cli, "MAX_DUMP_ENTRIES", bound)
+        assert run(capsys, "endo", p2_file, "--dump")[0] == code
+        assert run(capsys, "endo", p2_file)[0] == 0  # a count is not refused
+
     @pytest.mark.parametrize(
         "plane,flags,digest",
         [

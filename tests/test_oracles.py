@@ -9,10 +9,12 @@ an abelian group by the cosets of its additive group instead of its leaves,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``check_abelian`` settles both End closure theorems
 without listing End, ``verify_axioms`` counts joins and parallels with line
-bitmasks and settles the triangle axiom by point pairs, ``classify``
+bitmasks, settles unique parallel from line sizes and point degrees
+once unique join holds and the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
-``dilation_cosets`` tests one candidate per image of point 0, the
+``dilation_cosets`` tests candidates only for the images of point 0
+that no composite of the translations found has reached, the
 translation first, and ``compose_cosets`` composes the rest from the
 stabiliser of 0, ``check_conjugation`` is run on the stabiliser and
 the representatives only,
@@ -25,7 +27,8 @@ of the generators, by that key for a dilation, and reads both verdicts
 from one scan of it, ``parallel_partition`` reads the classes from the pencil
 at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
-table-per-triple, candidate-by-candidate, backtracking and closed-form
+table-per-triple, candidate-by-candidate, one-test-per-point
+(``cosets_oracle``), backtracking and closed-form
 (``gcd_product_oracle``) definitions live here, as oracles, and every
 test below asks both for a verdict on the same inputs.  The collineations
 of a small plane come from a backtracking search (``collineations_oracle``),
@@ -77,7 +80,7 @@ from affineplane.errors import (
     OrderTooLarge,
     SizeMismatch,
 )
-from affineplane import cli, collineation, endo, transgroup
+from affineplane import cli, collineation, endo, incidence, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -218,43 +221,87 @@ def dilation_oracle(plane, image):
     )
 
 
+def candidate_builder(plane):
+    """complete(a2, b2): the candidate sending (0, 1) to (a2, b2), extended
+    pointwise by intersecting parallels, or None where two parallels
+    coincide."""
+    n = plane.num_points
+    join = plane.join_table()
+    par, meet = plane.parallel_table(), plane.meet_table()
+    class_of = parallel_partition(plane).class_of
+    on_ab = plane.lines[join[0][1]]
+    off_ab = [c for c in range(n) if c not in on_ab]
+    steps = [
+        (c, base, par[class_of[join[0][c]]], par[class_of[join[base][c]]])
+        for c, base in [(c, 1) for c in off_ab]
+        + [(c, off_ab[0]) for c in on_ab if c not in (0, 1)]
+    ]
+
+    def complete(a2, b2):
+        image = [-1] * n
+        image[0], image[1] = a2, b2
+        for c, base, row_a, row_base in steps:
+            c2 = meet[row_a[a2]][row_base[image[base]]]
+            if c2 is None:
+                return None
+            image[c] = c2
+        return tuple(image)
+
+    return complete
+
+
 def dilations_oracle(plane):
     """Every dilation by two-point determination: each candidate pair of
     images (f(0), f(1)) on a line parallel to join(0, 1) is extended by
     intersecting parallels and tested, none composed."""
-    n = plane.num_points
-    join = plane.join_table()
-    par, meet = plane.parallel_table(), plane.meet_table()
     partition = parallel_partition(plane)
-    class_of = partition.class_of
-    a, b = 0, 1
-    line_ab = join[a][b]
-    on_ab = plane.lines[line_ab]
-    off_ab = [c for c in range(n) if c not in on_ab]
-    steps = [
-        (c, base, par[class_of[join[a][c]]], par[class_of[join[base][c]]])
-        for c, base in [(c, b) for c in off_ab]
-        + [(c, off_ab[0]) for c in on_ab if c not in (a, b)]
-    ]
+    line_ab = plane.join_table()[0][1]
+    complete = candidate_builder(plane)
     found = []
-    for m in partition.classes[class_of[line_ab]]:
+    for m in partition.classes[partition.class_of[line_ab]]:
         for a2 in plane.lines[m]:
             for b2 in plane.lines[m]:
-                if a2 == b2:
-                    continue
-                image = [-1] * n
-                image[a], image[b] = a2, b2
-                for c, base, row_a, row_base in steps:
-                    c2 = meet[row_a[a2]][row_base[image[base]]]
-                    if c2 is None:
-                        break
-                    image[c] = c2
-                else:
-                    f = collineation._as_dilation(plane, tuple(image))
-                    if f is not None:
-                        found.append(f)
+                image = complete(a2, b2) if a2 != b2 else None
+                f = None if image is None else collineation._as_dilation(plane, image)
+                if f is not None:
+                    found.append(f)
     found.sort(key=lambda f: f.image)
     return found
+
+
+def cosets_oracle(plane):
+    """(Dil_0, representatives) by one test per point, none composed: Dil_0
+    is every candidate (0, b2) that passes, and for each point a2 != 0 the
+    candidates (a2, b2) are tried until one passes, the translation
+    candidate first."""
+    join, par = plane.join_table(), plane.parallel_table()
+    meet, class_of = plane.meet_table(), parallel_partition(plane).class_of
+    line_ab = join[0][1]
+    c0 = next(c for c in range(plane.num_points) if c not in plane.lines[line_ab])
+    complete = candidate_builder(plane)
+
+    def parallel(p, q, through):
+        return par[class_of[join[p][q]]][through]
+
+    def passing(a2, b2s):
+        for b2 in b2s:
+            image = complete(a2, b2) if a2 != b2 else None
+            f = None if image is None else collineation._as_dilation(plane, image)
+            if f is not None:
+                yield f
+
+    stabiliser = list(passing(0, plane.lines[line_ab]))
+    representatives = []
+    for a2 in range(1, plane.num_points):
+        m = parallel(0, 1, a2)
+        if m == line_ab:
+            t1 = meet[parallel(c0, 1, meet[parallel(0, c0, a2)][parallel(0, 1, c0)])][line_ab]
+        else:
+            t1 = meet[m][parallel(0, a2, 1)]
+        f = next(passing(a2, [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]), None)
+        if f is not None:
+            representatives.append(f)
+    return stabiliser, representatives
 
 
 def kind_oracle(plane, image):
@@ -1222,9 +1269,9 @@ def verified_plane(name):
     return plane
 
 
-def search_verdicts(plane, monkeypatch):
-    """The dilations of plane, and each (image, verdict) of _as_dilation
-    on a completed candidate of the search."""
+def search_verdicts(plane, monkeypatch, search=enumerate_dilations):
+    """What search(plane) returns, and each (image, verdict) of _as_dilation
+    on a completed candidate that it tests."""
     verdicts = []
     real = collineation._as_dilation
 
@@ -1235,25 +1282,43 @@ def search_verdicts(plane, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(collineation, "_as_dilation", recorded)
-        found = enumerate_dilations(plane)
+        found = search(plane)
     return found, verdicts
+
+
+# tests of the search: Dil_0's q - 1 candidates, then one per generator of
+# Tr; on AG(2,p^k) and Hall(9) Tr is Z_p^(2k), so q - 1 + 2k
+SEARCH_TESTS = {
+    "AG(2,2)": 3, "AG(2,3)": 4, "AG(2,5)": 6, "AG(2,7)": 8, "AG(2,4)": 7,
+    "AG(2,9)": 12, "Hall(9)": 12, "AG(2,11)": 12, "AG(2,13)": 14,
+}
 
 
 class TestDilationCandidateOracle:
     @pytest.mark.parametrize("name", DILATION_PLANES)
     def test_every_candidate_of_the_dilation_search(self, name, monkeypatch):
         """_as_dilation skips the last class: its verdict on every completed
-        candidate of enumerate_dilations is the line-pass oracle's.  A
-        Desarguesian plane of order q passes every candidate, so the search
-        tests q - 1 for the stabiliser of 0 and one for each other point.
-        So does every translation plane, Hall(9) too: its translation
-        candidate for each point passes."""
+        candidate of the one-test-per-point search (cosets_oracle) is the
+        line-pass oracle's.  A Desarguesian plane of order q passes every
+        candidate, so that search tests q - 1 for the stabiliser of 0 and
+        one for each other point.  So does every translation plane,
+        Hall(9) too: its translation candidate for each point passes."""
         plane = verified_plane(name)
-        _, verdicts = search_verdicts(plane, monkeypatch)
+        _, verdicts = search_verdicts(plane, monkeypatch, cosets_oracle)
         q = len(plane.lines[0])
         assert len(verdicts) == q * q + q - 2
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
+
+    @pytest.mark.parametrize("name", DILATION_PLANES)
+    def test_tests_of_the_search(self, name, monkeypatch):
+        """dilation_cosets tests only the points that composition has not
+        reached, each candidate one of the oracle's, with its verdict."""
+        plane = verified_plane(name)
+        _, verdicts = search_verdicts(plane, monkeypatch, collineation.dilation_cosets)
+        _, oracle_verdicts = search_verdicts(plane, monkeypatch, cosets_oracle)
+        assert len(verdicts) == SEARCH_TESTS[name]
+        assert set(verdicts) <= set(oracle_verdicts)
 
     @pytest.mark.parametrize("point,tests", [(81, 592), (0, 642)])
     def test_dual_hall_cut(self, point, tests, monkeypatch):
@@ -1261,17 +1326,32 @@ class TestDilationCandidateOracle:
         fails, the other points of the line are tried."""
         plane = load_plane(dual_hall9_cut(point))
         assert verify_axioms(plane).all_pass
-        _, verdicts = search_verdicts(plane, monkeypatch)
+        _, verdicts = search_verdicts(plane, monkeypatch, cosets_oracle)
         assert len(verdicts) == tests
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
 
+    @pytest.mark.parametrize("point,tests", [(81, 586), (0, 642)])
+    def test_search_tests_on_dual_hall_cut(self, point, tests, monkeypatch):
+        """Composition reaches the points of the 9 translations of
+        dual_hall9_cut(81), all of one direction, from 2 generators: 6
+        tests fewer.  On dual_hall9_cut(0) Tr is trivial and every point
+        is tested."""
+        plane = load_plane(dual_hall9_cut(point))
+        assert verify_axioms(plane).all_pass
+        _, verdicts = search_verdicts(plane, monkeypatch, collineation.dilation_cosets)
+        _, oracle_verdicts = search_verdicts(plane, monkeypatch, cosets_oracle)
+        assert len(verdicts) == tests
+        assert set(verdicts) <= set(oracle_verdicts)
+
 
 def assert_cosets_agree(plane, dilations):
-    """dilation_cosets against dilations, the full list of the oracle:
-    |Dil| from the cosets, Tr from the representatives, both conjugation
-    verdicts on the generating set, and the composed list."""
+    """dilation_cosets against the one-test-per-point search and against
+    dilations, the full list of the oracle: |Dil| from the cosets, Tr from
+    the representatives, both conjugation verdicts on the generating set,
+    and the composed list."""
     stabiliser, representatives = collineation.dilation_cosets(plane)
+    assert (stabiliser, representatives) == cosets_oracle(plane)
     assert collineation.compose_cosets(plane, stabiliser, representatives) == dilations
     assert len(stabiliser) * (1 + len(representatives)) == len(dilations)
     generating = stabiliser + representatives
@@ -1306,6 +1386,21 @@ class TestDilationSearchOracle:
             # a subset of the oracle's candidates, each tested once
             assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
         assert sizes == {point: (72, 9) if point >= 81 else (2, 1) for point in range(91)}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["AG(2,9)", "Hall(9)"])
+    def test_line_shuffled_planes(self, name, seed):
+        """Another line order numbers the classes and orders each line's
+        candidates differently; the cosets still agree."""
+        plane = load_plane(line_shuffled(DILATION_PLANES[name](), seed))
+        assert verify_axioms(plane).all_pass
+        assert_cosets_agree(plane, dilations_oracle(plane))
+
+    @pytest.mark.parametrize("p", [17, 23])
+    def test_larger_prime_planes(self, p):
+        plane = build_prime_plane(p)
+        assert verify_axioms(plane).all_pass
+        assert collineation.dilation_cosets(plane) == cosets_oracle(plane)
 
 
 def line_shuffled(document, seed):
@@ -1346,6 +1441,14 @@ class TestPartitionOracle:
             broken[point] = pencil_not_smallest(plane)
         # classes numbered by their pencil line would differ here
         assert broken[0] == 8
+
+
+COUNTING_DOCUMENTS = {
+    "Fano": {"points": 7, "lines": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6],
+                                    [2, 3, 6], [2, 4, 5]]},
+    "near-pencil": {"points": 4, "lines": [[0, 1, 2], [0, 3], [1, 3], [2, 3]]},
+    "K33": {"points": 6, "lines": [[i, j] for i in range(3) for j in range(3, 6)]},
+}
 
 
 class TestAxiomOracle:
@@ -1395,6 +1498,28 @@ class TestAxiomOracle:
             verdicts.add((report.unique_join.passed, report.unique_parallel.passed,
                           report.triangle.passed))
         assert len(verdicts) >= 4
+
+    @pytest.mark.parametrize(
+        "name,scanned",
+        [
+            ("AG(2,3)", False),  # lines of 3, degrees 4
+            ("Hall(9)", False),
+            ("Fano", True),  # unique join, lines of 3, degrees 3, no parallel
+            ("near-pencil", True),  # unique join, lines of 3 and of 2
+            ("K33", True),  # lines of 2 and degrees 3, but 0 and 1 have no join
+        ],
+    )
+    def test_unique_parallel_is_counted_on_uniform_sizes(self, monkeypatch, name, scanned):
+        """The (p, l) scan runs unless unique join holds, every line has k
+        points and every point lies on k + 1 lines; the report is the
+        oracle's either way."""
+        scans = []
+        real = incidence.product
+        monkeypatch.setattr(incidence, "product", lambda *a: scans.append(a) or real(*a))
+        plane = load_plane(COUNTING_DOCUMENTS.get(name) or PLANE_DOCUMENTS[name]())
+        report = verify_axioms(plane)
+        assert report == axioms_oracle(plane)
+        assert bool(scans) == scanned
 
 
 class TestCayleyOracle:

@@ -22,7 +22,8 @@ def test_package_has_no_assert_statement():
 
 
 # names of the size-bound policy: the defaults, the error, the parameters
-BOUND_NAMES = {"DEFAULT_MAX_ORDER", "DEFAULT_MAX_GROUP", "OrderTooLarge", "max_order", "max_group"}
+BOUND_NAMES = {"DEFAULT_MAX_ORDER", "DEFAULT_MAX_GROUP", "MAX_DUMP_ENTRIES", "OrderTooLarge",
+               "max_order", "max_group"}
 
 
 def test_size_bounds_are_defined_in_cli_only():
