@@ -401,5 +401,24 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def run() -> None:
+    """The process entry: exit with main()'s code, with the collector frozen
+    on every way out.
+
+    At exit the interpreter collects once more, walking every tracked
+    object, though the OS takes the memory back a moment later;
+    gc.freeze() moves the live objects to the permanent generation, which
+    that pass skips.  main() leaves the collector alone, so a caller in
+    process keeps its own.
+    """
+    import gc
+
+    try:
+        code = main()
+    finally:  # also on the SystemExit of --help, --version and usage errors
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

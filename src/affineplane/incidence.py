@@ -231,6 +231,19 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     popcount(mask[p] & ~meets[l]): the lengths of the lists the axioms
     define, scanned in the same order, so the witnesses agree.
 
+    Unique join is settled per point, in one OR of line masks and one
+    addition per incidence, not per pair.  The lines through p all hold p, so each point
+    q != p is joined to p by as many lines as it has in that pencil; the
+    pencil's points other than p, counted with repeats, number
+    S(p) = sum(|l| - 1).  Every q != p has exactly one join with p iff
+    the pencil covers every point (each q has at least one) and S(p) =
+    n - 1 (with every q covered, no q has two).  So unique join holds
+    iff both hold at every p.  When they first fail, at p, every pair
+    (x, y) with x < p has one join, as x passed; the old pair scan, in
+    its order, would pass every pair before (p, p + 1) and stop at the
+    first (p, q) without one join, which exists, since p failed.  That
+    scan runs from (p, p + 1), so the witness is the same.
+
     Unique parallel is settled by counting when unique join holds, every
     line has k points and every point lies on k + 1 lines.  Take p off a
     line l.  The lines through p that meet l are the joins of p with the
@@ -246,17 +259,28 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     triple exists iff for some pair p < q the points of its common lines,
     with p and q, are not all n points (r off them, sorted with p and q,
     is the triple).  The witness names no triple, so the report is the
-    same, after O(n^2) pair steps instead of O(n^3) triples.
+    same, after O(n^2) pair steps instead of O(n^3) triples.  A line
+    that holds all n points holds every pair's points too, so the
+    axiom fails at once, with no pair step.
     """
     n = plane.num_points
     mask = [sum(1 << lid for lid in through) for through in plane.lines_through]
     points_of = [sum(1 << p for p in pts) for pts in plane.lines]
+    others_on = [len(pts) - 1 for pts in plane.lines]
+    everyone = (1 << n) - 1
 
     unique_join = AxiomCheck(True)
-    for p, q in combinations(range(n), 2):
-        joins = (mask[p] & mask[q]).bit_count()
-        if joins != 1:
-            unique_join = AxiomCheck(False, (p, q, joins))
+    for p, through in enumerate(plane.lines_through):
+        covered, count = 1 << p, 0
+        for lid in through:
+            covered |= points_of[lid]
+            count += others_on[lid]
+        if covered != everyone or count != n - 1:
+            for q in range(p + 1, n):  # the pairs (p, q) in the old scan's order
+                joins = (mask[p] & mask[q]).bit_count()
+                if joins != 1:
+                    unique_join = AxiomCheck(False, (p, q, joins))
+                    break
             break
 
     unique_parallel = AxiomCheck(True)
@@ -271,8 +295,8 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
                 break
 
     triangle = AxiomCheck(False, ("no non-collinear point triple",))
-    everyone = (1 << n) - 1
-    for p, q in combinations(range(n), 2):
+    pairs = () if everyone in points_of else combinations(range(n), 2)
+    for p, q in pairs:
         covered = 1 << p | 1 << q
         for lid in plane.lines_through[p]:
             if mask[q] >> lid & 1:

@@ -133,18 +133,22 @@ class TestCheck:
         }
 
     def test_one_line_document_exits_1_in_pair_steps(self, tmp_path, capsys):
-        # every point on one line: no triangle, settled from 79,800 point pairs
-        # (the 10.6 M-triple scan took 0.7 s on a 2-core Xeon, Python 3.11)
-        path = tmp_path / "one_line.json"
-        path.write_text(json.dumps({"points": 400, "lines": [list(range(400))]}))
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "check", str(path))
-        assert time.perf_counter() - start < 0.25
-        assert code == 1
-        assert json.loads(out)["results"]["axioms"]["triangle"] == {
-            "passed": False,
-            "witness": ["no non-collinear point triple"],
-        }
+        # every point on one line: unique join settled per point and no
+        # triangle from the full line, with no pair step (on a 2-core Xeon,
+        # Python 3.11, the 10.6 M-triple scan of 400 points took 0.7 s, and
+        # the two pair scans of 2,000 points 0.7-1.0 s)
+        for n, bound in [(400, 0.25), (2000, 0.1)]:
+            path = tmp_path / f"one_line_{n}.json"
+            path.write_text(json.dumps({"points": n, "lines": [list(range(n))]}))
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "check", str(path))
+            assert time.perf_counter() - start < bound, n
+            assert code == 1
+            assert json.loads(out)["results"]["axioms"] == {
+                "unique_join": {"passed": True},
+                "unique_parallel": {"passed": True},
+                "triangle": {"passed": False, "witness": ["no non-collinear point triple"]},
+            }
 
     def test_missing_line_exits_1_with_witness(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -9,8 +9,9 @@ an abelian group by the cosets of its additive group instead of its leaves,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``check_abelian`` settles both End closure theorems
 without listing End, ``verify_axioms`` counts joins and parallels with line
-bitmasks, settles unique parallel from line sizes and point degrees
-once unique join holds and the triangle axiom by point pairs, ``classify``
+bitmasks, settles unique join per point from the cover and the size of
+its pencil, unique parallel from line sizes and point degrees once unique
+join holds and the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
 ``dilation_cosets`` tests candidates only for the images of point 0
@@ -1490,6 +1491,19 @@ class TestAxiomOracle:
             {"points": 5, "lines": [[0, 1, 2], [0, 1, 3, 4]]},
             {"points": 6, "lines": [[0, 1, 2, 3, 4]]},
         ]
+        # unique join per point: a full line with more lines, a point on no
+        # line, a first failing point after 0, and pencils that cover every
+        # point, but with a point twice
+        documents += [
+            {"points": 1, "lines": [[0]]},
+            {"points": 2, "lines": [[0, 1]]},
+            {"points": 5, "lines": [[0, 1, 2, 3, 4], [0, 1]]},
+            {"points": 5, "lines": [[0, 1, 2, 3, 4], [3]]},
+            {"points": 5, "lines": [[0, 1, 2, 3]]},
+            {"points": 4, "lines": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]},
+            {"points": 4, "lines": [[0, 1, 2], [0, 3], [1, 3], [2, 3], [1, 2]]},
+            {"points": 4, "lines": [[0, 1, 2], [0, 1, 3], [2, 3]]},
+        ]
         verdicts = set()
         for document in documents:
             plane = load_plane(document)
@@ -1520,6 +1534,22 @@ class TestAxiomOracle:
         report = verify_axioms(plane)
         assert report == axioms_oracle(plane)
         assert bool(scans) == scanned
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+    def test_one_line_document_takes_no_pair_step(self, monkeypatch, n):
+        """Unique join is settled per point and the triangle axiom by the
+        line through all n points; the report is the oracle's (its triple
+        scan is run up to 50 points)."""
+        pairs = []
+        real = incidence.combinations
+        monkeypatch.setattr(incidence, "combinations", lambda *a: pairs.append(a) or real(*a))
+        plane = load_plane({"points": n, "lines": [list(range(n))]})
+        report = verify_axioms(plane)
+        assert pairs == []
+        assert report == AxiomReport(AxiomCheck(True), AxiomCheck(True),
+                                     AxiomCheck(False, ("no non-collinear point triple",)))
+        if n <= 50:
+            assert report == axioms_oracle(plane)
 
 
 class TestCayleyOracle:

@@ -43,3 +43,21 @@ def test_size_bounds_are_defined_in_cli_only():
             found |= {(path.name, name) for name in names if name in BOUND_NAMES}
     assert found == {("cli.py", name) for name in BOUND_NAMES}
     assert (cli.DEFAULT_MAX_ORDER, cli.DEFAULT_MAX_GROUP) == (13, 49)
+
+
+def test_gc_is_named_only_in_cli_run():
+    # the process entry freezes the collector; main() and the library leave
+    # it to their caller
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scope_of = {}
+        for node in ast.walk(tree):  # outer scopes first, so the innermost wins
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope_of.update((child, node.name) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "gc"
+                    or isinstance(node, ast.alias) and node.name == "gc"
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                found.add((path.name, scope_of.get(node, "<module>")))
+    assert found == {("cli.py", "run")}

@@ -1,5 +1,7 @@
-"""Start-up: each command loads only the stages it runs, and nothing loads
-``dataclasses``.
+"""Start-up and exit: each command loads only the stages it runs, nothing
+loads ``dataclasses``, and the process entry ``cli.run`` freezes the
+collector on every way out, so the interpreter's last collection skips the
+objects the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.  The
@@ -7,6 +9,7 @@ records are ``NamedTuple``s and the one stateful class,
 ``TranslationGroup``, a plain ``__slots__`` class.
 """
 
+import gc
 import importlib
 import json
 import os
@@ -16,7 +19,8 @@ import sys
 import pytest
 
 import affineplane
-from affineplane import builder
+from affineplane import builder, cli
+from conftest import corrupted_documents
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
@@ -178,3 +182,78 @@ def test_translation_group_keeps_its_caches(groups):
     assert rebuilt._by_key == g._by_key and rebuilt._chain is None
     with pytest.raises(AttributeError):
         rebuilt.other = 1
+
+
+# Runs `python -m <module> <argv>` through runpy and, at exit, prints on
+# stderr how many objects the collector holds frozen at start-up and when
+# the atexit hooks run, which is before the interpreter's last collection.
+FREEZE_WRAPPER = """\
+import atexit, gc, runpy, sys
+before = gc.get_freeze_count()
+atexit.register(lambda: print("frozen:", before, gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def broken_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "broken.json"
+    document = corrupted_documents(builder.build_prime_plane(3).to_document())["line_dropped"]
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "module,argv,code",
+    [
+        ("affineplane", ["check", "PLANE"], 0),
+        ("affineplane.cli", ["check", "PLANE"], 0),
+        ("affineplane", ["check", "BROKEN"], 1),
+        ("affineplane", ["check", "no-such-file.json"], 2),
+        ("affineplane", ["groups", "BROKEN"], 2),
+        ("affineplane", ["check"], 2),  # usage error
+        ("affineplane", ["--version"], 0),
+        ("affineplane", ["--help"], 0),
+    ],
+    ids=["pass", "pass-cli", "fail", "input-error", "not-a-plane", "usage-error", "version",
+         "help"],
+)
+def test_run_freezes_the_collector_on_every_exit(tmp_path, plane_file, broken_file, module,
+                                                 argv, code):
+    files = {"PLANE": plane_file, "BROKEN": broken_file}
+    result = python("-c", FREEZE_WRAPPER, module, *[files.get(a, a) for a in argv], cwd=tmp_path)
+    assert result.returncode == code, result.stderr
+    before, after = map(int, result.stderr.splitlines()[-1].removeprefix("frozen: ").split())
+    assert before == 0
+    assert after > 0
+
+
+def test_main_leaves_the_collector_alone(plane_file, capsys):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["check", plane_file]) == 0
+    for argv in (["--version"], ["check"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("file", ["PLANE", "BROKEN"])
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["groups", "--translations", "--check-abelian", "--check-normal", "--check-directions"],
+    ["endo", "--trace-preserving", "--check-ring"],
+    ["verify-all"],
+], ids=["check", "groups", "endo", "verify-all"])
+def test_entry_points_agree(tmp_path, plane_file, broken_file, argv, file):
+    path = {"PLANE": plane_file, "BROKEN": broken_file}[file]
+    package, cli_module = (
+        subprocess.run([sys.executable, "-m", module, argv[0], path, *argv[1:]], cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
+        for module in ("affineplane", "affineplane.cli")
+    )
+    assert (package.returncode, package.stdout, package.stderr) == (
+        cli_module.returncode, cli_module.stdout, cli_module.stderr)
+    # the broken plane fails check and verify-all, and is no input for groups or endo
+    expected = 0 if file == "PLANE" else 1 if argv[0] in ("check", "verify-all") else 2
+    assert package.returncode == expected
