@@ -3,18 +3,21 @@
 Subcommands: build, check, groups, endo, verify-all.  Each emits one
 structured JSON report on stdout (or to --out) and a short human summary
 on stderr.  Exit codes: 0 every check passed, 1 a mathematical check
-failed, 2 usage, input or output error.
+failed, 2 usage, input or output error.  parse_args reads the command
+line from the COMMANDS and FLAGS tables by argparse's rules, without
+importing argparse, whose import and parsers took about 4 ms of every
+command.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
 from contextlib import nullcontext, suppress
 from itertools import chain
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
@@ -33,24 +36,6 @@ DEFAULT_MAX_GROUP = 49
 # endo --dump lists |End| tables of |Tr| entries each: at most this many entries
 # (AG(2,4) lists 65,536 x 16); the order-9 planes' 3^16 x 81 would exhaust memory
 MAX_DUMP_ENTRIES = 1 << 22
-
-
-def _bound(text: str) -> int:
-    """argparse type of --max-order and --max-group: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
-
-
-# flag -> (environment variable, default, help)
-BOUNDS = {
-    "--max-order": ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER, "largest plane order to enumerate"),
-    "--max-group": ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP, "largest group order for End"),
-}
 
 
 def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
@@ -108,7 +93,7 @@ def _write(document: dict, out_path: str | None) -> None:
     """Write the text of document to out_path, or stdout when None, in writes of
     about WRITE_BATCH characters (-u and PYTHONUNBUFFERED make stdout write-through)."""
     try:
-        with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
             batch, size = [], 0
             for chunk in _text(document):
                 batch.append(chunk)
@@ -126,10 +111,12 @@ def _write(document: dict, out_path: str | None) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Raise, before any work, the OSError open(path, "w") gives for a
-    directory path or a missing parent directory."""
+    """Raise, before any work, the OSError open(path, "w") gives for an
+    empty path, a directory path or a missing parent directory."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
@@ -336,58 +323,203 @@ def cmd_verify_all(args) -> int:
     return _finish(args, summary, results, all(p for _, p in theorems), note)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="affineplane",
-        description="Construct finite affine planes and verify their "
-        "translation-group and endomorphism-ring structure.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that its commands require
 
-    def command(name, func, help_text, *bounds):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--out", help="write the report to a file instead of stdout")
-        for flag in bounds:
-            env, default, text = BOUNDS[flag]
-            # argparse parses a string default with the flag's type: a bad env value exits 2
-            p.add_argument(flag, type=_bound, default=os.environ.get(env, str(default)),
-                           help=f"{text} (default: ${env}, else {default})")
-        return p
+# flag -> (metavar, help, default).  A flag with no metavar is a switch, False
+# unless given; an INT flag takes an integer.  A bound's default is (its
+# environment variable, the value when that is unset), and a bound, from
+# the flag or from the variable, must be a non-negative integer.
+FLAGS = {
+    "--out": ("PATH", "write the report to a file instead of stdout", None),
+    "--order": ("INT", "the prime order p of the plane", REQUIRED),
+    "--max-order": ("INT", "largest plane order to enumerate",
+                    ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER)),
+    "--max-group": ("INT", "largest group order for End",
+                    ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP)),
+    "--dilations": (None, "include dilation maps in the report", False),
+    "--translations": (None, "include translations and Cayley table", False),
+    "--check-abelian": (None, "check that Tr is abelian", False),
+    "--check-normal": (None, "check that Tr is normal in Dil", False),
+    "--check-directions": (None, "check that conjugation and composition keep directions",
+                           False),
+    "--trace-preserving": (None, "count the trace-preserving endomorphisms", False),
+    "--check-ring": (None, "check the ring axioms (implies --trace-preserving)", False),
+    "--dump": (None, "include serialized tables", False),
+}
 
-    p = command("build", cmd_build, "write the incidence document for AG(2,p)", "--max-order")
-    p.add_argument("--order", type=int, required=True)
+# command -> (handler, help, takes the plane, flags)
+COMMANDS = {
+    "build": (cmd_build, "write the incidence document for AG(2,p)", False,
+              ("--order", "--out", "--max-order")),
+    "check": (cmd_check, "verify the affine plane axioms", True, ("--out",)),
+    "groups": (cmd_groups, "enumerate dilations and check group theorems", True,
+               ("--out", "--max-order", "--dilations", "--translations", "--check-abelian",
+                "--check-normal", "--check-directions")),
+    "endo": (cmd_endo, "enumerate endomorphisms of the translation group", True,
+             ("--out", "--max-order", "--max-group", "--trace-preserving", "--check-ring",
+              "--dump")),
+    "verify-all": (cmd_verify_all, "run every check in dependency order", True,
+                   ("--out", "--max-order", "--max-group")),
+}
+HELP = ("-h", "--help")
+VERSION = "--version"
 
-    p = command("check", cmd_check, "verify the affine plane axioms")
-    p.add_argument("plane")
 
-    p = command("groups", cmd_groups, "enumerate dilations and check group theorems", "--max-order")
-    p.add_argument("plane")
-    p.add_argument("--dilations", action="store_true", help="include dilation maps in the report")
-    p.add_argument("--translations", action="store_true", help="include translations and Cayley table")
-    p.add_argument("--check-abelian", action="store_true")
-    p.add_argument("--check-normal", action="store_true")
-    p.add_argument("--check-directions", action="store_true")
+def _usage_error(command: str | None, message: str):
+    """Write the usage of command (of the program for None) and message to
+    stderr, and exit 2."""
+    from .usage import usage
 
-    both = ("--max-order", "--max-group")
-    p = command("endo", cmd_endo, "enumerate endomorphisms of the translation group", *both)
-    p.add_argument("plane")
-    p.add_argument("--trace-preserving", action="store_true", dest="trace_preserving")
-    p.add_argument("--check-ring", action="store_true", dest="check_ring")
-    p.add_argument("--dump", action="store_true", help="include serialized tables")
+    prog = "affineplane" if command is None else f"affineplane {command}"
+    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_ERROR)
 
-    p = command("verify-all", cmd_verify_all, "run every check in dependency order", *both)
-    p.add_argument("plane")
 
-    return parser
+def _help(command: str | None):
+    """Write the help of command (of the program for None) to stdout, and exit 0."""
+    from .usage import help_text
+
+    sys.stdout.write(help_text(command))
+    raise SystemExit(EXIT_PASS)
+
+
+def _option(token: str, options: tuple, command: str | None):
+    """(option, the text after its "=" or None) for a token that names one
+    of options; (None, None) for a token that looks like an option but names
+    none; None for a positional.  As in argparse, a token names an option
+    exactly, before an "=", or as the unique prefix of a --name; "-", "--",
+    a negative number, a token with a space that names no option and any
+    token that does not start with "-" are positional."""
+    if token in options:
+        return token, None
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    name, equals, text = token.partition("=")
+    if equals and name in options:
+        return name, text
+    if token.startswith("--"):
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text if equals else None
+    number = token[1:]
+    whole, point, fraction = number.partition(".")
+    if (number.isdecimal() or point and fraction.isdecimal() and (not whole or whole.isdecimal())
+            or " " in token):
+        return None
+    if token.startswith("-h"):  # -hX: the switch -h given the text X
+        return "-h", token[2:]
+    return None, None
+
+
+def _value(command: str, flag: str, text: str):
+    """The value text gives flag: a PATH as it is, an INT as an integer."""
+    metavar, _, default = FLAGS[flag]
+    if metavar == "PATH":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        _usage_error(command, f"argument {flag}: not an integer: {text!r}")
+    if value < 0 and isinstance(default, tuple):
+        _usage_error(command, f"argument {flag}: must not be negative, got {value}")
+    return value
+
+
+def _parse_command(command: str, tokens: list) -> tuple:
+    """The arguments of command read from tokens, and the tokens it takes none of."""
+    func, _, takes_plane, flags = COMMANDS[command]
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # every later token is positional
+    found = [_option(token, (*HELP, *flags), command) for token in tokens[:end]]
+    values, positionals, unknown = {}, [], []  # positionals by index
+    i = 0
+    while i < end:
+        option = found[i]
+        i += 1
+        if option is None:
+            positionals.append(i - 1)
+            continue
+        flag, text = option
+        if flag is None:
+            unknown.append(tokens[i - 1])
+        elif flag in HELP or FLAGS[flag][0] is None:
+            if text is not None:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {text!r}")
+            if flag in HELP:
+                _help(command)
+            values[flag] = True
+        else:
+            if text is None:
+                if i == end or found[i] is not None:
+                    _usage_error(command, f"argument {flag}: expected one argument")
+                text = tokens[i]
+                i += 1
+            values[flag] = _value(command, flag, text)
+    if end < len(tokens):
+        # as in argparse, the "--" goes with a plane next to it; any other is left over
+        rest = range(end + 1, len(tokens))
+        if not (takes_plane and (positionals[:1] == [end - 1] or not positionals and rest)):
+            unknown.append("--")
+        positionals += rest
+
+    args, missing = SimpleNamespace(command=command, func=func), []
+    for flag in flags:
+        default = FLAGS[flag][2]
+        if flag not in values and isinstance(default, tuple):  # a bound not given: its variable
+            text = os.environ.get(default[0])
+            values[flag] = default[1] if text is None else _value(command, flag, text)
+        elif flag not in values and default is REQUIRED:
+            missing.append(flag)
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    if takes_plane:
+        if positionals:
+            args.plane = tokens[positionals.pop(0)]
+        else:
+            missing.append("plane")
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return args, unknown + [tokens[j] for j in positionals]
+
+
+def parse_args(argv: list):
+    """The command line read by COMMANDS and FLAGS: a namespace with the
+    command, its handler (func), its flags by name and the plane.  --help
+    and --version write to stdout and exit 0; a line the tables do not
+    accept writes the usage and an error to stderr and exits 2."""
+    argv = list(argv)
+    # as in argparse, every token before a "--" is first read against the
+    # program's own options, so one that is ambiguous there is an error
+    end = argv.index("--") if "--" in argv else len(argv)
+    found = [_option(token, (*HELP, VERSION), None) for token in argv[:end]]
+    i = found.index(None) if None in found else end  # the command
+    unknown = []
+    for token, (flag, text) in zip(argv, found[:i]):
+        if flag is None:
+            unknown.append(token)
+            continue
+        if text is not None:
+            _usage_error(None, f"argument {flag}: ignored explicit argument {text!r}")
+        if flag in HELP:
+            _help(None)
+        sys.stdout.write(__version__ + "\n")
+        raise SystemExit(EXIT_PASS)
+    if i == len(argv):
+        _usage_error(None, "the following arguments are required: command")
+    if argv[i] not in COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {argv[i]!r} "
+                           f"(choose from {', '.join(map(repr, COMMANDS))})")
+    args, extra = _parse_command(argv[i], argv[i + 1:])
+    unknown += extra
+    if unknown:
+        _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.func(args)
     except _OutputError as exc:

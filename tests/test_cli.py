@@ -515,6 +515,20 @@ class TestOut:
         assert err.startswith("input error:")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--order", "2"], ["check", "PLANE"], ["groups", "PLANE"], ["endo", "PLANE"],
+        ["verify-all", "PLANE"],
+    ], ids=["build", "check", "groups", "endo", "verify-all"])
+    def test_empty_out_fails_before_the_plane_is_read(self, p2_file, capsys, monkeypatch, argv):
+        # an empty --out once wrote the report to stdout and exited 0
+        loads = count_calls(monkeypatch, "load_plane")
+        builds = count_calls(monkeypatch, "build_prime_plane")
+        argv = [p2_file if a == "PLANE" else a for a in argv]
+        assert run(capsys, *argv, "--out", "") == (
+            2, "", "input error: [Errno 2] No such file or directory: ''\n",
+        )
+        assert (loads, builds) == ([], [])
+
     @pytest.mark.parametrize(
         "argv", [["groups", "--translations"], ["endo", "--dump"], ["verify-all"]]
     )

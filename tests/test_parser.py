@@ -1,0 +1,373 @@
+"""The command-line parser: cli.parse_args, read from the COMMANDS and FLAGS
+tables, against the argparse parser it replaced.
+
+build_parser, _bound and BOUNDS below are the argparse parser as cli.py had
+it, kept as the reference: on every command line of CORPUS both parsers
+must accept with the same values, or both exit 0 (help or version), or both
+exit 2 with the usage on stderr.  The help text itself is laid out by the
+tables and is not compared.
+"""
+
+import argparse
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from affineplane import __version__, cli
+from affineplane.cli import (
+    DEFAULT_MAX_GROUP,
+    DEFAULT_MAX_ORDER,
+    cmd_build,
+    cmd_check,
+    cmd_endo,
+    cmd_groups,
+    cmd_verify_all,
+)
+
+
+def _bound(text: str) -> int:
+    """argparse type of --max-order and --max-group: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+# flag -> (environment variable, default, help)
+BOUNDS = {
+    "--max-order": ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER, "largest plane order to enumerate"),
+    "--max-group": ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP, "largest group order for End"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="affineplane",
+        description="Construct finite affine planes and verify their "
+        "translation-group and endomorphism-ring structure.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help_text, *bounds):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help="write the report to a file instead of stdout")
+        for flag in bounds:
+            env, default, text = BOUNDS[flag]
+            # argparse parses a string default with the flag's type: a bad env value exits 2
+            p.add_argument(flag, type=_bound, default=os.environ.get(env, str(default)),
+                           help=f"{text} (default: ${env}, else {default})")
+        return p
+
+    p = command("build", cmd_build, "write the incidence document for AG(2,p)", "--max-order")
+    p.add_argument("--order", type=int, required=True)
+
+    p = command("check", cmd_check, "verify the affine plane axioms")
+    p.add_argument("plane")
+
+    p = command("groups", cmd_groups, "enumerate dilations and check group theorems", "--max-order")
+    p.add_argument("plane")
+    p.add_argument("--dilations", action="store_true", help="include dilation maps in the report")
+    p.add_argument("--translations", action="store_true", help="include translations and Cayley table")
+    p.add_argument("--check-abelian", action="store_true")
+    p.add_argument("--check-normal", action="store_true")
+    p.add_argument("--check-directions", action="store_true")
+
+    both = ("--max-order", "--max-group")
+    p = command("endo", cmd_endo, "enumerate endomorphisms of the translation group", *both)
+    p.add_argument("plane")
+    p.add_argument("--trace-preserving", action="store_true", dest="trace_preserving")
+    p.add_argument("--check-ring", action="store_true", dest="check_ring")
+    p.add_argument("--dump", action="store_true", help="include serialized tables")
+
+    p = command("verify-all", cmd_verify_all, "run every check in dependency order", *both)
+    p.add_argument("plane")
+
+    return parser
+
+
+def reference(argv):
+    return build_parser().parse_args(argv)
+
+
+def outcome(parse, argv):
+    """vars() of what parse(argv) returns, or, when it exits, (exit code,
+    first word of stdout, whether stderr starts with the usage)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue().partition(" ")[0], err.getvalue().startswith("usage:")
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    return vars(args)
+
+
+ORDER, GROUP = "AFFINEPLANE_MAX_ORDER", "AFFINEPLANE_MAX_GROUP"
+CHECKS = ["--check-abelian", "--check-normal", "--check-directions"]
+RING = ["--trace-preserving", "--check-ring"]
+
+# (environment, argv); P is a plane file, which neither parser opens
+P = "plane.json"
+CORPUS = [
+    # the command lines of the tests, of CI and of bench/
+    ({}, ["--version"]),
+    ({}, ["--help"]),
+    ({}, ["build", "--help"]),
+    ({}, ["check", "--help"]),
+    ({}, ["groups", "--help"]),
+    ({}, ["endo", "--help"]),
+    ({}, ["verify-all", "--help"]),
+    ({}, ["build", "--order", "2"]),
+    ({}, ["build", "--order", "3"]),
+    ({}, ["build", "--order", "4"]),
+    ({}, ["build", "--order", "5"]),
+    ({}, ["build", "--order", "7"]),
+    ({}, ["build", "--order", "17"]),
+    ({}, ["build", "--order", str(2**61 - 1)]),
+    ({}, ["build", "--order", "3", "--out", "p3.json"]),
+    ({}, ["build", "--order", "13", "--out", "ag213.json"]),
+    ({}, ["build", "--order", "31", "--max-order", "31", "--out", "ag231.json"]),
+    ({}, ["check", P]),
+    ({}, ["check"]),
+    ({}, ["groups", P]),
+    ({}, ["groups", P, "--translations"]),
+    ({}, ["groups", P, "--translations", "--check-abelian"]),
+    ({}, ["groups", P, "--check-normal"]),
+    ({}, ["groups", P, "--check-directions"]),
+    ({}, ["groups", P, "--check-normal", "--check-directions"]),
+    ({}, ["groups", P, *CHECKS]),
+    ({}, ["groups", P, "--translations", *CHECKS]),
+    ({}, ["groups", P, "--dilations", *CHECKS]),
+    ({}, ["groups", P, "--dilations", "--translations"]),
+    ({}, ["groups", P, "--dilations", "--translations", *CHECKS]),
+    ({}, ["groups", P, "--dilations", "--check-normal", "--check-directions", "--out", "r.json"]),
+    ({}, ["groups", P, "--max-order", "31", *CHECKS]),
+    ({}, ["groups", P, "--max-order", "0"]),
+    ({}, ["groups", P, "--max-order", "2"]),
+    ({}, ["groups", P, "--out", "r.json"]),
+    ({}, ["groups", P, "--translations", "--out", "r.json"]),
+    ({}, ["endo", P]),
+    ({}, ["endo", P, "--dump"]),
+    ({}, ["endo", P, "--trace-preserving"]),
+    ({}, ["endo", P, *RING]),
+    ({}, ["endo", P, "--trace-preserving", "--dump"]),
+    ({}, ["endo", P, *RING, "--dump"]),
+    ({}, ["endo", P, "--max-group", "4"]),
+    ({}, ["endo", P, "--max-group", "9"]),
+    ({}, ["endo", P, "--max-order", "3"]),
+    ({}, ["endo", P, "--dump", "--max-group", "81"]),
+    ({}, ["endo", P, *RING, "--max-group", "81"]),
+    ({}, ["endo", P, "--dump", "--out", "r.json"]),
+    ({}, ["verify-all", P]),
+    ({}, ["verify-all", P, "--max-group", "4"]),
+    ({}, ["verify-all", P, "--max-group", "81"]),
+    ({}, ["verify-all", P, "--out", "r.json"]),
+    ({}, ["endo", P, "--max-order", "-1"]),
+    ({}, ["endo", P, "--max-group", "-1"]),
+    ({}, ["verify-all", P, "--max-group", "-9"]),
+    ({}, ["groups", P, "--max-order", "three"]),
+    ({}, ["build", "--order", "3", "--max-order", "-3"]),
+    ({}, ["check", P, "--max-order", "3"]),
+    ({}, ["check", P, "--max-group", "9"]),
+    ({}, ["build", "--order", "3", "--max-group", "9"]),
+    ({}, ["groups", P, "--max-group", "9"]),
+    # --opt=value, unique and ambiguous prefixes, options before and after the plane
+    ({}, ["build", "--order=3"]),
+    ({}, ["build", "--order=3", "--out=p3.json", "--max-order=3"]),
+    ({}, ["groups", P, "--max-order=9", "--translations"]),
+    ({}, ["endo", "--max-group=81", P, "--max-order=9"]),
+    ({}, ["check", P, "--out="]),
+    ({}, ["groups", P, "--trans"]),
+    ({}, ["groups", P, "--dil", "--check-a", "--check-n", "--check-d"]),
+    ({}, ["groups", P, "--check"]),
+    ({}, ["groups", P, "--check-"]),
+    ({}, ["groups", "--help", P, "--check"]),
+    ({}, ["endo", P, "--check"]),
+    ({}, ["endo", P, "--t", "--d"]),
+    ({}, ["endo", P, "--max", "9"]),
+    ({}, ["groups", P, "--max", "9"]),
+    ({}, ["groups", P, "--max-o=5"]),
+    ({}, ["build", "--o", "3"]),
+    ({}, ["build", "--ord", "3", "--ou", "p3.json"]),
+    ({}, ["groups", "--check-abelian", P]),
+    ({}, ["groups", "--max-order", "9", "--dilations", P, "--translations"]),
+    ({}, ["endo", "--trace-preserving", P, "--check-ring"]),
+    ({}, ["verify-all", "--out", "r.json", P]),
+    ({}, ["check", "--out", "r.json", P]),
+    # values that begin with "-"
+    ({}, ["build", "--order", "-3"]),
+    ({}, ["build", "--order", "-x"]),
+    ({}, ["build", "--order", "3.5"]),
+    ({}, ["build", "--order", " 3 "]),
+    ({}, ["build", "--order", "1_3"]),
+    ({}, ["build", "--order"]),
+    ({}, ["groups", P, "--max-order", "-0"]),
+    ({}, ["groups", P, "--max-order", "-.5"]),
+    ({}, ["check", P, "--out", "-x"]),
+    ({}, ["check", P, "--out", "-1"]),
+    ({}, ["check", P, "--out", "-"]),
+    ({}, ["check", P, "--out", "-x y"]),
+    ({}, ["check", P, "--out", "--dump"]),
+    ({}, ["check", P, "--out"]),
+    ({}, ["check", P, "--out", ""]),
+    ({}, ["check", "-1"]),
+    ({}, ["check", "-"]),
+    ({}, ["check", "-x"]),
+    ({}, ["check", "-x y"]),
+    ({}, ["check", ""]),
+    # a repeated option: the last one counts
+    ({}, ["check", P, "--out", "a.json", "--out", "b.json"]),
+    ({}, ["groups", P, "--max-order", "9", "--max-order", "5"]),
+    ({}, ["groups", P, "--max-order", "-1", "--max-order", "5"]),
+    ({}, ["groups", P, "--check-abelian", "--check-abelian"]),
+    # a missing or extra positional
+    ({}, ["groups"]),
+    ({}, ["build"]),
+    ({}, ["groups", "--translations"]),
+    ({}, ["check", "a.json", "b.json"]),
+    ({}, ["build", "--order", "3", P]),
+    # a flag the command does not take
+    ({}, ["check", P, "--dump"]),
+    ({}, ["groups", P, "--check-ring"]),
+    ({}, ["build", "--order", "3", "--translations"]),
+    ({}, ["verify-all", P, "--dump"]),
+    ({}, ["check", P, "--version"]),
+    ({}, ["groups", P, "--dilations=yes"]),
+    ({}, ["groups", P, "--dilations="]),
+    ({}, ["check", P, "-x"]),
+    ({}, ["check", P, "--bogus"]),
+    # an unknown or missing command
+    ({}, []),
+    ({}, ["frobnicate"]),
+    ({}, ["frobnicate", P]),
+    ({}, ["Check", P]),
+    ({}, ["--out", "r.json", "check", P]),
+    ({}, ["--bogus", "check", P]),
+    ({}, ["-x"]),
+    ({}, ["--bogus"]),
+    ({}, ["--version=1"]),
+    ({}, ["--help=1"]),
+    # help and version: whichever of help or an error comes first wins
+    ({}, ["-h"]),
+    ({}, ["--he"]),
+    ({}, ["--v"]),
+    ({}, ["--vers", "check"]),
+    ({}, ["--version", "frobnicate"]),
+    ({}, ["frobnicate", "--version"]),
+    ({}, ["--help", "--version"]),
+    ({}, ["check", "--help=1"]),
+    ({}, ["check", "-hx"]),
+    ({}, ["check", "-hh"]),
+    ({}, ["check", "-1\n"]),
+    ({}, ["build", "-h"]),
+    ({}, ["groups", P, "--help"]),
+    ({}, ["endo", "-h", P]),
+    ({}, ["verify-all", "--h"]),
+    ({}, ["check", P, "--bogus", "--help"]),
+    ({}, ["check", "a.json", "b.json", "--help"]),
+    ({}, ["--bogus", "check", "--help"]),
+    ({}, ["groups", P, "--max-order", "-1", "--help"]),
+    ({}, ["groups", P, "--help", "--max-order", "-1"]),
+    ({}, ["check", P, "--out", "--help"]),
+    # "--" ends the options
+    ({}, ["check", "--", "-x"]),
+    ({}, ["check", "--", P]),
+    ({}, ["check", P, "--"]),
+    ({}, ["groups", "--translations", "--", P]),
+    ({}, ["check", "--out", "--", P]),
+    ({}, ["check", "--", P, "--"]),
+    ({}, ["check", P, "--out", "r.json", "--"]),
+    ({}, ["build", "--order", "3", "--"]),
+    ({}, ["--", "check", P]),
+    # bad env bounds, with and without the flag
+    ({GROUP: "4"}, ["endo", P]),
+    ({GROUP: "4"}, ["endo", P, "--max-group", "9"]),
+    ({GROUP: "many"}, ["endo", P]),
+    ({GROUP: "4.5"}, ["verify-all", P]),
+    ({GROUP: "-1"}, ["endo", P]),
+    ({GROUP: "many"}, ["endo", P, "--max-group", "9"]),
+    ({GROUP: "many"}, ["verify-all", P, "--max-group=9"]),
+    ({GROUP: "many"}, ["endo", P, "--max-group", "-9"]),
+    ({GROUP: ""}, ["verify-all", P]),
+    ({GROUP: " 7 "}, ["verify-all", P]),
+    ({ORDER: "many"}, ["groups", P]),
+    ({ORDER: "-1"}, ["build", "--order", "3"]),
+    ({ORDER: "4.5"}, ["verify-all", P]),
+    ({ORDER: "-1"}, ["endo", P, "--max-order", "3"]),
+    ({ORDER: "many"}, ["build", "--order", "3", "--max-order", "3"]),
+    ({ORDER: "many", GROUP: "many"}, ["endo", P]),
+    ({ORDER: "many", GROUP: "many"}, ["endo", P, "--max-order", "3"]),
+    ({ORDER: "many", GROUP: "many"}, ["endo", P, "--max-order", "3", "--max-group", "9"]),
+    ({ORDER: "many"}, ["check", P]),
+    ({GROUP: "many"}, ["groups", P]),
+    ({GROUP: "many"}, ["build", "--order", "3"]),
+    ({GROUP: "many"}, ["endo", P, "--help"]),
+    ({GROUP: "many"}, ["endo", "--max-group", "-1", "--help", P]),
+    ({GROUP: "many"}, ["endo"]),
+]
+
+
+# argparse answers the first three differently from one Python to the
+# next: 3.13 reads -hx as -h and an unknown -x, so it gives the help; it
+# rejects an ambiguous prefix only once it reaches it, after the help; and
+# 3.13.13 skips a "--" before the command.  3.10 to 3.12 exit 2 on all
+# three, and so does the table parser on every Python.  Every argparse
+# reads -hh as -h twice, and "-1\n" as a negative number, since the "$" of
+# its pattern matches before a final newline; the table parser rejects both.
+PINNED = {
+    ("check", "-hx"): (2, "", True),
+    ("groups", "--help", P, "--check"): (2, "", True),
+    ("--", "check", P): (2, "", True),
+    ("check", "-hh"): (2, "", True),
+    ("check", "-1\n"): (2, "", True),
+}
+
+
+def case_id(case):
+    env, argv = case
+    words = [f"{name}={value}" for name, value in env.items()] + argv
+    return " ".join(word if word and " " not in word else repr(word) for word in words)
+
+
+@pytest.mark.parametrize("env,argv", CORPUS, ids=map(case_id, CORPUS))
+def test_table_parser_answers_as_argparse(monkeypatch, env, argv):
+    for name in (ORDER, GROUP):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    expected = PINNED.get(tuple(argv)) or outcome(reference, argv)
+    assert outcome(cli.parse_args, argv) == expected
+
+
+def test_corpus_reaches_every_answer(monkeypatch):
+    for name in (ORDER, GROUP):
+        monkeypatch.delenv(name, raising=False)
+    answers = [outcome(reference, argv) for env, argv in CORPUS if not env]
+    assert (0, "usage:", False) in answers  # help
+    assert (0, f"{__version__}\n", False) in answers
+    assert (2, "", True) in answers
+    assert {answer["command"] for answer in answers if isinstance(answer, dict)} == set(
+        cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_flag_of_the_table(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"] if command is None else [command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: affineplane {command or ''}".rstrip() + " [-h]")
+    assert max(map(len, out.splitlines())) <= 79
+    if command is None:
+        assert all(name in out for name in cli.COMMANDS)
+    else:
+        *_, takes_plane, flags = cli.COMMANDS[command]
+        assert all(flag in out for flag in flags)
+        assert ("\narguments:\n  plane " in out) == takes_plane

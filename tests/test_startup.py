@@ -1,7 +1,7 @@
 """Start-up and exit: each command loads only the stages it runs, nothing
-loads ``dataclasses``, and the process entry ``cli.run`` freezes the
-collector on every way out, so the interpreter's last collection skips the
-objects the run made.
+loads ``dataclasses`` or ``argparse``, and the process entry ``cli.run``
+freezes the collector on every way out, so the interpreter's last
+collection skips the objects the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.  The
@@ -84,6 +84,9 @@ def plane_file(tmp_path_factory):
 
 STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.endo"}
 BUILDER = "affineplane.builder"
+# argparse and what it loads: cli reads the command line from its own tables
+PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
+USAGE = "affineplane.usage"  # the help and usage text, for --help and usage errors only
 
 
 @pytest.mark.parametrize(
@@ -102,8 +105,21 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
     assert code == 0
     assert "affineplane.cli" in loaded
     assert "dataclasses" not in loaded
-    assert loaded & absent == set()
+    assert loaded & (absent | PARSER_MODULES | {USAGE}) == set()
     assert (STAGES | {BUILDER}) - absent <= loaded
+
+
+@pytest.mark.parametrize(
+    "argv,code,text",
+    [(["--version"], 0, set()), (["--help"], 0, {USAGE}), (["endo", "--help"], 0, {USAGE}),
+     (["groups"], 2, {USAGE})],
+    ids=["version", "help", "command-help", "usage-error"],
+)
+def test_help_version_and_usage_errors_load_no_parser_module(tmp_path, argv, code, text):
+    returncode, loaded = loaded_by(tmp_path, *argv)
+    assert returncode == code
+    assert "affineplane.cli" in loaded
+    assert loaded & (PARSER_MODULES | STAGES | {BUILDER, USAGE}) == text
 
 
 def test_import_loads_no_submodule(tmp_path):
