@@ -12,7 +12,6 @@ command.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import sys
 from contextlib import nullcontext, suppress
@@ -21,18 +20,17 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
-from .incidence import load_plane, parallel_partition, verify_axioms
 
 # Each command imports the stages it runs in its body: only `build` loads
-# builder, `check` and `build` load no stage module, `groups` loads no endo.
+# builder, `check` and `build` load no stage module, `groups` loads no endo,
+# and --help, --version and usage errors load neither json nor incidence.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 WRITE_BATCH = 1 << 14
-# Input-size bounds, checked right before the stage each guards; the library takes none
+# The one input-size bound; |Tr| divides q^2, so it bounds End and TP; the library takes none
 DEFAULT_MAX_ORDER = 13
-DEFAULT_MAX_GROUP = 49
 # endo --dump lists |End| tables of |Tr| entries each: at most this many entries
 # (AG(2,4) lists 65,536 x 16); the order-9 planes' 3^16 x 81 would exhaust memory
 MAX_DUMP_ENTRIES = 1 << 22
@@ -51,7 +49,7 @@ class _Numerals(dict):
         return text
 
 
-def _chunks(o, newline: str, numerals: _Numerals):
+def _chunks(o, newline: str, numerals: _Numerals, dumps):
     """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
     line break is newline (dict keys are str), in chunks: one per key, scalar
     and bracket, and one per non-empty list or tuple of exact ints."""
@@ -61,23 +59,25 @@ def _chunks(o, newline: str, numerals: _Numerals):
     elif isinstance(o, dict) and o:
         opener = "{"
         for key in sorted(o):
-            yield f"{opener}{inner}{json.dumps(key)}: "
-            yield from _chunks(o[key], inner, numerals)
+            yield f"{opener}{inner}{dumps(key)}: "
+            yield from _chunks(o[key], inner, numerals, dumps)
             opener = ","
         yield newline + "}"
     elif isinstance(o, (list, tuple)) and o:
         opener = "["
         for item in o:
             yield opener + inner
-            yield from _chunks(item, inner, numerals)
+            yield from _chunks(item, inner, numerals, dumps)
             opener = ","
         yield newline + "]"
     else:  # a scalar, {}, [] or ()
-        yield json.dumps(o)
+        yield dumps(o)
 
 
 def _text(document: dict):
-    return chain(_chunks(document, "\n", _Numerals()), ("\n",))
+    from json import dumps
+
+    return chain(_chunks(document, "\n", _Numerals(), dumps), ("\n",))
 
 
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
@@ -126,14 +126,18 @@ def _check_out(path: str) -> None:
 
 
 def _load_verified_summary(path: str):
+    import json
+
+    from .incidence import load_plane, parallel_partition, verify_axioms
+
     with open(path, encoding="utf-8") as fh:
         try:
-            document = json.load(fh)
-        except (RecursionError, ValueError) as exc:
+            plane = load_plane(json.load(fh))
+        except (RecursionError, ValueError, UserWarning) as exc:
             # ValueError covers bad JSON, bad UTF-8 and an integer literal
-            # over the int-to-str digit limit; RecursionError, deep nesting
+            # over the int-to-str digit limit; RecursionError, deep nesting;
+            # UserWarning, load_plane's warning of an unknown field under -W error
             raise MalformedDocument(str(exc)) from exc
-    plane = load_plane(document)
     report = verify_axioms(plane)
     summary = {"points": plane.num_points, "lines": plane.num_lines}
     if plane.verified:
@@ -157,12 +161,13 @@ def _translation_group(plane, max_order: int):
     return stabiliser, representatives, num_dilations, build_group(plane, translations)
 
 
-def _check_group_bound(group, max_group: int) -> None:
-    """Raise before the first End or TP search of a group over the bound."""
-    if group.order > max_group:
-        raise OrderTooLarge(
-            f"endomorphism enumeration bounded to group order {max_group}, got {group.order}"
-        )
+def _dilation_generators(stabiliser, representatives, group) -> list:
+    """Dil_0, the representatives that are no translations and generators of Tr: they
+    generate Dil, so check_conjugation passes on them iff on Dil (dilation_cosets, Fact 3)."""
+    from .transgroup import generators
+
+    return [*stabiliser, *(f for f in representatives if f.kind != "translation"),
+            *(group.elements[i] for i in generators(group))]
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
@@ -219,7 +224,8 @@ def cmd_groups(args) -> int:
     if args.check_abelian:
         checks.append(check_abelian(group))
     if args.check_normal or args.check_directions:
-        normal, conjugation = check_conjugation(group, stabiliser + representatives)
+        normal, conjugation = check_conjugation(
+            group, _dilation_generators(stabiliser, representatives, group))
         if args.check_normal:
             checks.append(normal)
         if args.check_directions:
@@ -240,7 +246,6 @@ def cmd_endo(args) -> int:
         return EXIT_ERROR
 
     *_, group = _translation_group(plane, args.max_order)
-    _check_group_bound(group, args.max_group)
     num_endomorphisms = endo.count_endomorphisms(group)
     if args.dump:  # else End is only counted: no table is kept
         if num_endomorphisms * group.order > MAX_DUMP_ENTRIES:
@@ -279,7 +284,8 @@ def cmd_verify_all(args) -> int:
 
     stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
     results.update(num_dilations=num_dilations, num_translations=group.order)
-    normal, conjugation = transgroup.check_conjugation(group, stabiliser + representatives)
+    normal, conjugation = transgroup.check_conjugation(
+        group, _dilation_generators(stabiliser, representatives, group))
     abelian = transgroup.check_abelian(group).passed
 
     theorems = [
@@ -294,7 +300,6 @@ def cmd_verify_all(args) -> int:
         ),
     ]
 
-    _check_group_bound(group, args.max_group)
     num_endomorphisms = endo.count_endomorphisms(group)
     tp = endo.enumerate_tp_endomorphisms(plane, group)
     results["num_endomorphisms"] = num_endomorphisms
@@ -326,16 +331,12 @@ def cmd_verify_all(args) -> int:
 REQUIRED = object()  # the default of a flag that its commands require
 
 # flag -> (metavar, help, default).  A flag with no metavar is a switch, False
-# unless given; an INT flag takes an integer.  A bound's default is (its
-# environment variable, the value when that is unset), and a bound, from
-# the flag or from the variable, must be a non-negative integer.
+# unless given; an INT flag takes an integer, and the bound --max-order a
+# non-negative one.
 FLAGS = {
     "--out": ("PATH", "write the report to a file instead of stdout", None),
     "--order": ("INT", "the prime order p of the plane", REQUIRED),
-    "--max-order": ("INT", "largest plane order to enumerate",
-                    ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER)),
-    "--max-group": ("INT", "largest group order for End",
-                    ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP)),
+    "--max-order": ("INT", f"largest plane order (default: {DEFAULT_MAX_ORDER})", DEFAULT_MAX_ORDER),
     "--dilations": (None, "include dilation maps in the report", False),
     "--translations": (None, "include translations and Cayley table", False),
     "--check-abelian": (None, "check that Tr is abelian", False),
@@ -356,10 +357,9 @@ COMMANDS = {
                ("--out", "--max-order", "--dilations", "--translations", "--check-abelian",
                 "--check-normal", "--check-directions")),
     "endo": (cmd_endo, "enumerate endomorphisms of the translation group", True,
-             ("--out", "--max-order", "--max-group", "--trace-preserving", "--check-ring",
-              "--dump")),
+             ("--out", "--max-order", "--trace-preserving", "--check-ring", "--dump")),
     "verify-all": (cmd_verify_all, "run every check in dependency order", True,
-                   ("--out", "--max-order", "--max-group")),
+                   ("--out", "--max-order")),
 }
 HELP = ("-h", "--help")
 VERSION = "--version"
@@ -415,14 +415,13 @@ def _option(token: str, options: tuple, command: str | None):
 
 def _value(command: str, flag: str, text: str):
     """The value text gives flag: a PATH as it is, an INT as an integer."""
-    metavar, _, default = FLAGS[flag]
-    if metavar == "PATH":
+    if FLAGS[flag][0] == "PATH":
         return text
     try:
         value = int(text)
     except ValueError:
         _usage_error(command, f"argument {flag}: not an integer: {text!r}")
-    if value < 0 and isinstance(default, tuple):
+    if value < 0 and flag == "--max-order":
         _usage_error(command, f"argument {flag}: must not be negative, got {value}")
     return value
 
@@ -466,10 +465,7 @@ def _parse_command(command: str, tokens: list) -> tuple:
     args, missing = SimpleNamespace(command=command, func=func), []
     for flag in flags:
         default = FLAGS[flag][2]
-        if flag not in values and isinstance(default, tuple):  # a bound not given: its variable
-            text = os.environ.get(default[0])
-            values[flag] = default[1] if text is None else _value(command, flag, text)
-        elif flag not in values and default is REQUIRED:
+        if flag not in values and default is REQUIRED:
             missing.append(flag)
         setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
     if takes_plane:

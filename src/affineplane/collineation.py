@@ -173,12 +173,16 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
     A itself is Dil_0.
 
     3. normal_in_dilations and conjugation_direction pass on Dil iff they
-    pass on Dil_0 and the representatives.  Every dilation is f s, with f
-    the identity or a representative and s in Dil_0, and
-    (f s)^-1 t (f s) = s^-1 (f^-1 t f) s.  So if conjugation by f and by
-    s each send every translation to a translation (of its direction), so
-    does conjugation by f s; the converse holds as the generating set lies
-    in Dil.
+    pass on a set S that generates Dil, such as Dil_0, the representatives
+    that are no translations and generators of Tr.  Let K be the dilations
+    d whose conjugation sends every translation to a translation (of its
+    direction).  K is closed under composition: (d e)^-1 t (d e) =
+    e^-1 (d^-1 t d) e.  A nonempty subset of a finite group closed under
+    composition is a subgroup, as d^-1 is a power of d.  So S in K gives
+    K = Dil, and the converse holds as S lies in Dil.  That S generates
+    Dil: every dilation is f s, with f the identity or a representative
+    and s in Dil_0, and a representative that is a translation is a
+    composite of the generators of Tr.
 
     4. A point A' reached by a composite gets, untested, the
     representative its test would return, image and kind alike.  A

@@ -172,7 +172,9 @@ def check_conjugation(
     point, as the definition reads.  The key path trusts kind: a map
     labelled "dilation" that is none can pass where the definition fails.
 
-    The CLI passes Dil_0, then the representatives of dilation_cosets.
+    The CLI passes Dil_0, the representatives of dilation_cosets that are
+    no translations and generators(g): they generate Dil, which is enough
+    (Fact 3 of dilation_cosets).
     When g is all of Tr, both checks pass for every dilation d of any
     affine plane (Artin, Geometric Algebra, ch. II): d^-1.t.d is a
     dilation, and if it fixes p, t fixes d(p), so both are the identity;

@@ -45,9 +45,7 @@ def help_text(command: str | None) -> str:
     else:
         _, text, takes_plane, flags = COMMANDS[command]
         for flag in flags:
-            metavar, flag_help, default = FLAGS[flag]
-            if isinstance(default, tuple):
-                flag_help += "\ndefault: ${}, else {}".format(*default)
+            metavar, flag_help, _ = FLAGS[flag]
             options.append((f"{flag} {metavar}" if metavar else flag, flag_help))
         plane = ("arguments", [("plane", "the plane's incidence document (JSON)")])
         sections = [plane] * takes_plane + [("options", options)]
@@ -55,8 +53,5 @@ def help_text(command: str | None) -> str:
     lines = [usage(command), text]
     for title, rows in sections:
         lines += ["", f"{title}:"]
-        for name, row in rows:
-            first, *more = row.split("\n")
-            lines.append(f"  {name:<{width}}  {first}")
-            lines += [" " * (width + 4) + line for line in more]
+        lines += [f"  {name:<{width}}  {row}" for name, row in rows]
     return "\n".join(lines) + "\n"

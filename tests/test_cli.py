@@ -184,6 +184,27 @@ class TestCheck:
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", ["check", "verify-all"])
+    @pytest.mark.parametrize("warnings", [None, "error"], ids=["default", "error"])
+    def test_unknown_field(self, tmp_path, command, warnings):
+        """An unknown top-level field warns and the plane loads; under
+        PYTHONWARNINGS=error the warning is an input error, exit 2, where it
+        once escaped main as a traceback with the exit code 1 of a failed check."""
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({**build_prime_plane(3).to_document(), "extra": 1}))
+        src = os.path.dirname(os.path.dirname(affineplane.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+        env.update(PYTHONPATH=src, **({"PYTHONWARNINGS": warnings} if warnings else {}))
+        result = subprocess.run([sys.executable, "-m", "affineplane", command, str(path)],
+                                env=env, capture_output=True, text=True)
+        message = "ignoring unknown field 'extra' in incidence document"
+        if warnings is None:
+            assert result.returncode == 0, result.stderr
+            assert f"UserWarning: {message}" in result.stderr
+        else:
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, "", f"input error: {message}\n")
+
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"points": 4, "lines": [[0')
@@ -250,10 +271,11 @@ class TestGroups:
         [([], 0), (["--check-normal"], 1), (["--check-normal", "--check-directions"], 1)],
     )
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch, flags, passes):
-        # on Dil_0 and the coset representatives: 2 + 8 of the 18 dilations
+        # on Dil_0 and the 2 generators of Tr, which generate the 18
+        # dilations: every coset representative of AG(2,3) is a translation
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "groups", p3_file, *flags)[0] == 0
-        assert [len(dilations) for _, dilations in calls] == [10] * passes
+        assert [len(dilations) for _, dilations in calls] == [4] * passes
 
 
     @pytest.mark.parametrize(
@@ -321,7 +343,15 @@ class TestEndo:
         assert len(results["endomorphisms"]) == 16
 
     def test_group_bound_exits_2(self, p3_file, capsys):
-        assert run(capsys, "endo", p3_file, "--max-group", "4")[0] == 2
+        # --max-group, End's bound before the order bound implied it, is no
+        # flag of any command
+        for command in ("endo", "verify-all"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, p3_file, "--max-group", "81"])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith("usage:")
+            assert err.endswith("error: unrecognized arguments: --max-group 81\n")
 
     @pytest.mark.parametrize("plane", ["ag29", "hall9"])
     def test_dump_over_the_listing_bound_exits_2(self, tmp_path, capsys, monkeypatch, plane):
@@ -330,7 +360,7 @@ class TestEndo:
         path = tmp_path / "plane.json"
         path.write_text(json.dumps(plane_document(plane)))
         listings = count_calls(monkeypatch, "enumerate_endomorphisms")
-        assert run(capsys, "endo", str(path), "--dump", "--max-group", "81") == (
+        assert run(capsys, "endo", str(path), "--dump") == (
             2, "", "error: endomorphism listing bounded to 4194304 table entries, "
             "got 43046721 endomorphisms of group order 81\n",
         )
@@ -404,10 +434,10 @@ class TestVerifyAll:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch):
-        # on Dil_0 and the coset representatives: 2 + 8 of the 18 dilations
+        # on Dil_0 and the 2 generators of Tr: 4 of the 18 dilations
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "verify-all", p3_file)[0] == 0
-        assert [len(dilations) for _, dilations in calls] == [10]
+        assert [len(dilations) for _, dilations in calls] == [4]
 
     def test_broken_plane_fails_at_axiom_stage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -417,6 +447,20 @@ class TestVerifyAll:
         report = json.loads(out)
         assert report["status"] == "fail"
         assert "theorems" not in report["results"]
+
+    def test_env_var_bound_flag_precedence(self, p3_file, capsys, monkeypatch):
+        # AFFINEPLANE_MAX_ORDER and AFFINEPLANE_MAX_GROUP once set the bounds:
+        # only the flag does now, and no value of either variable changes a
+        # report or an exit code
+        argvs = [["endo", p3_file, *RING], ["verify-all", p3_file],
+                 ["endo", p3_file, "--max-order", "2"], ["verify-all", p3_file, "--max-order", "3"]]
+        expected = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0, 0, 2, 0]
+        for name in ("AFFINEPLANE_MAX_ORDER", "AFFINEPLANE_MAX_GROUP"):
+            for value in ("1", "many", "-1", "169"):
+                monkeypatch.setenv(name, value)
+                assert [run(capsys, *argv) for argv in argvs] == expected
+            monkeypatch.delenv(name)
 
     def test_determinism_byte_identical(self, tmp_path):
         plane = tmp_path / "p3.json"
@@ -435,20 +479,6 @@ class TestVerifyAll:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-    def test_env_var_bound_flag_precedence(self, p3_file, capsys, monkeypatch):
-        monkeypatch.setenv("AFFINEPLANE_MAX_GROUP", "4")
-        assert run(capsys, "endo", p3_file)[0] == 2
-        assert run(capsys, "endo", p3_file, "--max-group", "9")[0] == 0
-        for name, flag, valid in (("AFFINEPLANE_MAX_GROUP", "--max-group", "9"),
-                                  ("AFFINEPLANE_MAX_ORDER", "--max-order", "3")):
-            for bad in ("many", "4.5", "-1"):
-                monkeypatch.setenv(name, bad)
-                assert_usage_error(capsys, "endo", p3_file)
-                assert_usage_error(capsys, "verify-all", p3_file)
-            # a valid flag still wins over an invalid env value
-            assert run(capsys, "endo", p3_file, flag, valid)[0] == 0
-            monkeypatch.delenv(name)
 
 
 class TestBounds:
@@ -489,17 +519,50 @@ class TestBounds:
         assert searches == []
 
     @pytest.mark.parametrize("command", ["endo", "verify-all"])
-    def test_group_bound_stops_before_the_end_search(self, p3_file, capsys, monkeypatch,
+    def test_order_bound_stops_before_the_end_search(self, p3_file, capsys, monkeypatch,
                                                      command):
+        # |Tr| divides q^2, so the order bound is End's bound too
         searches = [
             count_calls(monkeypatch, name, endo)
             for name in ("enumerate_endomorphisms", "count_endomorphisms",
                          "enumerate_tp_endomorphisms", "_chain_search")
         ]
-        assert run(capsys, command, p3_file, "--max-group", "4") == (
-            2, "", "error: endomorphism enumeration bounded to group order 4, got 9\n",
+        assert run(capsys, command, p3_file, "--max-order", "2") == (
+            2, "", "error: dilation enumeration bounded to order 2, plane has 3\n",
         )
         assert searches == [[]] * 4
+
+    @pytest.mark.parametrize(
+        "plane,num_endomorphisms,digests",
+        [
+            ("ag29", 3**16, ("ce02f7eead7b1919b60c20130e2b476b03d0fcab281a73b555ae970f3e4aa6f9",
+                             "c27dc5c1e7aa5d5c529b045d2842dd49cde8d31073b3ee6084f5aa8932f7b99c")),
+            ("hall9", 3**16, ("85c0acb706a9eec8963a492b068f5e300d6987c77e5e8ebe66e37d9da55103a0",
+                              "d7953c44250f6f4fa5f914992fa72c35682d5ee96b1b865d78da56bbcff28a0f")),
+            ("11", 11**4, ("92575fc617fa585de0f1e4eab2c7788847a769a3d8f246cde0e4ac6459db5540",
+                           "acffe523dd1844ab025c906aa4268eba465b87b93f5eb6410c8186c78abd5eee")),
+            ("13", 13**4, ("e3feeec340fab5072e3ee31b68c532c5f8bde9876b8d979aac7e5bb70d8827b0",
+                           "212137cefd84ee798760e2c81a746eac5aa5d3266ec9f9a1b710807bb7a76b32")),
+        ],
+    )
+    def test_default_bound_settles_every_plane_up_to_order_13(
+        self, tmp_path, capsys, plane, num_endomorphisms, digests
+    ):
+        """endo and verify-all finish at the default bound on the order-9
+        planes, Hall(9) the non-Desarguesian one, and on AG(2,11) and
+        AG(2,13).  The digests are of the reports these commands wrote when
+        End had a bound of its own, raised to 169."""
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(plane_document(plane)))
+        outs = []
+        for argv in (["endo", str(path), *RING], ["verify-all", str(path)]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["results"]["num_endomorphisms"] == num_endomorphisms
+            outs.append(out)
+        theorems = json.loads(outs[1])["results"]["theorems"]
+        assert [t["passed"] for t in theorems] == [True] * 12
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for out in outs) == digests
 
 
 class TestOut:

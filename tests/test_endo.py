@@ -360,35 +360,33 @@ class TestOrderNine:
         for axiom in report.AXIOM_NAMES:
             assert report.axioms[axiom] == (True, None)
 
-    def test_raised_group_bound_counts_end(self, order_nine, tmp_path, capsys):
-        """With --max-group 81 both commands count the 3^16 maps of End by
+    def test_default_bound_counts_end(self, order_nine, tmp_path, capsys):
+        """At the default bound both commands count the 3^16 maps of End by
         cosets (count_endomorphisms) and check the ring, in well under the
-        budget; walking every leaf ran for more than 4 min."""
+        budget; walking every leaf ran for more than 4 min.  |Tr| = q^2
+        needs no bound of its own."""
         name = order_nine[0]
         path = tmp_path / "plane.json"
         path.write_text(json.dumps(ORDER_NINE[name]()))
         start = time.perf_counter()
-        assert main(["endo", str(path), "--trace-preserving", "--check-ring",
-                     "--max-group", "81"]) == 0
+        assert main(["endo", str(path), "--trace-preserving", "--check-ring"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert (results["num_endomorphisms"], results["num_tp_endomorphisms"]) == (
             3**16, self.EXPECTED[name][1],
         )
         assert results["ring"]["all_pass"]
-        assert main(["verify-all", str(path), "--max-group", "81"]) == 0
+        assert main(["verify-all", str(path)]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["num_endomorphisms"] == 3**16
         assert [t["passed"] for t in results["theorems"]] == [True] * 12
         assert time.perf_counter() - start < 5
 
-    def test_group_bound_holds(self, order_nine, tmp_path, capsys):
-        """|Tr| = 81 is over the CLI's default --max-group: endo and
-        verify-all exit 2 before the End search over 3^16 maps starts."""
-        path = tmp_path / "plane.json"
-        path.write_text(json.dumps(ORDER_NINE[order_nine[0]]()))
-        for argv in (["endo", str(path), "--trace-preserving", "--check-ring"],
-                     ["verify-all", str(path)]):
-            assert main(argv) == 2
-            assert capsys.readouterr() == (
-                "", "error: endomorphism enumeration bounded to group order 49, got 81\n"
-            )
+    def test_group_bound_holds(self, order_nine):
+        """A translation other than the identity fixes no point, so Tr acts
+        freely on the q^2 points and |Tr| divides q^2: the order bound of
+        the CLI, 13, bounds |Tr| by 169, and End and TP need no bound of
+        their own."""
+        _, plane, g, _ = order_nine
+        q = len(plane.lines[0])
+        assert all(f.is_identity or not f.fixed_points for f in g.elements)
+        assert (q * q) % g.order == 0

@@ -78,7 +78,6 @@ from affineplane.errors import (
     AffinePlaneError,
     NotClosed,
     NotTranslation,
-    OrderTooLarge,
     SizeMismatch,
 )
 from affineplane import cli, collineation, endo, incidence, transgroup
@@ -846,7 +845,7 @@ class TestEndomorphismSearchOracle:
         # additive group, and the count walks every leaf
         g, count = SMALL_GROUPS[name]
         chain = assert_same_endomorphism_lists(g, monkeypatch, walks=name in ("S3", "Q8"))
-        assert len(chain) == count
+        assert len(chain) == count_endomorphisms(g) == count
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_cyclic_groups_with_one_generator_per_level(self, n, monkeypatch):
@@ -868,17 +867,6 @@ class TestEndomorphismSearchOracle:
         tables = [a.table for a in enumerate_endomorphisms(g)]
         assert set(tables) == brute_force_endomorphisms(g)
         assert len(set(tables)) == len(tables)
-
-    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
-    def test_count_at_the_group_bound(self, name):
-        """The group bound is CLI policy: a group of order max_group passes
-        the check and is counted in full; at max_group one less it is
-        refused before any search."""
-        g, count = SMALL_GROUPS[name]
-        cli._check_group_bound(g, g.order)
-        assert count_endomorphisms(g) == count
-        with pytest.raises(OrderTooLarge):
-            cli._check_group_bound(g, g.order - 1)
 
     def test_trivial_group(self, p2, monkeypatch):
         g = build_group(p2, [identity_map(p2)])
@@ -1349,8 +1337,8 @@ class TestDilationCandidateOracle:
 def assert_cosets_agree(plane, dilations):
     """dilation_cosets against the one-test-per-point search and against
     dilations, the full list of the oracle: |Dil| from the cosets, Tr from
-    the representatives, both conjugation verdicts on the generating set,
-    and the composed list."""
+    the representatives, both conjugation verdicts on the cosets and on the
+    smaller generating set the CLI passes, and the composed list."""
     stabiliser, representatives = collineation.dilation_cosets(plane)
     assert (stabiliser, representatives) == cosets_oracle(plane)
     assert collineation.compose_cosets(plane, stabiliser, representatives) == dilations
@@ -1361,6 +1349,18 @@ def assert_cosets_agree(plane, dilations):
     g = build_group(plane, translations)
     verdicts = check_conjugation(g, dilations)
     assert check_conjugation(g, generating) == verdicts
+    generators = cli._dilation_generators(stabiliser, representatives, g)
+    assert check_conjugation(g, generators) == verdicts
+    return generators
+
+
+# the dilations the CLI conjugates by: Dil_0, q - 1 on a Desarguesian plane
+# and 2 on Hall(9), and the 2k generators of Tr = Z_p^(2k); every coset
+# representative of a translation plane is a translation
+CONJUGATION_SET = {
+    "AG(2,2)": 3, "AG(2,3)": 4, "AG(2,5)": 6, "AG(2,7)": 8, "AG(2,4)": 7,
+    "AG(2,9)": 12, "Hall(9)": 6, "AG(2,11)": 12, "AG(2,13)": 14,
+}
 
 
 class TestDilationSearchOracle:
@@ -1369,7 +1369,7 @@ class TestDilationSearchOracle:
         plane = verified_plane(name)
         oracle = dilations_oracle(plane)
         assert enumerate_dilations(plane) == oracle
-        assert_cosets_agree(plane, oracle)
+        assert len(assert_cosets_agree(plane, oracle)) == CONJUGATION_SET[name]
 
     def test_dual_hall_cuts(self, monkeypatch):
         """The 91 cuts of the dual Hall plane: a point at infinity leaves
@@ -1382,11 +1382,18 @@ class TestDilationSearchOracle:
             assert verify_axioms(plane).all_pass
             found, verdicts = search_verdicts(plane, monkeypatch)
             assert found == dilations_oracle(plane), point
-            assert_cosets_agree(plane, found)
-            sizes[point] = (len(found), sum(f.kind == "translation" for f in found))
+            generators = assert_cosets_agree(plane, found)
+            sizes[point] = (len(found), sum(f.kind == "translation" for f in found),
+                            len(generators))
             # a subset of the oracle's candidates, each tested once
             assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
-        assert sizes == {point: (72, 9) if point >= 81 else (2, 1) for point in range(91)}
+        # the CLI conjugates by Dil_0, the representatives that are no
+        # translations and 2 generators of Tr: on the cuts at 81 and 82,
+        # |Dil_0| = 8 and every representative is a translation; on those at
+        # 83 to 90, Dil_0 is the identity alone and 63 of 71 are none
+        conjugated = {81: 10, 82: 10, **dict.fromkeys(range(83, 91), 66)}
+        assert sizes == {point: (72, 9, conjugated[point]) if point >= 81 else (2, 1, 2)
+                         for point in range(91)}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["AG(2,9)", "Hall(9)"])

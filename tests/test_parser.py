@@ -1,23 +1,22 @@
 """The command-line parser: cli.parse_args, read from the COMMANDS and FLAGS
 tables, against the argparse parser it replaced.
 
-build_parser, _bound and BOUNDS below are the argparse parser as cli.py had
-it, kept as the reference: on every command line of CORPUS both parsers
-must accept with the same values, or both exit 0 (help or version), or both
-exit 2 with the usage on stderr.  The help text itself is laid out by the
-tables and is not compared.
+build_parser and _bound below are the argparse parser as cli.py had it,
+kept as the reference, less the --max-group flag and the AFFINEPLANE_*
+variables that cli no longer reads: on every command line of CORPUS, in its
+environment, both parsers must accept with the same values, or both exit 0
+(help or version), or both exit 2 with the usage on stderr.  The help text
+itself is laid out by the tables and is not compared.
 """
 
 import argparse
 import io
-import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from affineplane import __version__, cli
 from affineplane.cli import (
-    DEFAULT_MAX_GROUP,
     DEFAULT_MAX_ORDER,
     cmd_build,
     cmd_check,
@@ -28,7 +27,7 @@ from affineplane.cli import (
 
 
 def _bound(text: str) -> int:
-    """argparse type of --max-order and --max-group: a non-negative integer."""
+    """argparse type of --max-order: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -37,12 +36,6 @@ def _bound(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
 
-
-# flag -> (environment variable, default, help)
-BOUNDS = {
-    "--max-order": ("AFFINEPLANE_MAX_ORDER", DEFAULT_MAX_ORDER, "largest plane order to enumerate"),
-    "--max-group": ("AFFINEPLANE_MAX_GROUP", DEFAULT_MAX_GROUP, "largest group order for End"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,24 +47,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, *bounds):
+    def command(name, func, help_text, bounded=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", help="write the report to a file instead of stdout")
-        for flag in bounds:
-            env, default, text = BOUNDS[flag]
-            # argparse parses a string default with the flag's type: a bad env value exits 2
-            p.add_argument(flag, type=_bound, default=os.environ.get(env, str(default)),
-                           help=f"{text} (default: ${env}, else {default})")
+        if bounded:
+            p.add_argument("--max-order", type=_bound, default=DEFAULT_MAX_ORDER,
+                           help="largest plane order to enumerate")
         return p
 
-    p = command("build", cmd_build, "write the incidence document for AG(2,p)", "--max-order")
+    p = command("build", cmd_build, "write the incidence document for AG(2,p)")
     p.add_argument("--order", type=int, required=True)
 
-    p = command("check", cmd_check, "verify the affine plane axioms")
+    p = command("check", cmd_check, "verify the affine plane axioms", bounded=False)
     p.add_argument("plane")
 
-    p = command("groups", cmd_groups, "enumerate dilations and check group theorems", "--max-order")
+    p = command("groups", cmd_groups, "enumerate dilations and check group theorems")
     p.add_argument("plane")
     p.add_argument("--dilations", action="store_true", help="include dilation maps in the report")
     p.add_argument("--translations", action="store_true", help="include translations and Cayley table")
@@ -79,14 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-normal", action="store_true")
     p.add_argument("--check-directions", action="store_true")
 
-    both = ("--max-order", "--max-group")
-    p = command("endo", cmd_endo, "enumerate endomorphisms of the translation group", *both)
+    p = command("endo", cmd_endo, "enumerate endomorphisms of the translation group")
     p.add_argument("plane")
     p.add_argument("--trace-preserving", action="store_true", dest="trace_preserving")
     p.add_argument("--check-ring", action="store_true", dest="check_ring")
     p.add_argument("--dump", action="store_true", help="include serialized tables")
 
-    p = command("verify-all", cmd_verify_all, "run every check in dependency order", *both)
+    p = command("verify-all", cmd_verify_all, "run every check in dependency order")
     p.add_argument("plane")
 
     return parser
@@ -286,7 +276,7 @@ CORPUS = [
     ({}, ["check", P, "--out", "r.json", "--"]),
     ({}, ["build", "--order", "3", "--"]),
     ({}, ["--", "check", P]),
-    # bad env bounds, with and without the flag
+    # environment variables that once set the bounds, which neither parser reads
     ({GROUP: "4"}, ["endo", P]),
     ({GROUP: "4"}, ["endo", P, "--max-group", "9"]),
     ({GROUP: "many"}, ["endo", P]),

@@ -21,14 +21,13 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
-# names of the size-bound policy: the defaults, the error, the parameters
-BOUND_NAMES = {"DEFAULT_MAX_ORDER", "DEFAULT_MAX_GROUP", "MAX_DUMP_ENTRIES", "OrderTooLarge",
-               "max_order", "max_group"}
+# names of the size-bound policy: the default, the listing cap, the error, the parameter
+BOUND_NAMES = {"DEFAULT_MAX_ORDER", "MAX_DUMP_ENTRIES", "OrderTooLarge", "max_order"}
 
 
 def test_size_bounds_are_defined_in_cli_only():
     # library calls take no bound: only cli assigns a default, raises
-    # OrderTooLarge or has a max_order or max_group parameter
+    # OrderTooLarge or has a max_order parameter
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -42,7 +41,20 @@ def test_size_bounds_are_defined_in_cli_only():
                 continue
             found |= {(path.name, name) for name in names if name in BOUND_NAMES}
     assert found == {("cli.py", name) for name in BOUND_NAMES}
-    assert (cli.DEFAULT_MAX_ORDER, cli.DEFAULT_MAX_GROUP) == (13, 49)
+    assert cli.DEFAULT_MAX_ORDER == 13
+
+
+def test_no_module_reads_the_environment():
+    # --max-order is the one bound, and only the command line sets it
+    names = {"environ", "environb", "getenv"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert found == []
 
 
 def test_gc_is_named_only_in_cli_run():

@@ -87,6 +87,7 @@ BUILDER = "affineplane.builder"
 # argparse and what it loads: cli reads the command line from its own tables
 PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
 USAGE = "affineplane.usage"  # the help and usage text, for --help and usage errors only
+INCIDENCE = "affineplane.incidence"  # loaded where a document is read
 
 
 @pytest.mark.parametrize(
@@ -119,7 +120,7 @@ def test_help_version_and_usage_errors_load_no_parser_module(tmp_path, argv, cod
     returncode, loaded = loaded_by(tmp_path, *argv)
     assert returncode == code
     assert "affineplane.cli" in loaded
-    assert loaded & (PARSER_MODULES | STAGES | {BUILDER, USAGE}) == text
+    assert loaded & (PARSER_MODULES | STAGES | {BUILDER, USAGE, INCIDENCE}) == text
 
 
 def test_import_loads_no_submodule(tmp_path):
