@@ -3,10 +3,12 @@
 Subcommands: build, check, groups, endo, verify-all.  Each emits one
 structured JSON report on stdout (or to --out) and a short human summary
 on stderr.  Exit codes: 0 every check passed, 1 a mathematical check
-failed, 2 usage, input or output error.  parse_args reads the command
-line from the COMMANDS and FLAGS tables by argparse's rules, without
-importing argparse, whose import and parsers took about 4 ms of every
-command.
+failed, 2 usage, input or output error.
+
+parse_args reads the command line from the COMMANDS and FLAGS tables:
+_exact reads a line that names a command and its flags in full, as every
+line of the tests, CI, the benchmark and the README does, and --version;
+every other line goes to the argparse parser of affineplane.usage.
 """
 
 from __future__ import annotations
@@ -351,7 +353,7 @@ FLAGS = {
 # command -> (handler, help, takes the plane, flags)
 COMMANDS = {
     "build": (cmd_build, "write the incidence document for AG(2,p)", False,
-              ("--order", "--out", "--max-order")),
+              ("--out", "--max-order", "--order")),
     "check": (cmd_check, "verify the affine plane axioms", True, ("--out",)),
     "groups": (cmd_groups, "enumerate dilations and check group theorems", True,
                ("--out", "--max-order", "--dilations", "--translations", "--check-abelian",
@@ -361,154 +363,64 @@ COMMANDS = {
     "verify-all": (cmd_verify_all, "run every check in dependency order", True,
                    ("--out", "--max-order")),
 }
-HELP = ("-h", "--help")
 VERSION = "--version"
 
 
-def _usage_error(command: str | None, message: str):
-    """Write the usage of command (of the program for None) and message to
-    stderr, and exit 2."""
-    from .usage import usage
-
-    prog = "affineplane" if command is None else f"affineplane {command}"
-    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(EXIT_ERROR)
-
-
-def _help(command: str | None):
-    """Write the help of command (of the program for None) to stdout, and exit 0."""
-    from .usage import help_text
-
-    sys.stdout.write(help_text(command))
-    raise SystemExit(EXIT_PASS)
-
-
-def _option(token: str, options: tuple, command: str | None):
-    """(option, the text after its "=" or None) for a token that names one
-    of options; (None, None) for a token that looks like an option but names
-    none; None for a positional.  As in argparse, a token names an option
-    exactly, before an "=", or as the unique prefix of a --name; "-", "--",
-    a negative number, a token with a space that names no option and any
-    token that does not start with "-" are positional."""
-    if token in options:
-        return token, None
-    if not token.startswith("-") or token in ("-", "--"):
+def _exact(argv: list):
+    """The arguments of a line that spells out a command and then only its
+    own flags, each by its full name, and the plane once if the command
+    takes one; no value may start with "-", even after spaces, and an INT
+    value must be an int.  argparse reads such a line to the same
+    arguments.  ["--version"] writes the version and exits 0.  Any other
+    line gives None."""
+    if argv == [VERSION]:
+        sys.stdout.write(__version__ + "\n")
+        raise SystemExit(EXIT_PASS)
+    if not argv or argv[0] not in COMMANDS:
         return None
-    name, equals, text = token.partition("=")
-    if equals and name in options:
-        return name, text
-    if token.startswith("--"):
-        matches = [option for option in options if option.startswith(name)]
-        if len(matches) > 1:
-            _usage_error(command, f"ambiguous option: {name} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], text if equals else None
-    number = token[1:]
-    whole, point, fraction = number.partition(".")
-    if (number.isdecimal() or point and fraction.isdecimal() and (not whole or whole.isdecimal())
-            or " " in token):
-        return None
-    if token.startswith("-h"):  # -hX: the switch -h given the text X
-        return "-h", token[2:]
-    return None, None
-
-
-def _value(command: str, flag: str, text: str):
-    """The value text gives flag: a PATH as it is, an INT as an integer."""
-    if FLAGS[flag][0] == "PATH":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        _usage_error(command, f"argument {flag}: not an integer: {text!r}")
-    if value < 0 and flag == "--max-order":
-        _usage_error(command, f"argument {flag}: must not be negative, got {value}")
-    return value
-
-
-def _parse_command(command: str, tokens: list) -> tuple:
-    """The arguments of command read from tokens, and the tokens it takes none of."""
-    func, _, takes_plane, flags = COMMANDS[command]
-    end = tokens.index("--") if "--" in tokens else len(tokens)  # every later token is positional
-    found = [_option(token, (*HELP, *flags), command) for token in tokens[:end]]
-    values, positionals, unknown = {}, [], []  # positionals by index
-    i = 0
-    while i < end:
-        option = found[i]
-        i += 1
-        if option is None:
-            positionals.append(i - 1)
-            continue
-        flag, text = option
-        if flag is None:
-            unknown.append(tokens[i - 1])
-        elif flag in HELP or FLAGS[flag][0] is None:
-            if text is not None:
-                _usage_error(command, f"argument {flag}: ignored explicit argument {text!r}")
-            if flag in HELP:
-                _help(command)
-            values[flag] = True
+    func, _, takes_plane, flags = COMMANDS[argv[0]]
+    values, planes = {flag: FLAGS[flag][2] for flag in flags}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in flags and FLAGS[token][0] is None:
+            values[token] = True
+        elif token in flags:
+            text = next(tokens, "-")
+            if text.lstrip().startswith("-"):
+                return None
+            if FLAGS[token][0] == "INT":
+                try:
+                    text = int(text)
+                except ValueError:
+                    return None
+            values[token] = text
+        elif token.startswith("-"):
+            return None
         else:
-            if text is None:
-                if i == end or found[i] is not None:
-                    _usage_error(command, f"argument {flag}: expected one argument")
-                text = tokens[i]
-                i += 1
-            values[flag] = _value(command, flag, text)
-    if end < len(tokens):
-        # as in argparse, the "--" goes with a plane next to it; any other is left over
-        rest = range(end + 1, len(tokens))
-        if not (takes_plane and (positionals[:1] == [end - 1] or not positionals and rest)):
-            unknown.append("--")
-        positionals += rest
-
-    args, missing = SimpleNamespace(command=command, func=func), []
-    for flag in flags:
-        default = FLAGS[flag][2]
-        if flag not in values and default is REQUIRED:
-            missing.append(flag)
-        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+            planes.append(token)
+    if len(planes) != takes_plane or REQUIRED in values.values():
+        return None
+    args = SimpleNamespace(command=argv[0], func=func, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
     if takes_plane:
-        if positionals:
-            args.plane = tokens[positionals.pop(0)]
-        else:
-            missing.append("plane")
-    if missing:
-        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
-    return args, unknown + [tokens[j] for j in positionals]
+        args.plane = planes[0]
+    return args
 
 
 def parse_args(argv: list):
     """The command line read by COMMANDS and FLAGS: a namespace with the
-    command, its handler (func), its flags by name and the plane.  --help
-    and --version write to stdout and exit 0; a line the tables do not
-    accept writes the usage and an error to stderr and exits 2."""
+    command, its handler (func), its flags by name and the plane.  A line
+    _exact does not read goes to argparse (usage.parse), which gives the
+    same namespace less the handler, or writes --help and exits 0, or
+    writes the usage and an error to stderr and exits 2."""
     argv = list(argv)
-    # as in argparse, every token before a "--" is first read against the
-    # program's own options, so one that is ambiguous there is an error
-    end = argv.index("--") if "--" in argv else len(argv)
-    found = [_option(token, (*HELP, VERSION), None) for token in argv[:end]]
-    i = found.index(None) if None in found else end  # the command
-    unknown = []
-    for token, (flag, text) in zip(argv, found[:i]):
-        if flag is None:
-            unknown.append(token)
-            continue
-        if text is not None:
-            _usage_error(None, f"argument {flag}: ignored explicit argument {text!r}")
-        if flag in HELP:
-            _help(None)
-        sys.stdout.write(__version__ + "\n")
-        raise SystemExit(EXIT_PASS)
-    if i == len(argv):
-        _usage_error(None, "the following arguments are required: command")
-    if argv[i] not in COMMANDS:
-        _usage_error(None, f"argument command: invalid choice: {argv[i]!r} "
-                           f"(choose from {', '.join(map(repr, COMMANDS))})")
-    args, extra = _parse_command(argv[i], argv[i + 1:])
-    unknown += extra
-    if unknown:
-        _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
+    args = _exact(argv)
+    if args is None:
+        from .usage import parse
+
+        args = parse(argv)
+        # this module's handler: under `python -m affineplane.cli`, usage imports another copy
+        args.func = COMMANDS[args.command][0]
     return args
 
 

@@ -157,20 +157,21 @@ def check_conjugation(
     the first whose conjugate changes direction.  conj[0] = 0, and
     conjugation by a permutation is injective, so conj[si] = 0 only for
     si = 0: the scan finds no witness there and compares every other
-    direction.  When
-    d's kind is "dilation" or "translation" and each generator's
-    conjugate is listed by its key (c(0), c(1)) as in build_group (the
-    conjugate of a dilation is a dilation), the table is filled along the
-    generator chain from conj[0] = 0, one Cayley lookup per tree edge or
-    fill: conj[gens[j].c] := conj[gens[j]].conj[c] and conj[c.h] :=
-    conj[c].conj[h].  This is the conjugate itself: conjugation by a
-    permutation is a homomorphism of the symmetric group, the Cayley
-    table records composition within the list, which build_group checked
-    to be closed, and the tree edges and fills set every nonzero element
-    once, after the elements they read.  Every other map, and a dilation
-    with a generator whose conjugate is not listed, is conjugated point by
-    point, as the definition reads.  The key path trusts kind: a map
-    labelled "dilation" that is none can pass where the definition fails.
+    direction.
+
+    When each generator's conjugate, computed point by point, is listed,
+    the table is filled along the generator chain from conj[0] = 0, one
+    Cayley lookup per tree edge or fill: conj[gens[j].c] :=
+    conj[gens[j]].conj[c] and conj[c.h] := conj[c].conj[h].  This is the
+    conjugate itself, whatever permutation d is: conjugation by d is an
+    automorphism of the symmetric group, the Cayley table records
+    composition within the list, which build_group checked to be closed,
+    and the tree edges and fills set every nonzero element once, after
+    the elements they read.  A map with a generator whose conjugate is
+    not listed is conjugated point by point on every element, as the
+    definition reads, to find the first witness.  So d's kind is not
+    read: a permutation labelled "dilation" that is none gets the
+    definition's verdicts.
 
     The CLI passes Dil_0, the representatives of dilation_cosets that are
     no translations and generators(g): they generate Dil, which is enough
@@ -189,19 +190,18 @@ def check_conjugation(
     gen_images = [g.elements[s].image for s in gens]
     direction_of = g.direction_of
     for di, delta in enumerate(dilations):
-        d, conj = delta.image, None
-        if delta.kind in ("dilation", "translation"):
-            keyed = [g._by_key.get((d.index(s[d[0]]), d.index(s[d[1]]))) for s in gen_images]
-            if None not in keyed:
-                conj = [0] * g.order
-                for tree, _, fills in levels:
-                    for y, j, x in tree:
-                        conj[y] = g.cayley[keyed[j]][conj[x]]
-                    for z, c, h in fills:
-                        conj[z] = g.cayley[conj[c]][conj[h]]
-        if conj is None:
-            inv = _inverse(d)
+        d = delta.image
+        inv = _inverse(d)
+        images = [g.index_of(tuple([inv[s[q]] for q in d])) for s in gen_images]
+        if None in images:
             conj = [g.index_of(tuple([inv[s.image[q]] for q in d])) for s in g.elements]
+        else:
+            conj = [0] * g.order
+            for tree, _, fills in levels:
+                for y, j, x in tree:
+                    conj[y] = g.cayley[images[j]][conj[x]]
+                for z, c, h in fills:
+                    conj[z] = g.cayley[conj[c]][conj[h]]
         for si, ci in enumerate(conj):
             if ci is None:
                 normal = CheckResult("normal_in_dilations", False, (di, si))

@@ -1,57 +1,53 @@
-"""The help and usage text of the command line, laid out from the COMMANDS
-and FLAGS tables of cli.
+"""The argparse parser of the command line, built from cli's COMMANDS and
+FLAGS tables.
 
-Only --help and usage errors load this module.  A command that writes no
-bytecode cache compiles cli from source on every run, and this layout
-code would add about 0.6 ms and 0.25 MB of peak memory to each one.
+cli.parse_args reads a line that names a command and its flags in full
+itself and hands every other line here, --help and every usage error
+among them, so argparse writes every help text and error message.  No
+command line of the tests, CI, the benchmark or the README loads this
+module or argparse, whose import and parser take about 4 ms.
 """
 
 from __future__ import annotations
 
+import argparse
+
+from . import __version__
 from .cli import COMMANDS, FLAGS, REQUIRED, VERSION
 
-DESCRIPTION = ("Construct finite affine planes and verify their translation-group and\n"
-               "endomorphism-ring structure.")
+
+def _bound(text: str) -> int:
+    """The value of --max-order: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
-def usage(command: str | None) -> str:
-    """The usage lines of a command, or of the program for None, at most 79 columns wide."""
-    if command is None:
-        head = "usage: affineplane"
-        words = ["[-h]", "[--version]", f"{{{','.join(COMMANDS)}}}", "..."]
-    else:
-        *_, takes_plane, flags = COMMANDS[command]
-        head, words = f"usage: affineplane {command}", ["[-h]"]
+def parse(argv: list) -> argparse.Namespace:
+    """argv read by argparse: the command and its arguments, no handler, or
+    --help or --version written to stdout and exit 0, or the usage and an
+    error on stderr and exit 2."""
+    parser = argparse.ArgumentParser(
+        prog="affineplane",
+        description="Construct finite affine planes and verify their translation-group and "
+                    "endomorphism-ring structure.",
+    )
+    parser.add_argument(VERSION, action="version", version=__version__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, takes_plane, flags) in COMMANDS.items():
+        command = commands.add_parser(name, help=text, description=text)
+        if takes_plane:
+            command.add_argument("plane", help="the plane's incidence document (JSON)")
         for flag in flags:
-            metavar, _, default = FLAGS[flag]
-            word = f"{flag} {metavar}" if metavar else flag
-            words.append(word if default is REQUIRED else f"[{word}]")
-        words += ["plane"] * takes_plane
-    lines = [head]
-    for word in words:
-        if len(lines[-1]) + 1 + len(word) > 79:
-            lines.append(" " * len(head))
-        lines[-1] += " " + word
-    return "\n".join(lines) + "\n"
-
-
-def help_text(command: str | None) -> str:
-    """The --help text of a command, or of the program for None."""
-    options = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        text = DESCRIPTION
-        sections = [("commands", [(name, spec[1]) for name, spec in COMMANDS.items()]),
-                    ("options", [*options, (VERSION, "show the version number and exit")])]
-    else:
-        _, text, takes_plane, flags = COMMANDS[command]
-        for flag in flags:
-            metavar, flag_help, _ = FLAGS[flag]
-            options.append((f"{flag} {metavar}" if metavar else flag, flag_help))
-        plane = ("arguments", [("plane", "the plane's incidence document (JSON)")])
-        sections = [plane] * takes_plane + [("options", options)]
-    width = max(len(name) for _, rows in sections for name, _ in rows)
-    lines = [usage(command), text]
-    for title, rows in sections:
-        lines += ["", f"{title}:"]
-        lines += [f"  {name:<{width}}  {row}" for name, row in rows]
-    return "\n".join(lines) + "\n"
+            metavar, flag_help, default = FLAGS[flag]
+            if metavar is None:
+                command.add_argument(flag, action="store_true", help=flag_help)
+            else:
+                kind = _bound if flag == "--max-order" else int if metavar == "INT" else str
+                command.add_argument(flag, metavar=metavar, type=kind, default=default,
+                                     required=default is REQUIRED, help=flag_help)
+    return parser.parse_args(argv)

@@ -206,3 +206,54 @@ def endomorphisms(groups):
 @pytest.fixture(scope="session")
 def tp_endomorphisms(planes, groups):
     return {p: enumerate_tp_endomorphisms(planes[p], groups[p]) for p in (2, 3, 5)}
+
+
+# The lines that run a command in the tests, CI, bench/ and README.md, with
+# PLANE for the plane file.  Each names a command and its flags in full,
+# so cli._exact reads it without argparse (test_parser.py, test_startup.py).
+PLANE = "plane.json"
+CHECK_FLAGS = ["--check-abelian", "--check-normal", "--check-directions"]
+RING_FLAGS = ["--trace-preserving", "--check-ring"]
+COMMAND_LINES = [
+    ["build", "--order", "2"],
+    ["build", "--order", "3"],
+    ["build", "--order", "4"],
+    ["build", "--order", "5"],
+    ["build", "--order", "7"],
+    ["build", "--order", "17"],
+    ["build", "--order", str(2**61 - 1)],
+    ["build", "--order", "2", "--out", "p2.json"],
+    ["build", "--order", "3", "--out", "p3.json"],
+    ["build", "--order", "13", "--out", "ag213.json"],
+    ["build", "--order", "31", "--max-order", "31", "--out", "ag231.json"],
+    ["check", PLANE],
+    ["groups", PLANE],
+    ["groups", PLANE, "--translations"],
+    ["groups", PLANE, "--translations", "--check-abelian"],
+    ["groups", PLANE, "--check-normal"],
+    ["groups", PLANE, "--check-directions"],
+    ["groups", PLANE, "--check-normal", "--check-directions"],
+    ["groups", PLANE, *CHECK_FLAGS],
+    ["groups", PLANE, "--translations", *CHECK_FLAGS],
+    ["groups", PLANE, "--dilations", *CHECK_FLAGS],
+    ["groups", PLANE, "--dilations", "--translations"],
+    ["groups", PLANE, "--dilations", "--translations", *CHECK_FLAGS],
+    ["groups", PLANE, "--dilations", "--check-normal", "--check-directions"],
+    ["groups", PLANE, "--dilations", "--check-normal", "--check-directions", "--out", "r.json"],
+    ["groups", PLANE, "--max-order", "31", *CHECK_FLAGS],
+    ["groups", PLANE, "--max-order", "0"],
+    ["groups", PLANE, "--max-order", "2"],
+    ["groups", PLANE, "--out", "r.json"],
+    ["groups", PLANE, "--translations", "--out", "r.json"],
+    ["endo", PLANE],
+    ["endo", PLANE, "--dump"],
+    ["endo", PLANE, "--trace-preserving"],
+    ["endo", PLANE, *RING_FLAGS],
+    ["endo", PLANE, "--trace-preserving", "--dump"],
+    ["endo", PLANE, *RING_FLAGS, "--dump"],
+    ["endo", PLANE, "--max-order", "3"],
+    ["endo", PLANE, "--dump", "--out", "r.json"],
+    ["verify-all", PLANE],
+    ["verify-all", PLANE, "--max-order", "16"],
+    ["verify-all", PLANE, "--out", "r.json"],
+]

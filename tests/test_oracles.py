@@ -24,7 +24,7 @@ rejects a list that repeats one,
 ``check_ring_axioms`` compares ids in the ring's own Cayley tables
 and scans only the laws a list can fail,
 ``check_conjugation`` fills one table per dilation from the conjugates
-of the generators, by that key for a dilation, and reads both verdicts
+of the generators, looked up by their whole images, and reads both verdicts
 from one scan of it, ``parallel_partition`` reads the classes from the pencil
 at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
@@ -45,6 +45,7 @@ import pytest
 
 from affineplane import (
     AxiomReport,
+    ClassifiedMap,
     GroupSelfMap,
     add,
     build_group,
@@ -84,6 +85,7 @@ from affineplane import cli, collineation, endo, incidence, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
+    TranslationGroup,
     compose_images,
     generator_chain,
     generators,
@@ -1114,21 +1116,36 @@ class TestConjugationOracle:
         normal, direction = assert_conjugation_verdicts_agree(g, dils)
         assert normal.passed and direction.passed
 
-    def test_inverse_built_once_per_map_that_is_no_dilation(self, planes, groups, dilations,
-                                                            monkeypatch):
-        # dilations are conjugated by two-point keys, other maps point by point
+    def test_inverse_built_once_per_map(self, planes, groups, dilations, monkeypatch):
+        # every map, whatever its kind, has its generators conjugated by image
         inverses = []
         real = transgroup._inverse
         monkeypatch.setattr(transgroup, "_inverse", lambda d: inverses.append(d) or real(d))
         plane, g, dils = planes[3], groups[3], dilations[3]
         check_conjugation(g, dils)
-        assert inverses == []
+        assert inverses == [f.image for f in dils]
         others = [classify(plane, point_map(3, lambda x, y: (y, x))),
                   classify(plane, (1, 0) + tuple(range(2, 9)))]
         assert [f.kind for f in others] == ["collineation", "general"]
+        inverses.clear()
         normal, direction = check_conjugation(g, dils + others)
         assert (normal.witness, direction.witness) == ((19, 1), (18, 1))
-        assert inverses == [f.image for f in others]
+        assert inverses == [f.image for f in dils + others]
+
+    def test_kind_is_not_trusted(self, groups):
+        """A permutation labelled "dilation" gets the definition's verdicts:
+        its generators' conjugates are looked up by their whole image, not
+        by the two-point key that only names a dilation."""
+        g = groups[3]
+        mislabelled = ClassifiedMap((7, 5, 0, 3, 1, 8, 4, 2, 6), "dilation", frozenset())
+        normal, _ = assert_conjugation_verdicts_agree(g, [mislabelled])
+        assert normal.witness == (0, 1)
+        rng = random.Random(20200320)
+        for _ in range(2000):
+            image = list(range(9))
+            rng.shuffle(image)
+            assert_conjugation_verdicts_agree(
+                g, [ClassifiedMap(tuple(image), "dilation", frozenset())])
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_corrupted_dilation_lists(self, planes, groups, dilations, p):
@@ -1176,8 +1193,9 @@ class TestConjugationOracle:
     def test_subgroup_spanned_by_two_directions(self, name, witness, monkeypatch):
         """Dil_0 and the representatives on the subgroup of Tr that the
         first two non-identity translations of different directions span.
-        A dilation can conjugate it off the list; then that dilation, and
-        no other, is conjugated point by point, once per call."""
+        A dilation can conjugate it off the list; then the scan stops
+        there, and that dilation, and no other, is conjugated point by
+        point on every element."""
         plane = verified_plane(name)
         stabiliser, representatives = collineation.dilation_cosets(plane)
         dils = stabiliser + representatives
@@ -1185,16 +1203,19 @@ class TestConjugationOracle:
         second = next(i for i in range(2, full.order) if full.direction_of[i] != full.direction_of[1])
         g = build_group(plane, [full.elements[i] for i in sorted(span(full, [1, second]))])
         assert g.order == len(plane.lines[0]) < full.order
-        inverses = []
-        real = transgroup._inverse
-        monkeypatch.setattr(transgroup, "_inverse", lambda d: inverses.append(d) or real(d))
         normal, direction = assert_conjugation_verdicts_agree(g, dils)
         assert normal.witness == direction.witness == witness
+        lookups = []
+        real = TranslationGroup.index_of
+        monkeypatch.setattr(TranslationGroup, "index_of",
+                            lambda group, image: lookups.append(image) or real(group, image))
+        check_conjugation(g, dils)
+        rank = len(generators(g))
         if witness is None:
-            assert inverses == []
+            assert len(lookups) == rank * len(dils)
         else:
             assert dils[witness[0]].kind == "dilation"
-            assert inverses == [dils[witness[0]].image] * 3
+            assert len(lookups) == rank * (witness[0] + 1) + g.order
 
     @pytest.mark.parametrize("fn", [lambda x, y: (y, x), lambda x, y: (x, 2 * y)],
                              ids=["swap", "stretch"])

@@ -1,7 +1,8 @@
 """Start-up and exit: each command loads only the stages it runs, nothing
-loads ``dataclasses`` or ``argparse``, and the process entry ``cli.run``
-freezes the collector on every way out, so the interpreter's last
-collection skips the objects the run made.
+loads ``dataclasses``, a line that names its command and flags in full
+loads no ``argparse``, and the process entry ``cli.run`` freezes the
+collector on every way out, so the interpreter's last collection skips
+the objects the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.  The
@@ -20,7 +21,7 @@ import pytest
 
 import affineplane
 from affineplane import builder, cli
-from conftest import corrupted_documents
+from conftest import COMMAND_LINES, corrupted_documents
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
@@ -84,9 +85,9 @@ def plane_file(tmp_path_factory):
 
 STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.endo"}
 BUILDER = "affineplane.builder"
-# argparse and what it loads: cli reads the command line from its own tables
+# argparse and what it loads: cli reads the lines that run a command itself
 PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
-USAGE = "affineplane.usage"  # the help and usage text, for --help and usage errors only
+USAGE = "affineplane.usage"  # the argparse parser, for every other line
 INCIDENCE = "affineplane.incidence"  # loaded where a document is read
 
 
@@ -111,16 +112,38 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
 
 
 @pytest.mark.parametrize(
-    "argv,code,text",
-    [(["--version"], 0, set()), (["--help"], 0, {USAGE}), (["endo", "--help"], 0, {USAGE}),
-     (["groups"], 2, {USAGE})],
+    "argv,code,parser",
+    [(["--version"], 0, False), (["--help"], 0, True), (["endo", "--help"], 0, True),
+     (["groups"], 2, True)],
     ids=["version", "help", "command-help", "usage-error"],
 )
-def test_help_version_and_usage_errors_load_no_parser_module(tmp_path, argv, code, text):
+def test_help_version_and_usage_errors_load_no_parser_module(tmp_path, argv, code, parser):
+    """--version loads no parser module; --help and usage errors load
+    argparse, but no stage module, and read no document."""
     returncode, loaded = loaded_by(tmp_path, *argv)
     assert returncode == code
     assert "affineplane.cli" in loaded
-    assert loaded & (PARSER_MODULES | STAGES | {BUILDER, USAGE, INCIDENCE}) == text
+    assert loaded & (STAGES | {BUILDER, INCIDENCE, "json"}) == set()
+    if parser:
+        assert {"argparse", USAGE} <= loaded
+    else:
+        assert loaded & (PARSER_MODULES | {USAGE}) == set()
+
+
+# Reads each command line with cli.parse_args, in one process, then prints
+# whether argparse or affineplane.usage was loaded.
+PARSE_WRAPPER = """\
+import json, sys
+from affineplane import cli
+for argv in json.loads(sys.argv[1]):
+    cli.parse_args(argv)
+print(sorted({"argparse", "affineplane.usage"} & set(sys.modules)))
+"""
+
+
+def test_command_lines_that_run_load_no_parser_module(tmp_path):
+    result = python("-c", PARSE_WRAPPER, json.dumps(COMMAND_LINES), cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_import_loads_no_submodule(tmp_path):
@@ -274,3 +297,17 @@ def test_entry_points_agree(tmp_path, plane_file, broken_file, argv, file):
     # the broken plane fails check and verify-all, and is no input for groups or endo
     expected = 0 if file == "PLANE" else 1 if argv[0] in ("check", "verify-all") else 2
     assert package.returncode == expected
+
+
+def test_argparse_path_runs_the_handlers_of_the_running_module(tmp_path):
+    """Under `python -m affineplane.cli` the module runs as __main__, and
+    affineplane.usage imports a second copy of it.  A line that argparse
+    reads still runs __main__'s handlers, so a failed write is an output
+    error there too, not a traceback of the other copy's _OutputError."""
+    for module in ("affineplane", "affineplane.cli"):
+        with subprocess.Popen([sys.executable, "-m", module, "build", "--ord", "3"], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # before the child writes its report
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, b"output error: [Errno 32] Broken pipe\n"), module
