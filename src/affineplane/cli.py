@@ -9,6 +9,7 @@ parse_args reads the command line from the COMMANDS and FLAGS tables:
 _exact reads a line that names a command and its flags in full, as every
 line of the tests, CI, the benchmark and the README does, and --version;
 every other line goes to the argparse parser of affineplane.usage.
+affineplane.output writes the report and the notes.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from contextlib import nullcontext, suppress
-from itertools import chain
+from contextlib import suppress
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
+from .output import _emit, _note, _OutputError, _report, _write
+from .output import render_report  # the benchmark's traced replay calls cli.render_report
 
 # Each command imports the stages it runs in its body: only `build` loads
 # builder, `check` and `build` load no stage module, `groups` loads no endo,
@@ -30,86 +32,11 @@ from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-WRITE_BATCH = 1 << 14
 # The one input-size bound; |Tr| divides q^2, so it bounds End and TP; the library takes none
 DEFAULT_MAX_ORDER = 13
 # endo --dump lists |End| tables of |Tr| entries each: at most this many entries
 # (AG(2,4) lists 65,536 x 16); the order-9 planes' 3^16 x 81 would exhaust memory
 MAX_DUMP_ENTRIES = 1 << 22
-
-
-def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
-    return {"tool_version": __version__, "command": command, "plane_summary": plane_summary,
-            "results": results, "status": status}
-
-
-class _Numerals(dict):
-    """int -> its JSON numeral, built once per report."""
-
-    def __missing__(self, i: int) -> str:
-        self[i] = text = int.__repr__(i)
-        return text
-
-
-def _chunks(o, newline: str, numerals: _Numerals, dumps):
-    """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
-    line break is newline (dict keys are str), in chunks: one per key, scalar
-    and bracket, and one per non-empty list or tuple of exact ints."""
-    inner = newline + "  "
-    if isinstance(o, (list, tuple)) and set(map(type, o)) == {int}:  # bool is no exact int
-        yield f"[{inner}{(',' + inner).join(map(numerals.__getitem__, o))}{newline}]"
-    elif isinstance(o, dict) and o:
-        opener = "{"
-        for key in sorted(o):
-            yield f"{opener}{inner}{dumps(key)}: "
-            yield from _chunks(o[key], inner, numerals, dumps)
-            opener = ","
-        yield newline + "}"
-    elif isinstance(o, (list, tuple)) and o:
-        opener = "["
-        for item in o:
-            yield opener + inner
-            yield from _chunks(item, inner, numerals, dumps)
-            opener = ","
-        yield newline + "]"
-    else:  # a scalar, {}, [] or ()
-        yield dumps(o)
-
-
-def _text(document: dict):
-    from json import dumps
-
-    return chain(_chunks(document, "\n", _Numerals(), dumps), ("\n",))
-
-
-def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
-    """The report text that _finish writes."""
-    return "".join(_text(_report(command, plane_summary, results, status)))
-
-
-class _OutputError(Exception):
-    """The OSError that writing a report raised: exit 2, but no input error."""
-
-
-def _write(document: dict, out_path: str | None) -> None:
-    """Write the text of document to out_path, or stdout when None, in writes of
-    about WRITE_BATCH characters (-u and PYTHONUNBUFFERED make stdout write-through)."""
-    try:
-        with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
-            batch, size = [], 0
-            for chunk in _text(document):
-                batch.append(chunk)
-                size += len(chunk)
-                if size >= WRITE_BATCH:
-                    fh.write("".join(batch))
-                    batch, size = [], 0
-            fh.write("".join(batch))
-            fh.flush()  # a stdout that fails fails here, not at exit
-    except OSError as exc:
-        if out_path is None:  # drop what stdout holds: its flush at exit would fail again
-            with suppress(OSError):
-                sys.stdout.close()
-        raise _OutputError(exc) from exc
 
 
 def _check_out(path: str) -> None:
@@ -176,7 +103,7 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
     """Write the report to --out or stdout, then the stderr note with {status} filled in."""
     status = "pass" if passed else "fail"
     _write(_report(args.command, summary, results, status), args.out)
-    print(note.format(status=status), file=sys.stderr)
+    _note(note.format(status=status))
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -188,13 +115,10 @@ def cmd_build(args) -> int:
             raise OrderTooLarge(f"order {args.order} exceeds the bound {args.max_order}")
         plane = build_prime_plane(args.order)
     except AffinePlaneError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
+        _note(f"build failed: {exc}")
         return EXIT_ERROR
     _write(plane.to_document(), args.out)
-    print(
-        f"AG(2,{args.order}): {plane.num_points} points, {plane.num_lines} lines",
-        file=sys.stderr,
-    )
+    _note(f"AG(2,{args.order}): {plane.num_points} points, {plane.num_lines} lines")
     return EXIT_PASS
 
 
@@ -210,7 +134,7 @@ def cmd_groups(args) -> int:
 
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
-        print("plane failed axiom verification; run `check` for details", file=sys.stderr)
+        _note("plane failed axiom verification; run `check` for details")
         return EXIT_ERROR
 
     stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
@@ -244,7 +168,7 @@ def cmd_endo(args) -> int:
 
     plane, report, summary = _load_verified_summary(args.plane)
     if not report.all_pass:
-        print("plane failed axiom verification; run `check` for details", file=sys.stderr)
+        _note("plane failed axiom verification; run `check` for details")
         return EXIT_ERROR
 
     *_, group = _translation_group(plane, args.max_order)
@@ -374,7 +298,7 @@ def _exact(argv: list):
     arguments.  ["--version"] writes the version and exits 0.  Any other
     line gives None."""
     if argv == [VERSION]:
-        sys.stdout.write(__version__ + "\n")
+        _emit(__version__ + "\n")
         raise SystemExit(EXIT_PASS)
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -412,52 +336,70 @@ def parse_args(argv: list):
     command, its handler (func), its flags by name and the plane.  A line
     _exact does not read goes to argparse (usage.parse), which gives the
     same namespace less the handler, or writes --help and exits 0, or
-    writes the usage and an error to stderr and exits 2."""
+    writes the usage and an error to stderr and exits 2.  Help or version
+    text that stdout does not take raises _OutputError."""
     argv = list(argv)
-    args = _exact(argv)
-    if args is None:
-        from .usage import parse
+    try:
+        args = _exact(argv)
+        if args is None:
+            from .usage import parse
 
-        args = parse(argv)
-        # this module's handler: under `python -m affineplane.cli`, usage imports another copy
-        args.func = COMMANDS[args.command][0]
+            args = parse(argv)
+            # this module's handler: under `python -m affineplane.cli`, usage imports another copy
+            args.func = COMMANDS[args.command][0]
+    except OSError as exc:
+        raise _OutputError(exc) from exc
     return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.out is not None:
             _check_out(args.out)
         return args.func(args)
     except _OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        _note(f"output error: {exc}")
         return EXIT_ERROR
     except (MalformedDocument, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _note(f"input error: {exc}")
         return EXIT_ERROR
     except AffinePlaneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_ERROR
 
 
 def run() -> None:
-    """The process entry: exit with main()'s code, with the collector frozen
-    on every way out.
+    """The process entry: main() with the collector off, then os._exit with its code.
 
-    At exit the interpreter collects once more, walking every tracked
-    object, though the OS takes the memory back a moment later;
-    gc.freeze() moves the live objects to the permanent generation, which
-    that pass skips.  main() leaves the collector alone, so a caller in
-    process keeps its own.
+    A command makes few cyclic objects, and the OS takes its memory back
+    when it ends, so the collector's passes during the imports and the
+    work, and the interpreter's teardown, which frees every module and
+    object and collects once more, only cost time.  A SystemExit code is
+    read as the interpreter reads it: None is 0, an int stays, anything
+    else is printed to stderr and gives 1.  Every report, help and version
+    text is flushed where it is written, and a failure there is an output
+    error; run() flushes both streams once more, because os._exit does not.
+    Nothing registers atexit work, and every --out file is closed by its
+    with.  main() leaves the collector alone, so a caller in process keeps
+    its own.
     """
     import gc
 
+    gc.disable()
     try:
         code = main()
-    finally:  # also on the SystemExit of --help, --version and usage errors
-        gc.freeze()
-    sys.exit(code)
+    except SystemExit as exc:  # --help, --version and usage errors
+        code = exc.code
+    if code is None:
+        code = EXIT_PASS
+    elif not isinstance(code, int):
+        _note(str(code))
+        code = EXIT_FAIL
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, OSError, ValueError):  # None, failing or closed
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,116 @@
+"""What a command writes: the report, as json.dumps(indent=2, sort_keys=True)
+writes it, to --out or stdout, and the notes on stderr.
+
+A report, help or version text that stdout does not take is an output
+error (_OutputError, exit 2).  A stderr that fails or was closed loses
+its notes and changes nothing else.  A stream closed at start-up is None
+in sys, and print(file=None) would write to stdout.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+import sys
+from contextlib import nullcontext, suppress
+from itertools import chain
+
+from . import __version__
+
+WRITE_BATCH = 1 << 14
+
+
+def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
+    return {"tool_version": __version__, "command": command, "plane_summary": plane_summary,
+            "results": results, "status": status}
+
+
+class _Numerals(dict):
+    """int -> its JSON numeral, built once per report."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = int.__repr__(i)
+        return text
+
+
+def _chunks(o, newline: str, numerals: _Numerals, dumps):
+    """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
+    line break is newline (dict keys are str), in chunks: one per key, scalar
+    and bracket, and one per non-empty list or tuple of exact ints."""
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)) and set(map(type, o)) == {int}:  # bool is no exact int
+        yield f"[{inner}{(',' + inner).join(map(numerals.__getitem__, o))}{newline}]"
+    elif isinstance(o, dict) and o:
+        opener = "{"
+        for key in sorted(o):
+            yield f"{opener}{inner}{dumps(key)}: "
+            yield from _chunks(o[key], inner, numerals, dumps)
+            opener = ","
+        yield newline + "}"
+    elif isinstance(o, (list, tuple)) and o:
+        opener = "["
+        for item in o:
+            yield opener + inner
+            yield from _chunks(item, inner, numerals, dumps)
+            opener = ","
+        yield newline + "]"
+    else:  # a scalar, {}, [] or ()
+        yield dumps(o)
+
+
+def _text(document: dict):
+    from json import dumps
+
+    return chain(_chunks(document, "\n", _Numerals(), dumps), ("\n",))
+
+
+def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
+    """The report text that cli._finish writes."""
+    return "".join(_text(_report(command, plane_summary, results, status)))
+
+
+class _OutputError(Exception):
+    """The OSError that writing a report, help or version raised: exit 2, but no input error."""
+
+
+def _stdout():
+    """sys.stdout, or the OSError of a stdout closed at start-up, which Python sets to None."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
+def _emit(text: str) -> None:
+    """Write text to stdout and flush it, raising the OSError of a stdout that fails."""
+    out = _stdout()
+    out.write(text)
+    out.flush()
+
+
+def _note(text: str, end: str = "\n") -> None:
+    """Write text to stderr if it takes it: a stderr that fails or was closed
+    loses the note and changes nothing else."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(text + end)
+
+
+def _write(document: dict, out_path: str | None) -> None:
+    """Write the text of document to out_path, or stdout when None, in writes of
+    about WRITE_BATCH characters (-u and PYTHONUNBUFFERED make stdout write-through)."""
+    try:
+        with nullcontext(_stdout()) if out_path is None else open(out_path, "w") as fh:
+            batch, size = [], 0
+            for chunk in _text(document):
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= WRITE_BATCH:
+                    fh.write("".join(batch))
+                    batch, size = [], 0
+            fh.write("".join(batch))
+            fh.flush()  # a stdout that fails fails here, not at exit
+    except OSError as exc:
+        if out_path is None:  # drop what stdout holds, so that no later flush fails again
+            with suppress(AttributeError, OSError):  # None, or closing flushes and fails
+                sys.stdout.close()
+        raise _OutputError(exc) from exc

@@ -36,7 +36,7 @@ class TranslationGroup:
     elements[0] is the identity; cayley[i][j] indexes elements[i] o elements[j].
     """
 
-    __slots__ = ("elements", "cayley", "inverse", "direction_of", "_by_key", "_chain")
+    __slots__ = ("elements", "cayley", "inverse", "direction_of", "_by_key", "_chain", "_abelian")
 
     def __init__(self, elements: tuple[ClassifiedMap, ...], cayley: tuple[tuple[int, ...], ...],
                  inverse: tuple[int, ...], direction_of: tuple[Optional[int], ...]):
@@ -46,6 +46,7 @@ class TranslationGroup:
         self.direction_of = direction_of
         self._by_key = {f.image[:2]: i for i, f in enumerate(elements)}  # see build_group
         self._chain: Optional[tuple] = None  # generator_chain(self), once computed
+        self._abelian: Optional[CheckResult] = None  # check_abelian(self), once scanned
 
     @property
     def order(self) -> int:
@@ -131,7 +132,16 @@ def check_abelian(g: TranslationGroup) -> CheckResult:
     that does not commute.  End lists every endomorphism (claim 3 of
     endo.enumerate_endomorphisms), so "every sum is listed in End" means
     the same as "every sum is an endomorphism".
+
+    Scanned once per group and kept on it: verify-all reads the verdict,
+    and so does endo.count_endomorphisms.
     """
+    if g._abelian is None:
+        g._abelian = _scan_abelian(g)
+    return g._abelian
+
+
+def _scan_abelian(g: TranslationGroup) -> CheckResult:
     for i in range(g.order):
         for j in range(i + 1, g.order):
             if g.cayley[i][j] != g.cayley[j][i]:

@@ -11,9 +11,32 @@ module or argparse, whose import and parser take about 4 ms.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from . import __version__
 from .cli import COMMANDS, FLAGS, REQUIRED, VERSION
+from .output import _emit, _note
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes help and version text with output._emit, so that a stdout which
+    does not take it is an output error, where argparse would drop the
+    OSError and exit 0, or write the help of a closed stdout to stderr.
+    The usage and error of a usage error go to stderr with output._note,
+    which drops what a failing stderr raises, on every Python version."""
+
+    def print_usage(self, file=None):
+        # only error() calls this, with sys.stderr, which argparse replaces
+        # by stdout when it is None
+        _note(self.format_usage(), end="")
+
+    def _print_message(self, message, file=None):
+        if not message:
+            return
+        if file is sys.stdout:
+            _emit(message)
+        else:
+            _note(message, end="")
 
 
 def _bound(text: str) -> int:
@@ -31,7 +54,7 @@ def parse(argv: list) -> argparse.Namespace:
     """argv read by argparse: the command and its arguments, no handler, or
     --help or --version written to stdout and exit 0, or the usage and an
     error on stderr and exit 2."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affineplane",
         description="Construct finite affine planes and verify their translation-group and "
                     "endomorphism-ring structure.",

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import affineplane
-from affineplane import build_prime_plane, cli, collineation, endo
+from affineplane import build_prime_plane, cli, collineation, endo, output, transgroup
 from affineplane.cli import main
 from conftest import (
     ag24_document,
@@ -400,6 +401,14 @@ class TestEndo:
 
 
 class TestVerifyAll:
+    def test_scans_the_cayley_table_for_commutativity_once(self, p3_file, capsys, monkeypatch):
+        # the translation_group_abelian theorem and count_endomorphisms both
+        # read check_abelian, which keeps its verdict on the group
+        checks = count_calls(monkeypatch, "check_abelian", transgroup)
+        scans = count_calls(monkeypatch, "_scan_abelian", transgroup)
+        assert run(capsys, "verify-all", p3_file)[0] == 0
+        assert (len(checks), len(scans)) == (2, 1)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_consolidated_pass(self, tmp_path, capsys, order):
         path = tmp_path / "plane.json"
@@ -638,7 +647,7 @@ class TestOut:
             report["command"], report["plane_summary"], report["results"], report["status"]
         ) == out
         assert len(stdout.writes) <= 16
-        assert max(stdout.writes) <= cli.WRITE_BATCH + max(map(len, cli._text(report)))
+        assert max(stdout.writes) <= output.WRITE_BATCH + max(map(len, output._text(report)))
 
     @pytest.mark.parametrize(
         "argv",
@@ -687,12 +696,72 @@ class TestOut:
         assert (proc.returncode, err) == (2, b"output error: [Errno 32] Broken pipe\n")
 
 
+EBADF = b"output error: [Errno 9] Bad file descriptor\n"
+ENOSPC = b"output error: [Errno 28] No space left on device\n"
+
+
+@functools.lru_cache(maxsize=None)
+def shell(line: str, unbuffered: bool = False):
+    """(exit code, stdout, stderr) of `sh -c 'exec python -m affineplane <line>'`,
+    so that line may close or redirect the child's streams."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(affineplane.__file__)),
+               **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    result = subprocess.run(["sh", "-c", f'exec "$0" -m affineplane {line}', sys.executable],
+                            env=env, capture_output=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestClosedStreams:
+    """A report, version or help that stdout does not take exits 2 with an
+    output error; a stderr that is closed (2>&-), read-only (its writes fail
+    with EBADF) or full changes neither the exit code nor stdout.  A stream
+    closed at start-up is None in sys, and print(file=None) writes to stdout."""
+
+    @pytest.fixture(scope="class")
+    def fill(self, tmp_path_factory):
+        """line with PLANE and BROKEN replaced by the paths of AG(2,3) and a broken plane."""
+        path = tmp_path_factory.mktemp("streams")
+        (path / "p3.json").write_text(json.dumps(build_prime_plane(3).to_document()))
+        (path / "broken.json").write_text(json.dumps(BROKEN_DOC))
+        return lambda line: line.replace("PLANE", str(path / "p3.json")).replace(
+            "BROKEN", str(path / "broken.json"))
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "write-through"])
+    @pytest.mark.parametrize("line,code,err", [
+        ("check PLANE >&-", 2, EBADF),
+        ("check PLANE >/dev/full", 2, ENOSPC),
+        ("build --order 3 >&-", 2, EBADF),
+        ("--version >&-", 2, EBADF),
+        ("--version >/dev/full", 2, ENOSPC),
+        ("--vers >/dev/full", 2, ENOSPC),  # argparse's version action
+        ("--help >&-", 2, EBADF),
+        ("--help >/dev/full", 2, ENOSPC),
+        ("check PLANE >/dev/full 2>&-", 2, b""),
+        ("check >&-", 2, b"usage: affineplane check [-h] [--out PATH] plane\naffineplane check: "
+                         b"error: the following arguments are required: plane\n"),
+    ])
+    def test_unwritable_stdout_is_an_output_error(self, fill, line, code, err, unbuffered):
+        assert shell(fill(line), unbuffered) == (code, b"", err)
+
+    @pytest.mark.parametrize("stderr", ["2>&-", "2<PLANE", "2>/dev/full"],
+                             ids=["closed", "read-only", "full"])
+    @pytest.mark.parametrize("line,code", [
+        ("check PLANE", 0), ("check BROKEN", 1), ("groups BROKEN", 2), ("check no-such.json", 2),
+        ("check", 2), ("--version", 0), ("--help", 0),
+    ], ids=["pass", "fail", "not-a-plane", "input-error", "usage-error", "version", "help"])
+    def test_unwritable_stderr_keeps_the_code_and_stdout(self, fill, line, code, stderr):
+        expected_code, out, _ = shell(fill(line))
+        assert expected_code == code
+        assert shell(fill(f"{line} {stderr}")) == (code, out, b"")
+
+
 def oracle_text(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 class TestReportText:
-    """cli._text is held to json.dumps, the oracle; no other encoder is kept."""
+    """output._text is held to json.dumps, the oracle; no other encoder is kept."""
 
     @pytest.mark.parametrize(
         "plane,argv",
@@ -718,7 +787,7 @@ class TestReportText:
         monkeypatch.setattr(cli, "_write", lambda document, out_path: written.append(document))
         main([command, *flags])
         [document] = written
-        assert "".join(cli._text(document)) == oracle_text(document)
+        assert "".join(output._text(document)) == oracle_text(document)
 
     @pytest.mark.parametrize(
         "document",
@@ -745,7 +814,7 @@ class TestReportText:
         ],
     )
     def test_edge_documents(self, document):
-        assert "".join(cli._text(document)) == oracle_text(document)
+        assert "".join(output._text(document)) == oracle_text(document)
 
 
 class TestStages:

@@ -58,8 +58,9 @@ def test_no_module_reads_the_environment():
 
 
 def test_gc_is_named_only_in_cli_run():
-    # the process entry freezes the collector; main() and the library leave
-    # it to their caller
+    # the process entry turns the collector off and leaves by os._exit;
+    # main() and the library leave both to their caller, and nothing
+    # registers atexit work, which os._exit would skip
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -68,8 +69,10 @@ def test_gc_is_named_only_in_cli_run():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 scope_of.update((child, node.name) for child in ast.walk(node))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == "gc"
-                    or isinstance(node, ast.alias) and node.name == "gc"
-                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
-                found.add((path.name, scope_of.get(node, "<module>")))
-    assert found == {("cli.py", "run")}
+            for name in ("gc", "_exit", "atexit"):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.alias) and node.name == name
+                        or isinstance(node, ast.ImportFrom) and node.module == name):
+                    found.add((path.name, scope_of.get(node, "<module>"), name))
+    assert found == {("cli.py", "run", "gc"), ("cli.py", "run", "_exit")}

@@ -1,8 +1,9 @@
 """Start-up and exit: each command loads only the stages it runs, nothing
 loads ``dataclasses``, a line that names its command and flags in full
-loads no ``argparse``, and the process entry ``cli.run`` freezes the
-collector on every way out, so the interpreter's last collection skips
-the objects the run made.
+loads no ``argparse``, and the process entry ``cli.run`` turns the
+collector off and leaves by ``os._exit`` with ``main()``'s code on every
+way out, so the interpreter neither collects nor tears down the objects
+the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.  The
@@ -21,11 +22,11 @@ import pytest
 
 import affineplane
 from affineplane import builder, cli
-from conftest import COMMAND_LINES, corrupted_documents
+from conftest import COMMAND_LINES, ag29_document, corrupted_documents
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
-from affineplane.transgroup import CheckResult, TranslationGroup
+from affineplane.transgroup import CheckResult, TranslationGroup, check_abelian
 
 SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 
@@ -53,12 +54,17 @@ EXPORTS = {
     ],
 }
 
-# Runs `python -m affineplane <argv>` through runpy and, at exit, prints on
-# stderr the modules the run loaded beyond those loaded at start-up.
+# Runs `python -m affineplane <argv>` through runpy and, when cli.run calls
+# os._exit, prints on stderr the modules the run loaded beyond those loaded
+# at start-up, then exits by the real os._exit.
 WRAPPER = """\
-import atexit, json, runpy, sys
+import json, os, runpy, sys
 before = set(sys.modules)
-atexit.register(lambda: print("loaded:", json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr))
+real_exit = os._exit
+def _exit(code):
+    print("loaded:", json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr, flush=True)
+    real_exit(code)
+os._exit = _exit
 runpy.run_module("affineplane", run_name="__main__", alter_sys=True)
 """
 
@@ -219,18 +225,23 @@ def test_translation_group_keeps_its_caches(groups):
     rebuilt = TranslationGroup(g.elements, g.cayley, g.inverse, g.direction_of)
     assert rebuilt.order == g.order == 9
     assert all(rebuilt.index_of(f.image) == i for i, f in enumerate(g.elements))
-    assert rebuilt._by_key == g._by_key and rebuilt._chain is None
+    assert rebuilt._by_key == g._by_key and rebuilt._chain is None and rebuilt._abelian is None
+    assert check_abelian(rebuilt) is check_abelian(rebuilt) is rebuilt._abelian
     with pytest.raises(AttributeError):
         rebuilt.other = 1
 
 
-# Runs `python -m <module> <argv>` through runpy and, at exit, prints on
-# stderr how many objects the collector holds frozen at start-up and when
-# the atexit hooks run, which is before the interpreter's last collection.
-FREEZE_WRAPPER = """\
-import atexit, gc, runpy, sys
-before = gc.get_freeze_count()
-atexit.register(lambda: print("frozen:", before, gc.get_freeze_count(), file=sys.stderr))
+# Runs `python -m <module> <argv>` through runpy and, when cli.run calls
+# os._exit, prints on stderr whether the collector was on at start-up and
+# is on at exit, and the code os._exit receives, then exits by the real one.
+EXIT_WRAPPER = """\
+import gc, os, runpy, sys
+before = gc.isenabled()
+real_exit = os._exit
+def _exit(code):
+    print("exit:", before, gc.isenabled(), code, file=sys.stderr, flush=True)
+    real_exit(code)
+os._exit = _exit
 runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
 """
 
@@ -258,24 +269,22 @@ def broken_file(tmp_path_factory):
     ids=["pass", "pass-cli", "fail", "input-error", "not-a-plane", "usage-error", "version",
          "help"],
 )
-def test_run_freezes_the_collector_on_every_exit(tmp_path, plane_file, broken_file, module,
-                                                 argv, code):
+def test_run_exits_by_os_exit_with_the_collector_off(tmp_path, plane_file, broken_file, module,
+                                                     argv, code):
     files = {"PLANE": plane_file, "BROKEN": broken_file}
-    result = python("-c", FREEZE_WRAPPER, module, *[files.get(a, a) for a in argv], cwd=tmp_path)
+    result = python("-c", EXIT_WRAPPER, module, *[files.get(a, a) for a in argv], cwd=tmp_path)
     assert result.returncode == code, result.stderr
-    before, after = map(int, result.stderr.splitlines()[-1].removeprefix("frozen: ").split())
-    assert before == 0
-    assert after > 0
+    assert result.stderr.splitlines()[-1] == f"exit: True False {code}"
 
 
 def test_main_leaves_the_collector_alone(plane_file, capsys):
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(["check", plane_file]) == 0
     for argv in (["--version"], ["check"]):
         with pytest.raises(SystemExit):
             cli.main(argv)
     capsys.readouterr()
-    assert gc.get_freeze_count() == frozen
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 @pytest.mark.parametrize("file", ["PLANE", "BROKEN"])
@@ -297,6 +306,21 @@ def test_entry_points_agree(tmp_path, plane_file, broken_file, argv, file):
     # the broken plane fails check and verify-all, and is no input for groups or endo
     expected = 0 if file == "PLANE" else 1 if argv[0] in ("check", "verify-all") else 2
     assert package.returncode == expected
+
+
+@pytest.mark.parametrize("module", ["affineplane", "affineplane.cli"])
+def test_buffered_report_reaches_a_pipe_whole(tmp_path, module):
+    """os._exit flushes nothing: a buffered report of many buffers, about
+    159 KB here, still reaches the pipe whole, as json.dumps writes it."""
+    path = tmp_path / "ag29.json"
+    path.write_text(json.dumps(ag29_document()))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run([sys.executable, "-m", module, "groups", str(path), "--translations"],
+                            cwd=tmp_path, env=dict(env, PYTHONPATH=SRC), capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout) > 150_000
+    report = json.loads(result.stdout)
+    assert result.stdout == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_argparse_path_runs_the_handlers_of_the_running_module(tmp_path):
