@@ -173,44 +173,46 @@ def enumerate_endomorphisms(g: TranslationGroup) -> list[GroupSelfMap]:
 
 
 def count_endomorphisms(g: TranslationGroup) -> int:
-    """|End|, by the coset law when g is abelian, else as the number of
-    leaves of the search of enumerate_endomorphisms.
+    """|End|, from element orders when g is abelian, else as the number
+    of leaves of the search of enumerate_endomorphisms.
 
-    Let L_k be the number of leaves below the zero node of depth k, the
-    zero map on H_k, so L_r = 1 for r levels and L_0 = |End|.  On an
-    abelian g, L_k is L_(k+1) times the number of children of that node
-    that have a leaf, each found by a depth-first search that stops at
-    its first leaf.  Proof, with the claims of enumerate_endomorphisms:
+    For each prime p dividing |G|, let c_k = |G[p^k]|, the number of x
+    with x^(p^k) = 0, so c_0 = 1.  Then |End| is the product over p and
+    k >= 1 of (c_k / c_(k-1))^(a_k), where c_k / c_(k-1) = p^(a_k).
+    Proof, for an abelian g (Hillar and Rhea, Amer. Math. Monthly 114, 2007):
 
-    1. The nodes of depth k are Hom(H_k, G), one each (claims 1 and 3
-       on the chain H_0 < ... < H_k).
-    2. The leaves below a node phi of depth k are the endomorphisms that
-       restrict to phi: a leaf agrees with its nodes on H_k (claim 2),
-       and each endomorphism is one leaf (claim 3).
-    3. On an abelian g, Hom(H_k, G) and End are groups under pointwise
-       addition (check_abelian), and restriction End -> Hom(H_k, G) is
-       additive.  So the leaves below phi are none or a coset psi + K of
-       its kernel K, the endomorphisms that vanish on H_k, which are the
-       leaves below the zero node: every node of depth k has 0 or L_k.
-    4. The leaves below the zero node of depth k are those below its
-       children, 0 or L_(k+1) each by 3.
+    1. G is the direct sum of its p-parts G_p, and an endomorphism maps
+       each G_p into itself, so End(G) is the product of the End(G_p).
+    2. G_p is a sum of cyclic groups Z_(p^l_i), End(G_p) the sum over
+       (i, j) of Hom(Z_(p^l_i), Z_(p^l_j)), and Hom(Z_(p^a), Z_(p^b)) has
+       p^min(a,b) elements, one per element of Z_(p^b) whose order
+       divides p^a, the image of the generator.  So |End(G_p)| = p^e,
+       with e the sum of min(l_i, l_j) over all pairs (i, j).
+    3. G[p^k] is the sum of the Z_(p^min(l_i,k)), so c_k / c_(k-1) =
+       p^(a_k), a_k = #{i : l_i >= k}, and e = sum over k of a_k^2: a
+       pair (i, j) is counted at each k <= min(l_i, l_j).  Once a_k = 0,
+       that is c_k = c_(k-1), every later a_k is 0 too.
 
-    Nothing is sampled: a child without a leaf is searched to its end.
-    Cost: the children of r zero nodes, and a path or a dead subtree below
-    each, instead of every leaf: 65,536 on AG(2,4), 3^16 on order 9.
+    Nothing is searched: x -> x^p takes p - 1 passes over the Cayley
+    table and each c_k one more, where a walk meets 3^16 leaves on order 9.
     """
     if not check_abelian(g).passed:
         return sum(1 for _ in _chain_search(g))
-    depth, _, step = _chain_levels(g)
-
-    def has_leaf(k: int) -> bool:
-        return k == depth or any(has_leaf(k + 1) for _ in step(k))
-
-    count = 1
-    # t and rows hold the zero node of depth k: the levels below it ran
-    # first, and they write only entries outside H_k and rows past k
-    for k in reversed(range(depth)):
-        count *= sum(1 for _ in step(k) if has_leaf(k + 1))
+    count, rest, p = 1, g.order, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        pth = list(range(g.order))  # pth[x] = x^p
+        for _ in range(p - 1):
+            pth = [g.cayley[y][x] for x, y in enumerate(pth)]
+        power, last = pth, 1  # power[x] = x^(p^k), last = c_(k-1)
+        while (c := power.count(0)) > last:
+            a = next(a for a in range(1, c.bit_length()) if p**a * last == c)
+            count *= (c // last) ** a
+            power, last = [pth[y] for y in power], c
     return count
 
 
@@ -246,31 +248,18 @@ def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> li
 
 
 def _chain_search(g: TranslationGroup, directions: Optional[tuple] = None) -> Iterator[tuple]:
-    """The one search body of enumerate_endomorphisms and, given
-    directions, enumerate_tp_endomorphisms: yields each leaf table, in
-    depth-first order, which is table order (claim 4 of
-    enumerate_endomorphisms)."""
-    depth, t, step = _chain_levels(g, directions)
+    """The one search body of enumerate_endomorphisms, of
+    enumerate_tp_endomorphisms given directions, and of
+    count_endomorphisms on a group that is not abelian: yields each leaf
+    table, in depth-first order, which is table order (claim 4 of
+    enumerate_endomorphisms).
 
-    def search(k: int) -> Iterator[tuple]:
-        if k == depth:
-            yield tuple(t)
-        else:
-            for _ in step(k):
-                yield from search(k + 1)
-
-    return search(0)
-
-
-def _chain_levels(g: TranslationGroup, directions: Optional[tuple] = None) -> tuple:
-    """(depth, t, step): the per-level step of _chain_search and
-    count_endomorphisms.  t is the table under construction, zero at the
-    start, and step(k) tries each image y_k of gens[k] in ascending
-    order: it sets level k's representatives by the tree edges, tests
-    its relators, fills its other new elements, and yields once for each
-    y_k that passes, with t set on H_(k+1).  rows[j] = cayley[y_j], and
-    cayley[0] until level j sets it.  keep[z][y] says whether t[z] = y
-    is allowed."""
+    t is the table under construction, zero at the start.  Level k tries
+    each image y_k of gens[k] in ascending order: it sets the level's
+    representatives by the tree edges, tests its relators, fills its
+    other new elements, and descends for each y_k that passes, with t set
+    on H_(k+1).  rows[j] = cayley[y_j], and cayley[0] until level j sets
+    it.  keep[z][y] says whether t[z] = y is allowed."""
     _, levels = generator_chain(g)
     cayley = g.cayley
     if directions is None:
@@ -284,7 +273,10 @@ def _chain_levels(g: TranslationGroup, directions: Optional[tuple] = None) -> tu
     t = [0] * g.order
     rows = [cayley[0]] * len(levels)
 
-    def step(k: int) -> Iterator[None]:
+    def search(k: int) -> Iterator[tuple]:
+        if k == len(levels):
+            yield tuple(t)
+            return
         tree, relators, fills = levels[k]
         for y in range(g.order):
             rows[k] = cayley[y]
@@ -302,9 +294,9 @@ def _chain_levels(g: TranslationGroup, directions: Optional[tuple] = None) -> tu
                         if not keep[z][v]:
                             break
                     else:
-                        yield
+                        yield from search(k + 1)
 
-    return len(levels), t, step
+    return search(0)
 
 
 class RingReport(NamedTuple):

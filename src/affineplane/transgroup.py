@@ -249,13 +249,18 @@ def check_conjugation_direction(
 
 
 def check_composition_direction(g: TranslationGroup) -> CheckResult:
-    """Composing two translations of one direction stays in that direction."""
+    """Composing two translations of one direction stays in that direction.
+
+    Fails with the first pair (i, j), i, j >= 1, in the all-pairs scan
+    order: each i is tried against the j of its own direction only."""
+    same: dict = {}
+    for j in range(1, g.order):
+        same.setdefault(g.direction_of[j], []).append(j)
     for i in range(1, g.order):
-        for j in range(1, g.order):
-            if g.direction_of[i] != g.direction_of[j]:
-                continue
+        d = g.direction_of[i]
+        for j in same[d]:
             k = g.cayley[j][i]
-            if k != 0 and g.direction_of[k] != g.direction_of[i]:
+            if k != 0 and g.direction_of[k] != d:
                 return CheckResult("composition_direction", False, (i, j))
     return CheckResult("composition_direction", True)
 

@@ -361,10 +361,10 @@ class TestOrderNine:
             assert report.axioms[axiom] == (True, None)
 
     def test_default_bound_counts_end(self, order_nine, tmp_path, capsys):
-        """At the default bound both commands count the 3^16 maps of End by
-        cosets (count_endomorphisms) and check the ring, in well under the
-        budget; walking every leaf ran for more than 4 min.  |Tr| = q^2
-        needs no bound of its own."""
+        """At the default bound both commands count the 3^16 maps of End
+        from the element orders of Tr (count_endomorphisms) and check the
+        ring, in well under the budget; walking every leaf ran for more than
+        4 min.  |Tr| = q^2 needs no bound of its own."""
         name = order_nine[0]
         path = tmp_path / "plane.json"
         path.write_text(json.dumps(ORDER_NINE[name]()))

@@ -5,7 +5,7 @@ only, ``generator_chain`` saturates the group once for every reader of
 the generators, ``enumerate_endomorphisms`` searches along that chain,
 tests one relator per coset edge of each level and meets its leaves in
 table order, so nothing is sorted, ``count_endomorphisms`` counts End of
-an abelian group by the cosets of its additive group instead of its leaves,
+an abelian group from its element orders instead of its leaves,
 ``enumerate_tp_endomorphisms`` prunes that search by direction instead
 of filtering End, ``check_abelian`` settles both End closure theorems
 without listing End, ``verify_axioms`` counts joins and parallels with line
@@ -19,6 +19,7 @@ that no composite of the translations found has reached, the
 translation first, and ``compose_cosets`` composes the rest from the
 stabiliser of 0, ``check_conjugation`` is run on the stabiliser and
 the representatives only,
+``check_composition_direction`` pairs translations of one direction only,
 ``build_group`` reads each Cayley entry from a two-point key and
 rejects a list that repeats one,
 ``check_ring_axioms`` compares ids in the ring's own Cayley tables
@@ -30,8 +31,9 @@ at point 0, and the parallel and meet tables answer in one lookup.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
 table-per-triple, candidate-by-candidate, one-test-per-point
 (``cosets_oracle``), backtracking and closed-form
-(``gcd_product_oracle``) definitions live here, as oracles, and every
-test below asks both for a verdict on the same inputs.  The collineations
+(``gcd_product_oracle``, with the leaves of the listed End) definitions
+live here, as oracles, and every test below asks both for a verdict on
+the same inputs.  The collineations
 of a small plane come from a backtracking search (``collineations_oracle``),
 a translation's direction from every one of its traces
 (``trace_direction_oracle``)."""
@@ -51,6 +53,7 @@ from affineplane import (
     build_group,
     build_prime_plane,
     check_abelian,
+    check_composition_direction,
     check_conjugation,
     check_conjugation_direction,
     check_normal_in_dilations,
@@ -367,6 +370,19 @@ def direction_oracle(g, dilations):
             if ci != 0 and g.direction_of[ci] != g.direction_of[si]:
                 return CheckResult("conjugation_direction", False, (di, si))
     return CheckResult("conjugation_direction", True)
+
+
+def composition_direction_oracle(g):
+    """The all-pairs scan: every two translations i, j >= 1 of one
+    direction compose to the identity or into that direction."""
+    for i in range(1, g.order):
+        for j in range(1, g.order):
+            if g.direction_of[i] != g.direction_of[j]:
+                continue
+            k = g.cayley[j][i]
+            if k != 0 and g.direction_of[k] != g.direction_of[i]:
+                return CheckResult("composition_direction", False, (i, j))
+    return CheckResult("composition_direction", True)
 
 
 def parallel_oracle(plane, l, m):
@@ -787,44 +803,27 @@ def assert_increasing_leaves(g, directions=None):
 
 
 def count_by_path(monkeypatch, g):
-    """(count_endomorphisms(g), walked, dead): walked says whether the
-    count took the leaf stream of _chain_search, and dead lists the depth
-    of every node whose step found no child and ran to its end, which
-    happens exactly when some node is searched and has no leaf."""
-    walks, dead = [], []
-    chain_search, chain_levels = endo._chain_search, endo._chain_levels
-
-    def watched_levels(*args):
-        depth, t, step = chain_levels(*args)
-
-        def watched(k):
-            children = 0
-            for _ in step(k):
-                children += 1
-                yield
-            if not children:
-                dead.append(k)
-
-        return depth, t, watched
-
+    """(count_endomorphisms(g), walked): walked says whether the count
+    entered _chain_search, the End search, to walk its leaves."""
+    walks = []
+    chain_search = endo._chain_search
     with monkeypatch.context() as m:
         m.setattr(endo, "_chain_search", lambda *args: walks.append(args) or chain_search(*args))
-        m.setattr(endo, "_chain_levels", watched_levels)
         count = count_endomorphisms(g)
-    return count, bool(walks), dead
+    return count, bool(walks)
 
 
 def assert_same_endomorphism_lists(g, monkeypatch, walks=False):
     """The chain search lists what the product-and-test oracle lists, and
-    count_endomorphisms counts it: by cosets, walking no leaf stream, on
-    an abelian group, else (walks) by the leaves of the search."""
+    count_endomorphisms counts it: from element orders, entering no
+    search, on an abelian group, else (walks) by the leaves of the search."""
     chain = enumerate_endomorphisms(g)
     oracle = endomorphisms_oracle(g)
     assert [a.table for a in chain] == [a.table for a in oracle]
     assert all(is_endomorphism(g, a) for a in chain)
     assert assert_increasing_leaves(g) == [a.table for a in chain]
     assert check_abelian(g).passed is not walks
-    assert count_by_path(monkeypatch, g)[:2] == (len(oracle), walks)
+    assert count_by_path(monkeypatch, g) == (len(oracle), walks)
     return chain
 
 
@@ -843,8 +842,8 @@ class TestEndomorphismSearchOracle:
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
     def test_small_groups(self, name, monkeypatch):
-        # S3 and Q8 are the groups that are not abelian: their End is no
-        # additive group, and the count walks every leaf
+        # S3 and Q8 are the groups that are not abelian: the closed form
+        # does not apply, and the count walks every leaf of the search
         g, count = SMALL_GROUPS[name]
         chain = assert_same_endomorphism_lists(g, monkeypatch, walks=name in ("S3", "Q8"))
         assert len(chain) == count
@@ -861,7 +860,7 @@ class TestEndomorphismSearchOracle:
         expected = sorted(tuple(index[a * e % n] for e in elements) for a in range(n))
         assert [a.table for a in enumerate_endomorphisms(g)] == expected
         assert assert_increasing_leaves(g) == expected
-        assert count_by_path(monkeypatch, g)[:2] == (n, False)
+        assert count_by_path(monkeypatch, g) == (n, False)
 
     @pytest.mark.parametrize("name", ["Z4", "S3"])
     def test_small_groups_against_every_table(self, name):
@@ -907,35 +906,28 @@ def shuffled_product(orders, seed):
 class TestEndomorphismCountOracle:
     """count_endomorphisms against the closed form of |End| of a finite
     abelian group, which lists nothing: Z4^3 has 4^9 endomorphisms and
-    the translation groups of order 9 have 3^16."""
+    the translation groups of order 9 have 3^16.  The products of more
+    than one prime take the count's loop over the primes of |G|."""
 
     @pytest.mark.parametrize(
-        "orders,mixed",
-        [((4, 4, 4), False), ((2, 4, 8), True), ((9, 9), False), ((3, 9), True), ((2, 16), True)],
-        ids=["Z4^3", "Z2xZ4xZ8", "Z9^2", "Z3xZ9", "Z2xZ16"],
+        "orders",
+        [(4, 4, 4), (2, 4, 8), (9, 9), (3, 9), (2, 16), (12,), (6, 2), (2, 3, 4), (4, 6, 9)],
+        ids=["Z4^3", "Z2xZ4xZ8", "Z9^2", "Z3xZ9", "Z2xZ16", "Z12", "Z6xZ2", "Z2xZ3xZ4", "Z4xZ6xZ9"],
     )
-    def test_shuffled_products(self, monkeypatch, orders, mixed):
-        """On Z_(p^k)^n every homomorphism on a subgroup extends to the
-        group (Z/p^k is self-injective), so no node is dead.  With mixed
-        orders some chains have homomorphisms on H_k that extend to no
-        endomorphism: nodes without a leaf, each searched to its end."""
-        dead_nodes = 0
+    def test_shuffled_products(self, monkeypatch, orders):
         for seed in range(6):
             g = shuffled_product(orders, seed)
-            count, walked, dead = count_by_path(monkeypatch, g)
+            count, walked = count_by_path(monkeypatch, g)
             assert (count, walked) == (gcd_product_oracle(orders), False)
             if count < 2**13:
                 assert len(enumerate_endomorphisms(g)) == count
-            dead_nodes += len(dead)
-        assert bool(dead_nodes) is mixed
 
     @pytest.mark.parametrize("document", [ag29_document, hall9_document])
     def test_order_nine(self, monkeypatch, document):
-        # Tr is Z_3^4; every homomorphism on H_k extends, so no node is dead
         plane = load_plane(document())
         assert verify_axioms(plane).all_pass
-        count, walked, dead = count_by_path(monkeypatch, plane_group(plane))
-        assert (count, walked, dead) == (gcd_product_oracle((3,) * 4), False, [])
+        count, walked = count_by_path(monkeypatch, plane_group(plane))
+        assert (count, walked) == (gcd_product_oracle((3,) * 4), False)
         assert count == 3**16
 
 
@@ -1238,6 +1230,61 @@ class TestConjugationOracle:
         assert normal.passed and not direction.passed
         verdicts = check_conjugation(g, stabiliser + representatives)
         assert [c.passed for c in verdicts] == [normal.passed, direction.passed]
+
+
+def with_direction(g, k, d):
+    """g with the direction of element k read as d."""
+    direction_of = list(g.direction_of)
+    direction_of[k] = d
+    return TranslationGroup(g.elements, g.cayley, g.inverse, tuple(direction_of))
+
+
+def with_entry(g, j, i, k):
+    """g with the Cayley entry cayley[j][i] read as k."""
+    cayley = [list(row) for row in g.cayley]
+    cayley[j][i] = k
+    return TranslationGroup(g.elements, tuple(map(tuple, cayley)), g.inverse, g.direction_of)
+
+
+class TestCompositionDirectionOracle:
+    """check_composition_direction tries each i against the j of its own
+    direction only; the all-pairs scan gives the same verdict and
+    witness, also on groups corrupted so that the check fails."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_ag2p(self, groups, p):
+        verdict = check_composition_direction(groups[p])
+        assert verdict == composition_direction_oracle(groups[p]) and verdict.passed
+
+    def test_every_relabelled_element_of_ag23(self, groups):
+        g = groups[3]
+        for k in range(1, g.order):
+            for d in range(4):
+                corrupted = with_direction(g, k, d)
+                verdict = check_composition_direction(corrupted)
+                assert verdict == composition_direction_oracle(corrupted)
+                assert verdict.passed is (d == g.direction_of[k])
+
+    def test_random_cayley_entries_of_ag25(self, groups):
+        g, rng = groups[5], random.Random(0)
+        failed = 0
+        for _ in range(200):
+            corrupted = with_entry(g, *(rng.randrange(1, g.order) for _ in range(3)))
+            verdict = check_composition_direction(corrupted)
+            assert verdict == composition_direction_oracle(corrupted)
+            failed += not verdict.passed
+        assert 0 < failed < 200
+
+    def test_pinned_witnesses_on_ag25(self, groups):
+        # 6, 18 and their composite 24 share direction 1, and 6 is the first
+        # translation of that direction; 7 has direction 2
+        g = groups[5]
+        assert [g.direction_of[k] for k in (6, 18, 24, 7)] == [1, 1, 1, 2]
+        assert g.cayley[18][6] == 24
+        for corrupted in (with_direction(g, 24, 2), with_entry(g, 18, 6, 7)):
+            assert check_composition_direction(corrupted) == CheckResult(
+                "composition_direction", False, (6, 18)
+            ) == composition_direction_oracle(corrupted)
 
 
 class TestLookupTableOracle:
