@@ -6,7 +6,8 @@ unitary ring of trace-preserving endomorphisms.
 
 The names below load their submodule on first access (PEP 562), so
 ``import affineplane`` loads none of them and a command pays only for
-the stages it runs.
+the stages it runs.  Submodules forward the names they hand to a module
+of their own the same way (_forward).
 """
 
 from importlib import import_module
@@ -15,35 +16,44 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "builder": ("build_prime_plane", "is_prime"),
-    "collineation": (
-        "ClassifiedMap", "classify", "enumerate_dilations", "fixed_points",
-        "is_collineation", "is_dilation", "is_translation",
+    "collineation": ("ClassifiedMap", "fixed_points"),
+    "conjugation": (
+        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
+        "check_normal_in_dilations",
+    ),
+    "definitions": (
+        "add", "classify", "compose", "enumerate_dilations", "inversion_endo",
+        "is_collineation", "is_dilation", "is_trace_preserving", "is_translation", "negate",
+        "scalar_labeling", "unit_endo", "zero_endo",
     ),
     "endo": (
-        "GroupSelfMap", "RingReport", "add", "check_ring_axioms", "compose",
-        "count_endomorphisms", "enumerate_endomorphisms", "enumerate_tp_endomorphisms",
-        "inversion_endo", "is_endomorphism", "is_trace_preserving", "negate",
-        "scalar_labeling", "unit_endo", "zero_endo",
+        "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
+        "enumerate_endomorphisms", "enumerate_tp_endomorphisms", "is_endomorphism",
     ),
     "incidence": (
         "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
         "parallel_partition", "verify_axioms",
     ),
-    "transgroup": (
-        "CheckResult", "TranslationGroup", "build_group", "check_abelian",
-        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-        "check_normal_in_dilations", "generators",
-    ),
+    "transgroup": ("CheckResult", "TranslationGroup", "build_group", "check_abelian", "generators"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+def _forward(owner: str, module_of: dict):
+    """The module __getattr__ (PEP 562) of the module named owner: a name
+    of module_of is read from its submodule, which loads on first access."""
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        return getattr(import_module(f".{module}", __name__), name)
+
+    return __getattr__
+
+
+__getattr__ = _forward(__name__, _MODULE_OF)
 
 
 def __dir__():

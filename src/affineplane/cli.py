@@ -9,7 +9,9 @@ parse_args reads the command line from the COMMANDS and FLAGS tables:
 _exact reads a line that names a command and its flags in full, as every
 line of the tests, CI, the benchmark and the README does, and --version;
 every other line goes to the argparse parser of affineplane.usage.
-affineplane.output writes the report and the notes.
+affineplane.output writes the report and the notes.  build and check are
+handled here; groups, endo and verify-all by affineplane.cmd_groups,
+cmd_endo and cmd_verify_all, each loaded for its own command only.
 """
 
 from __future__ import annotations
@@ -20,14 +22,21 @@ import sys
 from contextlib import suppress
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, _forward
 from .errors import AffinePlaneError, MalformedDocument, OrderTooLarge
 from .output import _emit, _note, _OutputError, _report, _write
 from .output import render_report  # the benchmark's traced replay calls cli.render_report
 
-# Each command imports the stages it runs in its body: only `build` loads
+# The handlers of groups, endo and verify-all live in a module each, which
+# cli loads only for its command (a module __getattr__, PEP 562), and each
+# command imports the stages it runs in its body: only `build` loads
 # builder, `check` and `build` load no stage module, `groups` loads no endo,
-# and --help, --version and usage errors load neither json nor incidence.
+# `endo` no conjugation pass, and --help, --version and usage errors load
+# neither json nor incidence.
+__getattr__ = _forward(__name__, {
+    "cmd_groups": "cmd_groups", "cmd_endo": "cmd_endo", "cmd_verify_all": "cmd_verify_all",
+    "_dilation_generators": "conjugation",
+})
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -90,13 +99,14 @@ def _translation_group(plane, max_order: int):
     return stabiliser, representatives, num_dilations, build_group(plane, translations)
 
 
-def _dilation_generators(stabiliser, representatives, group) -> list:
-    """Dil_0, the representatives that are no translations and generators of Tr: they
-    generate Dil, so check_conjugation passes on them iff on Dil (dilation_cosets, Fact 3)."""
-    from .transgroup import generators
-
-    return [*stabiliser, *(f for f in representatives if f.kind != "translation"),
-            *(group.elements[i] for i in generators(group))]
+def _check_dump(num_endomorphisms: int, group_order: int) -> None:
+    """Raise OrderTooLarge when endo --dump would list more than
+    MAX_DUMP_ENTRIES table entries."""
+    if num_endomorphisms * group_order > MAX_DUMP_ENTRIES:
+        raise OrderTooLarge(
+            f"endomorphism listing bounded to {MAX_DUMP_ENTRIES} table entries, "
+            f"got {num_endomorphisms} endomorphisms of group order {group_order}"
+        )
 
 
 def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
@@ -128,132 +138,6 @@ def cmd_check(args) -> int:
     return _finish(args, summary, results, report.all_pass, "axioms: {status}")
 
 
-def cmd_groups(args) -> int:
-    from .collineation import compose_cosets
-    from .transgroup import check_abelian, check_composition_direction, check_conjugation
-
-    plane, report, summary = _load_verified_summary(args.plane)
-    if not report.all_pass:
-        _note("plane failed axiom verification; run `check` for details")
-        return EXIT_ERROR
-
-    stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
-    results: dict = {"num_dilations": num_dilations, "num_translations": group.order}
-    if args.dilations:
-        dilations = compose_cosets(plane, stabiliser, representatives)
-        results["dilations"] = [f.image for f in dilations]
-    if args.translations:  # tuples, which JSON writes as lists
-        results["translations"] = [f.image for f in group.elements]
-        results["cayley_table"] = group.cayley
-
-    checks = []
-    if args.check_abelian:
-        checks.append(check_abelian(group))
-    if args.check_normal or args.check_directions:
-        normal, conjugation = check_conjugation(
-            group, _dilation_generators(stabiliser, representatives, group))
-        if args.check_normal:
-            checks.append(normal)
-        if args.check_directions:
-            checks.append(conjugation)
-            checks.append(check_composition_direction(group))
-    results["checks"] = [c.to_dict() for c in checks]
-
-    note = f"{num_dilations} dilations, {group.order} translations; checks: {{status}}"
-    return _finish(args, summary, results, all(c.passed for c in checks), note)
-
-
-def cmd_endo(args) -> int:
-    from . import endo
-
-    plane, report, summary = _load_verified_summary(args.plane)
-    if not report.all_pass:
-        _note("plane failed axiom verification; run `check` for details")
-        return EXIT_ERROR
-
-    *_, group = _translation_group(plane, args.max_order)
-    num_endomorphisms = endo.count_endomorphisms(group)
-    if args.dump:  # else End is only counted: no table is kept
-        if num_endomorphisms * group.order > MAX_DUMP_ENTRIES:
-            raise OrderTooLarge(
-                f"endomorphism listing bounded to {MAX_DUMP_ENTRIES} table entries, "
-                f"got {num_endomorphisms} endomorphisms of group order {group.order}"
-            )
-        endomorphisms = endo.enumerate_endomorphisms(group)
-
-    results: dict = {"group_order": group.order, "num_endomorphisms": num_endomorphisms}
-    note = f"|End| = {num_endomorphisms}"
-    all_pass = True
-    if args.trace_preserving or args.check_ring:
-        tp = endo.enumerate_tp_endomorphisms(plane, group)
-        results["num_tp_endomorphisms"] = len(tp)
-        note += f", |End^TP| = {len(tp)}"
-        if args.dump:
-            results["tp_endomorphisms"] = [list(a.table) for a in tp]
-        if args.check_ring:
-            ring = endo.check_ring_axioms(plane, group, tp, num_endomorphisms)
-            results["ring"] = ring.to_dict()
-            all_pass = ring.all_pass
-    if args.dump:
-        results["endomorphisms"] = [list(a.table) for a in endomorphisms]
-
-    return _finish(args, summary, results, all_pass, note + "; {status}")
-
-
-def cmd_verify_all(args) -> int:
-    from . import endo, transgroup
-
-    plane, report, summary = _load_verified_summary(args.plane)
-    results: dict = {"axioms": report.to_dict()}
-    if not report.all_pass:
-        return _finish(args, summary, results, False, "axiom verification failed")
-
-    stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
-    results.update(num_dilations=num_dilations, num_translations=group.order)
-    normal, conjugation = transgroup.check_conjugation(
-        group, _dilation_generators(stabiliser, representatives, group))
-    abelian = transgroup.check_abelian(group).passed
-
-    theorems = [
-        ("affine_plane_axioms", report.all_pass),
-        ("translations_form_group", True),  # build_group raises otherwise
-        ("translation_group_abelian", abelian),
-        ("translations_normal_in_dilations", normal.passed),
-        ("conjugation_preserves_direction", conjugation.passed),
-        (
-            "composition_preserves_shared_direction",
-            transgroup.check_composition_direction(group).passed,
-        ),
-    ]
-
-    num_endomorphisms = endo.count_endomorphisms(group)
-    tp = endo.enumerate_tp_endomorphisms(plane, group)
-    results["num_endomorphisms"] = num_endomorphisms
-    results["num_tp_endomorphisms"] = len(tp)
-
-    ring = endo.check_ring_axioms(plane, group, tp, num_endomorphisms)
-    results["ring"] = ring.to_dict()
-    # End's closure theorems are settled by proof (check_abelian); tp is
-    # every TP endomorphism (claim 3 of each search), so a TP sum or
-    # composite is one iff it is listed
-    theorems += [
-        ("endomorphism_sums_are_endomorphisms", abelian),
-        ("endomorphism_composites_are_endomorphisms", True),
-        ("tp_sums_are_trace_preserving", ring.axioms["add_closure"][0]),
-        ("tp_composites_are_trace_preserving", ring.axioms["mul_closure"][0]),
-        ("tp_additive_abelian_group", all(
-            ring.axioms[n][0]
-            for n in ("add_closure", "add_associative", "add_identity",
-                      "add_inverses", "add_commutative")
-        )),
-        ("tp_associative_unitary_ring", ring.all_pass),
-    ]
-    results["theorems"] = [{"name": n, "passed": p} for n, p in theorems]
-
-    note = "\n".join(f"{'PASS' if p else 'FAIL'}  {n}" for n, p in theorems)
-    return _finish(args, summary, results, all(p for _, p in theorems), note)
-
-
 REQUIRED = object()  # the default of a flag that its commands require
 
 # flag -> (metavar, help, default).  A flag with no metavar is a switch, False
@@ -274,20 +158,26 @@ FLAGS = {
     "--dump": (None, "include serialized tables", False),
 }
 
-# command -> (handler, help, takes the plane, flags)
+# command -> (its handler's name in cli, help, takes the plane, flags)
 COMMANDS = {
-    "build": (cmd_build, "write the incidence document for AG(2,p)", False,
+    "build": ("cmd_build", "write the incidence document for AG(2,p)", False,
               ("--out", "--max-order", "--order")),
-    "check": (cmd_check, "verify the affine plane axioms", True, ("--out",)),
-    "groups": (cmd_groups, "enumerate dilations and check group theorems", True,
+    "check": ("cmd_check", "verify the affine plane axioms", True, ("--out",)),
+    "groups": ("cmd_groups", "enumerate dilations and check group theorems", True,
                ("--out", "--max-order", "--dilations", "--translations", "--check-abelian",
                 "--check-normal", "--check-directions")),
-    "endo": (cmd_endo, "enumerate endomorphisms of the translation group", True,
+    "endo": ("cmd_endo", "enumerate endomorphisms of the translation group", True,
              ("--out", "--max-order", "--trace-preserving", "--check-ring", "--dump")),
-    "verify-all": (cmd_verify_all, "run every check in dependency order", True,
+    "verify-all": ("cmd_verify_all", "run every check in dependency order", True,
                    ("--out", "--max-order")),
 }
 VERSION = "--version"
+
+
+def _handler(command: str):
+    """The handler of command, read from this module: under `python -m
+    affineplane.cli` that is __main__, not a second copy of cli."""
+    return getattr(sys.modules[__name__], COMMANDS[command][0])
 
 
 def _exact(argv: list):
@@ -302,7 +192,7 @@ def _exact(argv: list):
         raise SystemExit(EXIT_PASS)
     if not argv or argv[0] not in COMMANDS:
         return None
-    func, _, takes_plane, flags = COMMANDS[argv[0]]
+    _, _, takes_plane, flags = COMMANDS[argv[0]]
     values, planes = {flag: FLAGS[flag][2] for flag in flags}, []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -324,7 +214,7 @@ def _exact(argv: list):
             planes.append(token)
     if len(planes) != takes_plane or REQUIRED in values.values():
         return None
-    args = SimpleNamespace(command=argv[0], func=func, **{
+    args = SimpleNamespace(command=argv[0], func=_handler(argv[0]), **{
         flag[2:].replace("-", "_"): value for flag, value in values.items()})
     if takes_plane:
         args.plane = planes[0]
@@ -345,8 +235,7 @@ def parse_args(argv: list):
             from .usage import parse
 
             args = parse(argv)
-            # this module's handler: under `python -m affineplane.cli`, usage imports another copy
-            args.func = COMMANDS[args.command][0]
+            args.func = _handler(args.command)
     except OSError as exc:
         raise _OutputError(exc) from exc
     return args

@@ -4,6 +4,11 @@ A map is stored as a tuple ``image`` with image[p] = image of point p.
 Classification follows the chain general -> collineation (lines go to
 lines) -> dilation (every joining line goes to a parallel one) ->
 translation (no fixed point, or the identity).
+
+The commands need only the dilations, as cosets of the stabiliser of a
+point (dilation_cosets).  classify, its predicates and the composed list
+of Dil live in affineplane.definitions, which no benchmark command
+loads; they are read here too, on first access.
 """
 
 from __future__ import annotations
@@ -11,8 +16,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import SizeMismatch
+from . import _forward
 from .incidence import IncidencePlane, parallel_partition
+
+__getattr__ = _forward(__name__, dict.fromkeys((
+    "_check_size", "classify", "compose_cosets", "enumerate_dilations", "is_collineation",
+    "is_dilation", "is_translation"), "definitions"))
 
 
 class ClassifiedMap(NamedTuple):
@@ -28,51 +37,8 @@ class ClassifiedMap(NamedTuple):
         return all(i == p for p, i in enumerate(self.image))
 
 
-def _check_size(plane: IncidencePlane, image) -> None:
-    if len(image) != plane.num_points:
-        raise SizeMismatch(
-            f"map covers {len(image)} points, plane has {plane.num_points}"
-        )
-
-
 def fixed_points(image) -> frozenset[int]:
     return frozenset(p for p, q in enumerate(image) if p == q)
-
-
-def is_collineation(plane: IncidencePlane, image) -> bool:
-    """Every line's image point set is a line."""
-    return classify(plane, image).kind != "general"
-
-
-def is_dilation(plane: IncidencePlane, image) -> bool:
-    """A collineation sending every joining line to a parallel one."""
-    return classify(plane, image).kind in ("dilation", "translation")
-
-
-def is_translation(plane: IncidencePlane, image) -> bool:
-    """A dilation with no fixed point, or the identity."""
-    return classify(plane, image).kind == "translation"
-
-
-def classify(plane: IncidencePlane, image) -> ClassifiedMap:
-    """Classify a point map as strongly as its properties allow.
-
-    The one validation of a map: the dilation test of _as_dilation, then,
-    for a map that fails it, one pass looking up each line's image point
-    set: a collineation if every one is a line, else "general".  A map
-    with f(p) = f(q), p != q, fails at join(p, q), whose image has fewer
-    points than any line (all lines of an affine plane have q points).
-    """
-    _check_size(plane, image)
-    plane.require_verified()
-    image = tuple(image)
-    f = _as_dilation(plane, image)
-    if f is not None:
-        return f
-    line_index = plane.line_index
-    if all(frozenset([image[p] for p in pts]) in line_index for pts in plane.lines):
-        return ClassifiedMap(image, "collineation", fixed_points(image))
-    return ClassifiedMap(image, "general", fixed_points(image))
 
 
 def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[ClassifiedMap]:
@@ -263,21 +229,3 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
                         found[h.image[a]] = h
                         translations.append(h)
     return stabiliser, [f for f in found[1:] if f is not None]
-
-
-def compose_cosets(
-    plane: IncidencePlane, stabiliser: list[ClassifiedMap], representatives: list[ClassifiedMap]
-) -> list[ClassifiedMap]:
-    """Every dilation f s, f the identity or a representative and s in
-    Dil_0, untested and sorted by image (see dilation_cosets)."""
-    compose = [itemgetter(*s.image) for s in stabiliser]
-    found = list(stabiliser)
-    for f in representatives:
-        found += [_classified_dilation(plane, g(f.image)) for g in compose]
-    found.sort(key=lambda f: f.image)
-    return found
-
-
-def enumerate_dilations(plane: IncidencePlane) -> list[ClassifiedMap]:
-    """All dilations, sorted by image: the cosets of Dil_0, composed."""
-    return compose_cosets(plane, *dilation_cosets(plane))

@@ -1,0 +1,139 @@
+"""The conjugation pass: translations under conjugation by dilations,
+and directions under composition.
+
+check_conjugation conjugates Tr by a generating set of Dil once, for two
+verdicts: Tr is normal in Dil, and conjugation keeps each translation's
+direction; check_composition_direction scans the composites of
+translations of one direction.  Only groups and verify-all load this
+module; transgroup reads its names too, on first access.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .collineation import ClassifiedMap
+from .transgroup import CheckResult, TranslationGroup, generator_chain, generators
+
+
+def _dilation_generators(stabiliser, representatives, group) -> list:
+    """Dil_0, the representatives that are no translations and generators of Tr: they
+    generate Dil, so check_conjugation passes on them iff on Dil (dilation_cosets, Fact 3)."""
+    return [*stabiliser, *(f for f in representatives if f.kind != "translation"),
+            *(group.elements[i] for i in generators(group))]
+
+
+def check_conjugation(
+    g: TranslationGroup, dilations: list[ClassifiedMap]
+) -> tuple[CheckResult, CheckResult]:
+    """Conjugate every translation by every dilation, once, for two checks.
+
+    Returns (normal_in_dilations, conjugation_direction).  The first
+    passes iff every conjugate d^-1.t.d (d applied first) is a listed
+    translation, and fails with the first witness (di, si) in scan order
+    whose conjugate is not.  The second passes iff moreover every
+    non-identity translation and its conjugate share a direction, and
+    fails with the first (di, si), si >= 1, that breaks either condition.
+
+    Both verdicts come from one table per dilation d: conj[si] is the
+    index of d^-1.s.d, or None when that map is not listed.  One scan of
+    it finds the first si with no conjugate, which fails both checks, and
+    the first whose conjugate changes direction.  conj[0] = 0, and
+    conjugation by a permutation is injective, so conj[si] = 0 only for
+    si = 0: the scan finds no witness there and compares every other
+    direction.
+
+    When each generator's conjugate, computed point by point, is listed,
+    the table is filled along the generator chain from conj[0] = 0, one
+    Cayley lookup per tree edge or fill: conj[gens[j].c] :=
+    conj[gens[j]].conj[c] and conj[c.h] := conj[c].conj[h].  This is the
+    conjugate itself, whatever permutation d is: conjugation by d is an
+    automorphism of the symmetric group, the Cayley table records
+    composition within the list, which build_group checked to be closed,
+    and the tree edges and fills set every nonzero element once, after
+    the elements they read.  A map with a generator whose conjugate is
+    not listed is conjugated point by point on every element, as the
+    definition reads, to find the first witness.  So d's kind is not
+    read: a permutation labelled "dilation" that is none gets the
+    definition's verdicts.
+
+    The CLI passes Dil_0, the representatives of dilation_cosets that are
+    no translations and generators(g): they generate Dil, which is enough
+    (Fact 3 of dilation_cosets).
+    When g is all of Tr, both checks pass for every dilation d of any
+    affine plane (Artin, Geometric Algebra, ch. II): d^-1.t.d is a
+    dilation, and if it fixes p, t fixes d(p), so both are the identity;
+    and d^-1 maps the trace join(p, t(p)) onto a parallel, the trace of
+    d^-1.t.d at d^-1(p).  So a witness needs a map that is no dilation,
+    or a group that is not all of Tr, which a dilation can conjugate off
+    the list; its di indexes the list passed.
+    """
+    normal: Optional[CheckResult] = None
+    direction: Optional[CheckResult] = None
+    gens, levels = generator_chain(g)
+    gen_images = [g.elements[s].image for s in gens]
+    direction_of = g.direction_of
+    for di, delta in enumerate(dilations):
+        d = delta.image
+        inv = _inverse(d)
+        images = [g.index_of(tuple([inv[s[q]] for q in d])) for s in gen_images]
+        if None in images:
+            conj = [g.index_of(tuple([inv[s.image[q]] for q in d])) for s in g.elements]
+        else:
+            conj = [0] * g.order
+            for tree, _, fills in levels:
+                for y, j, x in tree:
+                    conj[y] = g.cayley[images[j]][conj[x]]
+                for z, c, h in fills:
+                    conj[z] = g.cayley[conj[c]][conj[h]]
+        for si, ci in enumerate(conj):
+            if ci is None:
+                normal = CheckResult("normal_in_dilations", False, (di, si))
+                direction = direction or CheckResult("conjugation_direction", False, (di, si))
+                break
+            if direction is None and direction_of[ci] != direction_of[si]:
+                direction = CheckResult("conjugation_direction", False, (di, si))
+        if normal is not None:
+            break
+    return (
+        normal or CheckResult("normal_in_dilations", True),
+        direction or CheckResult("conjugation_direction", True),
+    )
+
+
+def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(image)
+    for p, q in enumerate(image):
+        inv[q] = p
+    return tuple(inv)
+
+
+def check_normal_in_dilations(
+    g: TranslationGroup, dilations: list[ClassifiedMap]
+) -> CheckResult:
+    """Every conjugate of a translation by a dilation is again a translation."""
+    return check_conjugation(g, dilations)[0]
+
+
+def check_conjugation_direction(
+    g: TranslationGroup, dilations: list[ClassifiedMap]
+) -> CheckResult:
+    """Conjugation by a dilation preserves the direction of a translation."""
+    return check_conjugation(g, dilations)[1]
+
+
+def check_composition_direction(g: TranslationGroup) -> CheckResult:
+    """Composing two translations of one direction stays in that direction.
+
+    Fails with the first pair (i, j), i, j >= 1, in the all-pairs scan
+    order: each i is tried against the j of its own direction only."""
+    same: dict = {}
+    for j in range(1, g.order):
+        same.setdefault(g.direction_of[j], []).append(j)
+    for i in range(1, g.order):
+        d = g.direction_of[i]
+        for j in same[d]:
+            k = g.cayley[j][i]
+            if k != 0 and g.direction_of[k] != d:
+                return CheckResult("composition_direction", False, (i, j))
+    return CheckResult("composition_direction", True)

@@ -7,6 +7,11 @@ are the ones that keep every translation inside its own direction; on
 them the two operations form an associative unitary ring.  The ring
 laws a list can fail are checked by exhaustion, and the laws that hold
 for any self-maps of a group are settled by proof (check_ring_axioms).
+
+The operations on single maps (add, compose, negate, the zero, unit and
+inversion maps) and the tests of one map or list (is_trace_preserving,
+scalar_labeling) live in affineplane.definitions, which no benchmark
+command loads; they are read here too, on first access.
 """
 
 from __future__ import annotations
@@ -14,9 +19,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import NotEndomorphism, SizeMismatch
+from . import _forward
+from .errors import SizeMismatch
 from .incidence import AxiomCheck, IncidencePlane
 from .transgroup import TranslationGroup, check_abelian, compose_images, generator_chain, generators
+
+__getattr__ = _forward(__name__, dict.fromkeys((
+    "add", "compose", "inversion_endo", "is_trace_preserving", "negate", "scalar_labeling",
+    "unit_endo", "zero_endo"), "definitions"))
 
 
 class GroupSelfMap(NamedTuple):
@@ -37,20 +47,6 @@ def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
 def _sum_table(cayley, a: tuple, b: tuple) -> tuple:
     """The table of alpha + beta from the tables a, b of equal size."""
     return tuple([cayley[x][y] for x, y in zip(a, b)])
-
-
-def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
-    """(alpha + beta)(s) = alpha(s) o beta(s)."""
-    _check_size(g, alpha)
-    _check_size(g, beta)
-    return GroupSelfMap(_sum_table(g.cayley, alpha.table, beta.table))
-
-
-def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
-    """(alpha o beta)(s) = alpha(beta(s))."""
-    _check_size(g, alpha)
-    _check_size(g, beta)
-    return GroupSelfMap(compose_images(alpha.table, beta.table))
 
 
 def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
@@ -74,48 +70,6 @@ def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
         t[sx] == g.cayley[t[s]][tx]
         for s in generators(g)
         for sx, tx in zip(g.cayley[s], t)
-    )
-
-
-def zero_endo(g: TranslationGroup) -> GroupSelfMap:
-    """Sends every translation to the identity."""
-    return GroupSelfMap((0,) * g.order)
-
-
-def unit_endo(g: TranslationGroup) -> GroupSelfMap:
-    """Leaves every translation in place."""
-    return GroupSelfMap(tuple(range(g.order)))
-
-
-def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
-    """Sends every translation to its inverse.
-
-    An endomorphism because the group is abelian; trace-preserving
-    because a translation and its inverse share their direction.
-    """
-    return GroupSelfMap(g.inverse)
-
-
-def negate(g: TranslationGroup, alpha: GroupSelfMap) -> GroupSelfMap:
-    """Pointwise inverse of alpha: the composite of inversion with alpha."""
-    if not is_endomorphism(g, alpha):
-        raise NotEndomorphism("negate requires an endomorphism")
-    return compose(g, inversion_endo(g), alpha)
-
-
-def is_trace_preserving(
-    plane: IncidencePlane, g: TranslationGroup, alpha: GroupSelfMap
-) -> bool:
-    """Every image keeps its translation's direction.
-
-    Elements mapped to the identity are accepted: the identity has no
-    direction, and the zero map must count as trace-preserving.
-    """
-    if not is_endomorphism(g, alpha):
-        raise NotEndomorphism("trace preservation is defined for endomorphisms")
-    return all(
-        alpha.table[i] == 0 or g.direction_of[alpha.table[i]] == g.direction_of[i]
-        for i in range(1, g.order)
     )
 
 
@@ -193,8 +147,10 @@ def count_endomorphisms(g: TranslationGroup) -> int:
        pair (i, j) is counted at each k <= min(l_i, l_j).  Once a_k = 0,
        that is c_k = c_(k-1), every later a_k is 0 too.
 
-    Nothing is searched: x -> x^p takes p - 1 passes over the Cayley
-    table and each c_k one more, where a walk meets 3^16 leaves on order 9.
+    Nothing is searched: x -> x^p is built by square and multiply, one
+    pass over the Cayley table per bit of p after the first and one more
+    per 1 among them, at most 2 log2(p), and each c_k takes one more pass,
+    where a walk meets 3^16 leaves on order 9.
     """
     if not check_abelian(g).passed:
         return sum(1 for _ in _chain_search(g))
@@ -205,9 +161,11 @@ def count_endomorphisms(g: TranslationGroup) -> int:
             continue
         while rest % p == 0:
             rest //= p
-        pth = list(range(g.order))  # pth[x] = x^p
-        for _ in range(p - 1):
-            pth = [g.cayley[y][x] for x, y in enumerate(pth)]
+        pth = list(range(g.order))  # pth[x] = x^m, m the bits of p read so far
+        for bit in bin(p)[3:]:
+            pth = [g.cayley[y][y] for y in pth]
+            if bit == "1":
+                pth = [g.cayley[y][x] for x, y in enumerate(pth)]
         power, last = pth, 1  # power[x] = x^(p^k), last = c_(k-1)
         while (c := power.count(0)) > last:
             a = next(a for a in range(1, c.bit_length()) if p**a * last == c)
@@ -432,26 +390,3 @@ def check_ring_axioms(
         num_tp=len(tp),
         num_endomorphisms=num_endomorphisms,
     )
-
-
-def scalar_labeling(g: TranslationGroup, tp: list[GroupSelfMap]) -> Optional[list[int]]:
-    """Label the trace-preserving maps 0, 1, 1+1, ... when that covers them all.
-
-    Returns labels[i] = k meaning tp[i] is the k-fold sum of the unit, or
-    None when the scalar sums do not exhaust the list.  Used to compare
-    the ring's tables with arithmetic modulo the label count.  Each of the
-    len(tp) steps labels a new index, so every label is set at the end.
-    """
-    index = {a.table: i for i, a in enumerate(tp)}
-    unit = unit_endo(g)
-    labels = [-1] * len(tp)
-    current = zero = zero_endo(g)
-    for k in range(len(tp)):
-        i = index.get(current.table)
-        if i is None or labels[i] != -1:
-            return None
-        labels[i] = k
-        current = add(g, current, unit)
-    if current.table != zero.table:
-        return None
-    return labels

@@ -84,7 +84,7 @@ from affineplane.errors import (
     NotTranslation,
     SizeMismatch,
 )
-from affineplane import cli, collineation, endo, incidence, transgroup
+from affineplane import cli, collineation, conjugation, endo, incidence
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -922,6 +922,16 @@ class TestEndomorphismCountOracle:
             if count < 2**13:
                 assert len(enumerate_endomorphisms(g)) == count
 
+    @pytest.mark.parametrize(
+        "orders", [(17, 17), (31, 31), (11, 13), (7, 7, 7)],
+        ids=["Z17^2", "Z31^2", "Z11xZ13", "Z7^3"],
+    )
+    def test_cyclic_products_of_primes(self, monkeypatch, orders):
+        # x -> x^p by square and multiply: 17 = 10001 in binary squares four
+        # times and multiplies once, 31 = 11111 squares and multiplies four times
+        count, walked = count_by_path(monkeypatch, shuffled_product(orders, 0))
+        assert (count, walked) == (gcd_product_oracle(orders), False)
+
     @pytest.mark.parametrize("document", [ag29_document, hall9_document])
     def test_order_nine(self, monkeypatch, document):
         plane = load_plane(document())
@@ -1111,8 +1121,8 @@ class TestConjugationOracle:
     def test_inverse_built_once_per_map(self, planes, groups, dilations, monkeypatch):
         # every map, whatever its kind, has its generators conjugated by image
         inverses = []
-        real = transgroup._inverse
-        monkeypatch.setattr(transgroup, "_inverse", lambda d: inverses.append(d) or real(d))
+        real = conjugation._inverse
+        monkeypatch.setattr(conjugation, "_inverse", lambda d: inverses.append(d) or real(d))
         plane, g, dils = planes[3], groups[3], dilations[3]
         check_conjugation(g, dils)
         assert inverses == [f.image for f in dils]
@@ -1427,7 +1437,7 @@ def assert_cosets_agree(plane, dilations):
     g = build_group(plane, translations)
     verdicts = check_conjugation(g, dilations)
     assert check_conjugation(g, generating) == verdicts
-    generators = cli._dilation_generators(stabiliser, representatives, g)
+    generators = conjugation._dilation_generators(stabiliser, representatives, g)
     assert check_conjugation(g, generators) == verdicts
     return generators
 

@@ -20,14 +20,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from affineplane import __version__, cli
-from affineplane.cli import (
-    DEFAULT_MAX_ORDER,
-    cmd_build,
-    cmd_check,
-    cmd_endo,
-    cmd_groups,
-    cmd_verify_all,
-)
+from affineplane.cli import DEFAULT_MAX_ORDER, cmd_build, cmd_check
+from affineplane.cmd_endo import cmd_endo
+from affineplane.cmd_groups import cmd_groups
+from affineplane.cmd_verify_all import cmd_verify_all
 from conftest import CHECK_FLAGS as CHECKS, COMMAND_LINES, PLANE as P, RING_FLAGS as RING
 
 

@@ -6,7 +6,11 @@ way out, so the interpreter neither collects nor tears down the objects
 the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
-loads no submodule, and a name loads its submodule on first access.  The
+loads no submodule, and a name loads its submodule on first access.
+collineation, endo, transgroup and cli forward the same way the names
+they hand to a module of their own: the definitions no benchmark command
+calls, the conjugation pass and the handlers of groups, endo and
+verify-all, so that each command compiles only the code it runs.  The
 records are ``NamedTuple``s and the one stateful class,
 ``TranslationGroup``, a plain ``__slots__`` class.
 """
@@ -33,26 +37,47 @@ SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 # The names `affineplane` exports, by the submodule that defines each.
 EXPORTS = {
     "builder": ["build_prime_plane", "is_prime"],
-    "collineation": [
-        "ClassifiedMap", "classify", "enumerate_dilations", "fixed_points",
-        "is_collineation", "is_dilation", "is_translation",
+    "collineation": ["ClassifiedMap", "fixed_points"],
+    "conjugation": [
+        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
+        "check_normal_in_dilations",
+    ],
+    "definitions": [
+        "add", "classify", "compose", "enumerate_dilations", "inversion_endo",
+        "is_collineation", "is_dilation", "is_trace_preserving", "is_translation", "negate",
+        "scalar_labeling", "unit_endo", "zero_endo",
     ],
     "endo": [
-        "GroupSelfMap", "RingReport", "add", "check_ring_axioms", "compose",
-        "count_endomorphisms", "enumerate_endomorphisms", "enumerate_tp_endomorphisms",
-        "inversion_endo", "is_endomorphism", "is_trace_preserving", "negate",
-        "scalar_labeling", "unit_endo", "zero_endo",
+        "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
+        "enumerate_endomorphisms", "enumerate_tp_endomorphisms", "is_endomorphism",
     ],
     "incidence": [
         "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
         "parallel_partition", "verify_axioms",
     ],
-    "transgroup": [
-        "CheckResult", "TranslationGroup", "build_group", "check_abelian",
-        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-        "check_normal_in_dilations", "generators",
-    ],
+    "transgroup": ["CheckResult", "TranslationGroup", "build_group", "check_abelian", "generators"],
 }
+
+# (module, the module that defines them, names): names a module reads from
+# another on first access, so that a command compiles only what it runs
+FORWARDED = [
+    ("collineation", "definitions", [
+        "_check_size", "classify", "compose_cosets", "enumerate_dilations", "is_collineation",
+        "is_dilation", "is_translation",
+    ]),
+    ("endo", "definitions", [
+        "add", "compose", "inversion_endo", "is_trace_preserving", "negate", "scalar_labeling",
+        "unit_endo", "zero_endo",
+    ]),
+    ("transgroup", "conjugation", [
+        "_inverse", "check_composition_direction", "check_conjugation",
+        "check_conjugation_direction", "check_normal_in_dilations",
+    ]),
+    ("cli", "conjugation", ["_dilation_generators"]),
+    ("cli", "cmd_groups", ["cmd_groups"]),
+    ("cli", "cmd_endo", ["cmd_endo"]),
+    ("cli", "cmd_verify_all", ["cmd_verify_all"]),
+]
 
 # Runs `python -m affineplane <argv>` through runpy and, when cli.run calls
 # os._exit, prints on stderr the modules the run loaded beyond those loaded
@@ -89,7 +114,12 @@ def plane_file(tmp_path_factory):
     return str(path)
 
 
-STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.endo"}
+STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.conjugation",
+          "affineplane.endo"}
+CONJUGATION = "affineplane.conjugation"  # the conjugation pass: groups and verify-all only
+# the handler of each stage command, loaded for its command only
+HANDLERS = {"affineplane.cmd_groups", "affineplane.cmd_endo", "affineplane.cmd_verify_all"}
+DEFINITIONS = "affineplane.definitions"  # no benchmark command calls its definitions
 BUILDER = "affineplane.builder"
 # argparse and what it loads: cli reads the lines that run a command itself
 PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
@@ -100,13 +130,18 @@ INCIDENCE = "affineplane.incidence"  # loaded where a document is read
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["build", "--order", "3"], STAGES),
-        (["check", "PLANE"], STAGES | {BUILDER}),
+        (["build", "--order", "3"], STAGES | HANDLERS | {DEFINITIONS}),
+        (["check", "PLANE"], STAGES | HANDLERS | {DEFINITIONS, BUILDER}),
         (["groups", "PLANE", "--check-abelian", "--check-normal", "--check-directions"],
-         {"affineplane.endo", BUILDER}),
-        (["verify-all", "PLANE"], {BUILDER}),
+         {"affineplane.endo", "affineplane.cmd_endo", "affineplane.cmd_verify_all", DEFINITIONS,
+          BUILDER}),
+        (["endo", "PLANE", "--trace-preserving", "--check-ring"],
+         {CONJUGATION, "affineplane.cmd_groups", "affineplane.cmd_verify_all", DEFINITIONS,
+          BUILDER}),
+        (["verify-all", "PLANE"],
+         {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, BUILDER}),
     ],
-    ids=["build", "check", "groups", "verify-all"],
+    ids=["build", "check", "groups", "endo", "verify-all"],
 )
 def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
     code, loaded = loaded_by(tmp_path, *[plane_file if a == "PLANE" else a for a in argv])
@@ -114,7 +149,7 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
     assert "affineplane.cli" in loaded
     assert "dataclasses" not in loaded
     assert loaded & (absent | PARSER_MODULES | {USAGE}) == set()
-    assert (STAGES | {BUILDER}) - absent <= loaded
+    assert (STAGES | HANDLERS | {BUILDER}) - absent <= loaded
 
 
 @pytest.mark.parametrize(
@@ -129,7 +164,7 @@ def test_help_version_and_usage_errors_load_no_parser_module(tmp_path, argv, cod
     returncode, loaded = loaded_by(tmp_path, *argv)
     assert returncode == code
     assert "affineplane.cli" in loaded
-    assert loaded & (STAGES | {BUILDER, INCIDENCE, "json"}) == set()
+    assert loaded & (STAGES | HANDLERS | {DEFINITIONS, BUILDER, INCIDENCE, "json"}) == set()
     if parser:
         assert {"argparse", USAGE} <= loaded
     else:
@@ -168,9 +203,24 @@ def test_every_export_is_its_submodule_object():
     assert set(affineplane.__all__) <= set(dir(affineplane))
 
 
+@pytest.mark.parametrize("module,home,names", FORWARDED, ids=[
+    f"{module}-{home}" for module, home, _ in FORWARDED])
+def test_each_forwarded_name_is_its_home_object(module, home, names):
+    module, home = (importlib.import_module(f"affineplane.{m}") for m in (module, home))
+    for name in names:
+        assert name in vars(home) and name not in vars(module), name
+        assert getattr(module, name) is getattr(home, name), name
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         affineplane.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted({module for module, _, _ in FORWARDED}))
+def test_unknown_attribute_of_a_forwarding_module_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=f"'affineplane.{module}' has no attribute 'no_name'"):
+        importlib.import_module(f"affineplane.{module}").no_name
 
 
 @pytest.mark.parametrize(
