@@ -9,7 +9,9 @@ parse_args reads the command line from the COMMANDS and FLAGS tables:
 _exact reads a line that names a command and its flags in full, as every
 line of the tests, CI, the benchmark and the README does, and --version;
 every other line goes to the argparse parser of affineplane.usage.
-affineplane.output writes the report and the notes.  build and check are
+_decode reads a document with the scanner of _json that json.loads runs,
+and affineplane.output writes the report and the notes, so json is
+imported only for a document that is no JSON text.  build and check are
 handled here; groups, endo and verify-all by affineplane.cmd_groups,
 cmd_endo and cmd_verify_all, each loaded for its own command only.
 """
@@ -32,7 +34,7 @@ from .output import render_report  # the benchmark's traced replay calls cli.ren
 # command imports the stages it runs in its body: only `build` loads
 # builder, `check` and `build` load no stage module, `groups` loads no endo,
 # `endo` no conjugation pass, and --help, --version and usage errors load
-# neither json nor incidence.
+# no incidence.
 __getattr__ = _forward(__name__, {
     "cmd_groups": "cmd_groups", "cmd_endo": "cmd_endo", "cmd_verify_all": "cmd_verify_all",
     "_dilation_generators": "conjugation",
@@ -63,14 +65,50 @@ def _check_out(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _load_verified_summary(path: str):
-    import json
+JSON_WHITESPACE = " \t\n\r"
 
+
+def _decode(text: str):
+    """json.loads(text), read by the scanner json.loads runs, so that json
+    itself is imported only for a text that is no JSON document.
+
+    json.loads skips JSON whitespace, scans one value with the C scanner
+    of _json under its default context (strict, no hooks, float and int,
+    and its NaN and Infinity constants), and accepts only whitespace
+    after it.  So does this.  Where the scanner fails or leaves anything
+    else, json.loads(text) reads the text again and raises json's own
+    error, word for word.  The scanner's own errors are not passed on:
+    before Python 3.12 it cannot make a JSONDecodeError unless json.decoder
+    is loaded, and raises SystemError instead.  Also before 3.12, Python
+    frames count against the recursion limit, and this call sits three
+    frames above the scan of json.loads: a document nested within three
+    levels of that limit decodes here, and load_plane rejects it, where
+    json.loads raised RecursionError.
+    """
+    from _json import make_scanner
+
+    inf = float("inf")
+    constants = {"-Infinity": -inf, "Infinity": inf, "NaN": float("nan")}
+    scan = make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None, parse_float=float,
+        parse_int=int, parse_constant=constants.__getitem__))
+    try:
+        value, end = scan(text, len(text) - len(text.lstrip(JSON_WHITESPACE)))
+    except (StopIteration, RecursionError, SystemError, ValueError):
+        end = None
+    if end is None or text[end:].strip(JSON_WHITESPACE):
+        import json
+
+        return json.loads(text)
+    return value
+
+
+def _load_verified_summary(path: str):
     from .incidence import load_plane, parallel_partition, verify_axioms
 
     with open(path, encoding="utf-8") as fh:
         try:
-            plane = load_plane(json.load(fh))
+            plane = load_plane(_decode(fh.read()))
         except (RecursionError, ValueError, UserWarning) as exc:
             # ValueError covers bad JSON, bad UTF-8 and an integer literal
             # over the int-to-str digit limit; RecursionError, deep nesting;
@@ -292,4 +330,8 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # Under `python -m affineplane.cli` this module runs as __main__; the
+    # handler modules and usage import affineplane.cli, which is then this
+    # module, not a second copy compiled again.
+    sys.modules.setdefault("affineplane.cli", sys.modules[__name__])
     run()

@@ -13,8 +13,9 @@ loads; they are read here too, on first access.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
 
 from . import _forward
 from .incidence import IncidencePlane, parallel_partition
@@ -24,13 +25,15 @@ __getattr__ = _forward(__name__, dict.fromkeys((
     "is_dilation", "is_translation"), "definitions"))
 
 
-class ClassifiedMap(NamedTuple):
-    """A point bijection together with its strongest classification."""
+class ClassifiedMap(namedtuple("ClassifiedMap", "image kind fixed_points direction",
+                               defaults=(None,))):
+    """A point bijection together with its strongest classification.
 
-    image: tuple[int, ...]
-    kind: str  # general | collineation | dilation | translation
-    fixed_points: frozenset[int]
-    direction: Optional[int] = None
+    image is a tuple of points; kind is general, collineation, dilation or
+    translation; fixed_points a frozenset; direction a class id or None.
+    """
+
+    __slots__ = ()
 
     @property
     def is_identity(self) -> bool:
@@ -41,7 +44,7 @@ def fixed_points(image) -> frozenset[int]:
     return frozenset(p for p, q in enumerate(image) if p == q)
 
 
-def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Optional[ClassifiedMap]:
+def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> ClassifiedMap | None:
     """The image classified as a dilation or translation, None if it is neither.
 
     The test: f is a bijection onto the points and, for each class c but

@@ -10,8 +10,6 @@ module; transgroup reads its names too, on first access.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .collineation import ClassifiedMap
 from .transgroup import CheckResult, TranslationGroup, generator_chain, generators
 
@@ -68,8 +66,8 @@ def check_conjugation(
     or a group that is not all of Tr, which a dilation can conjugate off
     the list; its di indexes the list passed.
     """
-    normal: Optional[CheckResult] = None
-    direction: Optional[CheckResult] = None
+    normal: CheckResult | None = None
+    direction: CheckResult | None = None
     gens, levels = generator_chain(g)
     gen_images = [g.elements[s].image for s in gens]
     direction_of = g.direction_of

@@ -15,7 +15,6 @@ endo (a module __getattr__, PEP 562).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Optional
 
 from .collineation import (
     ClassifiedMap, _as_dilation, _classified_dilation, dilation_cosets, fixed_points,
@@ -143,7 +142,7 @@ def is_trace_preserving(
     )
 
 
-def scalar_labeling(g: TranslationGroup, tp: list[GroupSelfMap]) -> Optional[list[int]]:
+def scalar_labeling(g: TranslationGroup, tp: list[GroupSelfMap]) -> list[int] | None:
     """Label the trace-preserving maps 0, 1, 1+1, ... when that covers them all.
 
     Returns labels[i] = k meaning tp[i] is the k-fold sum of the unit, or

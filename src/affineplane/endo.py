@@ -17,7 +17,8 @@ command loads; they are read here too, on first access.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from . import _forward
 from .errors import SizeMismatch
@@ -29,10 +30,10 @@ __getattr__ = _forward(__name__, dict.fromkeys((
     "unit_endo", "zero_endo"), "definitions"))
 
 
-class GroupSelfMap(NamedTuple):
-    """A total map on the translation group, as an element-index table."""
+class GroupSelfMap(namedtuple("GroupSelfMap", "table")):
+    """A total map on the translation group, as an element-index table (a tuple)."""
 
-    table: tuple[int, ...]
+    __slots__ = ()
 
 
 def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
@@ -205,7 +206,7 @@ def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> li
     return [GroupSelfMap(t) for t in _chain_search(g, g.direction_of)]
 
 
-def _chain_search(g: TranslationGroup, directions: Optional[tuple] = None) -> Iterator[tuple]:
+def _chain_search(g: TranslationGroup, directions: tuple | None = None) -> Iterator[tuple]:
     """The one search body of enumerate_endomorphisms, of
     enumerate_tp_endomorphisms given directions, and of
     count_endomorphisms on a group that is not abelian: yields each leaf
@@ -257,18 +258,17 @@ def _chain_search(g: TranslationGroup, directions: Optional[tuple] = None) -> It
     return search(0)
 
 
-class RingReport(NamedTuple):
+class RingReport(namedtuple("RingReport", "axioms mul_commutative num_tp num_endomorphisms",
+                            defaults=(None,))):
     """Outcome of the ring-axiom checks over a trace-preserving set.
 
     ``axioms`` maps axiom name -> (passed, witness or None); witnesses
     index into the checked list.  ``mul_commutative`` is informational,
-    not part of the pass criterion.
+    not part of the pass criterion.  ``num_tp`` counts the list, and
+    ``num_endomorphisms``, when given, End.
     """
 
-    axioms: dict
-    mul_commutative: bool
-    num_tp: int
-    num_endomorphisms: Optional[int] = None
+    __slots__ = ()
 
     AXIOM_NAMES = (
         "add_closure",
@@ -325,7 +325,7 @@ def check_ring_axioms(
     plane: IncidencePlane,
     g: TranslationGroup,
     tp: list[GroupSelfMap],
-    num_endomorphisms: Optional[int] = None,
+    num_endomorphisms: int | None = None,
 ) -> RingReport:
     """The ring axioms over a list of trace-preserving maps: scanned by
     exhaustion where a list can fail them, settled by proof elsewhere.

@@ -9,36 +9,34 @@ external point, existence of a triangle.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations, product
 from operator import itemgetter, or_
-from typing import NamedTuple, Optional
 
 from .errors import MalformedDocument, NotVerified
 
 KNOWN_FIELDS = {"points", "lines"}
 
 
-class DirectionPartition(NamedTuple):
+class DirectionPartition(namedtuple("DirectionPartition", "class_of classes")):
     """Parallel classes of a plane's lines.
 
     class_of[line] is the class id; classes[c] lists the lines of class c,
     ordered so that class ids increase with the smallest line id they contain.
     """
 
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
 
-class AxiomCheck(NamedTuple):
-    """One verdict, with a counterexample witness on failure."""
+class AxiomCheck(namedtuple("AxiomCheck", "passed witness", defaults=(None,))):
+    """One verdict, with a counterexample witness (a tuple) on failure."""
 
-    passed: bool
-    witness: Optional[tuple] = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The verdict as a report entry; every passed/witness entry is
@@ -48,12 +46,10 @@ class AxiomCheck(NamedTuple):
         return {"passed": self.passed, "witness": list(self.witness)}
 
 
-class AxiomReport(NamedTuple):
-    """Per-axiom outcome with a counterexample witness on failure."""
+class AxiomReport(namedtuple("AxiomReport", "unique_join unique_parallel triangle")):
+    """Per-axiom outcome, an AxiomCheck each, with a counterexample witness on failure."""
 
-    unique_join: AxiomCheck
-    unique_parallel: AxiomCheck
-    triangle: AxiomCheck
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -88,11 +84,11 @@ class IncidencePlane:
             tuple(ls) for ls in through
         )
         self.axiom_status: str = "unchecked"
-        self._partition: Optional[DirectionPartition] = None
-        self._join: Optional[list[list[int]]] = None
-        self._parallel: Optional[list[list[int]]] = None
-        self._firsts: Optional[list[itemgetter]] = None
-        self._meet: Optional[list[list[Optional[int]]]] = None
+        self._partition: DirectionPartition | None = None
+        self._join: list[list[int]] | None = None
+        self._parallel: list[list[int]] | None = None
+        self._firsts: list[itemgetter] | None = None
+        self._meet: list[list[int | None]] | None = None
 
     @property
     def num_lines(self) -> int:
@@ -155,7 +151,7 @@ class IncidencePlane:
             self._firsts = [itemgetter(*[smallest[l] for l in row]) for row in self.parallel_table()]
         return self._firsts
 
-    def meet_table(self) -> list[list[Optional[int]]]:
+    def meet_table(self) -> list[list[int | None]]:
         """line-meet lookup: meet[l][m] = common point of l != m, None if parallel.
 
         Two distinct lines of a verified plane share at most one point,
@@ -163,7 +159,7 @@ class IncidencePlane:
         """
         self.require_verified()
         if self._meet is None:
-            table: list[list[Optional[int]]] = [[None] * self.num_lines for _ in self.lines]
+            table: list[list[int | None]] = [[None] * self.num_lines for _ in self.lines]
             for p, through in enumerate(self.lines_through):
                 for l in through:
                     row = table[l]

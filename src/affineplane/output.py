@@ -1,6 +1,12 @@
 """What a command writes: the report, as json.dumps(indent=2, sort_keys=True)
 writes it, to --out or stdout, and the notes on stderr.
 
+The text comes from a small writer (_chunks) whose keys and scalars are
+written by _scalar: a str by _json's encode_basestring_ascii, which
+json.dumps runs too, the three literals, an exact int by int.__repr__
+and an empty container as [] or {}.  Only a value of any other type,
+such as a float, imports json, so a report of the commands loads none.
+
 A report, help or version text that stdout does not take is an output
 error (_OutputError, exit 2).  A stderr that fails or was closed loses
 its notes and changes nothing else.  A stream closed at start-up is None
@@ -14,6 +20,8 @@ import os
 import sys
 from contextlib import nullcontext, suppress
 from itertools import chain
+
+from _json import encode_basestring_ascii
 
 from . import __version__
 
@@ -33,7 +41,27 @@ class _Numerals(dict):
         return text
 
 
-def _chunks(o, newline: str, numerals: _Numerals, dumps):
+def _scalar(o) -> str:
+    """json.dumps(o) for a str, a bool, None, an int, an empty list, tuple or
+    dict, and anything else, which json.dumps itself writes."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple, dict)) and not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    from json import dumps
+
+    return dumps(o)
+
+
+def _chunks(o, newline: str, numerals: _Numerals):
     """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
     line break is newline (dict keys are str), in chunks: one per key, scalar
     and bracket, and one per non-empty list or tuple of exact ints."""
@@ -43,25 +71,23 @@ def _chunks(o, newline: str, numerals: _Numerals, dumps):
     elif isinstance(o, dict) and o:
         opener = "{"
         for key in sorted(o):
-            yield f"{opener}{inner}{dumps(key)}: "
-            yield from _chunks(o[key], inner, numerals, dumps)
+            yield f"{opener}{inner}{encode_basestring_ascii(key)}: "
+            yield from _chunks(o[key], inner, numerals)
             opener = ","
         yield newline + "}"
     elif isinstance(o, (list, tuple)) and o:
         opener = "["
         for item in o:
             yield opener + inner
-            yield from _chunks(item, inner, numerals, dumps)
+            yield from _chunks(item, inner, numerals)
             opener = ","
         yield newline + "]"
     else:  # a scalar, {}, [] or ()
-        yield dumps(o)
+        yield _scalar(o)
 
 
 def _text(document: dict):
-    from json import dumps
-
-    return chain(_chunks(document, "\n", _Numerals(), dumps), ("\n",))
+    return chain(_chunks(document, "\n", _Numerals()), ("\n",))
 
 
 def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:

@@ -12,7 +12,8 @@ names are read here too, on first access.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from operator import itemgetter
 
 from . import _forward
 from .collineation import ClassifiedMap
@@ -24,10 +25,10 @@ __getattr__ = _forward(__name__, dict.fromkeys((
     "check_normal_in_dilations"), "conjugation"))
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    witness: Optional[tuple] = None
+class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
+    """A named verdict, with a witness tuple on failure."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"name": self.name, **AxiomCheck(self.passed, self.witness).to_dict()}
@@ -47,23 +48,31 @@ class TranslationGroup:
     __slots__ = ("elements", "cayley", "inverse", "direction_of", "_by_key", "_chain", "_abelian")
 
     def __init__(self, elements: tuple[ClassifiedMap, ...], cayley: tuple[tuple[int, ...], ...],
-                 inverse: tuple[int, ...], direction_of: tuple[Optional[int], ...]):
+                 inverse: tuple[int, ...], direction_of: tuple[int | None, ...]):
         self.elements = elements
         self.cayley = cayley
         self.inverse = inverse
         self.direction_of = direction_of
         self._by_key = {f.image[:2]: i for i, f in enumerate(elements)}  # see build_group
-        self._chain: Optional[tuple] = None  # generator_chain(self), once computed
-        self._abelian: Optional[CheckResult] = None  # check_abelian(self), once scanned
+        self._chain: tuple | None = None  # generator_chain(self), once computed
+        self._abelian: CheckResult | None = None  # check_abelian(self), once scanned
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, image: tuple[int, ...]) -> Optional[int]:
+    def index_of(self, image: tuple[int, ...]) -> int | None:
         """The index of the listed element with this image, else None."""
         i = self._by_key.get(image[:2])
         return i if i is not None and self.elements[i].image == image else None
+
+
+def _gather(indices: list):
+    """itemgetter(*indices), which gives a tuple for a single index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def build_group(
@@ -72,24 +81,33 @@ def build_group(
     """Assemble the group, failing loudly if composition escapes the list.
 
     Precondition: every element is a translation as classify says; an
-    element of another kind raises NotTranslation.  Each Cayley entry is
-    read from the key (f(0), f(1)) of the composite f = a.b, which is a
-    dilation, since it maps each line onto a line of the same class.
-    Two dilations that agree at points 0 and 1 are equal (a dilation is
-    fixed by the images of two points: enumerate_dilations' construction
-    with A, B = 0, 1), so the key names the listed element equal to the
-    composite, or none when the composite is not listed.  For the same
-    reason two elements with one key are equal, and a list that repeats
-    one raises NotClosed naming both; sorting by image puts them side by
-    side.
+    element of another kind raises NotTranslation.  Two translations
+    with the same image of 0 are equal (t^-1.u fixes 0, and a translation
+    that fixes a point is the identity), so a list that repeats one
+    raises NotClosed naming both; sorting by image puts them side by
+    side.  So at0[p] indexes the one listed element with image of 0 p,
+    or is n (no element) when none has it.
 
-    Proven, not scanned: each composite is a dilation, a key names at
-    most one dilation, and composition of maps is associative.  Scanned:
-    the identity is listed, every one of the |Tr|^2 composites a.b is
-    looked up among the listed elements, and every row holds the
-    identity; a miss raises.  dilation_cosets composes most of Tr from a
-    few tested generators, but this scan does not rely on how the list
-    was found, so translations_form_group stays an exhaustive check.
+    Row i of the Cayley table, f = elements[i], is read by C-level
+    gathers: f.g_j(0) for every column j, then at0 at those points, the
+    candidate k_j.  The composite f.g_j is a dilation, since it maps each
+    line onto a line of the same class, and two dilations that agree at
+    points 0 and 1 are equal (a dilation is fixed by the images of two
+    points: enumerate_dilations' construction with A, B = 0, 1).  So
+    f.g_j is the listed element k_j iff elements[k_j](1) = f.g_j(1), and
+    when that compare fails at j, f.g_j is not listed: the only listed
+    element it could be is k_j.  (The image of 0 alone would name f.g_j
+    if it were known to be a translation, which is what the scan checks.)
+    A row that fails is read again column by column for the first j that
+    misses, the entry the NotClosed names.
+
+    Proven, not scanned: each composite is a dilation, two points fix a
+    dilation, and composition of maps is associative.  Scanned: the
+    identity is listed, every one of the |Tr|^2 composites a.b is looked
+    up among the listed elements, and every row holds the identity; a
+    miss raises.  dilation_cosets composes most of Tr from a few tested
+    generators, but this scan does not rely on how the list was found,
+    so translations_form_group stays an exhaustive check.
     """
     identity = tuple(range(plane.num_points))
     for f in translations:
@@ -98,20 +116,24 @@ def build_group(
     ordered = sorted(translations, key=lambda f: f.image)
     if not ordered or ordered[0].image != identity:
         raise MissingIdentity("translation list does not contain the identity")
-    keys = [f.image[:2] for f in ordered]
-    for i in range(1, len(keys)):
-        if keys[i] == keys[i - 1]:
+    n = len(ordered)
+    at0 = [n] * plane.num_points
+    for i, f in enumerate(ordered):
+        if at0[f.image[0]] != n:
             raise NotClosed(f"elements {i - 1} and {i} are the same translation")
-    by_key = {key: i for i, key in enumerate(keys)}
+        at0[f.image[0]] = i
+    zeros = _gather([f.image[0] for f in ordered])  # f -> (f.g_j(0))_j
+    ones = _gather([f.image[1] for f in ordered])  # f -> (f.g_j(1))_j
+    listed_ones = (*(f.image[1] for f in ordered), -1)  # the image of 1 of each k, and of n
 
     cayley = []
     for i, f in enumerate(ordered):
-        row = [by_key.get((f.image[a], f.image[b])) for a, b in keys]
-        if None in row:
-            raise NotClosed(
-                f"composite of elements {i} and {row.index(None)} is not a listed translation"
-            )
-        cayley.append(tuple(row))
+        row = _gather(zeros(f.image))(at0)
+        wanted = ones(f.image)
+        if _gather(row)(listed_ones) != wanted:
+            j = next(j for j, k in enumerate(row) if listed_ones[k] != wanted[j])
+            raise NotClosed(f"composite of elements {i} and {j} is not a listed translation")
+        cayley.append(row)
 
     inverse = [row.index(0) if 0 in row else -1 for row in cayley]
     if -1 in inverse:
@@ -150,10 +172,16 @@ def check_abelian(g: TranslationGroup) -> CheckResult:
 
 
 def _scan_abelian(g: TranslationGroup) -> CheckResult:
-    for i in range(g.order):
-        for j in range(i + 1, g.order):
-            if g.cayley[i][j] != g.cayley[j][i]:
-                return CheckResult("abelian", False, (i, j))
+    """Each row against its column, read from the transposed table.  At
+    the first row i that differs, the witness is (i, j), j the first
+    index where they differ.  Then j > i: every earlier row equals its
+    column, so cayley[i][j] = cayley[j][i] for j < i, and j = i is the
+    diagonal.  So (i, j) is the first pair i < j, in scan order, that
+    does not commute."""
+    for i, (row, column) in enumerate(zip(g.cayley, zip(*g.cayley))):
+        if row != column:
+            j = next(j for j, (a, b) in enumerate(zip(row, column)) if a != b)
+            return CheckResult("abelian", False, (i, j))
     return CheckResult("abelian", True)
 
 

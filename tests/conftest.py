@@ -1,4 +1,6 @@
+import ast
 import functools
+import pathlib
 
 import pytest
 
@@ -206,6 +208,18 @@ def endomorphisms(groups):
 @pytest.fixture(scope="session")
 def tp_endomorphisms(planes, groups):
     return {p: enumerate_tp_endomorphisms(planes[p], groups[p]) for p in (2, 3, 5)}
+
+
+def bench_lines() -> dict:
+    """command -> argv after the plane, from bench/run.py's GROUPS, ENDO and VERIFY_ALL."""
+    run_py = pathlib.Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    lines = {}
+    for node in ast.parse(run_py.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("GROUPS", "ENDO", "VERIFY_ALL")):
+            command, *flags = ast.literal_eval(node.value)
+            lines[command] = flags
+    return lines
 
 
 # The lines that run a command in the tests, CI, bench/ and README.md, with

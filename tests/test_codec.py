@@ -1,0 +1,191 @@
+"""The document decoder and the scalar writer against json, their oracle.
+
+cli._decode reads a document with the scanner json.loads runs and leaves
+every text it does not take whole to json.loads, so each text of a seeded
+corpus, valid or mutated, must give json.loads's value or its exception,
+type and message alike.  output._scalar writes a report's keys and
+scalars, and must give json.dumps's text for each.  The check command
+turns a decoding error into the line "input error: " and json's message.
+"""
+
+import json
+import marshal
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+from affineplane import build_prime_plane, cli, output
+from affineplane.errors import AffinePlaneError
+from affineplane.incidence import load_plane
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+BOM = "\ufeff"
+CHARACTERS = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+              "\u00a0", "\u2028", "\u2603", "\U0001f600", "\ud800", "\udfff"]
+
+
+def random_text(rng):
+    return "".join(rng.choice(CHARACTERS) for _ in range(rng.randrange(6)))
+
+
+def random_value(rng, depth=0):
+    """A random JSON value: containers to depth 3, every scalar type."""
+    kind = rng.randrange(9 if depth < 3 else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.randrange(-10**6, 10**6)
+    if kind == 2:
+        return rng.choice([0, -1, 2**63, -(2**64) - 1, 10**100])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 1.5, -2.25e-7, 1e300, rng.random()])
+    if kind in (4, 5):
+        return random_text(rng)
+    if kind in (6, 7):
+        return [random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {random_text(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def valid_documents():
+    rng = random.Random(35)
+    documents = [json.dumps(build_prime_plane(3).to_document()),
+                 json.dumps(build_prime_plane(2).to_document(), indent=2)]
+    for _ in range(60):
+        value = random_value(rng)
+        documents.append(json.dumps(value, indent=rng.choice([None, 0, 2, "\t"]),
+                                    ensure_ascii=rng.random() < 0.5))
+    return documents
+
+
+def corpus():
+    """The seeded valid documents and their mutations, and the texts of
+    json's edge cases."""
+    rng = random.Random(1)
+    texts = []
+    for text in valid_documents():
+        texts.append(text)
+        texts += [text[:rng.randrange(len(text))] for _ in range(3)]  # truncations
+        texts.append(BOM + text)
+        texts += [text + " x", text + "{}", text + "]", text + "\x0c"]  # trailing data
+        texts += [" \t\n\r" + text + "\r\n \t", "\u00a0" + text]  # whitespace, JSON's or not
+    texts += [
+        "", " ", "\n\t\r ", BOM, BOM + " {}",
+        '{"points": NaN, "lines": []}', '{"points": 4, "lines": [[0, NaN]]}',
+        "[Infinity, -Infinity, NaN]", "NaN", "-NaN", "nan", "Infinity ", "-Infinity",
+        '"\\ud800"', '["\\udfff", "\\ud83d\\ude00", "\\ud83d"]', '{"\\udc00": 1}',
+        '"a\x01b"', '"\\x"', '"\\u12"', "[1,]", '{"a" 1}', "{'a': 1}", "01", "1.", "-",
+        "[" * 100_000 + "]" * 100_000, '{"a": ' * 50_000 + "1" + "}" * 50_000,
+        "1" * 4300, "1" * 4301, '{"points": ' + "1" * 4301 + ', "lines": []}',
+    ]
+    return texts
+
+
+def outcome(decode, text):
+    """The value decode gives, as its type name and repr (NaN is no equal
+    of itself), or the type name and message of what it raises."""
+    try:
+        value = decode(text)
+    except (RecursionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, repr(value)
+
+
+# Reads a marshalled list of texts on stdin, decodes each with cli._decode
+# while json is not loaded, unloading it again after each text, and writes
+# the outcomes (as outcome gives them), marshalled, on stdout.
+DECODER = """\
+import marshal, sys
+from affineplane import cli
+outcomes = []
+for text in marshal.loads(sys.stdin.buffer.read()):
+    assert "json" not in sys.modules
+    try:
+        value = cli._decode(text)
+    except (RecursionError, ValueError) as exc:
+        outcomes.append((type(exc).__name__, str(exc)))
+    else:
+        outcomes.append((type(value).__name__, repr(value)))
+    for name in [m for m in sys.modules if m == "json" or m.startswith("json.")]:
+        del sys.modules[name]
+sys.stdout.buffer.write(marshal.dumps(outcomes))
+"""
+
+
+def test_corpus_holds_every_kind_of_text():
+    texts = corpus()
+    kinds = {kind for kind, _ in (outcome(json.loads, text) for text in texts)}
+    assert {"JSONDecodeError", "RecursionError", "dict", "list", "str", "float"} <= kinds
+    if hasattr(sys, "set_int_max_str_digits"):  # the digit limit came in 3.11 and 3.10.7
+        assert "ValueError" in kinds
+    assert len(texts) > 700
+
+
+def test_decode_is_json_loads(tmp_path):
+    """Each text is decoded in a process where json is not loaded, as in a
+    command: before Python 3.12 the scanner cannot raise json's errors there."""
+    texts = corpus()
+    result = subprocess.run([sys.executable, "-S", "-c", DECODER], input=marshal.dumps(texts),
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    decoded = marshal.loads(result.stdout)
+    assert len(decoded) == len(texts)
+    for text, got in zip(texts, decoded):
+        assert got == outcome(json.loads, text), text[:80]
+
+
+@pytest.mark.parametrize("text", [
+    BOM + "{}", '{"points": 4, "lines": []} x', '{"points": 4, "lines": [[0, NaN]]}', "",
+    '{"points": 4, "lines": [[0', " \n", '["\\ud800"]', "[" * 100_000, '{"points" 4}',
+    '{"points": 4, "lines": [], "name": "a\x01"}', '{"points": ' + "1" * 4301 + "}",
+], ids=["bom", "trailing", "nan-point", "empty", "truncated", "whitespace", "surrogate", "deep",
+        "delimiter", "control-character", "4301-digits"])
+def test_check_reports_the_error_of_json(tmp_path, text):
+    """check exits 2 with "input error: " and the message of json.loads, or
+    of load_plane on what json.loads gives.  It runs in a new process, where
+    json is not loaded when the document is read."""
+    path = tmp_path / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_plane(json.loads(text))
+    except (RecursionError, ValueError, AffinePlaneError) as exc:
+        message = str(exc)
+    else:
+        pytest.fail("a valid plane")
+    result = subprocess.run([sys.executable, "-m", "affineplane", "check", str(path)], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"input error: {message}\n")
+
+
+SCALARS = [
+    "", "plain", "quote\"back\\slash/", "\x00\x01\x1f\x7f\n\r\t\b\f",
+    "\u00e9 \u00fc \u2603 \u00a0\u2028\U0001f600", "\ud800", "\udfff", "\ud83d\ude00",
+    True, False, None,
+    0, -1, 1, 2**31, 2**63, -(2**63) - 1, 2**64 + 1, 10**1000, -(10**4000),
+    0.0, -0.0, 1.5, 0.1, -3.25e-7, 1e300, 1e-320, float("inf"), float("-inf"), float("nan"),
+    [], (), {},
+]
+
+
+@pytest.mark.parametrize("value", SCALARS, ids=[f"{type(v).__name__}-{i}"
+                                                for i, v in enumerate(SCALARS)])
+def test_scalar_is_json_dumps(value):
+    assert output._scalar(value) == json.dumps(value)
+
+
+def test_scalar_of_subclasses_is_json_dumps():
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Row(list):
+        pass
+
+    for value in (Text("sub"), Count(7), Row(), Row([1]), {"a": 1}):
+        assert output._scalar(value) == json.dumps(value)

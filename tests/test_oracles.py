@@ -42,6 +42,7 @@ import itertools
 import math
 import random
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,7 +85,7 @@ from affineplane.errors import (
     NotTranslation,
     SizeMismatch,
 )
-from affineplane import cli, collineation, conjugation, endo, incidence
+from affineplane import cli, collineation, conjugation, endo, incidence, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -482,6 +483,16 @@ def cayley_oracle(translations):
             row.append(k)
         table.append(tuple(row))
     return tuple(table)
+
+
+def abelian_oracle(g):
+    """The pair loop: the first pair (i, j), i < j, in scan order whose two
+    products differ."""
+    for i in range(g.order):
+        for j in range(i + 1, g.order):
+            if g.cayley[i][j] != g.cayley[j][i]:
+                return CheckResult("abelian", False, (i, j))
+    return CheckResult("abelian", True)
 
 
 def raised(fn, *args):
@@ -1671,6 +1682,125 @@ class TestCayleyOracle:
         pair = "table" if len(plane.lines[0]) % 2 == 0 else NotClosed
         assert outcomes == ["table", "table", NotClosed, NotClosed, pair, NotClosed,
                             NotClosed, NotClosed]
+
+
+CAYLEY_PLANES = {
+    **DILATION_PLANES,
+    "dual_hall9_cut(81)": partial(dual_hall9_cut, 81),  # 9 translations, one direction
+    "dual_hall9_cut(0)": partial(dual_hall9_cut, 0),  # |Tr| = 1
+}
+
+
+def sorted_translations(name):
+    plane = load_plane(CAYLEY_PLANES[name]())
+    assert verify_axioms(plane).all_pass
+    translations = [f for f in enumerate_dilations(plane) if f.kind == "translation"]
+    return plane, sorted(translations, key=lambda f: f.image)
+
+
+def cyclic_span(f, translations):
+    """The listed powers of f, the identity first."""
+    index = {t.image: t for t in translations}
+    powers, image = [], tuple(range(len(f.image)))
+    while not powers or image != powers[0].image:
+        powers.append(index[image])
+        image = compose_images(f.image, image)
+    return powers
+
+
+class TestCayleyKernel:
+    """build_group reads each row by gathers over the images of 0 and 1;
+    the oracle composes every pair point by point."""
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_table_is_the_oracle_s(self, name):
+        plane, translations = sorted_translations(name)
+        g = build_group(plane, translations[::-1])
+        assert g.cayley == cayley_oracle(translations)
+        assert g.inverse == tuple(row.index(0) for row in g.cayley)
+        if name == "dual_hall9_cut(0)":
+            assert g.cayley == ((0,),)
+
+    @pytest.mark.parametrize("name", [n for n in CAYLEY_PLANES if n != "dual_hall9_cut(0)"])
+    def test_lists_that_are_not_closed_raise_the_oracle_s_message(self, name):
+        plane, translations = sorted_translations(name)
+        identity, first, *rest = translations
+        cyclic = cyclic_span(first, translations)
+        outside = next(f for f in translations if f not in cyclic)
+        lists = {
+            "duplicate": [*translations, rest[len(rest) // 2]],
+            "duplicate identity": [identity, *translations],
+            "missing last": translations[:-1],
+            "missing middle": [f for f in translations if f is not rest[len(rest) // 2]],
+            "missing first": [identity, *rest],
+            "extra not closed": [*cyclic, outside],
+            "extra not closed, reversed": [outside, *cyclic[::-1]],
+        }
+        # rows of the cyclic group close, rows of the other coset need not:
+        # the first row that fails is not always row 1
+        coset = [f for f in translations if f.image in {
+            compose_images(outside.image, h.image) for h in cyclic}]
+        two_cosets = [*cyclic, *coset]
+        if raised(cayley_oracle, two_cosets)[0] is NotClosed:
+            lists["two cosets"] = two_cosets
+        else:  # in characteristic 2 they make a subgroup
+            assert build_group(plane, two_cosets).cayley == cayley_oracle(two_cosets)
+        for label, listed in lists.items():
+            expected = raised(cayley_oracle, listed)
+            assert expected[0] is NotClosed, label
+            assert raised(build_group, plane, listed) == expected, label
+        assert build_group(plane, cyclic).cayley == cayley_oracle(cyclic)  # a subgroup
+
+
+def square_tables(seed, count):
+    """Random square tables, each symmetric except for a few cells, so that
+    the first row that differs from its column falls anywhere."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        n = rng.randrange(1, 12)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(n)
+        for _ in range(rng.randrange(3)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        tables.append(tuple(map(tuple, rows)))
+    return tables
+
+
+class TestAbelianOracle:
+    """_scan_abelian compares each row with its column; the oracle is the pair loop."""
+
+    @pytest.mark.parametrize("name", [*SMALL_GROUPS, "S4", "D4", "D5"])
+    def test_small_groups(self, name):
+        if name in SMALL_GROUPS:
+            g = SMALL_GROUPS[name][0]
+        elif name == "S4":
+            g = table_group(itertools.permutations(range(4)), compose_images)
+        else:
+            n = int(name[1:])
+            rotations = [tuple((k + r) % n for k in range(n)) for r in range(n)]
+            reflections = [tuple((r - k) % n for k in range(n)) for r in range(n)]
+            g = table_group(rotations + reflections, compose_images)
+        result = transgroup._scan_abelian(g)
+        assert result == abelian_oracle(g)
+        assert result.passed is (name not in ("S3", "Q8", "S4", "D4", "D5"))
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_plane_groups_are_abelian(self, name):
+        plane, translations = sorted_translations(name)
+        g = build_group(plane, translations)
+        assert transgroup._scan_abelian(g) == abelian_oracle(g) == CheckResult("abelian", True)
+
+    def test_square_tables(self):
+        verdicts = []
+        for cayley in square_tables(35, 400):
+            g = SimpleNamespace(order=len(cayley), cayley=cayley)
+            result = transgroup._scan_abelian(g)
+            assert result == abelian_oracle(g), cayley
+            verdicts.append(result.witness)
+        assert None in verdicts and len(set(verdicts)) > 20
 
 
 def ring_oracle(plane, g, tp, num_endomorphisms=None):

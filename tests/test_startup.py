@@ -11,8 +11,10 @@ collineation, endo, transgroup and cli forward the same way the names
 they hand to a module of their own: the definitions no benchmark command
 calls, the conjugation pass and the handlers of groups, endo and
 verify-all, so that each command compiles only the code it runs.  The
-records are ``NamedTuple``s and the one stateful class,
-``TranslationGroup``, a plain ``__slots__`` class.
+records are ``collections.namedtuple`` subclasses and the one stateful
+class, ``TranslationGroup``, a plain ``__slots__`` class.  No command
+loads ``json`` or ``typing``: cli decodes a document with the scanner of
+``_json`` and output writes a report's scalars itself.
 """
 
 import gc
@@ -26,7 +28,7 @@ import pytest
 
 import affineplane
 from affineplane import builder, cli
-from conftest import COMMAND_LINES, ag29_document, corrupted_documents
+from conftest import COMMAND_LINES, ag29_document, bench_lines, corrupted_documents
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
@@ -81,13 +83,14 @@ FORWARDED = [
 
 # Runs `python -m affineplane <argv>` through runpy and, when cli.run calls
 # os._exit, prints on stderr the modules the run loaded beyond those loaded
-# at start-up, then exits by the real os._exit.
+# at start-up, then exits by the real os._exit.  It imports nothing the
+# program might load, so json and typing count as loaded by the run.
 WRAPPER = """\
-import json, os, runpy, sys
+import os, runpy, sys
 before = set(sys.modules)
 real_exit = os._exit
 def _exit(code):
-    print("loaded:", json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr, flush=True)
+    print("loaded:", *sorted(set(sys.modules) - before), file=sys.stderr, flush=True)
     real_exit(code)
 os._exit = _exit
 runpy.run_module("affineplane", run_name="__main__", alter_sys=True)
@@ -100,11 +103,13 @@ def python(*argv, cwd):
 
 
 def loaded_by(tmp_path, *argv):
-    """The exit code of `affineplane <argv>` and the modules it loaded."""
-    result = python("-c", WRAPPER, *argv, cwd=tmp_path)
+    """The exit code of `affineplane <argv>` and the modules it loaded.  -S
+    skips site, so that a module a .pth file imports at start-up, such as
+    typing, is not taken for loaded before the run."""
+    result = python("-S", "-c", WRAPPER, *argv, cwd=tmp_path)
     line = result.stderr.splitlines()[-1]
-    assert line.startswith("loaded: "), result.stderr
-    return result.returncode, set(json.loads(line[len("loaded: "):]))
+    assert line.startswith("loaded:"), result.stderr
+    return result.returncode, set(line.split()[1:])
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +155,20 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
     assert "dataclasses" not in loaded
     assert loaded & (absent | PARSER_MODULES | {USAGE}) == set()
     assert (STAGES | HANDLERS | {BUILDER}) - absent <= loaded
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "PLANE", *flags] for command, flags in sorted(bench_lines().items())),
+    ["build", "--order", "3"], ["check", "PLANE"], ["--version"],
+], ids=["endo", "groups", "verify-all", "build", "check", "version"])
+def test_no_command_loads_json_or_typing(tmp_path, plane_file, argv):
+    """cli decodes the document with _json's scanner and output writes the
+    report's scalars itself, and the records are collections.namedtuple
+    subclasses, so neither json nor typing is on a command's path."""
+    code, loaded = loaded_by(tmp_path, *[plane_file if a == "PLANE" else a for a in argv])
+    assert code == 0
+    assert "affineplane.cli" in loaded
+    assert {m for m in loaded if m in ("json", "typing") or m.startswith("json.")} == set()
 
 
 @pytest.mark.parametrize(
@@ -373,11 +392,38 @@ def test_buffered_report_reaches_a_pipe_whole(tmp_path, module):
     assert result.stdout == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
+# Runs `python -m affineplane.cli <argv>` through runpy and, when cli.run
+# calls os._exit, prints on stderr whether affineplane.cli is the running
+# module, then exits by the real os._exit.
+SAME_CLI_WRAPPER = """\
+import os, runpy, sys
+real_exit = os._exit
+def _exit(code):
+    print("same:", sys.modules.get("affineplane.cli") is sys.modules["__main__"],
+          file=sys.stderr, flush=True)
+    real_exit(code)
+os._exit = _exit
+runpy.run_module("affineplane.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [["endo", "PLANE"], ["groups", "PLANE"], ["verify-all", "PLANE"],
+                                  ["check", "PLANE", "--ou", "r.json"]],
+                         ids=["endo", "groups", "verify-all", "argparse"])
+def test_cli_as_main_is_the_one_cli_module(tmp_path, plane_file, argv):
+    """Under `python -m affineplane.cli` the handler modules and usage import
+    affineplane.cli, which is the running module: cli.py is compiled once."""
+    result = python("-c", SAME_CLI_WRAPPER, *[plane_file if a == "PLANE" else a for a in argv],
+                    cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "same: True"
+
+
 def test_argparse_path_runs_the_handlers_of_the_running_module(tmp_path):
     """Under `python -m affineplane.cli` the module runs as __main__, and
-    affineplane.usage imports a second copy of it.  A line that argparse
-    reads still runs __main__'s handlers, so a failed write is an output
-    error there too, not a traceback of the other copy's _OutputError."""
+    affineplane.usage imports it as affineplane.cli.  A line that argparse
+    reads runs __main__'s handlers, so a failed write is an output error
+    there too, not a traceback of the _OutputError of another copy."""
     for module in ("affineplane", "affineplane.cli"):
         with subprocess.Popen([sys.executable, "-m", module, "build", "--ord", "3"], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,

@@ -9,7 +9,6 @@ bench/run.py, so that a name the replay reads and the program no longer
 provides fails here, not only in the benchmark's traced run.
 """
 
-import ast
 import importlib.util
 import json
 import os
@@ -21,21 +20,10 @@ import pytest
 
 import affineplane
 from affineplane import build_prime_plane
+from conftest import bench_lines
 
 SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
-
-
-def bench_lines() -> dict:
-    """command -> argv after the plane, from bench/run.py's GROUPS, ENDO and VERIFY_ALL."""
-    tree = ast.parse((BENCH / "run.py").read_text())
-    lines = {}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) in ("GROUPS", "ENDO", "VERIFY_ALL")):
-            command, *flags = ast.literal_eval(node.value)
-            lines[command] = flags
-    return lines
 
 
 @pytest.fixture(scope="module")
