@@ -15,7 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "builder": ("build_prime_plane", "is_prime"),
+    "builder": ("build_prime_plane", "is_prime", "prime_plane_document"),
     "collineation": ("ClassifiedMap", "fixed_points"),
     "conjugation": (
         "check_composition_direction", "check_conjugation", "check_conjugation_direction",
@@ -28,12 +28,13 @@ _EXPORTS = {
     ),
     "endo": (
         "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
-        "enumerate_endomorphisms", "enumerate_tp_endomorphisms", "is_endomorphism",
+        "is_endomorphism", "tp_endomorphisms",
     ),
     "incidence": (
         "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
         "parallel_partition", "verify_axioms",
     ),
+    "search": ("enumerate_endomorphisms", "enumerate_tp_endomorphisms"),
     "transgroup": ("CheckResult", "TranslationGroup", "build_group", "check_abelian", "generators"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,12 +3,15 @@
 Point (x, y) gets id x*p + y.  Lines come in a fixed order: y = m*x + b
 for ascending (m, b), then the verticals x = c.  The deterministic layout
 keeps ids stable across runs.
+
+prime_plane_document lists the lines, and is all that `build` runs:
+this module imports the incidence layer only where build_prime_plane
+makes a plane of them.
 """
 
 from __future__ import annotations
 
 from .errors import NotPrime
-from .incidence import IncidencePlane, verify_axioms
 
 
 def is_prime(n: int) -> bool:
@@ -26,18 +29,25 @@ def point_id(x: int, y: int, p: int) -> int:
     return x * p + y
 
 
-def build_prime_plane(p: int) -> IncidencePlane:
-    """Construct AG(2,p) and verify it, so the result is ready for use."""
+def prime_plane_document(p: int) -> dict:
+    """The incidence document of AG(2,p), unverified: {"points": p^2,
+    "lines": [...]}, each line a list of point ids in ascending order,
+    the lines in the layout's order.  It is build_prime_plane(p).to_document():
+    x*p dominates every id, so a line y = m*x + b listed by ascending x,
+    and a vertical by ascending y, is sorted."""
     if not is_prime(p):
         raise NotPrime(f"plane order must be prime, got {p}")
+    lines = [[point_id(x, (m * x + b) % p, p) for x in range(p)]
+             for m in range(p) for b in range(p)]
+    lines += [[point_id(c, y, p) for y in range(p)] for c in range(p)]
+    return {"points": p * p, "lines": lines}
 
-    lines: list[frozenset[int]] = []
-    for m in range(p):
-        for b in range(p):
-            lines.append(frozenset(point_id(x, (m * x + b) % p, p) for x in range(p)))
-    for c in range(p):
-        lines.append(frozenset(point_id(c, y, p) for y in range(p)))
 
-    plane = IncidencePlane(p * p, lines)
+def build_prime_plane(p: int) -> IncidencePlane:
+    """Construct AG(2,p) and verify it, so the result is ready for use."""
+    from .incidence import IncidencePlane, verify_axioms
+
+    document = prime_plane_document(p)
+    plane = IncidencePlane(document["points"], [frozenset(line) for line in document["lines"]])
     verify_axioms(plane)
     return plane

@@ -31,10 +31,9 @@ from .output import render_report  # the benchmark's traced replay calls cli.ren
 
 # The handlers of groups, endo and verify-all live in a module each, which
 # cli loads only for its command (a module __getattr__, PEP 562), and each
-# command imports the stages it runs in its body: only `build` loads
-# builder, `check` and `build` load no stage module, `groups` loads no endo,
-# `endo` no conjugation pass, and --help, --version and usage errors load
-# no incidence.
+# command imports the stages it runs in its body: only `build` loads builder,
+# and no incidence, `check` no stage module, `groups` no endo, `endo` no
+# conjugation pass, and --help, --version and usage errors no incidence.
 __getattr__ = _forward(__name__, {
     "cmd_groups": "cmd_groups", "cmd_endo": "cmd_endo", "cmd_verify_all": "cmd_verify_all",
     "_dilation_generators": "conjugation",
@@ -69,21 +68,25 @@ JSON_WHITESPACE = " \t\n\r"
 
 
 def _decode(text: str):
-    """json.loads(text), read by the scanner json.loads runs, so that json
-    itself is imported only for a text that is no JSON document.
+    """The mapping json.loads(text) gives, read by the scanner json.loads
+    runs, or the text itself, for the caller to give to json.loads, when
+    it holds no mapping or is no JSON document.
 
     json.loads skips JSON whitespace, scans one value with the C scanner
     of _json under its default context (strict, no hooks, float and int,
     and its NaN and Infinity constants), and accepts only whitespace
     after it.  So does this.  Where the scanner fails or leaves anything
     else, json.loads(text) reads the text again and raises json's own
-    error, word for word.  The scanner's own errors are not passed on:
-    before Python 3.12 it cannot make a JSONDecodeError unless json.decoder
-    is loaded, and raises SystemError instead.  Also before 3.12, Python
-    frames count against the recursion limit, and this call sits three
-    frames above the scan of json.loads: a document nested within three
-    levels of that limit decodes here, and load_plane rejects it, where
-    json.loads raised RecursionError.
+    error, word for word, so json is imported only for such a text.  The
+    scanner's own errors are not passed on: before Python 3.12 it cannot
+    make a JSONDecodeError unless json.decoder is loaded, and raises
+    SystemError instead.  Also before 3.12, Python frames count against
+    the recursion limit, and this scan sits fewer frames deep than the
+    scan of json.loads, so it decodes a value nested within a few levels
+    of that limit where json.loads raises RecursionError.  A value that
+    is no mapping, which load_plane would reject, is handed back as text,
+    so a list nested that deep still gets json.loads' RecursionError; a
+    mapping that holds one still decodes here, and load_plane rejects it.
     """
     from _json import make_scanner
 
@@ -95,12 +98,8 @@ def _decode(text: str):
     try:
         value, end = scan(text, len(text) - len(text.lstrip(JSON_WHITESPACE)))
     except (StopIteration, RecursionError, SystemError, ValueError):
-        end = None
-    if end is None or text[end:].strip(JSON_WHITESPACE):
-        import json
-
-        return json.loads(text)
-    return value
+        return text
+    return value if type(value) is dict and not text[end:].strip(JSON_WHITESPACE) else text
 
 
 def _load_verified_summary(path: str):
@@ -108,7 +107,12 @@ def _load_verified_summary(path: str):
 
     with open(path, encoding="utf-8") as fh:
         try:
-            plane = load_plane(_decode(fh.read()))
+            document = _decode(text := fh.read())
+            if document is text:  # json.loads at the frame depth where check always ran it
+                import json
+
+                document = json.loads(text)
+            plane = load_plane(document)
         except (RecursionError, ValueError, UserWarning) as exc:
             # ValueError covers bad JSON, bad UTF-8 and an integer literal
             # over the int-to-str digit limit; RecursionError, deep nesting;
@@ -156,17 +160,17 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
 
 
 def cmd_build(args) -> int:
-    from .builder import build_prime_plane
+    from .builder import prime_plane_document
 
     try:
         if args.order > args.max_order:  # first: trial division of a large order would not end
             raise OrderTooLarge(f"order {args.order} exceeds the bound {args.max_order}")
-        plane = build_prime_plane(args.order)
+        document = prime_plane_document(args.order)
     except AffinePlaneError as exc:
         _note(f"build failed: {exc}")
         return EXIT_ERROR
-    _write(plane.to_document(), args.out)
-    _note(f"AG(2,{args.order}): {plane.num_points} points, {plane.num_lines} lines")
+    _write(document, args.out)
+    _note(f"AG(2,{args.order}): {document['points']} points, {len(document['lines'])} lines")
     return EXIT_PASS
 
 

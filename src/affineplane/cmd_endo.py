@@ -1,7 +1,9 @@
 """The endo command: |End| of Tr, and the TP maps and their ring when asked.
 
 cli loads this module only for an endo line, which loads no conjugation
-pass and no definitions.
+pass and no definitions, and no End search but with --dump or on a plane
+whose End or TP maps cannot be read without one (endo.count_endomorphisms,
+endo.tp_endomorphisms).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def cmd_endo(args) -> int:
         _note("plane failed axiom verification; run `check` for details")
         return EXIT_ERROR
 
-    *_, group = _translation_group(plane, args.max_order)
+    stabiliser, *_, group = _translation_group(plane, args.max_order)
     num_endomorphisms = endo.count_endomorphisms(group)
     if args.dump:  # else End is only counted: no table is kept
         _check_dump(num_endomorphisms, group.order)
@@ -28,7 +30,7 @@ def cmd_endo(args) -> int:
     note = f"|End| = {num_endomorphisms}"
     all_pass = True
     if args.trace_preserving or args.check_ring:
-        tp = endo.enumerate_tp_endomorphisms(plane, group)
+        tp = endo.tp_endomorphisms(plane, group, stabiliser)
         results["num_tp_endomorphisms"] = len(tp)
         note += f", |End^TP| = {len(tp)}"
         if args.dump:

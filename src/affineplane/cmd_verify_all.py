@@ -1,6 +1,8 @@
 """The verify-all command: every theorem of the chain, in dependency order.
 
-cli loads this module only for a verify-all line.
+cli loads this module only for a verify-all line, which loads the End
+search only on a plane whose End or TP maps cannot be read without one
+(endo.count_endomorphisms, endo.tp_endomorphisms).
 """
 
 from __future__ import annotations
@@ -35,15 +37,15 @@ def cmd_verify_all(args) -> int:
     ]
 
     num_endomorphisms = endo.count_endomorphisms(group)
-    tp = endo.enumerate_tp_endomorphisms(plane, group)
+    tp = endo.tp_endomorphisms(plane, group, stabiliser)
     results["num_endomorphisms"] = num_endomorphisms
     results["num_tp_endomorphisms"] = len(tp)
 
     ring = endo.check_ring_axioms(plane, group, tp, num_endomorphisms)
     results["ring"] = ring.to_dict()
     # End's closure theorems are settled by proof (check_abelian); tp is
-    # every TP endomorphism (claim 3 of each search), so a TP sum or
-    # composite is one iff it is listed
+    # every TP endomorphism (tp_endomorphisms, claim 3 of each search), so
+    # a TP sum or composite is one iff it is listed
     theorems += [
         ("endomorphism_sums_are_endomorphisms", abelian),
         ("endomorphism_composites_are_endomorphisms", True),

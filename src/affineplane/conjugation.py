@@ -11,7 +11,7 @@ module; transgroup reads its names too, on first access.
 from __future__ import annotations
 
 from .collineation import ClassifiedMap
-from .transgroup import CheckResult, TranslationGroup, generator_chain, generators
+from .transgroup import CheckResult, TranslationGroup, _gather, generator_chain, generators
 
 
 def _dilation_generators(stabiliser, representatives, group) -> list:
@@ -41,7 +41,16 @@ def check_conjugation(
     si = 0: the scan finds no witness there and compares every other
     direction.
 
-    When each generator's conjugate, computed point by point, is listed,
+    Each generator s's conjugate is looked up by the key build_group
+    indexes Tr by, its images of points 0 and 1, d^-1(s(d(0))) and
+    d^-1(s(d(1))), reading d^-1 at those two points only (d.index), and
+    the listed t with that key, if any, is confirmed by d.t = s.d, two
+    C-level gathers: for a permutation d that says t = d^-1.s.d, and the
+    conjugate, if listed, is the one element with its key.  So no inverse
+    of d is built unless the point-by-point pass below needs it.  A map
+    that is no permutation has no d^-1 to read, and goes to that pass,
+    where conj[0], _inverse(d).d, is no permutation, so it is not listed.
+    When each generator's conjugate is listed,
     the table is filled along the generator chain from conj[0] = 0, one
     Cayley lookup per tree edge or fill: conj[gens[j].c] :=
     conj[gens[j]].conj[c] and conj[c.h] := conj[c].conj[h].  This is the
@@ -73,9 +82,14 @@ def check_conjugation(
     direction_of = g.direction_of
     for di, delta in enumerate(dilations):
         d = delta.image
-        inv = _inverse(d)
-        images = [g.index_of(tuple([inv[s[q]] for q in d])) for s in gen_images]
+        images = [None]  # a map that is no permutation is conjugated point by point
+        if len(set(d)) == len(d):
+            then_d = _gather(d)  # f -> f.d, as an image
+            images = [t if (t := g._by_key.get((d.index(s[d[0]]), d.index(s[d[1]])))) is not None
+                      and _gather(g.elements[t].image)(d) == then_d(s) else None
+                      for s in gen_images]
         if None in images:
+            inv = _inverse(d)
             conj = [g.index_of(tuple([inv[s.image[q]] for q in d])) for s in g.elements]
         else:
             conj = [0] * g.order

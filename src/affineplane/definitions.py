@@ -7,7 +7,8 @@ endomorphisms are End's operations on single maps, and
 is_trace_preserving and scalar_labeling test one map or one list.  The
 commands read the same facts from dilation_cosets, the chain search and
 the ring scans, so only the tests, the demos and `groups --dilations`
-(compose_cosets, which also loads endo through this module) load it.
+(compose_cosets) load it.  The End operations import what they read of
+endo in their bodies, so that `groups --dilations` compiles no endo.
 Each name is also read from the module of its stage, collineation or
 endo (a module __getattr__, PEP 562).
 """
@@ -19,7 +20,6 @@ from operator import itemgetter
 from .collineation import (
     ClassifiedMap, _as_dilation, _classified_dilation, dilation_cosets, fixed_points,
 )
-from .endo import GroupSelfMap, _check_size as _check_table, _sum_table, is_endomorphism
 from .errors import NotEndomorphism, SizeMismatch
 from .incidence import IncidencePlane
 from .transgroup import TranslationGroup, compose_images
@@ -88,6 +88,8 @@ def enumerate_dilations(plane: IncidencePlane) -> list[ClassifiedMap]:
 
 def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
     """(alpha + beta)(s) = alpha(s) o beta(s)."""
+    from .endo import GroupSelfMap, _check_size as _check_table, _sum_table
+
     _check_table(g, alpha)
     _check_table(g, beta)
     return GroupSelfMap(_sum_table(g.cayley, alpha.table, beta.table))
@@ -95,6 +97,8 @@ def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSe
 
 def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
     """(alpha o beta)(s) = alpha(beta(s))."""
+    from .endo import GroupSelfMap, _check_size as _check_table
+
     _check_table(g, alpha)
     _check_table(g, beta)
     return GroupSelfMap(compose_images(alpha.table, beta.table))
@@ -102,11 +106,15 @@ def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> Gro
 
 def zero_endo(g: TranslationGroup) -> GroupSelfMap:
     """Sends every translation to the identity."""
+    from .endo import GroupSelfMap
+
     return GroupSelfMap((0,) * g.order)
 
 
 def unit_endo(g: TranslationGroup) -> GroupSelfMap:
     """Leaves every translation in place."""
+    from .endo import GroupSelfMap
+
     return GroupSelfMap(tuple(range(g.order)))
 
 
@@ -116,11 +124,15 @@ def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
     An endomorphism because the group is abelian; trace-preserving
     because a translation and its inverse share their direction.
     """
+    from .endo import GroupSelfMap
+
     return GroupSelfMap(g.inverse)
 
 
 def negate(g: TranslationGroup, alpha: GroupSelfMap) -> GroupSelfMap:
     """Pointwise inverse of alpha: the composite of inversion with alpha."""
+    from .endo import is_endomorphism
+
     if not is_endomorphism(g, alpha):
         raise NotEndomorphism("negate requires an endomorphism")
     return compose(g, inversion_endo(g), alpha)
@@ -134,6 +146,8 @@ def is_trace_preserving(
     Elements mapped to the identity are accepted: the identity has no
     direction, and the zero map must count as trace-preserving.
     """
+    from .endo import is_endomorphism
+
     if not is_endomorphism(g, alpha):
         raise NotEndomorphism("trace preservation is defined for endomorphisms")
     return all(

@@ -8,26 +8,34 @@ them the two operations form an associative unitary ring.  The ring
 laws a list can fail are checked by exhaustion, and the laws that hold
 for any self-maps of a group are settled by proof (check_ring_axioms).
 
-The operations on single maps (add, compose, negate, the zero, unit and
-inversion maps) and the tests of one map or list (is_trace_preserving,
-scalar_labeling) live in affineplane.definitions, which no benchmark
-command loads; they are read here too, on first access.
+The commands list no End.  They count it from element orders
+(count_endomorphisms), and read the trace-preserving maps from the
+dilations that fix a point (tp_endomorphisms).  The End search that lists
+End, or its trace-preserving maps, lives in affineplane.search, which
+only `endo --dump`, a group that is not abelian and a translation group
+too small for tp_endomorphisms load.  The operations on single maps
+(add, compose, negate, the zero, unit and inversion maps) and the tests
+of one map or list (is_trace_preserving, scalar_labeling) live in
+affineplane.definitions, which no benchmark command loads.  The names of
+both modules are read here too, on first access.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterator
 
 from . import _forward
 from .errors import SizeMismatch
 from .incidence import AxiomCheck, IncidencePlane
-from .transgroup import TranslationGroup, check_abelian, compose_images, generator_chain, generators
+from .transgroup import TranslationGroup, _gather, check_abelian, compose_images, generators
 
-__getattr__ = _forward(__name__, dict.fromkeys((
-    "add", "compose", "inversion_endo", "is_trace_preserving", "negate", "scalar_labeling",
-    "unit_endo", "zero_endo"), "definitions"))
+__getattr__ = _forward(__name__, {
+    **dict.fromkeys(("add", "compose", "inversion_endo", "is_trace_preserving", "negate",
+                     "scalar_labeling", "unit_endo", "zero_endo"), "definitions"),
+    **dict.fromkeys(("_chain_search", "enumerate_endomorphisms", "enumerate_tp_endomorphisms"),
+                    "search"),
+})
 
 
 class GroupSelfMap(namedtuple("GroupSelfMap", "table")):
@@ -62,69 +70,15 @@ def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
     generator, t[w.x] = t[s.(v.x)] = t[s].t[v.x] = t[s].t[v].t[x]
     = t[s.v].t[x], using the generator identity twice, the induction
     hypothesis once and associativity, which holds because the Cayley
-    table records composition of permutations.  Cost: |G| lookups per
-    generator instead of |G|^2.
+    table records composition of permutations.  Cost: per generator, two
+    C-level gathers of |G| entries, (t[s.x])_x and (t[s].t[x])_x, instead
+    of |G|^2 lookups.
     """
     _check_size(g, alpha)
     t = alpha.table
+    image = _gather(t)  # a row r -> (r[t[x]])_x
     return t[0] == 0 and all(
-        t[sx] == g.cayley[t[s]][tx]
-        for s in generators(g)
-        for sx, tx in zip(g.cayley[s], t)
-    )
-
-
-def enumerate_endomorphisms(g: TranslationGroup) -> list[GroupSelfMap]:
-    """All endomorphisms, by a depth-first search along the generator chain.
-
-    With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
-    H_0 = {0} < H_1 < ... < H_r = G is saturated once, level k by a BFS
-    over the left cosets c.H_(k-1) (generator_chain).  At level k the
-    search picks an image y_k for s_k, sets the representatives by the
-    tree edges t[s_j.c] := y_j.t[c], tests each relator s_j.c = c'.h as
-    y_j.t[c] = t[c'].t[h], and only then fills t[c.h] := t[c].t[h] and
-    descends; every table that survives level r is emitted.  The old
-    route, each of the |G|^r assignments extended to a full table along
-    one word per element, then is_endomorphism on that table, emits the
-    same list:
-
-    1. A leaf passes iff its table passes is_endomorphism.  By induction
-       on k, t is a homomorphism on H_k iff it is one on H_(k-1) and
-       level k's relators hold.  "=>" is clear.  "<=": t[0] = 0 (never
-       filled), t[s_j] = y_j (level j's first tree edge), and each x in
-       H_k is c.h for one representative c and one h in H_(k-1), with
-       t[x] = t[c].t[h].  Each edge (j, c), j <= k, has s_j.c = c'.h' and
-       t[s_j].t[c] = t[c'].t[h']: by construction for a tree edge
-       (h' = 0), by the test for a relator, and as y_j = t[s_j] for a
-       dropped (j < k, c = 0).  So t[s_j.x] = t[c'.h'h] = t[c'].t[h'].t[h]
-       = t[s_j].t[c].t[h] = t[s_j].t[x], by associativity and the
-       homomorphism on H_(k-1): is_endomorphism's generator identity on
-       H_k = <s_1, ..., s_k>, which its proof extends to all of H_k.
-    2. Pruning is sound.  Level k's test reads only entries of H_k, and
-       deeper levels fill only entries outside H_k, so the leaf table of
-       a passing leaf agrees there with its level-k node, and that node
-       passed.  (Equivalently: a homomorphism restricts to one on H_k.)
-    3. The lists are equal.  By 1, every emitted table is an
-       endomorphism.  Each endomorphism phi is emitted at the leaf
-       y_k = phi(s_k): the tree edges and fills there give
-       phi(s_j.c) = phi(s_j).phi(c) and phi(c.h) = phi(c).phi(h), and
-       every relator holds.  Every other leaf has some t[s_k] = y_k
-       different from phi(s_k), so phi is emitted once.  The old route
-       accepts the same set, one assignment each, since a homomorphism is
-       fixed by its generator images.  Both lists are sorted by table.
-    4. Depth-first order is table order, so no sort is needed.
-       generator_chain picks s_k as the lowest index outside H_(k-1), so
-       every index below s_k lies in H_(k-1), and the first tree edge of
-       level k sets t[s_k] = y_k.  Two leaves whose images first differ at
-       level k agree on H_(k-1), so on every index below s_k, and differ
-       at s_k, where they are ordered by y_k; the loop tries y_k in
-       ascending order.
-
-    Nothing here uses commutativity, nor that H_(k-1) is normal in H_k.
-    Cost per node at level k: its tree edges and relators, then its
-    fills, instead of a full table and |G|.r pairs per assignment.
-    """
-    return [GroupSelfMap(t) for t in _chain_search(g)]
+        _gather(g.cayley[s])(t) == image(g.cayley[t[s]]) for s in generators(g))
 
 
 def count_endomorphisms(g: TranslationGroup) -> int:
@@ -154,6 +108,8 @@ def count_endomorphisms(g: TranslationGroup) -> int:
     where a walk meets 3^16 leaves on order 9.
     """
     if not check_abelian(g).passed:
+        from .search import _chain_search
+
         return sum(1 for _ in _chain_search(g))
     count, rest, p = 1, g.order, 1
     while rest > 1:
@@ -175,87 +131,85 @@ def count_endomorphisms(g: TranslationGroup) -> int:
     return count
 
 
-def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> list[GroupSelfMap]:
-    """The trace-preserving endomorphisms, by the same chain search, pruned.
+def tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup,
+                     stabiliser: list) -> list[GroupSelfMap]:
+    """The trace-preserving endomorphisms, the list that
+    enumerate_tp_endomorphisms gives, read from Dil_0 when Tr is
+    transitive on the points; else, or when the scan below fails, by that
+    search.
 
-    The search of enumerate_endomorphisms also requires
-    allowed[z][t[z]] for every entry t[z] a level sets, by a tree edge or
-    a fill, where allowed[z][y] = (y == 0 or direction_of[y] ==
-    direction_of[z]), and prunes as soon as that fails.  The list equals
-    End filtered by is_trace_preserving, in the same order:
+    stabiliser is Dil_0, the dilations that fix point 0, as
+    dilation_cosets lists them, and g is Tr as build_group orders it.  The
+    gate: g.order = plane.num_points.  Then element i is the translation
+    tau_i with tau_i(0) = i, as build_group sorts Tr by image, and no two
+    translations agree at 0.  For sigma in Dil_0, conj_sigma(tau) = sigma.tau.sigma^-1 is a
+    translation of the direction of tau (Artin, Geometric Algebra, ch.
+    II), so conj_sigma is a trace-preserving endomorphism, and
+    conj_sigma(tau_i)(0) = sigma(i): its table is sigma.image.  The list
+    is the zero map and these tables, sorted, which is the order of the
+    search (claim 4 of enumerate_endomorphisms).
 
-    1. A leaf passes iff its table passes is_endomorphism and
-       is_trace_preserving.  The new elements of the levels are the
-       nonzero elements, each set once, by a tree edge or a fill, and
-       tested when it is set; is_trace_preserving asks allowed[z][t[z]]
-       of exactly these z.  The relator tests are those of claim 1 of
-       enumerate_endomorphisms.
-    2. Pruning is sound.  A tested entry of level k depends only on
-       y_1, ..., y_k, and deeper levels never rewrite an entry of H_k, so
-       every leaf below a pruned level-k node keeps the entry that failed
-       there, and its table fails is_trace_preserving.
-    3. The leaves are the endomorphisms that pass is_trace_preserving,
-       each once (claim 3 of enumerate_endomorphisms), in table order as
-       End is (claim 4), so filtering End keeps them in the same order.
+    Every nonzero trace-preserving map alpha is one of them.  alpha is
+    injective: if alpha(tau) = 0 for some tau != 0, then for tau' of any
+    other direction, tau.tau' has a third direction, and alpha(tau.tau')
+    = alpha(tau') must lie in both the direction of tau' and the third
+    one, so alpha(tau') = 0; the same step from a kernel element of
+    another direction puts the direction of tau in the kernel too, and
+    alpha = 0.  So sigma(Q) = alpha(tau_Q)(0) is injective and fixes 0,
+    and for P != Q the translation alpha(tau_Q).alpha(tau_P)^-1 =
+    alpha(tau_Q.tau_P^-1) is nonzero, has the direction of PQ and sends
+    sigma(P) to sigma(Q): sigma is a dilation in Dil_0.  conj_sigma and
+    alpha agree at 0 on every tau_Q, and a translation is fixed by its
+    image of 0, so alpha = conj_sigma.  Distinct sigma have distinct
+    tables, so the list has |Dil_0| + 1 maps.
 
-    Cost: a node survives level k only if y_1, ..., y_k lie in the
-    direction subgroups of s_1, ..., s_k, so at most q^k nodes do on a
-    plane of order q, each tried against |G| images at the next level;
-    filtering End tested all of End, 65,536 maps on AG(2,4).
+    The list is scanned, not trusted.  One of its k = |Dil_0| tables,
+    gamma, must bring point 1 back to 1 in exactly k steps, and pass
+    is_endomorphism and the direction test, each by C-level gathers.  It
+    is then a trace-preserving endomorphism, so by the above the table of
+    a dilation, and its powers gamma, ..., gamma^k are k distinct ones,
+    since they differ at 1.  Each power, one gather from the last, must
+    be the listed table with its entry at 1: so the k tables are exactly
+    the powers, with no repeat and none of another size, and each is a
+    trace-preserving endomorphism, as composites of such maps are.
+    Last, the entries at 1 of the listed maps, with 0, must be closed
+    under x -> x.tau_1, that is the list under adding the unit map
+    (alpha + 1)(tau_1) = alpha(tau_1).tau_1, as the whole list is.  This
+    catches a list that lacks one map of Dil_0: if it lacks x, it holds
+    x - 1, and (x - 1) + 1 = x.  That no other dilation fixes 0 is
+    dilation_cosets' claim, from its test of every candidate.
     """
-    return [GroupSelfMap(t) for t in _chain_search(g, g.direction_of)]
+    if g.order == plane.num_points and (tp := _from_stabiliser(g, stabiliser)):
+        return tp
+    from .search import enumerate_tp_endomorphisms
+
+    return enumerate_tp_endomorphisms(plane, g)
 
 
-def _chain_search(g: TranslationGroup, directions: tuple | None = None) -> Iterator[tuple]:
-    """The one search body of enumerate_endomorphisms, of
-    enumerate_tp_endomorphisms given directions, and of
-    count_endomorphisms on a group that is not abelian: yields each leaf
-    table, in depth-first order, which is table order (claim 4 of
-    enumerate_endomorphisms).
-
-    t is the table under construction, zero at the start.  Level k tries
-    each image y_k of gens[k] in ascending order: it sets the level's
-    representatives by the tree edges, tests its relators, fills its
-    other new elements, and descends for each y_k that passes, with t set
-    on H_(k+1).  rows[j] = cayley[y_j], and cayley[0] until level j sets
-    it.  keep[z][y] says whether t[z] = y is allowed."""
-    _, levels = generator_chain(g)
-    cayley = g.cayley
-    if directions is None:
-        keep = [(True,) * g.order] * g.order
+def _from_stabiliser(g: TranslationGroup, stabiliser: list) -> list[GroupSelfMap] | None:
+    """The list of tp_endomorphisms, read from Dil_0 on a Tr of one
+    element per point, or None where the scan fails."""
+    k = len(stabiliser)
+    by_one = {s.image[1]: s.image for s in stabiliser}
+    for gamma in by_one.values():  # a table that brings 1 back to 1 in k steps
+        y, steps = gamma[1], 1
+        while y != 1 and steps < k:
+            y, steps = gamma[y], steps + 1
+        if y == 1 and steps == k:
+            break
     else:
-        allowed = {
-            d: tuple(y == 0 or directions[y] == d for y in range(g.order))
-            for d in set(directions)
-        }
-        keep = [allowed[d] for d in directions]
-    t = [0] * g.order
-    rows = [cayley[0]] * len(levels)
-
-    def search(k: int) -> Iterator[tuple]:
-        if k == len(levels):
-            yield tuple(t)
-            return
-        tree, relators, fills = levels[k]
-        for y in range(g.order):
-            rows[k] = cayley[y]
-            for c2, j, c in tree:
-                v = t[c2] = rows[j][t[c]]
-                if not keep[c2][v]:
-                    break
-            else:
-                for j, c, c2, h in relators:
-                    if rows[j][t[c]] != cayley[t[c2]][t[h]]:
-                        break
-                else:
-                    for z, c, h in fills:
-                        v = t[z] = cayley[t[c]][t[h]]
-                        if not keep[z][v]:
-                            break
-                    else:
-                        yield from search(k + 1)
-
-    return search(0)
+        return None
+    power, step = gamma, _gather(gamma)
+    if not (is_endomorphism(g, GroupSelfMap(gamma)) and step(g.direction_of) == g.direction_of):
+        return None
+    for _ in range(k):
+        if by_one.get(power[1]) != power:
+            return None
+        power = step(power)  # power.gamma, the next power
+    ones = {0, *by_one}
+    if all(g.cayley[y][1] in ones for y in ones):  # closed under adding the unit
+        return [GroupSelfMap(t) for t in sorted([(0,) * g.order, *by_one.values()])]
+    return None
 
 
 class RingReport(namedtuple("RingReport", "axioms mul_commutative num_tp num_endomorphisms",

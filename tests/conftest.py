@@ -240,6 +240,7 @@ COMMAND_LINES = [
     ["build", "--order", "3", "--out", "p3.json"],
     ["build", "--order", "13", "--out", "ag213.json"],
     ["build", "--order", "31", "--max-order", "31", "--out", "ag231.json"],
+    ["build", "--order", "47", "--max-order", "47", "--out", "ag247.json"],
     ["check", PLANE],
     ["groups", PLANE],
     ["groups", PLANE, "--translations"],
@@ -267,7 +268,9 @@ COMMAND_LINES = [
     ["endo", PLANE, *RING_FLAGS, "--dump"],
     ["endo", PLANE, "--max-order", "3"],
     ["endo", PLANE, "--dump", "--out", "r.json"],
+    ["endo", PLANE, *RING_FLAGS, "--max-order", "47"],
     ["verify-all", PLANE],
     ["verify-all", PLANE, "--max-order", "16"],
+    ["verify-all", PLANE, "--max-order", "47"],
     ["verify-all", PLANE, "--out", "r.json"],
 ]

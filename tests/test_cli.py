@@ -112,6 +112,19 @@ class TestBuild:
         assert run(capsys, "build", "--order", "5", "--out", str(path)) == (0, "", err)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_document_is_the_built_plane_and_passes_check(self, tmp_path, capsys, p):
+        """build writes the lines of prime_plane_document, with no incidence
+        layer: the bytes of build_prime_plane(p).to_document(), a plane that
+        check passes."""
+        path = tmp_path / "plane.json"
+        assert run(capsys, "build", "--order", str(p), "--max-order", "31", "--out", str(path)) == (
+            0, "", f"AG(2,{p}): {p * p} points, {p * p + p} lines\n")
+        document = build_prime_plane(p).to_document()
+        assert path.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, "check", str(path))
+        assert (code, json.loads(out)["status"]) == (0, "pass")
+
     def test_huge_order_exits_2_before_the_primality_test(self, capsys):
         # 2^61 - 1 is prime: trial division up to its square root takes minutes
         start = time.perf_counter()
@@ -594,7 +607,7 @@ class TestOut:
     def test_empty_out_fails_before_the_plane_is_read(self, p2_file, capsys, monkeypatch, argv):
         # an empty --out once wrote the report to stdout and exited 0
         loads = count_calls(monkeypatch, "load_plane")
-        builds = count_calls(monkeypatch, "build_prime_plane")
+        builds = count_calls(monkeypatch, "prime_plane_document")
         argv = [p2_file if a == "PLANE" else a for a in argv]
         assert run(capsys, *argv, "--out", "") == (
             2, "", "input error: [Errno 2] No such file or directory: ''\n",
@@ -875,7 +888,7 @@ class TestStages:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "command,flags,tp_searches",
+        "command,flags,tp_lists",
         [
             ("check", [], 0),
             ("groups", ["--check-abelian", "--check-normal", "--check-directions"], 0),
@@ -884,11 +897,13 @@ class TestStages:
             ("verify-all", [], 1),
         ],
     )
-    def test_tp_search_at_most_once(self, p2_file, capsys, monkeypatch, command, flags,
-                                    tp_searches):
-        calls = count_calls(monkeypatch, "enumerate_tp_endomorphisms")
+    def test_tp_listed_at_most_once_and_never_searched(self, p2_file, capsys, monkeypatch,
+                                                       command, flags, tp_lists):
+        # AG(2,2) is a translation plane: its TP maps are read from Dil_0
+        lists = count_calls(monkeypatch, "tp_endomorphisms")
+        searches = count_calls(monkeypatch, "enumerate_tp_endomorphisms")
         assert run(capsys, command, p2_file, *flags)[0] == 0
-        assert len(calls) == tp_searches
+        assert (len(lists), len(searches)) == (tp_lists, 0)
 
     def test_tp_maps_are_not_filtered_from_end(self, p3_file, capsys, monkeypatch):
         # a filter over End would ask is_trace_preserving of all 81 maps

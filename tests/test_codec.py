@@ -94,21 +94,29 @@ def outcome(decode, text):
     return type(value).__name__, repr(value)
 
 
-# Reads a marshalled list of texts on stdin, decodes each with cli._decode
-# while json is not loaded, unloading it again after each text, and writes
-# the outcomes (as outcome gives them), marshalled, on stdout.
+# Reads a marshalled list of texts on stdin, decodes each as
+# cli._load_verified_summary does, with cli._decode while json is not
+# loaded and then, for a text _decode hands back, json.loads, unloading
+# json again after each text, and writes whether each text was handed back
+# and its outcome (as outcome gives it), marshalled, on stdout.
 DECODER = """\
 import marshal, sys
 from affineplane import cli
 outcomes = []
 for text in marshal.loads(sys.stdin.buffer.read()):
     assert "json" not in sys.modules
+    handed_back = False
     try:
         value = cli._decode(text)
+        if value is text:
+            import json
+
+            handed_back = True
+            value = json.loads(text)
     except (RecursionError, ValueError) as exc:
-        outcomes.append((type(exc).__name__, str(exc)))
+        outcomes.append((handed_back, type(exc).__name__, str(exc)))
     else:
-        outcomes.append((type(value).__name__, repr(value)))
+        outcomes.append((handed_back, type(value).__name__, repr(value)))
     for name in [m for m in sys.modules if m == "json" or m.startswith("json.")]:
         del sys.modules[name]
 sys.stdout.buffer.write(marshal.dumps(outcomes))
@@ -126,7 +134,10 @@ def test_corpus_holds_every_kind_of_text():
 
 def test_decode_is_json_loads(tmp_path):
     """Each text is decoded in a process where json is not loaded, as in a
-    command: before Python 3.12 the scanner cannot raise json's errors there."""
+    command: before Python 3.12 the scanner cannot raise json's errors there.
+    _decode gives json.loads's value for a mapping, and hands every other
+    text back, to json.loads, which raises its error or gives a value that
+    is no mapping."""
     texts = corpus()
     result = subprocess.run([sys.executable, "-S", "-c", DECODER], input=marshal.dumps(texts),
                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
@@ -134,8 +145,48 @@ def test_decode_is_json_loads(tmp_path):
     assert result.returncode == 0, result.stderr.decode()
     decoded = marshal.loads(result.stdout)
     assert len(decoded) == len(texts)
-    for text, got in zip(texts, decoded):
-        assert got == outcome(json.loads, text), text[:80]
+    for text, (handed_back, *got) in zip(texts, decoded):
+        expected = outcome(json.loads, text)
+        assert tuple(got) == expected, text[:80]
+        assert handed_back == (expected[0] != "dict"), text[:80]
+
+
+# Runs `check` on [ nested d deep ] for each d in a range across Python's
+# recursion limit, through cli.main in one process, with cli._decode as it
+# is or replaced by json.loads, and prints each d and what check wrote on
+# stderr.  Both runs call check from the same frame depth.
+NESTED = """\
+import contextlib, io, json, sys
+from affineplane import cli
+if sys.argv[1] == "json.loads":
+    cli._decode = json.loads
+for d in range(960, 1010):
+    with open("nested.json", "w") as fh:
+        fh.write("[" * d + "]" * d)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["check", "nested.json"])
+    print(d, code, err.getvalue(), end="")
+"""
+
+
+def test_deep_nesting_gets_the_error_of_json_loads(tmp_path):
+    """Before Python 3.12 the scan of _decode sits fewer frames deep than
+    that of json.loads, so a list nested within a few levels of the
+    recursion limit decodes there; it is handed back to json.loads, which
+    raises RecursionError, as it did when check read every document with
+    json.loads, instead of load_plane's "document must be a mapping"."""
+    runs = [subprocess.run([sys.executable, "-S", "-c", NESTED, decoder], cwd=tmp_path,
+                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+            for decoder in ("_decode", "json.loads")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 50 and all(line.split()[1] == "2" for line in lines)
+    messages = {line.split(" ", 2)[2] for line in lines}
+    if sys.version_info < (3, 12):  # the limit falls within the range
+        assert "input error: document must be a mapping" in messages
+        assert any("maximum recursion depth exceeded" in m for m in messages)
 
 
 @pytest.mark.parametrize("text", [

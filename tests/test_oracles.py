@@ -85,7 +85,7 @@ from affineplane.errors import (
     NotTranslation,
     SizeMismatch,
 )
-from affineplane import cli, collineation, conjugation, endo, incidence, transgroup
+from affineplane import cli, collineation, conjugation, endo, incidence, search, transgroup
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -817,9 +817,9 @@ def count_by_path(monkeypatch, g):
     """(count_endomorphisms(g), walked): walked says whether the count
     entered _chain_search, the End search, to walk its leaves."""
     walks = []
-    chain_search = endo._chain_search
+    chain_search = search._chain_search
     with monkeypatch.context() as m:
-        m.setattr(endo, "_chain_search", lambda *args: walks.append(args) or chain_search(*args))
+        m.setattr(search, "_chain_search", lambda *args: walks.append(args) or chain_search(*args))
         count = count_endomorphisms(g)
     return count, bool(walks)
 
@@ -1130,20 +1130,22 @@ class TestConjugationOracle:
         assert normal.passed and direction.passed
 
     def test_inverse_built_once_per_map(self, planes, groups, dilations, monkeypatch):
-        # every map, whatever its kind, has its generators conjugated by image
+        # a map's generators are conjugated by their two-point keys, and its
+        # inverse is built, once, only for a map conjugated point by point:
+        # the transposition, which conjugates a translation off the list
         inverses = []
         real = conjugation._inverse
         monkeypatch.setattr(conjugation, "_inverse", lambda d: inverses.append(d) or real(d))
         plane, g, dils = planes[3], groups[3], dilations[3]
         check_conjugation(g, dils)
-        assert inverses == [f.image for f in dils]
+        assert inverses == []
         others = [classify(plane, point_map(3, lambda x, y: (y, x))),
                   classify(plane, (1, 0) + tuple(range(2, 9)))]
         assert [f.kind for f in others] == ["collineation", "general"]
         inverses.clear()
         normal, direction = check_conjugation(g, dils + others)
         assert (normal.witness, direction.witness) == ((19, 1), (18, 1))
-        assert inverses == [f.image for f in dils + others]
+        assert inverses == [others[1].image]
 
     def test_kind_is_not_trusted(self, groups):
         """A permutation labelled "dilation" gets the definition's verdicts:
@@ -1159,6 +1161,24 @@ class TestConjugationOracle:
             rng.shuffle(image)
             assert_conjugation_verdicts_agree(
                 g, [ClassifiedMap(tuple(image), "dilation", frozenset())])
+
+    def test_map_that_is_no_permutation_is_conjugated_point_by_point(self, groups, dilations):
+        """A map that is no permutation has no inverse for the key lookup
+        to read: it raises nothing, and fails both checks at the identity,
+        whose "conjugate" is no permutation, as the first conjugate that is
+        not listed (normal_oracle; direction_oracle starts past it)."""
+        g, dils = groups[3], dilations[3]
+        rng = random.Random(20200320)
+        images = [point_map(3, lambda x, y: (x, 0)), (0,) * 9, (0, 0) + tuple(range(2, 9))]
+        images += [tuple(rng.randrange(9) for _ in range(9)) for _ in range(200)]
+        for image in images:
+            if len(set(image)) == 9:
+                continue
+            maps = dils + [ClassifiedMap(image, "general", frozenset())]
+            assert check_conjugation(g, maps) == (
+                normal_oracle(g, maps),
+                CheckResult("conjugation_direction", False, (len(dils), 0))), image
+            assert normal_oracle(g, maps).witness == (len(dils), 0)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_corrupted_dilation_lists(self, planes, groups, dilations, p):
@@ -1223,12 +1243,12 @@ class TestConjugationOracle:
         monkeypatch.setattr(TranslationGroup, "index_of",
                             lambda group, image: lookups.append(image) or real(group, image))
         check_conjugation(g, dils)
-        rank = len(generators(g))
+        # a generator's conjugate is looked up by its two-point key, with no index_of
         if witness is None:
-            assert len(lookups) == rank * len(dils)
+            assert lookups == []
         else:
             assert dils[witness[0]].kind == "dilation"
-            assert len(lookups) == rank * (witness[0] + 1) + g.order
+            assert len(lookups) == g.order
 
     @pytest.mark.parametrize("fn", [lambda x, y: (y, x), lambda x, y: (x, 2 * y)],
                              ids=["swap", "stretch"])
@@ -1980,3 +2000,80 @@ class TestRingOracle:
         g = SMALL_GROUPS[name][0]
         report = assert_ring_reports_agree(None, g, enumerate_endomorphisms(g))
         assert failing_axioms(report) == {"add_closure", "add_inverses", "add_commutative"}
+
+
+def tp_from_dil0(plane, monkeypatch, corrupt=None):
+    """(the tables endo.tp_endomorphisms lists, the tables of the search,
+    whether tp_endomorphisms ran the search), with Dil_0 from
+    dilation_cosets, passed through corrupt when given."""
+    stabiliser, representatives = collineation.dilation_cosets(plane)
+    g = build_group(plane, [f for f in stabiliser + representatives if f.kind == "translation"])
+    searches = []
+    real = search.enumerate_tp_endomorphisms
+    monkeypatch.setattr(search, "enumerate_tp_endomorphisms",
+                        lambda *args: searches.append(args) or real(*args))
+    listed = endo.tp_endomorphisms(plane, g, corrupt(stabiliser) if corrupt else stabiliser)
+    monkeypatch.undo()
+    return [a.table for a in listed], [a.table for a in real(plane, g)], bool(searches)
+
+
+def cut_plane(point):
+    plane = load_plane(dual_hall9_cut(point))
+    assert verify_axioms(plane).all_pass
+    return plane
+
+
+# the TP maps of each listed plane, to compare with the filter of End,
+# which lists at most 7^4 = 2,401 maps here, the order-9 planes' 3^16 not
+OVER_END = ["AG(2,2)", "AG(2,3)", "AG(2,4)", "AG(2,5)", "AG(2,7)"]
+
+
+class TestTracePreservingFromDil0:
+    """endo.tp_endomorphisms reads the TP maps from Dil_0 on a plane whose
+    Tr is transitive, and else, or when its scan of Dil_0 fails, runs the
+    pruned chain search; either way it lists what the search lists."""
+
+    @pytest.mark.parametrize("name", sorted(DILATION_PLANES))
+    def test_translation_planes_read_dil0(self, name, monkeypatch):
+        plane = verified_plane(name)
+        listed, searched, ran_search = tp_from_dil0(plane, monkeypatch)
+        assert (listed, ran_search) == (searched, False)
+        assert len(listed) == (3 if name == "Hall(9)" else len(plane.lines[0]))  # the kernel
+        if name in OVER_END:
+            g = plane_group(plane)
+            assert listed == [a.table for a in tp_endomorphisms_oracle(plane, g)]
+
+    @pytest.mark.parametrize("point,num_tp", [(81, 81), (0, 1)])
+    def test_cuts_of_the_dual_hall_plane_run_the_search(self, point, num_tp, monkeypatch):
+        plane = cut_plane(point)
+        listed, searched, ran_search = tp_from_dil0(plane, monkeypatch)
+        assert (listed, ran_search) == (searched, True)
+        assert listed == [a.table for a in tp_endomorphisms_oracle(plane, plane_group(plane))]
+        assert len(listed) == num_tp
+
+    def test_gate_sends_every_dual_hall_cut_to_the_search(self, monkeypatch):
+        # no cut is a translation plane: Tr has fewer elements than points
+        for point in range(91):
+            plane = cut_plane(point)
+            listed, searched, ran_search = tp_from_dil0(plane, monkeypatch)
+            assert (listed, ran_search) == (searched, True), point
+
+    @pytest.mark.parametrize("name", ["AG(2,2)", "AG(2,3)", "AG(2,4)", "AG(2,5)", "AG(2,7)",
+                                      "Hall(9)"])
+    def test_corrupted_dil0_falls_back_to_the_search(self, name, monkeypatch):
+        """Dil_0 with a map that is no dilation fixing 0 in place of each
+        map, with a map repeated, or without each map in turn: the scan
+        fails, and the search lists the TP maps."""
+        plane = verified_plane(name)
+        stabiliser, _ = collineation.dilation_cosets(plane)
+        shift = next(f for f in plane_group(plane).elements if not f.is_identity)
+        corruptions = [lambda s: s + s[:1]]  # a repeat
+        for i, sigma in enumerate(stabiliser):
+            swapped = list(sigma.image)  # sigma, then the points n - 2 and n - 1 swapped
+            swapped[-2:] = swapped[:-3:-1]
+            for other in (ClassifiedMap(tuple(swapped), "dilation", frozenset({0})), shift):
+                corruptions.append(lambda s, i=i, other=other: s[:i] + [other] + s[i + 1:])
+            corruptions.append(lambda s, i=i: s[:i] + s[i + 1:])  # a missing map
+        for corrupt in corruptions:
+            listed, searched, ran_search = tp_from_dil0(plane, monkeypatch, corrupt)
+            assert (listed, ran_search) == (searched, True)

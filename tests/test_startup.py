@@ -9,8 +9,8 @@ The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.
 collineation, endo, transgroup and cli forward the same way the names
 they hand to a module of their own: the definitions no benchmark command
-calls, the conjugation pass and the handlers of groups, endo and
-verify-all, so that each command compiles only the code it runs.  The
+calls, the conjugation pass, the End search and the handlers of groups,
+endo and verify-all, so that each command compiles only the code it runs.  The
 records are ``collections.namedtuple`` subclasses and the one stateful
 class, ``TranslationGroup``, a plain ``__slots__`` class.  No command
 loads ``json`` or ``typing``: cli decodes a document with the scanner of
@@ -28,7 +28,9 @@ import pytest
 
 import affineplane
 from affineplane import builder, cli
-from conftest import COMMAND_LINES, ag29_document, bench_lines, corrupted_documents
+from conftest import (
+    COMMAND_LINES, ag29_document, bench_lines, corrupted_documents, dual_hall9_cut,
+)
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
 from affineplane.incidence import AxiomCheck, AxiomReport, DirectionPartition
@@ -38,7 +40,7 @@ SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 
 # The names `affineplane` exports, by the submodule that defines each.
 EXPORTS = {
-    "builder": ["build_prime_plane", "is_prime"],
+    "builder": ["build_prime_plane", "is_prime", "prime_plane_document"],
     "collineation": ["ClassifiedMap", "fixed_points"],
     "conjugation": [
         "check_composition_direction", "check_conjugation", "check_conjugation_direction",
@@ -51,12 +53,13 @@ EXPORTS = {
     ],
     "endo": [
         "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
-        "enumerate_endomorphisms", "enumerate_tp_endomorphisms", "is_endomorphism",
+        "is_endomorphism", "tp_endomorphisms",
     ],
     "incidence": [
         "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
         "parallel_partition", "verify_axioms",
     ],
+    "search": ["enumerate_endomorphisms", "enumerate_tp_endomorphisms"],
     "transgroup": ["CheckResult", "TranslationGroup", "build_group", "check_abelian", "generators"],
 }
 
@@ -71,6 +74,7 @@ FORWARDED = [
         "add", "compose", "inversion_endo", "is_trace_preserving", "negate", "scalar_labeling",
         "unit_endo", "zero_endo",
     ]),
+    ("endo", "search", ["_chain_search", "enumerate_endomorphisms", "enumerate_tp_endomorphisms"]),
     ("transgroup", "conjugation", [
         "_inverse", "check_composition_direction", "check_conjugation",
         "check_conjugation_direction", "check_normal_in_dilations",
@@ -119,12 +123,22 @@ def plane_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def cut_file(tmp_path_factory):
+    """A plane whose Tr, 9 translations on 81 points, is not transitive."""
+    path = tmp_path_factory.mktemp("startup") / "cut81.json"
+    path.write_text(json.dumps(dual_hall9_cut(81)))
+    return str(path)
+
+
 STAGES = {"affineplane.collineation", "affineplane.transgroup", "affineplane.conjugation",
           "affineplane.endo"}
 CONJUGATION = "affineplane.conjugation"  # the conjugation pass: groups and verify-all only
 # the handler of each stage command, loaded for its command only
 HANDLERS = {"affineplane.cmd_groups", "affineplane.cmd_endo", "affineplane.cmd_verify_all"}
 DEFINITIONS = "affineplane.definitions"  # no benchmark command calls its definitions
+# the End search: endo --dump, and TP maps on a plane whose Tr is not transitive
+SEARCH = "affineplane.search"
 BUILDER = "affineplane.builder"
 # argparse and what it loads: cli reads the lines that run a command itself
 PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
@@ -135,26 +149,40 @@ INCIDENCE = "affineplane.incidence"  # loaded where a document is read
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["build", "--order", "3"], STAGES | HANDLERS | {DEFINITIONS}),
-        (["check", "PLANE"], STAGES | HANDLERS | {DEFINITIONS, BUILDER}),
+        (["build", "--order", "3"], STAGES | HANDLERS | {DEFINITIONS, SEARCH, INCIDENCE}),
+        (["check", "PLANE"], STAGES | HANDLERS | {DEFINITIONS, SEARCH, BUILDER}),
         (["groups", "PLANE", "--check-abelian", "--check-normal", "--check-directions"],
          {"affineplane.endo", "affineplane.cmd_endo", "affineplane.cmd_verify_all", DEFINITIONS,
+          SEARCH, BUILDER}),
+        (["groups", "PLANE", "--dilations", "--check-normal"],
+         {"affineplane.endo", "affineplane.cmd_endo", "affineplane.cmd_verify_all", SEARCH,
           BUILDER}),
         (["endo", "PLANE", "--trace-preserving", "--check-ring"],
          {CONJUGATION, "affineplane.cmd_groups", "affineplane.cmd_verify_all", DEFINITIONS,
+          SEARCH, BUILDER}),
+        (["endo", "PLANE", "--dump"],
+         {CONJUGATION, "affineplane.cmd_groups", "affineplane.cmd_verify_all", DEFINITIONS,
           BUILDER}),
         (["verify-all", "PLANE"],
+         {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, SEARCH, BUILDER}),
+        (["verify-all", "CUT"],
          {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, BUILDER}),
     ],
-    ids=["build", "check", "groups", "endo", "verify-all"],
+    ids=["build", "check", "groups", "groups-dilations", "endo", "endo-dump", "verify-all",
+         "verify-all-cut"],
 )
-def test_each_command_loads_only_its_stages(tmp_path, plane_file, argv, absent):
-    code, loaded = loaded_by(tmp_path, *[plane_file if a == "PLANE" else a for a in argv])
+def test_each_command_loads_only_its_stages(tmp_path, plane_file, cut_file, argv, absent):
+    """Each command loads the modules it runs and no other: build no
+    incidence layer, groups --dilations no endo, and endo and verify-all
+    on a translation plane no End search, which endo --dump and a plane
+    whose Tr is not transitive do load."""
+    files = {"PLANE": plane_file, "CUT": cut_file}
+    code, loaded = loaded_by(tmp_path, *[files.get(a, a) for a in argv])
     assert code == 0
     assert "affineplane.cli" in loaded
     assert "dataclasses" not in loaded
     assert loaded & (absent | PARSER_MODULES | {USAGE}) == set()
-    assert (STAGES | HANDLERS | {BUILDER}) - absent <= loaded
+    assert (STAGES | HANDLERS | {DEFINITIONS, SEARCH, BUILDER, INCIDENCE}) - absent <= loaded
 
 
 @pytest.mark.parametrize("argv", [
