@@ -41,11 +41,11 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = list(_MODULE_OF)
 
 
-def _forward(owner: str, module_of: dict):
+def _forward(owner, module_of):
     """The module __getattr__ (PEP 562) of the module named owner: a name
     of module_of is read from its submodule, which loads on first access."""
 
-    def __getattr__(name: str):
+    def __getattr__(name):
         module = module_of.get(name)
         if module is None:
             raise AttributeError(f"module {owner!r} has no attribute {name!r}")

@@ -9,12 +9,10 @@ this module imports the incidence layer only where build_prime_plane
 makes a plane of them.
 """
 
-from __future__ import annotations
-
 from .errors import NotPrime
 
 
-def is_prime(n: int) -> bool:
+def is_prime(n):
     if n < 2:
         return False
     d = 2
@@ -25,11 +23,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def point_id(x: int, y: int, p: int) -> int:
+def point_id(x, y, p):
     return x * p + y
 
 
-def prime_plane_document(p: int) -> dict:
+def prime_plane_document(p):
     """The incidence document of AG(2,p), unverified: {"points": p^2,
     "lines": [...]}, each line a list of point ids in ascending order,
     the lines in the layout's order.  It is build_prime_plane(p).to_document():
@@ -43,7 +41,7 @@ def prime_plane_document(p: int) -> dict:
     return {"points": p * p, "lines": lines}
 
 
-def build_prime_plane(p: int) -> IncidencePlane:
+def build_prime_plane(p):
     """Construct AG(2,p) and verify it, so the result is ready for use."""
     from .incidence import IncidencePlane, verify_axioms
 

@@ -16,8 +16,6 @@ handled here; groups, endo and verify-all by affineplane.cmd_groups,
 cmd_endo and cmd_verify_all, each loaded for its own command only.
 """
 
-from __future__ import annotations
-
 import errno
 import os
 import sys
@@ -49,7 +47,7 @@ DEFAULT_MAX_ORDER = 13
 MAX_DUMP_ENTRIES = 1 << 22
 
 
-def _check_out(path: str) -> None:
+def _check_out(path):
     """Raise, before any work, the OSError open(path, "w") gives for an
     empty path, a directory path or a missing parent directory."""
     parent = os.path.dirname(path) or "."
@@ -67,7 +65,7 @@ def _check_out(path: str) -> None:
 JSON_WHITESPACE = " \t\n\r"
 
 
-def _decode(text: str):
+def _decode(text):
     """The mapping json.loads(text) gives, read by the scanner json.loads
     runs, or the text itself, for the caller to give to json.loads, when
     it holds no mapping or is no JSON document.
@@ -102,7 +100,9 @@ def _decode(text: str):
     return value if type(value) is dict and not text[end:].strip(JSON_WHITESPACE) else text
 
 
-def _load_verified_summary(path: str):
+def _load_verified_summary(path):
+    """(plane, report, summary): the document at path as an IncidencePlane,
+    its AxiomReport and the report's plane summary, a dict."""
     from .incidence import load_plane, parallel_partition, verify_axioms
 
     with open(path, encoding="utf-8") as fh:
@@ -125,7 +125,7 @@ def _load_verified_summary(path: str):
     return plane, report, summary
 
 
-def _translation_group(plane, max_order: int):
+def _translation_group(plane, max_order):
     """The stage shared by groups, endo and verify-all: Dil_0, the coset
     representatives (dilation_cosets), |Dil| and Tr, which is the
     translations among them."""
@@ -141,7 +141,7 @@ def _translation_group(plane, max_order: int):
     return stabiliser, representatives, num_dilations, build_group(plane, translations)
 
 
-def _check_dump(num_endomorphisms: int, group_order: int) -> None:
+def _check_dump(num_endomorphisms, group_order):
     """Raise OrderTooLarge when endo --dump would list more than
     MAX_DUMP_ENTRIES table entries."""
     if num_endomorphisms * group_order > MAX_DUMP_ENTRIES:
@@ -151,7 +151,7 @@ def _check_dump(num_endomorphisms: int, group_order: int) -> None:
         )
 
 
-def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
+def _finish(args, summary, results, passed, note):
     """Write the report to --out or stdout, then the stderr note with {status} filled in."""
     status = "pass" if passed else "fail"
     _write(_report(args.command, summary, results, status), args.out)
@@ -159,7 +159,7 @@ def _finish(args, summary: dict, results: dict, passed: bool, note: str) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_build(args) -> int:
+def cmd_build(args):
     from .builder import prime_plane_document
 
     try:
@@ -174,7 +174,7 @@ def cmd_build(args) -> int:
     return EXIT_PASS
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     _, report, summary = _load_verified_summary(args.plane)
     results = {"axioms": report.to_dict()}
     return _finish(args, summary, results, report.all_pass, "axioms: {status}")
@@ -200,7 +200,8 @@ FLAGS = {
     "--dump": (None, "include serialized tables", False),
 }
 
-# command -> (its handler's name in cli, help, takes the plane, flags)
+# command -> (its handler's name in cli, help, takes the plane, flags); a handler
+# takes the parsed arguments and returns the exit code
 COMMANDS = {
     "build": ("cmd_build", "write the incidence document for AG(2,p)", False,
               ("--out", "--max-order", "--order")),
@@ -216,13 +217,13 @@ COMMANDS = {
 VERSION = "--version"
 
 
-def _handler(command: str):
+def _handler(command):
     """The handler of command, read from this module: under `python -m
     affineplane.cli` that is __main__, not a second copy of cli."""
     return getattr(sys.modules[__name__], COMMANDS[command][0])
 
 
-def _exact(argv: list):
+def _exact(argv):
     """The arguments of a line that spells out a command and then only its
     own flags, each by its full name, and the plane once if the command
     takes one; no value may start with "-", even after spaces, and an INT
@@ -263,7 +264,7 @@ def _exact(argv: list):
     return args
 
 
-def parse_args(argv: list):
+def parse_args(argv):
     """The command line read by COMMANDS and FLAGS: a namespace with the
     command, its handler (func), its flags by name and the plane.  A line
     _exact does not read goes to argparse (usage.parse), which gives the
@@ -283,7 +284,8 @@ def parse_args(argv: list):
     return args
 
 
-def main(argv=None) -> int:
+def main(argv=None):
+    """The exit code of the command line argv, sys.argv[1:] when None."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.out is not None:
@@ -300,7 +302,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
-def run() -> None:
+def run():
     """The process entry: main() with the collector off, then os._exit with its code.
 
     A command makes few cyclic objects, and the OS takes its memory back

@@ -6,13 +6,11 @@ whose End or TP maps cannot be read without one (endo.count_endomorphisms,
 endo.tp_endomorphisms).
 """
 
-from __future__ import annotations
-
 from .cli import EXIT_ERROR, _check_dump, _finish, _load_verified_summary, _translation_group
 from .output import _note
 
 
-def cmd_endo(args) -> int:
+def cmd_endo(args):
     from . import endo
 
     plane, report, summary = _load_verified_summary(args.plane)
@@ -26,7 +24,7 @@ def cmd_endo(args) -> int:
         _check_dump(num_endomorphisms, group.order)
         endomorphisms = endo.enumerate_endomorphisms(group)
 
-    results: dict = {"group_order": group.order, "num_endomorphisms": num_endomorphisms}
+    results = {"group_order": group.order, "num_endomorphisms": num_endomorphisms}
     note = f"|End| = {num_endomorphisms}"
     all_pass = True
     if args.trace_preserving or args.check_ring:

@@ -6,13 +6,11 @@ definitions, and one with neither --check-normal nor --check-directions
 no conjugation pass.
 """
 
-from __future__ import annotations
-
 from .cli import EXIT_ERROR, _finish, _load_verified_summary, _translation_group
 from .output import _note
 
 
-def cmd_groups(args) -> int:
+def cmd_groups(args):
     from .transgroup import check_abelian
 
     plane, report, summary = _load_verified_summary(args.plane)
@@ -21,7 +19,7 @@ def cmd_groups(args) -> int:
         return EXIT_ERROR
 
     stabiliser, representatives, num_dilations, group = _translation_group(plane, args.max_order)
-    results: dict = {"num_dilations": num_dilations, "num_translations": group.order}
+    results = {"num_dilations": num_dilations, "num_translations": group.order}
     if args.dilations:
         from .definitions import compose_cosets
 

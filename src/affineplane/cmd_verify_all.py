@@ -5,16 +5,14 @@ search only on a plane whose End or TP maps cannot be read without one
 (endo.count_endomorphisms, endo.tp_endomorphisms).
 """
 
-from __future__ import annotations
-
 from .cli import _finish, _load_verified_summary, _translation_group
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args):
     from . import conjugation, endo, transgroup
 
     plane, report, summary = _load_verified_summary(args.plane)
-    results: dict = {"axioms": report.to_dict()}
+    results = {"axioms": report.to_dict()}
     if not report.all_pass:
         return _finish(args, summary, results, False, "axiom verification failed")
 

@@ -11,14 +11,11 @@ of Dil live in affineplane.definitions, which no benchmark command
 loads; they are read here too, on first access.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from collections.abc import Iterator
 from operator import itemgetter
 
 from . import _forward
-from .incidence import IncidencePlane, parallel_partition
+from .incidence import parallel_partition
 
 __getattr__ = _forward(__name__, dict.fromkeys((
     "_check_size", "classify", "compose_cosets", "enumerate_dilations", "is_collineation",
@@ -36,15 +33,16 @@ class ClassifiedMap(namedtuple("ClassifiedMap", "image kind fixed_points directi
     __slots__ = ()
 
     @property
-    def is_identity(self) -> bool:
+    def is_identity(self):
         return all(i == p for p, i in enumerate(self.image))
 
 
-def fixed_points(image) -> frozenset[int]:
+def fixed_points(image):
+    """The frozenset of the points p with image[p] = p."""
     return frozenset(p for p, q in enumerate(image) if p == q)
 
 
-def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> ClassifiedMap | None:
+def _as_dilation(plane, image):
     """The image classified as a dilation or translation, None if it is neither.
 
     The test: f is a bijection onto the points and, for each class c but
@@ -72,7 +70,7 @@ def _as_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> ClassifiedMap
     return _classified_dilation(plane, image)
 
 
-def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> ClassifiedMap:
+def _classified_dilation(plane, image):
     """A known dilation classified: a translation if it fixes no point or all.
 
     The direction of a fixed-point-free dilation is the class of its
@@ -86,12 +84,13 @@ def _classified_dilation(plane: IncidencePlane, image: tuple[int, ...]) -> Class
         return ClassifiedMap(image, "translation", fixed)
     if fixed:
         return ClassifiedMap(image, "dilation", fixed)
-    line = plane.join_table()[0][image[0]]
+    line = plane.join_row(0)[image[0]]
     return ClassifiedMap(image, "translation", fixed, parallel_partition(plane).class_of[line])
 
 
-def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[ClassifiedMap]]:
-    """(Dil_0, representatives): the dilations as cosets of the stabiliser.
+def dilation_cosets(plane):
+    """(Dil_0, representatives): the dilations as cosets of the stabiliser,
+    two lists of ClassifiedMap.
 
     Dil_0 is the stabiliser of A = 0; representatives holds one dilation
     f per point f(A) != A that some dilation reaches.  A dilation is
@@ -154,27 +153,34 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
     composite of the generators of Tr.
 
     4. A point A' reached by a composite gets, untested, the
-    representative its test would return, image and kind alike.  A
-    composite h of dilations is a dilation, so _classified_dilation
-    classifies it as _as_dilation would.  If h is a translation, the coset
-    of A' = h(A) holds it, so by Fact 1 h is the translation candidate
-    of A', which the test tries first and which passes.  A composite
-    with a fixed point is never used.  The identity sends A to A, whose
-    coset is Dil_0.  Any other is no translation, and Fact 1 names no
-    member of a coset but its translation as the test's result, so its
-    point goes to the test.  (Tr being a group, the identity is the only
-    composite of translations with a fixed point.)
+    representative its test would return: image, kind, fixed points and
+    direction alike.  The walk forms a composite h = t.g (g first) of two
+    translations only when A' = h(A) is not yet reached, and A is reached
+    from the start (its coset is Dil_0), so h(A) != A.  Such an h is a
+    translation.  It is a dilation, as a composite of dilations.  If it
+    fixed a point p, then g(p) = t^-1(p).  Now t^-1 is a translation: a
+    dilation that fixes a point only if t does.  Two translations that
+    agree at one point are equal, by Fact 1's construction from that
+    point in place of A (or both fix it, and both are the identity).  So
+    g = t^-1 and h is the identity, which moves no point; but h moves A.
+    So h has no fixed point, and _classified_dilation, which is what
+    _as_dilation returns for a dilation, calls it a translation whose
+    direction is the class of its trace join(A, h(A)): the walk records
+    exactly that, with no scan for fixed points.  The coset of A' holds
+    h, so by Fact 1 h is the translation candidate of A', which the test
+    tries first and which passes.
     """
     plane.require_verified()
     n = plane.num_points
-    join = plane.join_table()
     par, meet = plane.parallel_table(), plane.meet_table()
     class_of = parallel_partition(plane).class_of
     a, b = 0, 1
+    join = {a: plane.join_row(a), b: plane.join_row(b)}  # every join read starts at A, B or c0
     line_ab = join[a][b]
     on_ab = plane.lines[line_ab]
     off_ab = [c for c in range(n) if c not in on_ab]
     c0 = off_ab[0]
+    join[c0] = plane.join_row(c0)
     # One step per point c, in order: f(c) is where the parallel to AC
     # through f(A) meets the parallel to (base)C through f(base), with base
     # B off AB and the first point off AB on it.  Equal parallels meet in
@@ -185,11 +191,11 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
         + [(c, c0) for c in on_ab if c not in (a, b)]
     ]
 
-    def parallel(p: int, q: int, through: int) -> int:
+    def parallel(p, q, through):
         """The line through `through` parallel to join(p, q)."""
         return par[class_of[join[p][q]]][through]
 
-    def dilations_from(a2: int, b2s) -> Iterator[ClassifiedMap]:
+    def dilations_from(a2, b2s):
         """The candidates (a2, b2), b2 in b2s, that pass, lazily."""
         for b2 in b2s:
             if b2 == a2:
@@ -207,7 +213,7 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
                     yield f
 
     stabiliser = list(dilations_from(a, on_ab))
-    found: list = [None] * n  # found[a2]: the representative for a2, tested or composed
+    found = [None] * n  # found[a2]: the representative for a2, tested or composed
     found[a] = stabiliser  # A's coset is Dil_0: no composite fills it
     translations, generators = [], []  # Tr found so far; (g(A), compose with g)
     for a2 in range(1, n):
@@ -226,9 +232,10 @@ def dilation_cosets(plane: IncidencePlane) -> tuple[list[ClassifiedMap], list[Cl
         generators.append((a2, itemgetter(*f.image)))
         for t in translations:  # grows as it is read: a BFS over the composites t.g
             for g_a, compose in generators:
-                if found[t.image[g_a]] is None:
-                    h = _classified_dilation(plane, compose(t.image))
-                    if h.kind == "translation":
-                        found[h.image[a]] = h
-                        translations.append(h)
+                h_a = t.image[g_a]
+                if found[h_a] is None:  # so h(A) != A: a translation with no fixed point (Fact 4)
+                    h = ClassifiedMap(compose(t.image), "translation", frozenset(),
+                                      class_of[join[a][h_a]])
+                    found[h_a] = h
+                    translations.append(h)
     return stabiliser, [f for f in found[1:] if f is not None]

@@ -8,25 +8,21 @@ translations of one direction.  Only groups and verify-all load this
 module; transgroup reads its names too, on first access.
 """
 
-from __future__ import annotations
-
-from .collineation import ClassifiedMap
-from .transgroup import CheckResult, TranslationGroup, _gather, generator_chain, generators
+from .transgroup import CheckResult, _gather, generator_chain, generators
 
 
-def _dilation_generators(stabiliser, representatives, group) -> list:
+def _dilation_generators(stabiliser, representatives, group):
     """Dil_0, the representatives that are no translations and generators of Tr: they
     generate Dil, so check_conjugation passes on them iff on Dil (dilation_cosets, Fact 3)."""
     return [*stabiliser, *(f for f in representatives if f.kind != "translation"),
             *(group.elements[i] for i in generators(group))]
 
 
-def check_conjugation(
-    g: TranslationGroup, dilations: list[ClassifiedMap]
-) -> tuple[CheckResult, CheckResult]:
+def check_conjugation(g, dilations):
     """Conjugate every translation by every dilation, once, for two checks.
 
-    Returns (normal_in_dilations, conjugation_direction).  The first
+    dilations is a list of ClassifiedMap.  Returns the CheckResults
+    (normal_in_dilations, conjugation_direction).  The first
     passes iff every conjugate d^-1.t.d (d applied first) is a listed
     translation, and fails with the first witness (di, si) in scan order
     whose conjugate is not.  The second passes iff moreover every
@@ -35,7 +31,8 @@ def check_conjugation(
 
     Both verdicts come from one table per dilation d: conj[si] is the
     index of d^-1.s.d, or None when that map is not listed.  One scan of
-    it finds the first si with no conjugate, which fails both checks, and
+    it finds the first si with no conjugate, which fails both checks (the
+    second from si = 1), and
     the first whose conjugate changes direction.  conj[0] = 0, and
     conjugation by a permutation is injective, so conj[si] = 0 only for
     si = 0: the scan finds no witness there and compares every other
@@ -49,7 +46,10 @@ def check_conjugation(
     conjugate, if listed, is the one element with its key.  So no inverse
     of d is built unless the point-by-point pass below needs it.  A map
     that is no permutation has no d^-1 to read, and goes to that pass,
-    where conj[0], _inverse(d).d, is no permutation, so it is not listed.
+    where no conjugate is a permutation, so none is listed: the normal
+    check fails at (di, 0), conj[0] = _inverse(d).d, and the direction
+    check, which starts at si = 1, at (di, 1), or past d when Tr is
+    trivial.
     When each generator's conjugate is listed,
     the table is filled along the generator chain from conj[0] = 0, one
     Cayley lookup per tree edge or fill: conj[gens[j].c] :=
@@ -75,8 +75,8 @@ def check_conjugation(
     or a group that is not all of Tr, which a dilation can conjugate off
     the list; its di indexes the list passed.
     """
-    normal: CheckResult | None = None
-    direction: CheckResult | None = None
+    normal = None
+    direction = None
     gens, levels = generator_chain(g)
     gen_images = [g.elements[s].image for s in gens]
     direction_of = g.direction_of
@@ -100,12 +100,13 @@ def check_conjugation(
                     conj[z] = g.cayley[conj[c]][conj[h]]
         for si, ci in enumerate(conj):
             if ci is None:
-                normal = CheckResult("normal_in_dilations", False, (di, si))
-                direction = direction or CheckResult("conjugation_direction", False, (di, si))
-                break
-            if direction is None and direction_of[ci] != direction_of[si]:
+                normal = normal or CheckResult("normal_in_dilations", False, (di, si))
+                if si:  # the direction scan starts at si = 1
+                    direction = direction or CheckResult("conjugation_direction", False, (di, si))
+                    break
+            elif direction is None and direction_of[ci] != direction_of[si]:
                 direction = CheckResult("conjugation_direction", False, (di, si))
-        if normal is not None:
+        if normal is not None and direction is not None:
             break
     return (
         normal or CheckResult("normal_in_dilations", True),
@@ -113,33 +114,30 @@ def check_conjugation(
     )
 
 
-def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
+def _inverse(image):
+    """The inverse permutation of an image tuple, as a tuple."""
     inv = [0] * len(image)
     for p, q in enumerate(image):
         inv[q] = p
     return tuple(inv)
 
 
-def check_normal_in_dilations(
-    g: TranslationGroup, dilations: list[ClassifiedMap]
-) -> CheckResult:
+def check_normal_in_dilations(g, dilations):
     """Every conjugate of a translation by a dilation is again a translation."""
     return check_conjugation(g, dilations)[0]
 
 
-def check_conjugation_direction(
-    g: TranslationGroup, dilations: list[ClassifiedMap]
-) -> CheckResult:
+def check_conjugation_direction(g, dilations):
     """Conjugation by a dilation preserves the direction of a translation."""
     return check_conjugation(g, dilations)[1]
 
 
-def check_composition_direction(g: TranslationGroup) -> CheckResult:
+def check_composition_direction(g):
     """Composing two translations of one direction stays in that direction.
 
     Fails with the first pair (i, j), i, j >= 1, in the all-pairs scan
     order: each i is tried against the j of its own direction only."""
-    same: dict = {}
+    same = {}
     for j in range(1, g.order):
         same.setdefault(g.direction_of[j], []).append(j)
     for i in range(1, g.order):

@@ -13,41 +13,38 @@ Each name is also read from the module of its stage, collineation or
 endo (a module __getattr__, PEP 562).
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 
 from .collineation import (
     ClassifiedMap, _as_dilation, _classified_dilation, dilation_cosets, fixed_points,
 )
 from .errors import NotEndomorphism, SizeMismatch
-from .incidence import IncidencePlane
-from .transgroup import TranslationGroup, compose_images
+from .transgroup import compose_images
 
 
-def _check_size(plane: IncidencePlane, image) -> None:
+def _check_size(plane, image):
     if len(image) != plane.num_points:
         raise SizeMismatch(
             f"map covers {len(image)} points, plane has {plane.num_points}"
         )
 
 
-def is_collineation(plane: IncidencePlane, image) -> bool:
+def is_collineation(plane, image):
     """Every line's image point set is a line."""
     return classify(plane, image).kind != "general"
 
 
-def is_dilation(plane: IncidencePlane, image) -> bool:
+def is_dilation(plane, image):
     """A collineation sending every joining line to a parallel one."""
     return classify(plane, image).kind in ("dilation", "translation")
 
 
-def is_translation(plane: IncidencePlane, image) -> bool:
+def is_translation(plane, image):
     """A dilation with no fixed point, or the identity."""
     return classify(plane, image).kind == "translation"
 
 
-def classify(plane: IncidencePlane, image) -> ClassifiedMap:
+def classify(plane, image):
     """Classify a point map as strongly as its properties allow.
 
     The one validation of a map: the dilation test of _as_dilation, then,
@@ -68,9 +65,7 @@ def classify(plane: IncidencePlane, image) -> ClassifiedMap:
     return ClassifiedMap(image, "general", fixed_points(image))
 
 
-def compose_cosets(
-    plane: IncidencePlane, stabiliser: list[ClassifiedMap], representatives: list[ClassifiedMap]
-) -> list[ClassifiedMap]:
+def compose_cosets(plane, stabiliser, representatives):
     """Every dilation f s, f the identity or a representative and s in
     Dil_0, untested and sorted by image (see dilation_cosets)."""
     compose = [itemgetter(*s.image) for s in stabiliser]
@@ -81,12 +76,12 @@ def compose_cosets(
     return found
 
 
-def enumerate_dilations(plane: IncidencePlane) -> list[ClassifiedMap]:
+def enumerate_dilations(plane):
     """All dilations, sorted by image: the cosets of Dil_0, composed."""
     return compose_cosets(plane, *dilation_cosets(plane))
 
 
-def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
+def add(g, alpha, beta):
     """(alpha + beta)(s) = alpha(s) o beta(s)."""
     from .endo import GroupSelfMap, _check_size as _check_table, _sum_table
 
@@ -95,7 +90,7 @@ def add(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSe
     return GroupSelfMap(_sum_table(g.cayley, alpha.table, beta.table))
 
 
-def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> GroupSelfMap:
+def compose(g, alpha, beta):
     """(alpha o beta)(s) = alpha(beta(s))."""
     from .endo import GroupSelfMap, _check_size as _check_table
 
@@ -104,21 +99,21 @@ def compose(g: TranslationGroup, alpha: GroupSelfMap, beta: GroupSelfMap) -> Gro
     return GroupSelfMap(compose_images(alpha.table, beta.table))
 
 
-def zero_endo(g: TranslationGroup) -> GroupSelfMap:
+def zero_endo(g):
     """Sends every translation to the identity."""
     from .endo import GroupSelfMap
 
     return GroupSelfMap((0,) * g.order)
 
 
-def unit_endo(g: TranslationGroup) -> GroupSelfMap:
+def unit_endo(g):
     """Leaves every translation in place."""
     from .endo import GroupSelfMap
 
     return GroupSelfMap(tuple(range(g.order)))
 
 
-def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
+def inversion_endo(g):
     """Sends every translation to its inverse.
 
     An endomorphism because the group is abelian; trace-preserving
@@ -129,7 +124,7 @@ def inversion_endo(g: TranslationGroup) -> GroupSelfMap:
     return GroupSelfMap(g.inverse)
 
 
-def negate(g: TranslationGroup, alpha: GroupSelfMap) -> GroupSelfMap:
+def negate(g, alpha):
     """Pointwise inverse of alpha: the composite of inversion with alpha."""
     from .endo import is_endomorphism
 
@@ -138,9 +133,7 @@ def negate(g: TranslationGroup, alpha: GroupSelfMap) -> GroupSelfMap:
     return compose(g, inversion_endo(g), alpha)
 
 
-def is_trace_preserving(
-    plane: IncidencePlane, g: TranslationGroup, alpha: GroupSelfMap
-) -> bool:
+def is_trace_preserving(plane, g, alpha):
     """Every image keeps its translation's direction.
 
     Elements mapped to the identity are accepted: the identity has no
@@ -156,7 +149,7 @@ def is_trace_preserving(
     )
 
 
-def scalar_labeling(g: TranslationGroup, tp: list[GroupSelfMap]) -> list[int] | None:
+def scalar_labeling(g, tp):
     """Label the trace-preserving maps 0, 1, 1+1, ... when that covers them all.
 
     Returns labels[i] = k meaning tp[i] is the k-fold sum of the unit, or

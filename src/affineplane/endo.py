@@ -20,15 +20,13 @@ affineplane.definitions, which no benchmark command loads.  The names of
 both modules are read here too, on first access.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 
 from . import _forward
 from .errors import SizeMismatch
-from .incidence import AxiomCheck, IncidencePlane
-from .transgroup import TranslationGroup, _gather, check_abelian, compose_images, generators
+from .incidence import AxiomCheck
+from .transgroup import _gather, check_abelian, compose_images, generators
 
 __getattr__ = _forward(__name__, {
     **dict.fromkeys(("add", "compose", "inversion_endo", "is_trace_preserving", "negate",
@@ -44,7 +42,7 @@ class GroupSelfMap(namedtuple("GroupSelfMap", "table")):
     __slots__ = ()
 
 
-def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
+def _check_size(g, alpha):
     if len(alpha.table) != g.order:
         raise SizeMismatch(
             f"table covers {len(alpha.table)} elements, group has {g.order}"
@@ -53,12 +51,12 @@ def _check_size(g: TranslationGroup, alpha: GroupSelfMap) -> None:
         raise SizeMismatch(f"table has an entry outside range({g.order})")
 
 
-def _sum_table(cayley, a: tuple, b: tuple) -> tuple:
+def _sum_table(cayley, a, b):
     """The table of alpha + beta from the tables a, b of equal size."""
     return tuple([cayley[x][y] for x, y in zip(a, b)])
 
 
-def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
+def is_endomorphism(g, alpha):
     """Compatibility with the group operation, tested at the generators.
 
     Accepts iff t[0] = 0 and t[s.x] = t[s].t[x] for every generator s and
@@ -81,7 +79,7 @@ def is_endomorphism(g: TranslationGroup, alpha: GroupSelfMap) -> bool:
         _gather(g.cayley[s])(t) == image(g.cayley[t[s]]) for s in generators(g))
 
 
-def count_endomorphisms(g: TranslationGroup) -> int:
+def count_endomorphisms(g):
     """|End|, from element orders when g is abelian, else as the number
     of leaves of the search of enumerate_endomorphisms.
 
@@ -131,8 +129,7 @@ def count_endomorphisms(g: TranslationGroup) -> int:
     return count
 
 
-def tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup,
-                     stabiliser: list) -> list[GroupSelfMap]:
+def tp_endomorphisms(plane, g, stabiliser):
     """The trace-preserving endomorphisms, the list that
     enumerate_tp_endomorphisms gives, read from Dil_0 when Tr is
     transitive on the points; else, or when the scan below fails, by that
@@ -186,7 +183,7 @@ def tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup,
     return enumerate_tp_endomorphisms(plane, g)
 
 
-def _from_stabiliser(g: TranslationGroup, stabiliser: list) -> list[GroupSelfMap] | None:
+def _from_stabiliser(g, stabiliser):
     """The list of tp_endomorphisms, read from Dil_0 on a Tr of one
     element per point, or None where the scan fails."""
     k = len(stabiliser)
@@ -238,10 +235,10 @@ class RingReport(namedtuple("RingReport", "axioms mul_commutative num_tp num_end
     )
 
     @property
-    def all_pass(self) -> bool:
+    def all_pass(self):
         return all(self.axioms[name][0] for name in self.AXIOM_NAMES)
 
-    def to_dict(self) -> dict:
+    def to_dict(self):
         return {
             "axioms": {name: AxiomCheck(*check).to_dict() for name, check in self.axioms.items()},
             "mul_commutative": self.mul_commutative,
@@ -262,7 +259,7 @@ class _Operation(dict):
     An entry is formed on its first read, and kept only when both
     operands are ids: at most k^2 entries for a list of k maps."""
 
-    def __init__(self, op, ids: dict):
+    def __init__(self, op, ids):
         super().__init__()
         self.op, self.ids, self.tables = op, ids, list(ids)
 
@@ -275,14 +272,11 @@ class _Operation(dict):
         return value
 
 
-def check_ring_axioms(
-    plane: IncidencePlane,
-    g: TranslationGroup,
-    tp: list[GroupSelfMap],
-    num_endomorphisms: int | None = None,
-) -> RingReport:
-    """The ring axioms over a list of trace-preserving maps: scanned by
-    exhaustion where a list can fail them, settled by proof elsewhere.
+def check_ring_axioms(plane, g, tp, num_endomorphisms=None):
+    """The ring axioms over tp, a list of trace-preserving GroupSelfMap:
+    scanned by exhaustion where a list can fail them, settled by proof
+    elsewhere.  A RingReport; num_endomorphisms, |End| when known, is
+    passed on to it.
 
     Failures are report content with a minimal witness, never exceptions,
     so deliberately broken fixtures can be inspected.  Tables are checked
@@ -306,7 +300,7 @@ def check_ring_axioms(
     """
     for a in tp:
         _check_size(g, a)
-    ids: dict = {}
+    ids = {}
     for a in tp:
         ids.setdefault(a.table, len(ids))
     values = [ids[a.table] for a in tp]

@@ -6,8 +6,6 @@ the three affine axioms: unique joining line, unique parallel through an
 external point, existence of a triangle.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections import namedtuple
 from functools import reduce
@@ -29,7 +27,7 @@ class DirectionPartition(namedtuple("DirectionPartition", "class_of classes")):
     __slots__ = ()
 
     @property
-    def num_classes(self) -> int:
+    def num_classes(self):
         return len(self.classes)
 
 
@@ -38,7 +36,7 @@ class AxiomCheck(namedtuple("AxiomCheck", "passed witness", defaults=(None,))):
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
+    def to_dict(self):
         """The verdict as a report entry; every passed/witness entry is
         written here."""
         if self.witness is None:
@@ -52,75 +50,88 @@ class AxiomReport(namedtuple("AxiomReport", "unique_join unique_parallel triangl
     __slots__ = ()
 
     @property
-    def all_pass(self) -> bool:
+    def all_pass(self):
         return (
             self.unique_join.passed
             and self.unique_parallel.passed
             and self.triangle.passed
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self):
         return {name: check.to_dict() for name, check in zip(self._fields, self)}
 
 
 class IncidencePlane:
     """A finite point/line incidence structure.
 
+    lines is a tuple of frozensets of point ids in range(num_points),
+    line_index maps each of those frozensets to its line id, and
+    lines_through[p] is the tuple of the ids of the lines on p.
     Immutable after construction except for the axiom status set by
     ``verify_axioms`` and internally cached lookup tables.
     """
 
-    def __init__(self, num_points: int, lines: list[frozenset[int]]):
+    def __init__(self, num_points, lines):
         self.num_points = num_points
-        self.lines: tuple[frozenset[int], ...] = tuple(lines)
-        self.line_index: dict[frozenset[int], int] = {
-            pts: i for i, pts in enumerate(self.lines)
-        }
-        through: list[list[int]] = [[] for _ in range(num_points)]
+        self.lines = tuple(lines)
+        self.line_index = {pts: i for i, pts in enumerate(self.lines)}
+        through = [[] for _ in range(num_points)]
         for lid, pts in enumerate(self.lines):
             for p in pts:
                 through[p].append(lid)
-        self.lines_through: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ls) for ls in through
-        )
-        self.axiom_status: str = "unchecked"
-        self._partition: DirectionPartition | None = None
-        self._join: list[list[int]] | None = None
-        self._parallel: list[list[int]] | None = None
-        self._firsts: list[itemgetter] | None = None
-        self._meet: list[list[int | None]] | None = None
+        self.lines_through = tuple(tuple(ls) for ls in through)
+        self.axiom_status = "unchecked"
+        self._partition = None
+        self._join = None
+        self._join_rows = {}
+        self._parallel = None
+        self._firsts = None
+        self._meet = None
 
     @property
-    def num_lines(self) -> int:
+    def num_lines(self):
         return len(self.lines)
 
     @property
-    def verified(self) -> bool:
+    def verified(self):
         return self.axiom_status == "verified"
 
-    def require_verified(self) -> None:
+    def require_verified(self):
         if not self.verified:
             raise NotVerified(
                 "operation requires a plane that passed verify_axioms "
                 f"(status: {self.axiom_status})"
             )
 
-    def join_table(self) -> list[list[int]]:
-        """joining-line lookup: join[p][q] = line id through p and q (p != q)."""
+    def join_row(self, p):
+        """join_row(p)[q] = line id through p and q, -1 at q = p: row p of
+        join_table, read from the lines through p alone.
+
+        On a verified plane each point q != p lies on exactly one line
+        through p (unique join), so the pencil of p writes each entry of
+        the row once, in O(n).  Kept per point: the dilation search reads
+        three rows, not the n^2 table.
+        """
+        self.require_verified()
+        row = self._join_rows.get(p)
+        if row is None:
+            row = [-1] * self.num_points
+            for lid in self.lines_through[p]:
+                for q in self.lines[lid]:
+                    row[q] = lid
+            row[p] = -1
+            self._join_rows[p] = row
+        return row
+
+    def join_table(self):
+        """joining-line lookup: join[p][q] = line id through p and q (p != q),
+        -1 on the diagonal; row p is join_row(p)."""
         self.require_verified()
         if self._join is None:
-            n = self.num_points
-            table = [[-1] * n for _ in range(n)]
-            for lid, pts in enumerate(self.lines):
-                members = sorted(pts)
-                for i, p in enumerate(members):
-                    for q in members[i + 1:]:
-                        table[p][q] = lid
-                        table[q][p] = lid
-            self._join = table
+            self._join = [self.join_row(p) for p in range(self.num_points)]
         return self._join
 
-    def parallel_table(self) -> list[list[int]]:
+    def parallel_table(self):
         """parallel-line lookup: parallel[c][p] = line of parallel class c through p.
 
         Each class covers every point exactly once on a verified plane, so
@@ -143,7 +154,7 @@ class IncidencePlane:
             self._parallel = table
         return self._parallel
 
-    def first_point_getters(self) -> list[itemgetter]:
+    def first_point_getters(self):
         """first[c](t) = (t[s(0)], ..., t[s(n-1)]), s(p) the smallest point on
         p's line of class c: t is constant on each line of c iff first[c](t) == t."""
         if self._firsts is None:
@@ -151,7 +162,7 @@ class IncidencePlane:
             self._firsts = [itemgetter(*[smallest[l] for l in row]) for row in self.parallel_table()]
         return self._firsts
 
-    def meet_table(self) -> list[list[int | None]]:
+    def meet_table(self):
         """line-meet lookup: meet[l][m] = common point of l != m, None if parallel.
 
         Two distinct lines of a verified plane share at most one point,
@@ -159,7 +170,7 @@ class IncidencePlane:
         """
         self.require_verified()
         if self._meet is None:
-            table: list[list[int | None]] = [[None] * self.num_lines for _ in self.lines]
+            table = [[None] * self.num_lines for _ in self.lines]
             for p, through in enumerate(self.lines_through):
                 for l in through:
                     row = table[l]
@@ -169,14 +180,14 @@ class IncidencePlane:
             self._meet = table
         return self._meet
 
-    def to_document(self) -> dict:
+    def to_document(self):
         return {
             "points": self.num_points,
             "lines": [sorted(pts) for pts in self.lines],
         }
 
 
-def load_plane(document: dict) -> IncidencePlane:
+def load_plane(document):
     """Parse an incidence document into an unchecked plane.
 
     Unknown top-level fields are tolerated with a warning; structural
@@ -196,8 +207,8 @@ def load_plane(document: dict) -> IncidencePlane:
     if not isinstance(raw_lines, list):
         raise MalformedDocument("'lines' must be a list of point-index lists")
 
-    lines: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    lines = []
+    seen = set()
     for i, raw in enumerate(raw_lines):
         if not isinstance(raw, list) or not raw:
             raise MalformedDocument(f"line {i} must be a non-empty list of points")
@@ -214,8 +225,8 @@ def load_plane(document: dict) -> IncidencePlane:
     return IncidencePlane(num_points, lines)
 
 
-def verify_axioms(plane: IncidencePlane) -> AxiomReport:
-    """Check the three affine plane axioms exhaustively.
+def verify_axioms(plane):
+    """Check the three affine plane axioms exhaustively: an AxiomReport.
 
     Failures are report content (with a witness), never exceptions.
     Updates ``plane.axiom_status``.
@@ -306,8 +317,9 @@ def verify_axioms(plane: IncidencePlane) -> AxiomReport:
     return report
 
 
-def parallel_partition(plane: IncidencePlane) -> DirectionPartition:
-    """Split the lines into parallel classes, read from the pencil at point 0.
+def parallel_partition(plane):
+    """Split the lines into parallel classes, read from the pencil at point 0:
+    a DirectionPartition, kept on the plane.
 
     Each line l goes with the line of lines_through[0] parallel to it:
     l itself when 0 lies on l, else the one pencil line disjoint from l.
@@ -326,7 +338,7 @@ def parallel_partition(plane: IncidencePlane) -> DirectionPartition:
     plane.require_verified()
     if plane._partition is None:
         pencil = [(m, plane.lines[m]) for m in plane.lines_through[0]]
-        groups: dict[int, list[int]] = {}
+        groups = {}
         for l, pts in enumerate(plane.lines):
             key = l if 0 in pts else next(m for m, line in pencil if pts.isdisjoint(line))
             groups.setdefault(key, []).append(l)

@@ -13,8 +13,6 @@ its notes and changes nothing else.  A stream closed at start-up is None
 in sys, and print(file=None) would write to stdout.
 """
 
-from __future__ import annotations
-
 import errno
 import os
 import sys
@@ -28,7 +26,7 @@ from . import __version__
 WRITE_BATCH = 1 << 14
 
 
-def _report(command: str, plane_summary: dict, results: dict, status: str) -> dict:
+def _report(command, plane_summary, results, status):
     return {"tool_version": __version__, "command": command, "plane_summary": plane_summary,
             "results": results, "status": status}
 
@@ -36,12 +34,12 @@ def _report(command: str, plane_summary: dict, results: dict, status: str) -> di
 class _Numerals(dict):
     """int -> its JSON numeral, built once per report."""
 
-    def __missing__(self, i: int) -> str:
+    def __missing__(self, i):
         self[i] = text = int.__repr__(i)
         return text
 
 
-def _scalar(o) -> str:
+def _scalar(o):
     """json.dumps(o) for a str, a bool, None, an int, an empty list, tuple or
     dict, and anything else, which json.dumps itself writes."""
     if isinstance(o, str):
@@ -61,7 +59,7 @@ def _scalar(o) -> str:
     return dumps(o)
 
 
-def _chunks(o, newline: str, numerals: _Numerals):
+def _chunks(o, newline, numerals):
     """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
     line break is newline (dict keys are str), in chunks: one per key, scalar
     and bracket, and one per non-empty list or tuple of exact ints."""
@@ -86,11 +84,11 @@ def _chunks(o, newline: str, numerals: _Numerals):
         yield _scalar(o)
 
 
-def _text(document: dict):
+def _text(document):
     return chain(_chunks(document, "\n", _Numerals()), ("\n",))
 
 
-def render_report(command: str, plane_summary: dict, results: dict, status: str) -> str:
+def render_report(command, plane_summary, results, status):
     """The report text that cli._finish writes."""
     return "".join(_text(_report(command, plane_summary, results, status)))
 
@@ -106,14 +104,14 @@ def _stdout():
     return sys.stdout
 
 
-def _emit(text: str) -> None:
+def _emit(text):
     """Write text to stdout and flush it, raising the OSError of a stdout that fails."""
     out = _stdout()
     out.write(text)
     out.flush()
 
 
-def _note(text: str, end: str = "\n") -> None:
+def _note(text, end="\n"):
     """Write text to stderr if it takes it: a stderr that fails or was closed
     loses the note and changes nothing else."""
     if sys.stderr is not None:
@@ -121,7 +119,7 @@ def _note(text: str, end: str = "\n") -> None:
             sys.stderr.write(text + end)
 
 
-def _write(document: dict, out_path: str | None) -> None:
+def _write(document, out_path):
     """Write the text of document to out_path, or stdout when None, in writes of
     about WRITE_BATCH characters (-u and PYTHONUNBUFFERED make stdout write-through)."""
     try:

@@ -9,16 +9,11 @@ Tr that is not transitive load this module.  Each name is also read from
 affineplane.endo, on first access.
 """
 
-from __future__ import annotations
-
-from collections.abc import Iterator
-
 from .endo import GroupSelfMap
-from .incidence import IncidencePlane
-from .transgroup import TranslationGroup, generator_chain
+from .transgroup import generator_chain
 
 
-def enumerate_endomorphisms(g: TranslationGroup) -> list[GroupSelfMap]:
+def enumerate_endomorphisms(g):
     """All endomorphisms, by a depth-first search along the generator chain.
 
     With s_1, ..., s_r = generators(g) and H_k = <s_1, ..., s_k>, the chain
@@ -71,7 +66,7 @@ def enumerate_endomorphisms(g: TranslationGroup) -> list[GroupSelfMap]:
     return [GroupSelfMap(t) for t in _chain_search(g)]
 
 
-def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> list[GroupSelfMap]:
+def enumerate_tp_endomorphisms(plane, g):
     """The trace-preserving endomorphisms, by the same chain search, pruned.
 
     The search of enumerate_endomorphisms also requires
@@ -102,11 +97,11 @@ def enumerate_tp_endomorphisms(plane: IncidencePlane, g: TranslationGroup) -> li
     return [GroupSelfMap(t) for t in _chain_search(g, g.direction_of)]
 
 
-def _chain_search(g: TranslationGroup, directions: tuple | None = None) -> Iterator[tuple]:
+def _chain_search(g, directions=None):
     """The one search body of enumerate_endomorphisms, of
-    enumerate_tp_endomorphisms given directions, and of
+    enumerate_tp_endomorphisms given directions (g.direction_of), and of
     count_endomorphisms on a group that is not abelian: yields each leaf
-    table, in depth-first order, which is table order (claim 4 of
+    table, a tuple, in depth-first order, which is table order (claim 4 of
     enumerate_endomorphisms).
 
     t is the table under construction, zero at the start.  Level k tries
@@ -128,7 +123,7 @@ def _chain_search(g: TranslationGroup, directions: tuple | None = None) -> Itera
     t = [0] * g.order
     rows = [cayley[0]] * len(levels)
 
-    def search(k: int) -> Iterator[tuple]:
+    def search(k):
         if k == len(levels):
             yield tuple(t)
             return

@@ -10,15 +10,12 @@ affineplane.conjugation, which only groups and verify-all load; its
 names are read here too, on first access.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import itemgetter
 
 from . import _forward
-from .collineation import ClassifiedMap
 from .errors import MissingIdentity, NotClosed, NotTranslation
-from .incidence import AxiomCheck, IncidencePlane
+from .incidence import AxiomCheck
 
 __getattr__ = _forward(__name__, dict.fromkeys((
     "_inverse", "check_composition_direction", "check_conjugation", "check_conjugation_direction",
@@ -30,44 +27,46 @@ class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(Non
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
+    def to_dict(self):
         return {"name": self.name, **AxiomCheck(self.passed, self.witness).to_dict()}
 
 
-def compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """(f o g)(p) = f(g(p)): g applies first."""
+def compose_images(f, g):
+    """(f o g)(p) = f(g(p)): g applies first.  Maps are image tuples."""
     return tuple([f[q] for q in g])
 
 
 class TranslationGroup:
     """Translations with Cayley table, inverses and direction map.
 
-    elements[0] is the identity; cayley[i][j] indexes elements[i] o elements[j].
+    elements is a tuple of ClassifiedMap, elements[0] the identity;
+    cayley[i][j] indexes elements[i] o elements[j], each row a tuple;
+    inverse[i] indexes the inverse of elements[i]; direction_of[i] is its
+    parallel class, None for the identity.
     """
 
     __slots__ = ("elements", "cayley", "inverse", "direction_of", "_by_key", "_chain", "_abelian")
 
-    def __init__(self, elements: tuple[ClassifiedMap, ...], cayley: tuple[tuple[int, ...], ...],
-                 inverse: tuple[int, ...], direction_of: tuple[int | None, ...]):
+    def __init__(self, elements, cayley, inverse, direction_of):
         self.elements = elements
         self.cayley = cayley
         self.inverse = inverse
         self.direction_of = direction_of
         self._by_key = {f.image[:2]: i for i, f in enumerate(elements)}  # see build_group
-        self._chain: tuple | None = None  # generator_chain(self), once computed
-        self._abelian: CheckResult | None = None  # check_abelian(self), once scanned
+        self._chain = None  # generator_chain(self), once computed
+        self._abelian = None  # check_abelian(self), once scanned
 
     @property
-    def order(self) -> int:
+    def order(self):
         return len(self.elements)
 
-    def index_of(self, image: tuple[int, ...]) -> int | None:
+    def index_of(self, image):
         """The index of the listed element with this image, else None."""
         i = self._by_key.get(image[:2])
         return i if i is not None and self.elements[i].image == image else None
 
 
-def _gather(indices: list):
+def _gather(indices):
     """itemgetter(*indices), which gives a tuple for a single index too."""
     if len(indices) == 1:
         (i,) = indices
@@ -75,10 +74,9 @@ def _gather(indices: list):
     return itemgetter(*indices)
 
 
-def build_group(
-    plane: IncidencePlane, translations: list[ClassifiedMap]
-) -> TranslationGroup:
-    """Assemble the group, failing loudly if composition escapes the list.
+def build_group(plane, translations):
+    """The TranslationGroup of a list of ClassifiedMap, failing loudly if
+    composition escapes the list.
 
     Precondition: every element is a translation as classify says; an
     element of another kind raises NotTranslation.  Two translations
@@ -101,6 +99,13 @@ def build_group(
     A row that fails is read again column by column for the first j that
     misses, the entry the NotClosed names.
 
+    When the list has as many elements as the plane has points, as Tr
+    has on a translation plane, where it acts regularly on the points,
+    every point is the image of 0 of one element, and sorting by image
+    sorts by image of 0: elements[j](0) = j and at0 is the identity.
+    Then k_j = f(g_j(0)) = f(j), so row i is f's image itself, the same
+    tuple, with no gather.  The scan above still reads it.
+
     Proven, not scanned: each composite is a dilation, two points fix a
     dilation, and composition of maps is associative.  Scanned: the
     identity is listed, every one of the |Tr|^2 composites a.b is looked
@@ -122,13 +127,14 @@ def build_group(
         if at0[f.image[0]] != n:
             raise NotClosed(f"elements {i - 1} and {i} are the same translation")
         at0[f.image[0]] = i
-    zeros = _gather([f.image[0] for f in ordered])  # f -> (f.g_j(0))_j
+    regular = n == plane.num_points  # then at0 is the identity, and row i is f's image
+    zeros = None if regular else _gather([f.image[0] for f in ordered])  # f -> (f.g_j(0))_j
     ones = _gather([f.image[1] for f in ordered])  # f -> (f.g_j(1))_j
     listed_ones = (*(f.image[1] for f in ordered), -1)  # the image of 1 of each k, and of n
 
     cayley = []
     for i, f in enumerate(ordered):
-        row = _gather(zeros(f.image))(at0)
+        row = f.image if regular else _gather(zeros(f.image))(at0)
         wanted = ones(f.image)
         if _gather(row)(listed_ones) != wanted:
             j = next(j for j, k in enumerate(row) if listed_ones[k] != wanted[j])
@@ -147,7 +153,7 @@ def build_group(
     )
 
 
-def check_abelian(g: TranslationGroup) -> CheckResult:
+def check_abelian(g):
     """Whether every two elements commute; fails with the first pair
     (i, j), i < j, in scan order that does not.
 
@@ -171,7 +177,7 @@ def check_abelian(g: TranslationGroup) -> CheckResult:
     return g._abelian
 
 
-def _scan_abelian(g: TranslationGroup) -> CheckResult:
+def _scan_abelian(g):
     """Each row against its column, read from the transposed table.  At
     the first row i that differs, the witness is (i, j), j the first
     index where they differ.  Then j > i: every earlier row equals its
@@ -185,9 +191,7 @@ def _scan_abelian(g: TranslationGroup) -> CheckResult:
     return CheckResult("abelian", True)
 
 
-def generator_chain(
-    g: TranslationGroup,
-) -> tuple[tuple[int, ...], tuple[tuple[list, list, list], ...]]:
+def generator_chain(g):
     """(gens, levels): greedy generators and the chain they saturate.
 
     gens[k] is the lowest-index element outside H_k = <gens[:k]>, and
@@ -208,10 +212,10 @@ def generator_chain(
     """
     if g._chain is None:
         cayley = g.cayley
-        coset: list = [None] * g.order  # coset[z] = (c, h), z = c.h, on the chain
+        coset = [None] * g.order  # coset[z] = (c, h), z = c.h, on the chain
         coset[0] = (0, 0)
         members = [0]
-        gens: list[int] = []
+        gens = []
         levels = []
         while len(members) < g.order:
             k = len(gens)
@@ -236,6 +240,7 @@ def generator_chain(
     return g._chain
 
 
-def generators(g: TranslationGroup) -> list[int]:
-    """Greedy generating set: lowest-index element outside the span, repeated."""
+def generators(g):
+    """Greedy generating set, a list of element indices: lowest-index
+    element outside the span, repeated."""
     return list(generator_chain(g)[0])

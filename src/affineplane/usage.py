@@ -8,8 +8,6 @@ command line of the tests, CI, the benchmark or the README loads this
 module or argparse, whose import and parser take about 4 ms.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 
@@ -39,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
             _note(message, end="")
 
 
-def _bound(text: str) -> int:
+def _bound(text):
     """The value of --max-order: a non-negative integer."""
     try:
         value = int(text)
@@ -50,7 +48,7 @@ def _bound(text: str) -> int:
     return value
 
 
-def parse(argv: list) -> argparse.Namespace:
+def parse(argv):
     """argv read by argparse: the command and its arguments, no handler, or
     --help or --version written to stdout and exit 0, or the usage and an
     error on stderr and exit 2."""

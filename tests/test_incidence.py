@@ -100,7 +100,8 @@ class TestLineThrough:
         plane = load_plane({"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]})
         if checked:
             assert not verify_axioms(plane).all_pass
-        for table in (plane.join_table, plane.parallel_table, plane.meet_table):
+        for table in (plane.join_table, plane.parallel_table, plane.meet_table,
+                      lambda: plane.join_row(0)):
             with pytest.raises(NotVerified):
                 table()
 

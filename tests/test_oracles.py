@@ -1164,9 +1164,10 @@ class TestConjugationOracle:
 
     def test_map_that_is_no_permutation_is_conjugated_point_by_point(self, groups, dilations):
         """A map that is no permutation has no inverse for the key lookup
-        to read: it raises nothing, and fails both checks at the identity,
-        whose "conjugate" is no permutation, as the first conjugate that is
-        not listed (normal_oracle; direction_oracle starts past it)."""
+        to read: it raises nothing, and no conjugate is listed.  The normal
+        check fails at the identity, whose "conjugate" is no permutation
+        (normal_oracle), and the direction check, which starts at si = 1,
+        at the next element (direction_oracle)."""
         g, dils = groups[3], dilations[3]
         rng = random.Random(20200320)
         images = [point_map(3, lambda x, y: (x, 0)), (0,) * 9, (0, 0) + tuple(range(2, 9))]
@@ -1176,9 +1177,23 @@ class TestConjugationOracle:
                 continue
             maps = dils + [ClassifiedMap(image, "general", frozenset())]
             assert check_conjugation(g, maps) == (
-                normal_oracle(g, maps),
-                CheckResult("conjugation_direction", False, (len(dils), 0))), image
+                normal_oracle(g, maps), direction_oracle(g, maps)), image
             assert normal_oracle(g, maps).witness == (len(dils), 0)
+            assert direction_oracle(g, maps).witness == (len(dils), 1)
+
+    def test_map_that_is_no_permutation_on_a_trivial_group(self):
+        """With Tr trivial the direction check has no si >= 1 to scan: it
+        passes past a map that is no permutation, as direction_oracle
+        does, while the normal check fails there at the identity."""
+        plane, translations = sorted_translations("dual_hall9_cut(0)")
+        g = build_group(plane, translations)
+        n = plane.num_points
+        maps = [ClassifiedMap((0,) * n, "general", frozenset()),
+                ClassifiedMap((1, 0, *range(2, n)), "general", frozenset())]
+        assert g.order == 1
+        assert check_conjugation(g, maps) == assert_conjugation_verdicts_agree(g, maps) == (
+            CheckResult("normal_in_dilations", False, (0, 0)),
+            CheckResult("conjugation_direction", True))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_corrupted_dilation_lists(self, planes, groups, dilations, p):
@@ -1770,6 +1785,66 @@ class TestCayleyKernel:
             assert expected[0] is NotClosed, label
             assert raised(build_group, plane, listed) == expected, label
         assert build_group(plane, cyclic).cayley == cayley_oracle(cyclic)  # a subgroup
+
+
+def join_oracle(plane):
+    """The join table, one ordered pair of points of each line at a time,
+    -1 on the diagonal."""
+    n = plane.num_points
+    table = [[-1] * n for _ in range(n)]
+    for lid, pts in enumerate(plane.lines):
+        for p, q in itertools.permutations(pts, 2):
+            table[p][q] = lid
+    return table
+
+
+# composed, not tested, coset representatives: Tr less the identity and its
+# tested generators, q^2 - 1 - 2k on AG(2,p^k) and Hall(9), 9 - 1 - 2 on
+# dual_hall9_cut(81), and none where Tr is trivial
+COMPOSED = {
+    "AG(2,2)": 1, "AG(2,3)": 6, "AG(2,5)": 22, "AG(2,7)": 46, "AG(2,4)": 11,
+    "AG(2,9)": 76, "Hall(9)": 76, "AG(2,11)": 118, "AG(2,13)": 166,
+    "dual_hall9_cut(81)": 6, "dual_hall9_cut(0)": 0,
+}
+
+
+class TestWhatTheGroupsStageReads:
+    """The groups stage reads only what the regular action of Tr on the
+    points leaves to read: join rows, not the join table, Cayley rows that
+    are the elements' images, and composed translations whose direction
+    comes from one join, with no scan for fixed points."""
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_join_rows_are_the_join_table_s(self, name):
+        plane = load_plane(CAYLEY_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        oracle = join_oracle(plane)
+        rows = [plane.join_row(p) for p in range(plane.num_points)]  # before the table
+        assert rows == oracle
+        assert plane.join_table() == oracle
+        assert all(plane.join_row(p) == plane.join_table()[p] for p in range(plane.num_points))
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_cayley_rows_are_the_images_iff_tr_is_regular(self, name):
+        plane, translations = sorted_translations(name)
+        g = build_group(plane, translations[::-1])
+        regular = g.order == plane.num_points
+        assert regular is not name.startswith("dual_hall9_cut")
+        assert [row is f.image for row, f in zip(g.cayley, g.elements)] == [regular] * g.order
+        assert g.cayley == cayley_oracle(translations)
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_composed_representatives_are_classified(self, name, monkeypatch):
+        plane = load_plane(CAYLEY_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        cosets, verdicts = search_verdicts(plane, monkeypatch, collineation.dilation_cosets)
+        assert cosets == cosets_oracle(plane)
+        tested = {image for image, _ in verdicts}
+        composed = [f for f in cosets[1] if f.image not in tested]
+        assert len(composed) == COMPOSED[name]
+        for f in composed:
+            assert f == collineation._classified_dilation(plane, f.image)
+            assert (f.kind, f.fixed_points) == ("translation", frozenset())
 
 
 def square_tables(seed, count):

@@ -76,3 +76,21 @@ def test_gc_is_named_only_in_cli_run():
                         or isinstance(node, ast.ImportFrom) and node.module == name):
                     found.add((path.name, scope_of.get(node, "<module>"), name))
     assert found == {("cli.py", "run", "gc"), ("cli.py", "run", "_exit")}
+
+
+def test_package_has_no_annotation():
+    # no command compiles annotation text: the package declares types in
+    # its docstrings, and so has nothing for `from __future__ import
+    # annotations` to defer
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                found.append(f"{path.name}:{node.lineno}: {node.arg}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                found.append(f"{path.name}:{node.lineno}: {node.name} ->")
+            elif isinstance(node, ast.AnnAssign):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.target)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                found.append(f"{path.name}:{node.lineno}: __future__")
+    assert found == []

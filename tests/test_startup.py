@@ -192,11 +192,14 @@ def test_each_command_loads_only_its_stages(tmp_path, plane_file, cut_file, argv
 def test_no_command_loads_json_or_typing(tmp_path, plane_file, argv):
     """cli decodes the document with _json's scanner and output writes the
     report's scalars itself, and the records are collections.namedtuple
-    subclasses, so neither json nor typing is on a command's path."""
+    subclasses, so neither json nor typing is on a command's path; and no
+    module of the package has annotations to defer, so none imports
+    __future__."""
     code, loaded = loaded_by(tmp_path, *[plane_file if a == "PLANE" else a for a in argv])
     assert code == 0
     assert "affineplane.cli" in loaded
-    assert {m for m in loaded if m in ("json", "typing") or m.startswith("json.")} == set()
+    forbidden = ("json", "typing", "__future__")
+    assert {m for m in loaded if m in forbidden or m.startswith("json.")} == set()
 
 
 @pytest.mark.parametrize(
