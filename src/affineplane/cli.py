@@ -34,7 +34,6 @@ from .output import render_report  # the benchmark's traced replay calls cli.ren
 # conjugation pass, and --help, --version and usage errors no incidence.
 __getattr__ = _forward(__name__, {
     "cmd_groups": "cmd_groups", "cmd_endo": "cmd_endo", "cmd_verify_all": "cmd_verify_all",
-    "_dilation_generators": "conjugation",
 })
 
 EXIT_PASS = 0

@@ -18,8 +18,8 @@ from . import _forward
 from .incidence import parallel_partition
 
 __getattr__ = _forward(__name__, dict.fromkeys((
-    "_check_size", "classify", "compose_cosets", "enumerate_dilations", "is_collineation",
-    "is_dilation", "is_translation"), "definitions"))
+    "classify", "compose_cosets", "enumerate_dilations", "is_collineation", "is_dilation",
+    "is_translation"), "definitions"))
 
 
 class ClassifiedMap(namedtuple("ClassifiedMap", "image kind fixed_points direction",
@@ -172,7 +172,7 @@ def dilation_cosets(plane):
     """
     plane.require_verified()
     n = plane.num_points
-    par, meet = plane.parallel_table(), plane.meet_table()
+    par, masks = plane.parallel_table(), plane.line_masks()
     class_of = parallel_partition(plane).class_of
     a, b = 0, 1
     join = {a: plane.join_row(a), b: plane.join_row(b)}  # every join read starts at A, B or c0
@@ -183,8 +183,9 @@ def dilation_cosets(plane):
     join[c0] = plane.join_row(c0)
     # One step per point c, in order: f(c) is where the parallel to AC
     # through f(A) meets the parallel to (base)C through f(base), with base
-    # B off AB and the first point off AB on it.  Equal parallels meet in
-    # None (meet[l][l]), which rejects the candidate.
+    # B off AB and the first point off AB on it, so f(base) is set before.
+    # base is off AC, so AC and (base)C are two lines through C, of two
+    # classes, and so are their parallels, which meet in exactly one point.
     steps = [
         (c, base, par[class_of[join[a][c]]], par[class_of[join[base][c]]])
         for c, base in [(c, b) for c in off_ab]
@@ -195,6 +196,11 @@ def dilation_cosets(plane):
         """The line through `through` parallel to join(p, q)."""
         return par[class_of[join[p][q]]][through]
 
+    def meet(l, m):
+        """The common point of two lines of distinct classes: the one bit
+        of the AND of their masks."""
+        return (masks[l] & masks[m]).bit_length() - 1
+
     def dilations_from(a2, b2s):
         """The candidates (a2, b2), b2 in b2s, that pass, lazily."""
         for b2 in b2s:
@@ -203,14 +209,10 @@ def dilation_cosets(plane):
             image = [-1] * n
             image[a], image[b] = a2, b2
             for c, base, row_a, row_base in steps:
-                c2 = meet[row_a[a2]][row_base[image[base]]]
-                if c2 is None:
-                    break
-                image[c] = c2
-            else:
-                f = _as_dilation(plane, tuple(image))
-                if f is not None:
-                    yield f
+                image[c] = meet(row_a[a2], row_base[image[base]])
+            f = _as_dilation(plane, tuple(image))
+            if f is not None:
+                yield f
 
     stabiliser = list(dilations_from(a, on_ab))
     found = [None] * n  # found[a2]: the representative for a2, tested or composed
@@ -221,9 +223,9 @@ def dilation_cosets(plane):
             continue
         m = parallel(a, b, a2)  # f(B) lies on the parallel to AB through f(A)
         if m == line_ab:
-            t1 = meet[parallel(c0, b, meet[parallel(a, c0, a2)][parallel(a, b, c0)])][line_ab]
+            t1 = meet(parallel(c0, b, meet(parallel(a, c0, a2), parallel(a, b, c0))), line_ab)
         else:
-            t1 = meet[m][parallel(a, a2, b)]
+            t1 = meet(m, parallel(a, a2, b))
         candidates = [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]
         f = found[a2] = next(dilations_from(a2, candidates), None)
         if f is None or f.kind != "translation":  # None: no dilation sends A to a2

@@ -86,7 +86,7 @@ class IncidencePlane:
         self._join_rows = {}
         self._parallel = None
         self._firsts = None
-        self._meet = None
+        self._masks = None
 
     @property
     def num_lines(self):
@@ -162,23 +162,17 @@ class IncidencePlane:
             self._firsts = [itemgetter(*[smallest[l] for l in row]) for row in self.parallel_table()]
         return self._firsts
 
-    def meet_table(self):
-        """line-meet lookup: meet[l][m] = common point of l != m, None if parallel.
+    def line_masks(self):
+        """masks[l] = the points of line l as an int, bit p set iff p is on l.
 
-        Two distinct lines of a verified plane share at most one point,
-        because two shared points would be joined by both lines.
+        On a verified plane masks[l] & masks[m] holds the one common point
+        of two lines that meet, none for two parallels and q for l = m,
+        since two shared points would be joined by both lines.  Built once;
+        verify_axioms reads it before the plane is verified.
         """
-        self.require_verified()
-        if self._meet is None:
-            table = [[None] * self.num_lines for _ in self.lines]
-            for p, through in enumerate(self.lines_through):
-                for l in through:
-                    row = table[l]
-                    for m in through:
-                        if m != l:
-                            row[m] = p
-            self._meet = table
-        return self._meet
+        if self._masks is None:
+            self._masks = [sum(1 << p for p in pts) for pts in self.lines]
+        return self._masks
 
     def to_document(self):
         return {
@@ -272,7 +266,7 @@ def verify_axioms(plane):
     """
     n = plane.num_points
     mask = [sum(1 << lid for lid in through) for through in plane.lines_through]
-    points_of = [sum(1 << p for p in pts) for pts in plane.lines]
+    points_of = plane.line_masks()
     others_on = [len(pts) - 1 for pts in plane.lines]
     everyone = (1 << n) - 1
 

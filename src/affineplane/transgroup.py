@@ -18,7 +18,7 @@ from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import AxiomCheck
 
 __getattr__ = _forward(__name__, dict.fromkeys((
-    "_inverse", "check_composition_direction", "check_conjugation", "check_conjugation_direction",
+    "check_composition_direction", "check_conjugation", "check_conjugation_direction",
     "check_normal_in_dilations"), "conjugation"))
 
 

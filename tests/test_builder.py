@@ -4,7 +4,7 @@ from affineplane import build_prime_plane, is_prime, verify_axioms
 from affineplane.builder import point_id
 from affineplane.errors import NotPrime
 
-from test_oracles import parallel_oracle
+from test_oracles import MEET_PLANES, meet_plane, parallel_oracle
 
 
 def test_is_prime():
@@ -38,30 +38,33 @@ def test_point_id_layout():
 
 
 class TestIntersect:
-    """The common point of two lines, read from the meet table."""
+    """The common points of two lines, read from the AND of their masks."""
 
     def test_shared_point(self, p2):
         l = p2.line_index[frozenset({0, 1})]
         m = p2.line_index[frozenset({0, 2})]
-        assert p2.meet_table()[l][m] == 0
+        masks = p2.line_masks()
+        assert masks[l] & masks[m] == 1 << 0
 
     def test_parallel_lines_have_no_intersection(self, p2):
         l = p2.line_index[frozenset({0, 1})]
         m = p2.line_index[frozenset({2, 3})]
-        assert p2.meet_table()[l][m] is None
+        masks = p2.line_masks()
+        assert masks[l] & masks[m] == 0
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_distinct_nonparallel_lines_meet_once(self, planes, p):
-        plane = planes[p]
-        meet = plane.meet_table()
+    @pytest.mark.parametrize("name", MEET_PLANES)
+    def test_distinct_nonparallel_lines_meet_once(self, name):
+        plane = meet_plane(name)
+        masks = plane.line_masks()
         for l in range(plane.num_lines):
             for m in range(plane.num_lines):
                 if l == m:
                     continue
                 common = plane.lines[l] & plane.lines[m]
+                meet = masks[l] & masks[m]
                 if parallel_oracle(plane, l, m):
-                    assert meet[l][m] is None
+                    assert meet == 0
                     assert not common
                 else:
                     assert len(common) == 1
-                    assert meet[l][m] in common
+                    assert meet == 1 << min(common)

@@ -100,8 +100,7 @@ class TestLineThrough:
         plane = load_plane({"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]})
         if checked:
             assert not verify_axioms(plane).all_pass
-        for table in (plane.join_table, plane.parallel_table, plane.meet_table,
-                      lambda: plane.join_row(0)):
+        for table in (plane.join_table, plane.parallel_table, lambda: plane.join_row(0)):
             with pytest.raises(NotVerified):
                 table()
 
@@ -113,6 +112,30 @@ class TestLineThrough:
             for b in range(a + 1, plane.num_points):
                 joins = [l for l, pts in enumerate(plane.lines) if a in pts and b in pts]
                 assert joins == [join[a][b]] == [join[b][a]]
+
+
+class TestLineMasks:
+    """line_masks(): each line's points as an int, built once."""
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "failed"])
+    def test_answers_on_an_unverified_plane(self, checked):
+        # AG(2,2) less the line {1, 2}: no line joins 1 and 2
+        plane = load_plane({"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]})
+        if checked:
+            assert not verify_axioms(plane).all_pass
+        assert plane.line_masks() == [0b11, 0b1100, 0b101, 0b1010, 0b1001]
+        assert not plane.verified
+
+    def test_one_list_for_every_reader(self, monkeypatch):
+        plane = load_plane(build_prime_plane(3).to_document())
+        masks = plane.line_masks()
+        assert masks == [sum(1 << p for p in pts) for pts in plane.lines]
+        read = []
+        real = plane.line_masks
+        monkeypatch.setattr(plane, "line_masks", lambda: read.append(real()) or read[-1])
+        assert verify_axioms(plane).all_pass
+        assert read and all(got is masks for got in read)
+        assert real() is masks
 
 
 class TestParallel:

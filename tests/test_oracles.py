@@ -27,7 +27,8 @@ and scans only the laws a list can fail,
 ``check_conjugation`` fills one table per dilation from the conjugates
 of the generators, looked up by their whole images, and reads both verdicts
 from one scan of it, ``parallel_partition`` reads the classes from the pencil
-at point 0, and the parallel and meet tables answer in one lookup.  The
+at point 0, the parallel table answers in one lookup and the AND of two
+line masks is the lines' common points.  The
 all-pairs, union-find, product-and-test, filtering, scanning,
 table-per-triple, candidate-by-candidate, one-test-per-point
 (``cosets_oracle``), backtracking and closed-form
@@ -229,11 +230,11 @@ def dilation_oracle(plane, image):
 
 def candidate_builder(plane):
     """complete(a2, b2): the candidate sending (0, 1) to (a2, b2), extended
-    pointwise by intersecting parallels, or None where two parallels
-    coincide."""
+    pointwise by intersecting parallels (meet_oracle), or None where two
+    parallels coincide."""
     n = plane.num_points
     join = plane.join_table()
-    par, meet = plane.parallel_table(), plane.meet_table()
+    par = plane.parallel_table()
     class_of = parallel_partition(plane).class_of
     on_ab = plane.lines[join[0][1]]
     off_ab = [c for c in range(n) if c not in on_ab]
@@ -247,7 +248,7 @@ def candidate_builder(plane):
         image = [-1] * n
         image[0], image[1] = a2, b2
         for c, base, row_a, row_base in steps:
-            c2 = meet[row_a[a2]][row_base[image[base]]]
+            c2 = meet_oracle(plane, row_a[a2], row_base[image[base]])
             if c2 is None:
                 return None
             image[c] = c2
@@ -281,7 +282,7 @@ def cosets_oracle(plane):
     candidates (a2, b2) are tried until one passes, the translation
     candidate first."""
     join, par = plane.join_table(), plane.parallel_table()
-    meet, class_of = plane.meet_table(), parallel_partition(plane).class_of
+    class_of = parallel_partition(plane).class_of
     line_ab = join[0][1]
     c0 = next(c for c in range(plane.num_points) if c not in plane.lines[line_ab])
     complete = candidate_builder(plane)
@@ -301,9 +302,10 @@ def cosets_oracle(plane):
     for a2 in range(1, plane.num_points):
         m = parallel(0, 1, a2)
         if m == line_ab:
-            t1 = meet[parallel(c0, 1, meet[parallel(0, c0, a2)][parallel(0, 1, c0)])][line_ab]
+            inner = meet_oracle(plane, parallel(0, c0, a2), parallel(0, 1, c0))
+            t1 = meet_oracle(plane, parallel(c0, 1, inner), line_ab)
         else:
-            t1 = meet[m][parallel(0, a2, 1)]
+            t1 = meet_oracle(plane, m, parallel(0, a2, 1))
         f = next(passing(a2, [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]), None)
         if f is not None:
             representatives.append(f)
@@ -504,11 +506,31 @@ def raised(fn, *args):
 
 
 def meet_oracle(plane, l, m):
+    """The one common point of lines l and m, by frozenset intersection;
+    None for two parallels and for l = m."""
     common = plane.lines[l] & plane.lines[m]
-    if not common:
+    if l == m or not common:
         return None
     (point,) = common
     return point
+
+
+# every plane the tests hold: AG(2,p) for p = 2, 3, 5, the planes of orders
+# 4 and 9, and both cuts of the dual Hall plane, which are no translation planes
+MEET_PLANES = {
+    **{f"AG(2,{p})": partial(lambda p: build_prime_plane(p).to_document(), p) for p in (2, 3, 5)},
+    "AG(2,4)": ag24_document,
+    "AG(2,9)": ag29_document,
+    "Hall(9)": hall9_document,
+    "dual_hall9_cut(81)": partial(dual_hall9_cut, 81),
+    "dual_hall9_cut(0)": partial(dual_hall9_cut, 0),
+}
+
+
+def meet_plane(name):
+    plane = load_plane(MEET_PLANES[name]())
+    assert verify_axioms(plane).all_pass
+    return plane
 
 
 def assert_conjugation_verdicts_agree(g, dilations):
@@ -1355,22 +1377,24 @@ class TestLookupTableOracle:
                 if q in plane.lines[l]:
                     assert m == l
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_intersect_every_pair_of_lines(self, planes, p):
-        plane = planes[p]
-        meet = plane.meet_table()
+    @pytest.mark.parametrize("name", MEET_PLANES)
+    def test_intersect_every_pair_of_lines(self, name):
+        plane = meet_plane(name)
+        masks = plane.line_masks()
+        q = len(plane.lines[0])
         parallel_pairs = 0
         for l in range(plane.num_lines):
-            # a line meets itself in None: the dilation search rejects a
-            # candidate whose two parallels coincide
-            assert meet[l][l] is None
+            # a line ANDed with itself keeps its q points
+            assert (masks[l] & masks[l]).bit_count() == q
             for m in range(plane.num_lines):
+                common = masks[l] & masks[m]
+                assert common == sum(1 << p for p in plane.lines[l] & plane.lines[m])
                 if l != m:
-                    point = meet[l][m]
+                    point = common.bit_length() - 1 if common else None
                     assert point == meet_oracle(plane, l, m)
                     parallel_pairs += point is None
-        # each of the p + 1 classes has p lines, pairwise parallel
-        assert parallel_pairs == (p + 1) * p * (p - 1)
+        # each of the q + 1 classes has q lines, pairwise parallel
+        assert parallel_pairs == (q + 1) * q * (q - 1)
 
 
 PLANE_DOCUMENTS = {
@@ -1432,6 +1456,21 @@ class TestDilationCandidateOracle:
         assert len(verdicts) == q * q + q - 2
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
+
+    @pytest.mark.parametrize("name", MEET_PLANES)
+    def test_every_candidate_completes(self, name):
+        """Each step meets the parallels of two lines through c, which lie
+        in two classes, so no step meets two parallels: every candidate
+        (a2, b2), b2 on the parallel to join(0, 1) through a2, completes,
+        and dilation_cosets has no step that rejects one."""
+        plane = meet_plane(name)
+        par, class_of = plane.parallel_table(), parallel_partition(plane).class_of
+        row = par[class_of[plane.join_table()[0][1]]]
+        complete = candidate_builder(plane)
+        for a2 in range(plane.num_points):
+            for b2 in plane.lines[row[a2]]:
+                if b2 != a2:
+                    assert complete(a2, b2) is not None, (a2, b2)
 
     @pytest.mark.parametrize("name", DILATION_PLANES)
     def test_tests_of_the_search(self, name, monkeypatch):

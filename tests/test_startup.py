@@ -29,7 +29,8 @@ import pytest
 import affineplane
 from affineplane import builder, cli
 from conftest import (
-    COMMAND_LINES, ag29_document, bench_lines, corrupted_documents, dual_hall9_cut,
+    COMMAND_LINES, ag24_document, ag29_document, bench_lines, corrupted_documents,
+    dual_hall9_cut,
 )
 from affineplane.collineation import ClassifiedMap
 from affineplane.endo import GroupSelfMap, RingReport
@@ -67,8 +68,8 @@ EXPORTS = {
 # another on first access, so that a command compiles only what it runs
 FORWARDED = [
     ("collineation", "definitions", [
-        "_check_size", "classify", "compose_cosets", "enumerate_dilations", "is_collineation",
-        "is_dilation", "is_translation",
+        "classify", "compose_cosets", "enumerate_dilations", "is_collineation", "is_dilation",
+        "is_translation",
     ]),
     ("endo", "definitions", [
         "add", "compose", "inversion_endo", "is_trace_preserving", "negate", "scalar_labeling",
@@ -76,10 +77,9 @@ FORWARDED = [
     ]),
     ("endo", "search", ["_chain_search", "enumerate_endomorphisms", "enumerate_tp_endomorphisms"]),
     ("transgroup", "conjugation", [
-        "_inverse", "check_composition_direction", "check_conjugation",
-        "check_conjugation_direction", "check_normal_in_dilations",
+        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
+        "check_normal_in_dilations",
     ]),
-    ("cli", "conjugation", ["_dilation_generators"]),
     ("cli", "cmd_groups", ["cmd_groups"]),
     ("cli", "cmd_endo", ["cmd_endo"]),
     ("cli", "cmd_verify_all", ["cmd_verify_all"]),
@@ -120,6 +120,14 @@ def loaded_by(tmp_path, *argv):
 def plane_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("startup") / "p3.json"
     path.write_text(json.dumps(builder.build_prime_plane(3).to_document()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def ag24_file(tmp_path_factory):
+    """A translation plane of order 4 that no prime builds: |Tr| = 16 = n."""
+    path = tmp_path_factory.mktemp("startup") / "ag24.json"
+    path.write_text(json.dumps(ag24_document()))
     return str(path)
 
 
@@ -165,18 +173,21 @@ INCIDENCE = "affineplane.incidence"  # loaded where a document is read
           BUILDER}),
         (["verify-all", "PLANE"],
          {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, SEARCH, BUILDER}),
+        (["verify-all", "AG24"],
+         {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, SEARCH, BUILDER}),
         (["verify-all", "CUT"],
          {"affineplane.cmd_groups", "affineplane.cmd_endo", DEFINITIONS, BUILDER}),
     ],
     ids=["build", "check", "groups", "groups-dilations", "endo", "endo-dump", "verify-all",
-         "verify-all-cut"],
+         "verify-all-ag24", "verify-all-cut"],
 )
-def test_each_command_loads_only_its_stages(tmp_path, plane_file, cut_file, argv, absent):
+def test_each_command_loads_only_its_stages(tmp_path, plane_file, ag24_file, cut_file, argv,
+                                            absent):
     """Each command loads the modules it runs and no other: build no
     incidence layer, groups --dilations no endo, and endo and verify-all
-    on a translation plane no End search, which endo --dump and a plane
-    whose Tr is not transitive do load."""
-    files = {"PLANE": plane_file, "CUT": cut_file}
+    on a translation plane, AG(2,4) as well as a prime one, no End search,
+    which endo --dump and a plane whose Tr is not transitive do load."""
+    files = {"PLANE": plane_file, "AG24": ag24_file, "CUT": cut_file}
     code, loaded = loaded_by(tmp_path, *[files.get(a, a) for a in argv])
     assert code == 0
     assert "affineplane.cli" in loaded
