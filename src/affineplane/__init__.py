@@ -14,36 +14,29 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "builder": ("build_prime_plane", "is_prime", "prime_plane_document"),
-    "collineation": ("ClassifiedMap", "fixed_points"),
-    "conjugation": (
-        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-        "check_normal_in_dilations",
-    ),
-    "definitions": (
-        "add", "classify", "compose", "enumerate_dilations", "inversion_endo",
-        "is_collineation", "is_dilation", "is_trace_preserving", "is_translation", "negate",
-        "scalar_labeling", "unit_endo", "zero_endo",
-    ),
-    "endo": (
-        "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
-        "is_endomorphism", "tp_endomorphisms",
-    ),
-    "incidence": (
-        "AxiomReport", "DirectionPartition", "IncidencePlane", "load_plane",
-        "parallel_partition", "verify_axioms",
-    ),
-    "search": ("enumerate_endomorphisms", "enumerate_tp_endomorphisms"),
-    "transgroup": ("CheckResult", "TranslationGroup", "build_group", "check_abelian", "generators"),
+_EXPORTS = {  # submodule -> the names it defines, as namedtuple takes its fields
+    "builder": "build_prime_plane is_prime prime_plane_document",
+    "collineation": "ClassifiedMap fixed_points",
+    "conjugation": "check_composition_direction check_conjugation",
+    "definitions": "add check_conjugation_direction check_normal_in_dilations classify compose"
+                   " enumerate_dilations inversion_endo is_collineation is_dilation"
+                   " is_trace_preserving is_translation negate scalar_labeling unit_endo"
+                   " zero_endo",
+    "endo": "GroupSelfMap RingReport check_ring_axioms count_endomorphisms is_endomorphism"
+            " tp_endomorphisms",
+    "incidence": "AxiomReport DirectionPartition IncidencePlane load_plane parallel_partition"
+                 " verify_axioms",
+    "search": "enumerate_endomorphisms enumerate_tp_endomorphisms",
+    "transgroup": "CheckResult TranslationGroup build_group check_abelian generators",
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = list(_MODULE_OF)
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
 
 
-def _forward(owner, module_of):
+def _forward(owner, names_of):
     """The module __getattr__ (PEP 562) of the module named owner: a name
-    of module_of is read from its submodule, which loads on first access."""
+    of names_of, submodule -> its names as namedtuple takes its fields, is
+    read from that submodule, which loads on first access."""
+    module_of = {name: module for module, names in names_of.items() for name in names.split()}
 
     def __getattr__(name):
         module = module_of.get(name)
@@ -54,7 +47,7 @@ def _forward(owner, module_of):
     return __getattr__
 
 
-__getattr__ = _forward(__name__, _MODULE_OF)
+__getattr__ = _forward(__name__, _EXPORTS)
 
 
 def __dir__():

@@ -1,3 +1,6 @@
+import gc
+
+gc.disable()  # before cli's imports, which made one pass: see cli.run
 from .cli import run
 
 run()

@@ -84,17 +84,18 @@ def _decode(text):
     is no mapping, which load_plane would reject, is handed back as text,
     so a list nested that deep still gets json.loads' RecursionError; a
     mapping that holds one still decodes here, and load_plane rejects it.
+    On an interpreter with no _json every text goes to json.loads.
     """
-    from _json import make_scanner
-
     inf = float("inf")
     constants = {"-Infinity": -inf, "Infinity": inf, "NaN": float("nan")}
-    scan = make_scanner(SimpleNamespace(
-        strict=True, object_hook=None, object_pairs_hook=None, parse_float=float,
-        parse_int=int, parse_constant=constants.__getitem__))
     try:
+        from _json import make_scanner
+
+        scan = make_scanner(SimpleNamespace(
+            strict=True, object_hook=None, object_pairs_hook=None, parse_float=float,
+            parse_int=int, parse_constant=constants.__getitem__))
         value, end = scan(text, len(text) - len(text.lstrip(JSON_WHITESPACE)))
-    except (StopIteration, RecursionError, SystemError, ValueError):
+    except (ImportError, StopIteration, RecursionError, SystemError, ValueError):
         return text
     return value if type(value) is dict and not text[end:].strip(JSON_WHITESPACE) else text
 

@@ -17,9 +17,9 @@ from operator import itemgetter
 from . import _forward
 from .incidence import parallel_partition
 
-__getattr__ = _forward(__name__, dict.fromkeys((
-    "classify", "compose_cosets", "enumerate_dilations", "is_collineation", "is_dilation",
-    "is_translation"), "definitions"))
+__getattr__ = _forward(__name__, {
+    "definitions": "classify compose_cosets enumerate_dilations is_collineation is_dilation"
+                   " is_translation"})
 
 
 class ClassifiedMap(namedtuple("ClassifiedMap", "image kind fixed_points direction",
@@ -100,16 +100,24 @@ def dilation_cosets(plane):
     classified by the dilation test of classify alone (_as_dilation), so
     the construction cannot over-report.  A completed candidate that is
     not a bijection is dropped: the steps fill every point but A and B
-    with a point, and the test requires a bijection.  Dil_0 is every
-    passing candidate (A, B').  The other points A' are walked in order:
-    one that a composite of translations found so far has reached is
-    skipped (Fact 4); for any other, the candidates (A', B') are tried
-    until one passes, the translation candidate first.  A translation
-    that passes joins the generators, and the translations found are
-    closed under composition with them, each composite filling its
-    image of A.  On AG(2,p^k), Tr is Z_p^(2k) and each tested point lies
-    outside the subgroup found before it, so q - 1 + 2k candidates are
-    tested in all.
+    with a point, and the test requires a bijection.
+
+    Each list is one walk (walk), Dil_0 first.  Dil_0 is walked by the
+    image B' of B, over the points of AB in the line's order, from the
+    identity, the candidate (A, B), which is not tested: a point B' that
+    a composite of the generators found so far has reached is skipped
+    (Fact 5); for any other the candidate (A, B') is tested.  The other
+    points A' are walked in order: one that a composite of translations
+    found so far has reached is skipped (Fact 4); for any other, the
+    candidates (A', B') are tried until one passes, the translation
+    candidate first.  In each walk a map that passes joins the generators
+    (in the second, a translation only), and the maps found are closed
+    under composition with them, each composite filling its image of B,
+    or of A.  On AG(2,p^k), Tr is Z_p^(2k) and Dil_0 is the cyclic group
+    GF(p^k)*, and each tested point lies outside the subgroup found
+    before it, so 2k candidates are tested for Tr, and for Dil_0 at most
+    as many as q - 1 has prime factors, counted with multiplicity (2 for
+    q = 47, 3 for q = 9 and 31), where testing every candidate took q - 1.
 
     One representative per image of A suffices (Artin, Geometric
     Algebra, ch. II): composites and inverses of dilations are
@@ -117,7 +125,7 @@ def dilation_cosets(plane):
     and the f s, s in Dil_0, are distinct, as f is injective; and the
     candidates (A', B') are complete for A' by two-point determination,
     so if none passes, no dilation sends A to A'.  Facts 1 to 3 follow;
-    Fact 4 rests on Fact 1.
+    Fact 4 rests on Fact 1, and Fact 5 on two-point determination.
 
     1. A coset holds at most one translation, and only the translation
     candidate can be it; so Tr is the set of translations among Dil_0
@@ -141,16 +149,17 @@ def dilation_cosets(plane):
     A itself is Dil_0.
 
     3. normal_in_dilations and conjugation_direction pass on Dil iff they
-    pass on a set S that generates Dil, such as Dil_0, the representatives
-    that are no translations and generators of Tr.  Let K be the dilations
+    pass on a set S that generates Dil, such as generators of Dil_0, the
+    representatives that are no translations and generators of Tr.  Let K be the dilations
     d whose conjugation sends every translation to a translation (of its
     direction).  K is closed under composition: (d e)^-1 t (d e) =
     e^-1 (d^-1 t d) e.  A nonempty subset of a finite group closed under
     composition is a subgroup, as d^-1 is a power of d.  So S in K gives
     K = Dil, and the converse holds as S lies in Dil.  That S generates
     Dil: every dilation is f s, with f the identity or a representative
-    and s in Dil_0, and a representative that is a translation is a
-    composite of the generators of Tr.
+    and s in Dil_0, a composite of the generators of Dil_0, and a
+    representative that is a translation is a composite of the
+    generators of Tr.
 
     4. A point A' reached by a composite gets, untested, the
     representative its test would return: image, kind, fixed points and
@@ -169,18 +178,31 @@ def dilation_cosets(plane):
     exactly that, with no scan for fixed points.  The coset of A' holds
     h, so by Fact 1 h is the translation candidate of A', which the test
     tries first and which passes.
+
+    5. A dilation that fixes A is fixed by its image of B, and a point B'
+    reached by a composite gets, untested, the map its test would return.
+    The walk forms a composite h = s.g (g first) of two maps of Dil_0
+    only when B' = h(B) is not yet reached.  h is a dilation that fixes
+    A, so it maps AB onto the parallel to AB through A, AB itself, and
+    B' lies on AB.  Two dilations that agree at A and B are equal (as
+    above), and the candidate (A, B') is built from those two images
+    alone, so it is h, which passes, and _as_dilation returns
+    _classified_dilation of it: what the walk records.  So the walk finds
+    every passing candidate (A, B'), as testing each did; a candidate
+    that fails is no dilation, so no composite reaches its point, and it
+    is tested, as the six of Hall(9) that fail are.  The identity, seeded
+    at B, is _classified_dilation of its image too.
     """
     plane.require_verified()
     n = plane.num_points
     par, masks = plane.parallel_table(), plane.line_masks()
     class_of = parallel_partition(plane).class_of
     a, b = 0, 1
-    join = {a: plane.join_row(a), b: plane.join_row(b)}  # every join read starts at A, B or c0
-    line_ab = join[a][b]
+    line_ab = plane.join_row(a)[b]
     on_ab = plane.lines[line_ab]
     off_ab = [c for c in range(n) if c not in on_ab]
     c0 = off_ab[0]
-    join[c0] = plane.join_row(c0)
+    join = {p: plane.join_row(p) for p in (a, b, c0)}  # every join read starts at A, B or c0
     # One step per point c, in order: f(c) is where the parallel to AC
     # through f(A) meets the parallel to (base)C through f(base), with base
     # B off AB and the first point off AB on it, so f(base) is set before.
@@ -201,43 +223,57 @@ def dilation_cosets(plane):
         of the AND of their masks."""
         return (masks[l] & masks[m]).bit_length() - 1
 
-    def dilations_from(a2, b2s):
-        """The candidates (a2, b2), b2 in b2s, that pass, lazily."""
+    def dilation(a2, b2s):
+        """The first candidate (a2, b2), b2 in b2s, that passes, or None."""
         for b2 in b2s:
-            if b2 == a2:
-                continue
-            image = [-1] * n
-            image[a], image[b] = a2, b2
-            for c, base, row_a, row_base in steps:
-                image[c] = meet(row_a[a2], row_base[image[base]])
-            f = _as_dilation(plane, tuple(image))
-            if f is not None:
-                yield f
+            if b2 != a2:
+                image = [-1] * n
+                image[a], image[b] = a2, b2
+                for c, base, row_a, row_base in steps:
+                    image[c] = meet(row_a[a2], row_base[image[base]])
+                if (f := _as_dilation(plane, tuple(image))) is not None:
+                    return f
+        return None
 
-    stabiliser = list(dilations_from(a, on_ab))
-    found = [None] * n  # found[a2]: the representative for a2, tested or composed
-    found[a] = stabiliser  # A's coset is Dil_0: no composite fills it
-    translations, generators = [], []  # Tr found so far; (g(A), compose with g)
-    for a2 in range(1, n):
-        if found[a2] is not None:  # a composite translation (Fact 4)
-            continue
+    def candidates(a2):
+        """(a2, the points b2 of the candidates (a2, b2)), the translation candidate first."""
         m = parallel(a, b, a2)  # f(B) lies on the parallel to AB through f(A)
         if m == line_ab:
             t1 = meet(parallel(c0, b, meet(parallel(a, c0, a2), parallel(a, b, c0))), line_ab)
         else:
             t1 = meet(m, parallel(a, a2, b))
-        candidates = [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]
-        f = found[a2] = next(dilations_from(a2, candidates), None)
-        if f is None or f.kind != "translation":  # None: no dilation sends A to a2
-            continue
-        translations.append(f)
-        generators.append((a2, itemgetter(*f.image)))
-        for t in translations:  # grows as it is read: a BFS over the composites t.g
-            for g_a, compose in generators:
-                h_a = t.image[g_a]
-                if found[h_a] is None:  # so h(A) != A: a translation with no fixed point (Fact 4)
-                    h = ClassifiedMap(compose(t.image), "translation", frozenset(),
-                                      class_of[join[a][h_a]])
-                    found[h_a] = h
-                    translations.append(h)
-    return stabiliser, [f for f in found[1:] if f is not None]
+        return a2, [t1, *(b2 for b2 in plane.lines[m] if b2 != t1)]
+
+    def walk(x, seed, points, pairs, kind, composite):
+        """The maps found[p], p in points, that are set, in that order:
+        found[p] is the map with image p of x, seed at x itself.  Each p
+        that no composite has reached gets dilation(*pairs(p)), the first
+        candidate that passes, or None.  A map of this kind that the test
+        returns joins the generators, and the maps of this kind found so
+        far are closed under composition with them, a BFS over the
+        composites t.g (g first): each fills found at its image h_x of x,
+        if no map has, with composite(image, h_x)."""
+        found = [None] * n
+        found[x] = seed
+        members, gens = [], []
+        for p in points:
+            if found[p] is None:
+                f = found[p] = dilation(*pairs(p))
+                if f is not None and f.kind == kind:
+                    members.append(f)
+                    gens.append((f.image[x], itemgetter(*f.image)))
+                    for t in members:  # grows as it is read
+                        for g_x, compose in gens:
+                            if found[h_x := t.image[g_x]] is None:
+                                found[h_x] = h = composite(compose(t.image), h_x)
+                                members.append(h)
+        return [f for f in map(found.__getitem__, points) if f is not None]
+
+    # Dil_0 by images of B, the identity untested (Fact 5); then A's coset is
+    # Dil_0, so no composite fills it, and the representatives (Fact 4)
+    stabiliser = walk(b, _classified_dilation(plane, tuple(range(n))), on_ab,
+                      lambda b2: (a, [b2]), "dilation",
+                      lambda image, _: _classified_dilation(plane, image))
+    return stabiliser, walk(a, stabiliser, range(1, n), candidates, "translation",
+                            lambda image, h_a: ClassifiedMap(
+                                image, "translation", frozenset(), class_of[join[a][h_a]]))

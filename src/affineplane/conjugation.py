@@ -5,16 +5,37 @@ check_conjugation conjugates Tr by a generating set of Dil once, for two
 verdicts: Tr is normal in Dil, and conjugation keeps each translation's
 direction; check_composition_direction scans the composites of
 translations of one direction.  Only groups and verify-all load this
-module; transgroup reads its names too, on first access.
+module; transgroup reads its names too, on first access.  The one-verdict
+forms check_normal_in_dilations and check_conjugation_direction, and
+_inverse, which only the point-by-point pass of check_conjugation reads,
+live in affineplane.definitions, and are read here on first access.
 """
 
+from . import _forward
 from .transgroup import CheckResult, _gather, generator_chain, generators
+
+__getattr__ = _forward(__name__, {
+    "definitions": "_inverse check_conjugation_direction check_normal_in_dilations"})
 
 
 def _dilation_generators(stabiliser, representatives, group):
-    """Dil_0, the representatives that are no translations and generators of Tr: they
-    generate Dil, so check_conjugation passes on them iff on Dil (dilation_cosets, Fact 3)."""
-    return [*stabiliser, *(f for f in representatives if f.kind != "translation"),
+    """Generators of Dil_0, the representatives that are no translations and
+    generators of Tr: they generate Dil, so check_conjugation passes on them
+    iff on Dil (dilation_cosets, Fact 3).
+
+    The generators of Dil_0 are the maps that dilation_cosets tested: each
+    s of stabiliser, in order, whose image of B = 1 is not in the orbit of
+    B under the generators before it.  A map of Dil_0 is fixed by its
+    image of B (Fact 5), so that orbit is the group they generate, one
+    point per map, and each generator takes one lookup per point and
+    generator so far."""
+    orbit, gens = [1], []
+    for s in stabiliser:
+        if s.image[1] not in orbit:
+            gens.append(s)
+            for x in orbit:  # grows as it is read: a BFS over the orbit of B
+                orbit += {g.image[x] for g in gens}.difference(orbit)
+    return [*gens, *(f for f in representatives if f.kind != "translation"),
             *(group.elements[i] for i in generators(group))]
 
 
@@ -64,9 +85,10 @@ def check_conjugation(g, dilations):
     read: a permutation labelled "dilation" that is none gets the
     definition's verdicts.
 
-    The CLI passes Dil_0, the representatives of dilation_cosets that are
-    no translations and generators(g): they generate Dil, which is enough
-    (Fact 3 of dilation_cosets).
+    The CLI passes generators of Dil_0, the representatives of
+    dilation_cosets that are no translations and generators(g)
+    (_dilation_generators): they generate Dil, which is enough (Fact 3 of
+    dilation_cosets).
     When g is all of Tr, both checks pass for every dilation d of any
     affine plane (Artin, Geometric Algebra, ch. II): d^-1.t.d is a
     dilation, and if it fixes p, t fixes d(p), so both are the identity;
@@ -89,6 +111,8 @@ def check_conjugation(g, dilations):
                       and _gather(g.elements[t].image)(d) == then_d(s) else None
                       for s in gen_images]
         if None in images:
+            from .definitions import _inverse
+
             inv = _inverse(d)
             conj = [g.index_of(tuple([inv[s.image[q]] for q in d])) for s in g.elements]
         else:
@@ -112,24 +136,6 @@ def check_conjugation(g, dilations):
         normal or CheckResult("normal_in_dilations", True),
         direction or CheckResult("conjugation_direction", True),
     )
-
-
-def _inverse(image):
-    """The inverse permutation of an image tuple, as a tuple."""
-    inv = [0] * len(image)
-    for p, q in enumerate(image):
-        inv[q] = p
-    return tuple(inv)
-
-
-def check_normal_in_dilations(g, dilations):
-    """Every conjugate of a translation by a dilation is again a translation."""
-    return check_conjugation(g, dilations)[0]
-
-
-def check_conjugation_direction(g, dilations):
-    """Conjugation by a dilation preserves the direction of a translation."""
-    return check_conjugation(g, dilations)[1]
 
 
 def check_composition_direction(g):

@@ -4,13 +4,17 @@ classify and its predicates test a point map against the definitions of
 collineation, dilation and translation, and compose_cosets and
 enumerate_dilations list all of Dil; add, compose, negate and the named
 endomorphisms are End's operations on single maps, and
-is_trace_preserving and scalar_labeling test one map or one list.  The
-commands read the same facts from dilation_cosets, the chain search and
-the ring scans, so only the tests, the demos and `groups --dilations`
-(compose_cosets) load it.  The End operations import what they read of
+is_trace_preserving and scalar_labeling test one map or one list.
+check_normal_in_dilations and check_conjugation_direction are the two
+verdicts of check_conjugation one at a time, and _inverse the inverse
+its point-by-point pass reads.  The commands read the same facts from
+dilation_cosets, the chain search, the ring scans and one call of
+check_conjugation, so only the tests, the demos, `groups --dilations`
+(compose_cosets) and a map that check_conjugation conjugates point by
+point load it.  The End operations import what they read of
 endo in their bodies, so that `groups --dilations` compiles no endo.
-Each name is also read from the module of its stage, collineation or
-endo (a module __getattr__, PEP 562).
+Each name is also read from the module of its stage, collineation,
+conjugation or endo (a module __getattr__, PEP 562).
 """
 
 from operator import itemgetter
@@ -79,6 +83,28 @@ def compose_cosets(plane, stabiliser, representatives):
 def enumerate_dilations(plane):
     """All dilations, sorted by image: the cosets of Dil_0, composed."""
     return compose_cosets(plane, *dilation_cosets(plane))
+
+
+def _inverse(image):
+    """The inverse permutation of an image tuple, as a tuple."""
+    inv = [0] * len(image)
+    for p, q in enumerate(image):
+        inv[q] = p
+    return tuple(inv)
+
+
+def check_normal_in_dilations(g, dilations):
+    """Every conjugate of a translation by a dilation is again a translation."""
+    from .conjugation import check_conjugation
+
+    return check_conjugation(g, dilations)[0]
+
+
+def check_conjugation_direction(g, dilations):
+    """Conjugation by a dilation preserves the direction of a translation."""
+    from .conjugation import check_conjugation
+
+    return check_conjugation(g, dilations)[1]
 
 
 def add(g, alpha, beta):

@@ -29,10 +29,9 @@ from .incidence import AxiomCheck
 from .transgroup import _gather, check_abelian, compose_images, generators
 
 __getattr__ = _forward(__name__, {
-    **dict.fromkeys(("add", "compose", "inversion_endo", "is_trace_preserving", "negate",
-                     "scalar_labeling", "unit_endo", "zero_endo"), "definitions"),
-    **dict.fromkeys(("_chain_search", "enumerate_endomorphisms", "enumerate_tp_endomorphisms"),
-                    "search"),
+    "definitions": "add compose inversion_endo is_trace_preserving negate scalar_labeling"
+                   " unit_endo zero_endo",
+    "search": "_chain_search enumerate_endomorphisms enumerate_tp_endomorphisms",
 })
 
 
@@ -174,7 +173,8 @@ def tp_endomorphisms(plane, g, stabiliser):
     (alpha + 1)(tau_1) = alpha(tau_1).tau_1, as the whole list is.  This
     catches a list that lacks one map of Dil_0: if it lacks x, it holds
     x - 1, and (x - 1) + 1 = x.  That no other dilation fixes 0 is
-    dilation_cosets' claim, from its test of every candidate.
+    dilation_cosets' claim: each candidate (0, B') is tested or reached
+    by a composite (its Fact 5).
     """
     if g.order == plane.num_points and (tp := _from_stabiliser(g, stabiliser)):
         return tp

@@ -82,7 +82,6 @@ class IncidencePlane:
         self.lines_through = tuple(tuple(ls) for ls in through)
         self.axiom_status = "unchecked"
         self._partition = None
-        self._join = None
         self._join_rows = {}
         self._parallel = None
         self._firsts = None
@@ -125,11 +124,10 @@ class IncidencePlane:
 
     def join_table(self):
         """joining-line lookup: join[p][q] = line id through p and q (p != q),
-        -1 on the diagonal; row p is join_row(p)."""
+        -1 on the diagonal; row p is join_row(p).  No command reads it, so
+        it keeps no list of its own: each call lists the kept rows."""
         self.require_verified()
-        if self._join is None:
-            self._join = [self.join_row(p) for p in range(self.num_points)]
-        return self._join
+        return [self.join_row(p) for p in range(self.num_points)]
 
     def parallel_table(self):
         """parallel-line lookup: parallel[c][p] = line of parallel class c through p.

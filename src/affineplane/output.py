@@ -5,7 +5,9 @@ The text comes from a small writer (_chunks) whose keys and scalars are
 written by _scalar: a str by _json's encode_basestring_ascii, which
 json.dumps runs too, the three literals, an exact int by int.__repr__
 and an empty container as [] or {}.  Only a value of any other type,
-such as a float, imports json, so a report of the commands loads none.
+such as a float, imports json, so a report of the commands loads none;
+on an interpreter with no _json, output takes json's own encoder, which
+json.dumps then runs.
 
 A report, help or version text that stdout does not take is an output
 error (_OutputError, exit 2).  A stderr that fails or was closed loses
@@ -19,7 +21,10 @@ import sys
 from contextlib import nullcontext, suppress
 from itertools import chain
 
-from _json import encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from . import __version__
 
@@ -32,7 +37,9 @@ def _report(command, plane_summary, results, status):
 
 
 class _Numerals(dict):
-    """int -> its JSON numeral, built once per report."""
+    """int -> its JSON numeral, and (id, line break) -> the text of a list or
+    tuple of exact ints at that depth, each built once per report.  The
+    document holds every row until its text is written, so no id is reused."""
 
     def __missing__(self, i):
         self[i] = text = int.__repr__(i)
@@ -62,10 +69,16 @@ def _scalar(o):
 def _chunks(o, newline, numerals):
     """The text of json.dumps(o, indent=2, sort_keys=True) at the depth whose
     line break is newline (dict keys are str), in chunks: one per key, scalar
-    and bracket, and one per non-empty list or tuple of exact ints."""
+    and bracket, and one per non-empty list or tuple of exact ints, kept by
+    id and depth: a row the report holds twice, such as a translation's
+    image that is also its Cayley row, is joined once."""
     inner = newline + "  "
-    if isinstance(o, (list, tuple)) and set(map(type, o)) == {int}:  # bool is no exact int
-        yield f"[{inner}{(',' + inner).join(map(numerals.__getitem__, o))}{newline}]"
+    if (text := numerals.get((id(o), newline))) is not None:
+        yield text
+    elif isinstance(o, (list, tuple)) and set(map(type, o)) == {int}:  # bool is no exact int
+        numerals[id(o), newline] = text = (
+            f"[{inner}{(',' + inner).join(map(numerals.__getitem__, o))}{newline}]")
+        yield text
     elif isinstance(o, dict) and o:
         opener = "{"
         for key in sorted(o):

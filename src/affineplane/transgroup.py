@@ -17,9 +17,9 @@ from . import _forward
 from .errors import MissingIdentity, NotClosed, NotTranslation
 from .incidence import AxiomCheck
 
-__getattr__ = _forward(__name__, dict.fromkeys((
-    "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-    "check_normal_in_dilations"), "conjugation"))
+__getattr__ = _forward(__name__, {
+    "conjugation": "check_composition_direction check_conjugation check_conjugation_direction"
+                   " check_normal_in_dilations"})
 
 
 class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
@@ -107,12 +107,15 @@ def build_group(plane, translations):
     tuple, with no gather.  The scan above still reads it.
 
     Proven, not scanned: each composite is a dilation, two points fix a
-    dilation, and composition of maps is associative.  Scanned: the
-    identity is listed, every one of the |Tr|^2 composites a.b is looked
-    up among the listed elements, and every row holds the identity; a
-    miss raises.  dilation_cosets composes most of Tr from a few tested
-    generators, but this scan does not rely on how the list was found,
-    so translations_form_group stays an exhaustive check.
+    dilation, composition of maps is associative, and every row holds the
+    identity once the scan passes: the powers of a listed f are listed,
+    and f, a permutation of finitely many points, has finite order k, so
+    f^(k-1), the identity when k = 1, is its inverse.  Scanned: the
+    identity is listed, and every one of the |Tr|^2 composites a.b is
+    looked up among the listed elements; a miss raises.  dilation_cosets
+    composes most of Tr from a few tested generators, but this scan does
+    not rely on how the list was found, so translations_form_group stays
+    an exhaustive check.
     """
     identity = tuple(range(plane.num_points))
     for f in translations:
@@ -141,14 +144,10 @@ def build_group(plane, translations):
             raise NotClosed(f"composite of elements {i} and {j} is not a listed translation")
         cayley.append(row)
 
-    inverse = [row.index(0) if 0 in row else -1 for row in cayley]
-    if -1 in inverse:
-        raise NotClosed(f"element {inverse.index(-1)} has no inverse in the list")
-
     return TranslationGroup(
         elements=tuple(ordered),
         cayley=tuple(cayley),
-        inverse=tuple(inverse),
+        inverse=tuple([row.index(0) for row in cayley]),
         direction_of=tuple(f.direction for f in ordered),
     )
 

@@ -285,11 +285,12 @@ class TestGroups:
         [([], 0), (["--check-normal"], 1), (["--check-normal", "--check-directions"], 1)],
     )
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch, flags, passes):
-        # on Dil_0 and the 2 generators of Tr, which generate the 18
-        # dilations: every coset representative of AG(2,3) is a translation
+        # on the 1 generator of Dil_0 and the 2 generators of Tr, which
+        # generate the 18 dilations: every coset representative of AG(2,3)
+        # is a translation
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "groups", p3_file, *flags)[0] == 0
-        assert [len(dilations) for _, dilations in calls] == [4] * passes
+        assert [len(dilations) for _, dilations in calls] == [3] * passes
 
 
     @pytest.mark.parametrize(
@@ -456,10 +457,11 @@ class TestVerifyAll:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_one_conjugation_pass(self, p3_file, capsys, monkeypatch):
-        # on Dil_0 and the 2 generators of Tr: 4 of the 18 dilations
+        # on the 1 generator of Dil_0 and the 2 generators of Tr: 3 of the
+        # 18 dilations
         calls = count_calls(monkeypatch, "check_conjugation")
         assert run(capsys, "verify-all", p3_file)[0] == 0
-        assert [len(dilations) for _, dilations in calls] == [4]
+        assert [len(dilations) for _, dilations in calls] == [3]
 
     def test_broken_plane_fails_at_axiom_stage(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -827,6 +829,33 @@ class TestReportText:
         ],
     )
     def test_edge_documents(self, document):
+        assert "".join(output._text(document)) == oracle_text(document)
+
+    def test_shared_row_is_joined_once_per_depth(self):
+        """A tuple of ints the document holds twice at one depth and once at
+        another is written as json.dumps writes it, and its text at the
+        first depth is one string, yielded twice."""
+        row = (3, 1, 4, 1, 5)
+        document = {"a": [row, row], "b": row, "c": [[row]], "d": list(row)}
+        chunks = list(output._text(document))
+        assert "".join(chunks) == oracle_text(document)
+        deep = [chunk for chunk in chunks if chunk.startswith("[\n      3")]
+        assert len(deep) == 2 and deep[0] is deep[1]
+
+    @pytest.mark.parametrize("plane,shared", [
+        (ag29_document, True),  # a regular Tr: each Cayley row is its element's image
+        (lambda: dual_hall9_cut(81), False),  # 9 translations on 81 points: rows are gathered
+    ], ids=["ag29", "cut81"])
+    def test_translations_report(self, tmp_path, monkeypatch, plane, shared):
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(plane()))
+        written = []
+        monkeypatch.setattr(cli, "_write", lambda document, out_path: written.append(document))
+        main(["groups", str(path), "--translations", *GROUP_CHECKS])
+        [document] = written
+        results = document["results"]
+        rows = zip(results["translations"], results["cayley_table"])
+        assert [row is image for image, row in rows] == [shared] * len(results["translations"])
         assert "".join(output._text(document)) == oracle_text(document)
 
 

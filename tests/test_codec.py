@@ -20,6 +20,7 @@ import pytest
 from affineplane import build_prime_plane, cli, output
 from affineplane.errors import AffinePlaneError
 from affineplane.incidence import load_plane
+from conftest import bench_lines, dual_hall9_cut
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -240,3 +241,37 @@ def test_scalar_of_subclasses_is_json_dumps():
 
     for value in (Text("sub"), Count(7), Row(), Row([1]), {"a": 1}):
         assert output._scalar(value) == json.dumps(value)
+
+
+# Runs `python -m affineplane <argv>` with _json hidden, as on an
+# interpreter that has no such module, when the first argument is "hide",
+# and as it is when it is "keep".
+WITHOUT_JSON_ACCELERATOR = """\
+import runpy, sys
+if sys.argv.pop(1) == "hide":
+    sys.modules["_json"] = None  # import _json raises ImportError
+runpy.run_module("affineplane", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_commands_without_the_json_accelerator(tmp_path):
+    """With no _json, cli hands every document to json.loads and output
+    writes strings with json's own encoder: each command writes the same
+    bytes to stdout and stderr, with the same exit code."""
+    documents = {"p3": build_prime_plane(3).to_document(), "cut81": dual_hall9_cut(81),
+                 "broken": {"points": 4, "lines": [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3]]}}
+    for name, document in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    (tmp_path / "truncated.json").write_text('{"points": 4, "lines": [[0')
+    lines = [["check", "broken.json"], ["check", "truncated.json"], ["groups", "broken.json"]]
+    for plane in ("p3.json", "cut81.json"):
+        lines += [["check", plane], *([command, plane, *flags]
+                                      for command, flags in sorted(bench_lines().items()))]
+    for argv in lines:
+        runs = [subprocess.run([sys.executable, "-c", WITHOUT_JSON_ACCELERATOR, how, *argv],
+                               cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                               capture_output=True)
+                for how in ("keep", "hide")]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)], argv
+        assert runs[0].stdout or runs[0].returncode == 2, argv

@@ -14,11 +14,13 @@ its pencil, unique parallel from line sizes and point degrees once unique
 join holds and the triangle axiom by point pairs, ``classify``
 tests "dilation" from the parallel table on all classes but the last
 and reads a translation's direction from the trace of point 0,
-``dilation_cosets`` tests candidates only for the images of point 0
-that no composite of the translations found has reached, the
-translation first, and ``compose_cosets`` composes the rest from the
-stabiliser of 0, ``check_conjugation`` is run on the stabiliser and
-the representatives only,
+``dilation_cosets`` tests candidates only for the images of point 1
+under the stabiliser of 0 that no composite of its generators found has
+reached, and for the images of point 0 that no composite of the
+translations found has reached, the translation first, and
+``compose_cosets`` composes the rest from the stabiliser of 0,
+``check_conjugation`` is run on generators of the stabiliser, the
+representatives that are no translations and generators of Tr only,
 ``check_composition_direction`` pairs translations of one direction only,
 ``build_group`` reads each Cayley entry from a two-point key and
 rejects a list that repeats one,
@@ -86,7 +88,9 @@ from affineplane.errors import (
     NotTranslation,
     SizeMismatch,
 )
-from affineplane import cli, collineation, conjugation, endo, incidence, search, transgroup
+from affineplane import (
+    cli, collineation, conjugation, definitions, endo, incidence, search, transgroup,
+)
 from affineplane.incidence import AxiomCheck
 from affineplane.transgroup import (
     CheckResult,
@@ -1156,8 +1160,8 @@ class TestConjugationOracle:
         # inverse is built, once, only for a map conjugated point by point:
         # the transposition, which conjugates a translation off the list
         inverses = []
-        real = conjugation._inverse
-        monkeypatch.setattr(conjugation, "_inverse", lambda d: inverses.append(d) or real(d))
+        real = definitions._inverse
+        monkeypatch.setattr(definitions, "_inverse", lambda d: inverses.append(d) or real(d))
         plane, g, dils = planes[3], groups[3], dilations[3]
         check_conjugation(g, dils)
         assert inverses == []
@@ -1433,11 +1437,16 @@ def search_verdicts(plane, monkeypatch, search=enumerate_dilations):
     return found, verdicts
 
 
-# tests of the search: Dil_0's q - 1 candidates, then one per generator of
-# Tr; on AG(2,p^k) and Hall(9) Tr is Z_p^(2k), so q - 1 + 2k
+# tests of the search: one per generator of Dil_0 that the walk over AB
+# finds, and one per candidate (A, B') that fails, then one per generator of
+# Tr.  On AG(2,p^k) Dil_0 is the cyclic group GF(q)*, its generators at most
+# as many as q - 1 has prime factors, and no candidate fails; Hall(9) tests
+# its 7 candidates, 6 of which fail; on AG(2,p^k) and Hall(9) Tr is
+# Z_p^(2k), 2k generators.  Each test of all q - 1 candidates of Dil_0
+# took q - 1 + 2k: 3, 4, 6, 8, 7, 12, 12, 12 and 14.
 SEARCH_TESTS = {
-    "AG(2,2)": 3, "AG(2,3)": 4, "AG(2,5)": 6, "AG(2,7)": 8, "AG(2,4)": 7,
-    "AG(2,9)": 12, "Hall(9)": 12, "AG(2,11)": 12, "AG(2,13)": 14,
+    "AG(2,2)": 2, "AG(2,3)": 3, "AG(2,5)": 3, "AG(2,7)": 4, "AG(2,4)": 5,
+    "AG(2,9)": 7, "Hall(9)": 11, "AG(2,11)": 3, "AG(2,13)": 3,
 }
 
 
@@ -1493,12 +1502,14 @@ class TestDilationCandidateOracle:
         for image, passed in verdicts:
             assert passed == dilation_oracle(plane, image), image
 
-    @pytest.mark.parametrize("point,tests", [(81, 586), (0, 642)])
+    @pytest.mark.parametrize("point,tests", [(81, 581), (0, 641)])
     def test_search_tests_on_dual_hall_cut(self, point, tests, monkeypatch):
         """Composition reaches the points of the 9 translations of
         dual_hall9_cut(81), all of one direction, from 2 generators: 6
-        tests fewer.  On dual_hall9_cut(0) Tr is trivial and every point
-        is tested."""
+        tests fewer, and the 8 maps of its Dil_0 from the identity and 3
+        generators: 5 fewer.  On dual_hall9_cut(0) Tr is trivial, Dil_0
+        the identity, which is not tested, and every other point is
+        tested."""
         plane = load_plane(dual_hall9_cut(point))
         assert verify_axioms(plane).all_pass
         _, verdicts = search_verdicts(plane, monkeypatch, collineation.dilation_cosets)
@@ -1527,12 +1538,14 @@ def assert_cosets_agree(plane, dilations):
     return generators
 
 
-# the dilations the CLI conjugates by: Dil_0, q - 1 on a Desarguesian plane
-# and 2 on Hall(9), and the 2k generators of Tr = Z_p^(2k); every coset
-# representative of a translation plane is a translation
+# the dilations the CLI conjugates by: the generators of Dil_0 that
+# dilation_cosets tests, none on AG(2,2), 1 on Hall(9) and 1 to 3 on the
+# other planes, and the 2k generators of Tr = Z_p^(2k); every coset
+# representative of a translation plane is a translation.  All of Dil_0
+# made 3, 4, 6, 8, 7, 12, 6, 12 and 14
 CONJUGATION_SET = {
-    "AG(2,2)": 3, "AG(2,3)": 4, "AG(2,5)": 6, "AG(2,7)": 8, "AG(2,4)": 7,
-    "AG(2,9)": 12, "Hall(9)": 6, "AG(2,11)": 12, "AG(2,13)": 14,
+    "AG(2,2)": 2, "AG(2,3)": 3, "AG(2,5)": 3, "AG(2,7)": 4, "AG(2,4)": 5,
+    "AG(2,9)": 7, "Hall(9)": 5, "AG(2,11)": 3, "AG(2,13)": 3,
 }
 
 
@@ -1560,12 +1573,14 @@ class TestDilationSearchOracle:
                             len(generators))
             # a subset of the oracle's candidates, each tested once
             assert len(set(image for image, _ in verdicts)) == len(verdicts) <= 648
-        # the CLI conjugates by Dil_0, the representatives that are no
-        # translations and 2 generators of Tr: on the cuts at 81 and 82,
-        # |Dil_0| = 8 and every representative is a translation; on those at
-        # 83 to 90, Dil_0 is the identity alone and 63 of 71 are none
-        conjugated = {81: 10, 82: 10, **dict.fromkeys(range(83, 91), 66)}
-        assert sizes == {point: (72, 9, conjugated[point]) if point >= 81 else (2, 1, 2)
+        # the CLI conjugates by the generators of Dil_0, the representatives
+        # that are no translations and 2 generators of Tr: on the cuts at 81
+        # and 82, |Dil_0| = 8, from 3 generators, and every representative
+        # is a translation; on those at 83 to 90, and on the cuts at affine
+        # points, Dil_0 is the identity alone, with no generator, and 63 of
+        # 71 representatives are none, and the 1 of 1
+        conjugated = {81: 5, 82: 5, **dict.fromkeys(range(83, 91), 65)}
+        assert sizes == {point: (72, 9, conjugated[point]) if point >= 81 else (2, 1, 1)
                          for point in range(91)}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1884,6 +1899,81 @@ class TestWhatTheGroupsStageReads:
         for f in composed:
             assert f == collineation._classified_dilation(plane, f.image)
             assert (f.kind, f.fixed_points) == ("translation", frozenset())
+
+
+# maps of Dil_0 composed, not tested: Dil_0 less the identity and its tested
+# generators, |GF(q)*| - 1 less 1 to 3 on AG(2,q), none on Hall(9), whose
+# Dil_0 has 2 maps, 8 - 1 - 3 on dual_hall9_cut(81) and none where Dil_0 is
+# the identity alone
+COMPOSED_STABILISER = {
+    "AG(2,2)": 0, "AG(2,3)": 0, "AG(2,5)": 2, "AG(2,7)": 3, "AG(2,4)": 1,
+    "AG(2,9)": 4, "Hall(9)": 0, "AG(2,11)": 8, "AG(2,13)": 10,
+    "dual_hall9_cut(81)": 4, "dual_hall9_cut(0)": 0,
+}
+
+
+def closure(maps):
+    """The images of every composite of one or more of maps, by a BFS."""
+    found = {f.image for f in maps}
+    todo = list(found)
+    for image in todo:  # grows as it is read
+        for f in maps:
+            h = compose_images(f.image, image)
+            if h not in found:
+                found.add(h)
+                todo.append(h)
+    return found
+
+
+class TestDilationGenerators:
+    """dilation_cosets composes Dil_0 from the maps it tests, and the CLI
+    conjugates by those maps only: each composite is the map the test
+    would classify, and the maps passed generate all of Dil, on which the
+    definitions give the same verdicts."""
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_composed_stabiliser_maps_are_classified(self, name, monkeypatch):
+        plane = load_plane(CAYLEY_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        (stabiliser, representatives), verdicts = search_verdicts(
+            plane, monkeypatch, collineation.dilation_cosets)
+        assert (stabiliser, representatives) == cosets_oracle(plane)
+        tested = {image for image, _ in verdicts}
+        identity = tuple(range(plane.num_points))
+        composed = [f for f in stabiliser if f.image not in tested and f.image != identity]
+        assert len(composed) == COMPOSED_STABILISER[name]
+        for f in stabiliser:
+            assert f == collineation._classified_dilation(plane, f.image)
+            assert f.image[0] == 0 and (f.kind == "dilation") is (f.image != identity)
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_generators_of_stabiliser_are_the_tested_maps(self, name, monkeypatch):
+        """_dilation_generators finds, by the orbit of point 1, the maps of
+        Dil_0 that dilation_cosets tested and that passed, in order."""
+        plane = load_plane(CAYLEY_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        (stabiliser, representatives), verdicts = search_verdicts(
+            plane, monkeypatch, collineation.dilation_cosets)
+        passed = [image for image, ok in verdicts if ok and image[0] == 0]
+        g = build_group(plane, [f for f in stabiliser + representatives
+                                if f.kind == "translation"])
+        generators = conjugation._dilation_generators(stabiliser, representatives, g)
+        assert [f.image for f in generators if f in stabiliser] == passed
+
+    @pytest.mark.parametrize("name", CAYLEY_PLANES)
+    def test_generators_close_to_dil_and_keep_the_verdicts(self, name):
+        """The maps the CLI conjugates by, closed under composition, are
+        the list of compose_cosets, and check_conjugation on them gives
+        the verdicts of the definitions on that whole list."""
+        plane = load_plane(CAYLEY_PLANES[name]())
+        assert verify_axioms(plane).all_pass
+        stabiliser, representatives = collineation.dilation_cosets(plane)
+        dilations = collineation.compose_cosets(plane, stabiliser, representatives)
+        g = build_group(plane, [f for f in dilations if f.kind == "translation"])
+        generators = conjugation._dilation_generators(stabiliser, representatives, g)
+        assert closure(generators) == {f.image for f in dilations}
+        assert check_conjugation(g, generators) == (
+            normal_oracle(g, dilations), direction_oracle(g, dilations))
 
 
 def square_tables(seed, count):

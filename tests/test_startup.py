@@ -7,7 +7,7 @@ the run made.
 
 The package exports its names lazily (PEP 562): ``import affineplane``
 loads no submodule, and a name loads its submodule on first access.
-collineation, endo, transgroup and cli forward the same way the names
+collineation, conjugation, endo, transgroup and cli forward the same way the names
 they hand to a module of their own: the definitions no benchmark command
 calls, the conjugation pass, the End search and the handlers of groups,
 endo and verify-all, so that each command compiles only the code it runs.  The
@@ -43,14 +43,12 @@ SRC = os.path.dirname(os.path.dirname(affineplane.__file__))
 EXPORTS = {
     "builder": ["build_prime_plane", "is_prime", "prime_plane_document"],
     "collineation": ["ClassifiedMap", "fixed_points"],
-    "conjugation": [
-        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-        "check_normal_in_dilations",
-    ],
+    "conjugation": ["check_composition_direction", "check_conjugation"],
     "definitions": [
-        "add", "classify", "compose", "enumerate_dilations", "inversion_endo",
-        "is_collineation", "is_dilation", "is_trace_preserving", "is_translation", "negate",
-        "scalar_labeling", "unit_endo", "zero_endo",
+        "add", "check_conjugation_direction", "check_normal_in_dilations", "classify", "compose",
+        "enumerate_dilations", "inversion_endo", "is_collineation", "is_dilation",
+        "is_trace_preserving", "is_translation", "negate", "scalar_labeling", "unit_endo",
+        "zero_endo",
     ],
     "endo": [
         "GroupSelfMap", "RingReport", "check_ring_axioms", "count_endomorphisms",
@@ -76,9 +74,11 @@ FORWARDED = [
         "unit_endo", "zero_endo",
     ]),
     ("endo", "search", ["_chain_search", "enumerate_endomorphisms", "enumerate_tp_endomorphisms"]),
-    ("transgroup", "conjugation", [
-        "check_composition_direction", "check_conjugation", "check_conjugation_direction",
-        "check_normal_in_dilations",
+    ("transgroup", "conjugation", ["check_composition_direction", "check_conjugation"]),
+    # the one-verdict forms, through conjugation's own forward
+    ("transgroup", "definitions", ["check_conjugation_direction", "check_normal_in_dilations"]),
+    ("conjugation", "definitions", [
+        "_inverse", "check_conjugation_direction", "check_normal_in_dilations",
     ]),
     ("cli", "cmd_groups", ["cmd_groups"]),
     ("cli", "cmd_endo", ["cmd_endo"]),
